@@ -27,7 +27,6 @@ __all__ = [
     "MIN_SITES",
     "MAX_SITES",
     "SectorLabel",
-    "RepresentativeOrbit",
     "SymmetryBasis",
     "translate_bits",
     "flip_bits",
@@ -181,16 +180,6 @@ def _sector_tables(L: int, M: int, with_flip: bool) -> _SectorTables:
 
 
 @dataclass(frozen=True)
-class RepresentativeOrbit:
-    """One admitted orbit: its representative, periodicity, flip pairing, norm."""
-
-    rep: int
-    periodicity: int
-    z2_partner_shift: int | None  # None when the flipped orbit is a distinct orbit
-    norm: float
-
-
-@dataclass(frozen=True)
 class SymmetryBasis:
     """Orthonormal symmetry-adapted basis of one {M, k, Z2} sector.
 
@@ -203,8 +192,6 @@ class SymmetryBasis:
     sector: SectorLabel
     reps: np.ndarray
     orbit_sizes: np.ndarray
-    periods: np.ndarray
-    flip_shifts: np.ndarray
     norms: np.ndarray
     tables: _SectorTables
     rep_index: np.ndarray
@@ -212,15 +199,6 @@ class SymmetryBasis:
     @property
     def dim(self) -> int:
         return len(self.reps)
-
-    @property
-    def orbits(self) -> list[RepresentativeOrbit]:
-        return [
-            RepresentativeOrbit(
-                int(r), int(p), None if g < 0 else int(g), float(w)
-            )
-            for r, p, g, w in zip(self.reps, self.periods, self.flip_shifts, self.norms)
-        ]
 
 
 def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
@@ -248,7 +226,6 @@ def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
         keep &= ~paired | (phase_index == wanted)
         sizes = np.where(paired, R, 2 * R)
     else:
-        g = np.full(len(pos), -1, dtype=np.int64)
         sizes = R
 
     kept = np.flatnonzero(keep)
@@ -264,13 +241,11 @@ def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
         sector=sector,
         reps=reps,
         orbit_sizes=orbit_sizes,
-        periods=R[kept],
-        flip_shifts=g[kept],
         norms=1.0 / np.sqrt(orbit_sizes.astype(np.float64)),
         tables=tabs,
         rep_index=rep_index,
     )
-    for arr in (out.reps, out.orbit_sizes, out.periods, out.flip_shifts, out.norms, out.rep_index):
+    for arr in (out.reps, out.orbit_sizes, out.norms, out.rep_index):
         arr.setflags(write=False)
     return out
 

@@ -4,8 +4,11 @@ Flat little-endian binary per sector: a fixed header carrying a build
 fingerprint and the sector key, followed by energies, spin labels, spin
 residuals and eigenvectors. A fingerprint or key mismatch raises
 CacheMismatch so callers rebuild instead of trusting stale files. The
-payload itself is not checksummed; downstream oracle checks catch silent
-corruption and name the offending sector.
+payload itself is not checksummed: only the oracle check audits loaded
+eigendata (residuals per block, L <= 10), while the diag-eth and offdiag-eth
+analyses read payloads unchecked. Each writer writes its own temporary file
+and renames it over the entry, so concurrent writers of one sector do not
+collide.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -93,14 +97,18 @@ def save_spectrum(root: Path, lam: float, spectrum: SpinResolvedSpectrum) -> Pat
         sector.L, sector.M, sector.k_index, z2,
         spectrum.dim, 0, lam,
     )
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(spectrum.energies, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(spectrum.spins, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(spectrum.spin_residuals, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(spectrum.vectors, dtype="<c16").tobytes())
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=root, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(spectrum.energies, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(spectrum.spins, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(spectrum.spin_residuals, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(spectrum.vectors, dtype="<c16").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

@@ -86,7 +86,6 @@ class RunConfig:
     cache_dir: str | None = None
     out_dir: str = "out"
     workers: int = 1
-    degeneracy_tol: float | None = None
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -146,7 +145,8 @@ class RunConfig:
         return tuple((s, s) for s in self.spins) + self.spin_pairs
 
 
-def _validate_common(config: RunConfig) -> None:
+def _validate(config: RunConfig, command: str) -> None:
+    """Reject a configuration before any work starts, by the rules of one command."""
     if not config.L_list:
         raise ConfigError("L_list must not be empty")
     for L in config.L_list:
@@ -174,16 +174,25 @@ def _validate_common(config: RunConfig) -> None:
         raise ConfigError(f"omega_cut must be positive, got {config.omega_cut}")
     if abs(config.M) > min(config.L_list) // 2:
         raise ConfigError(f"|M| <= L/2 required, got M={config.M}")
+    if command == "spectrum":
+        return
 
+    if config.M != 0:
+        raise ConfigError(f"{command} runs in the M = 0 sector only")
+    # the closed-form moments start at L = 6; the oracle check audits dense blocks
+    top = 10 if command == "oracle-check" else MAX_SITES
+    for L in config.L_list:
+        if not 6 <= L <= top:
+            raise ConfigError(f"{command} covers 6 <= L <= {top}, got {L}")
+    if command == "oracle-check":
+        return
 
-def _validate_spins(config: RunConfig, need_selection: bool) -> None:
-    bound = min(config.L_list) // 2
-    if need_selection and not config.spins and not config.spin_pairs:
+    if command == "diag-eth" and not config.spins:
+        raise ConfigError("empty spin selection: diag-eth needs at least one S in spins")
+    if not config.spins and not config.spin_pairs:
         raise ConfigError("empty spin selection: set spins and/or spin_pairs")
-    for s in config.spins:
-        if not 0 <= s <= bound:
-            raise ConfigError(f"S={s} exceeds the bound S <= L/2 = {bound} for the smallest L")
-    for s_a, s_b in config.spin_pairs:
+    bound = min(config.L_list) // 2
+    for s_a, s_b in config.all_pairs():
         for s in (s_a, s_b):
             if not 0 <= s <= bound:
                 raise ConfigError(f"S={s} exceeds the bound S <= L/2 = {bound} for the smallest L")
@@ -198,17 +207,7 @@ def _validate_spins(config: RunConfig, need_selection: bool) -> None:
                 f"pair ({s_a},{s_b}): rank-2 tensors cannot connect |S_a - S_b| > 2")
 
 
-def _validate_analysis(config: RunConfig, need_selection: bool = True) -> None:
-    _validate_common(config)
-    if config.M != 0:
-        raise ConfigError("analysis commands run in the M = 0 sector only")
-    for L in config.L_list:
-        if L < 6:
-            raise ConfigError(f"analysis needs L >= 6 (closed-form moments), got {L}")
-    _validate_spins(config, need_selection)
-
-
-# ─── manifest ────────────────────────────────────────────────────────────────
+# ─── run skeleton ────────────────────────────────────────────────────────────
 
 
 class RunManifest:
@@ -235,11 +234,32 @@ class RunManifest:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+def _begin(config: RunConfig, command: str) -> tuple[Path | None, Path, RunManifest]:
+    """Validate, resolve the cache root, make the output dir, journal the start.
+
+    Returns (cache root, output dir, manifest). Only oracle-check runs
+    without a cache root, building its spectra in memory.
+    """
+    _validate(config, command)
+    try:
+        root = cache.cache_dir(config.cache_dir)
+    except ValueError as exc:
+        if command != "oracle-check":
+            raise ConfigError(str(exc)) from exc
+        root = None
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(out / "manifest.jsonl", config.config_hash())
+    manifest.record("run", "start", command=command,
+                    fingerprint=f"{cache.build_fingerprint():016x}")
+    return root, out, manifest
+
+
 # ─── spectra ─────────────────────────────────────────────────────────────────
 
 
-def ensure_spectrum(sector: SectorLabel, lam: float, root: Path | None,
-                    degeneracy_tol: float | None = None) -> tuple[SpinResolvedSpectrum, bool]:
+def ensure_spectrum(sector: SectorLabel, lam: float,
+                    root: Path | None) -> tuple[SpinResolvedSpectrum, bool]:
     """Load one block spectrum from cache, or build and store it.
 
     Returns (spectrum, cache_hit). A present-but-incompatible file triggers
@@ -255,7 +275,7 @@ def ensure_spectrum(sector: SectorLabel, lam: float, root: Path | None,
     basis = enumerate_sector_basis(sector)
     h = build_hamiltonian(basis, CouplingSpec(lam))
     energies, vectors = diagonalize_block(h)
-    spectrum = resolve_spins(energies, vectors, build_total_spin_squared(basis), degeneracy_tol)
+    spectrum = resolve_spins(energies, vectors, build_total_spin_squared(basis))
     if root is not None:
         cache.save_spectrum(root, lam, spectrum)
     return spectrum, False
@@ -269,13 +289,13 @@ def load_cached_spectrum(sector: SectorLabel, lam: float, root: Path) -> SpinRes
             f"{exc}; run the spectrum command first to populate the cache") from exc
 
 
-def _resolve_cache_root(config: RunConfig, required: bool) -> Path | None:
-    try:
-        return cache.cache_dir(config.cache_dir)
-    except ValueError as exc:
-        if required:
-            raise ConfigError(str(exc)) from exc
-        return None
+def _spin_counts(spectra) -> dict[int, int]:
+    """Eigenstates per total spin, summed over block spectra."""
+    counts: dict[int, int] = {}
+    for spectrum in spectra:
+        for s, c in spectrum.spin_dims().items():
+            counts[s] = counts.get(s, 0) + c
+    return counts
 
 
 def _sector_name(sector: SectorLabel, lam: float) -> str:
@@ -314,23 +334,16 @@ def _write_json(path: Path, payload: dict) -> Path:
 
 def run_spectrum(config: RunConfig) -> dict:
     """Diagonalize every sector in the plan, caching the spin-resolved data."""
-    _validate_common(config)
-    root = _resolve_cache_root(config, required=True)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    chash = config.config_hash()
-    manifest = RunManifest(out / "manifest.jsonl", chash)
-    manifest.record("run", "start", command="spectrum",
-                    fingerprint=f"{cache.build_fingerprint():016x}")
-
+    root, out, manifest = _begin(config, "spectrum")
+    chash = manifest.config_hash
     summary = {"config": chash, "lambda": config.lam, "M": config.M, "sizes": {}, "failures": []}
     for L in config.L_list:
         labels = sector_labels(L, config.M)
         t0 = time.perf_counter()
         results = []
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [(lab, pool.submit(ensure_spectrum, lab, config.lam, root,
-                                         config.degeneracy_tol)) for lab in labels]
+            futures = [(lab, pool.submit(ensure_spectrum, lab, config.lam, root))
+                       for lab in labels]
             for lab, fut in futures:
                 name = _sector_name(lab, config.lam)
                 try:
@@ -339,26 +352,20 @@ def run_spectrum(config: RunConfig) -> dict:
                     manifest.record("spectrum", "failed", sector=name, error=str(exc))
                     summary["failures"].append({"sector": name, "error": str(exc)})
                     continue
-                results.append((lab, spectrum, hit))
+                results.append((spectrum, hit))
                 manifest.record("spectrum", "hit" if hit else "built", sector=name)
-        per_spin: dict[int, int] = {}
-        hits = 0
-        states = 0
-        for lab, spectrum, hit in results:
-            hits += hit
-            states += spectrum.dim
-            for s, c in spectrum.spin_dims().items():
-                per_spin[s] = per_spin.get(s, 0) + c
+        per_spin = _spin_counts(spectrum for spectrum, _ in results)
+        hits = sum(hit for _, hit in results)
         summary["sizes"][str(L)] = {
             "blocks": len(results),
-            "states": states,
+            "states": sum(spectrum.dim for spectrum, _ in results),
             "per_spin_counts": {str(s): per_spin[s] for s in sorted(per_spin)},
             "cache_hits": hits,
             "built": len(results) - hits,
             "seconds": round(time.perf_counter() - t0, 3),
         }
-    manifest.record("run", "done", command="spectrum")
     _write_json(out / "spectrum_summary.json", summary)
+    manifest.record("run", "done", command="spectrum")
     return summary
 
 
@@ -403,17 +410,8 @@ def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> an
 
 def run_diag_eth(config: RunConfig) -> dict:
     """Diagonal-element series, per-spin means, fluctuation scaling, oracle lines."""
-    _validate_analysis(config)
-    if not config.spins:
-        raise ConfigError("empty spin selection: diag-eth needs at least one S in spins")
-    root = _resolve_cache_root(config, required=True)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    chash = config.config_hash()
-    manifest = RunManifest(out / "manifest.jsonl", chash)
-    manifest.record("run", "start", command="diag-eth",
-                    fingerprint=f"{cache.build_fingerprint():016x}")
-
+    root, out, manifest = _begin(config, "diag-eth")
+    chash = manifest.config_hash
     diag_rows = []
     spin_rows = []
     fluct_rows = []
@@ -496,9 +494,11 @@ def run_diag_eth(config: RunConfig) -> dict:
 # ─── off-diagonal command ────────────────────────────────────────────────────
 
 
-def _offdiag_ensembles(config: RunConfig, root: Path, L: int, observable: str):
-    """Raw and reduced ensembles per spin pair for one (L, observable)."""
-    blocks = _load_blocks(config, root, L)
+def _offdiag_ensembles(config: RunConfig, blocks, L: int, observable: str):
+    """Raw and reduced ensembles per spin pair for one (L, observable).
+
+    blocks: the admitted (SectorLabel, SpinResolvedSpectrum) pairs of size L.
+    """
     rank = _REDUCTION_RANK.get(observable)
     raw: dict[tuple[int, int], list] = {pair: [] for pair in config.all_pairs()}
     red: dict[tuple[int, int], list] = {pair: [] for pair in config.all_pairs()}
@@ -554,15 +554,8 @@ def _inputs_hash(arrays) -> str:
 
 def run_offdiag_eth(config: RunConfig) -> dict:
     """Gaussianity ratios, spectral functions, variance scalings, low-freq views."""
-    _validate_analysis(config)
-    root = _resolve_cache_root(config, required=True)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    chash = config.config_hash()
-    manifest = RunManifest(out / "manifest.jsonl", chash)
-    manifest.record("run", "start", command="offdiag-eth",
-                    fingerprint=f"{cache.build_fingerprint():016x}")
-
+    root, out, manifest = _begin(config, "offdiag-eth")
+    chash = manifest.config_hash
     binning = analysis.Binning(config.bin_spacing, config.bin_width, config.min_bin_count)
     omega_cut = config.resolved_omega_cut()
 
@@ -573,8 +566,9 @@ def run_offdiag_eth(config: RunConfig) -> dict:
     by_pair: dict[tuple[str, tuple[int, int]], list[analysis.OffDiagonalEnsemble]] = {}
 
     for L in config.L_list:
+        blocks = _load_blocks(config, root, L)
         for observable in config.observables:
-            ensembles = _offdiag_ensembles(config, root, L, observable)
+            ensembles = _offdiag_ensembles(config, blocks, L, observable)
             for pair in config.all_pairs():
                 ens, red_ens = ensembles[pair]
                 s_a, s_b = pair
@@ -637,6 +631,11 @@ def run_offdiag_eth(config: RunConfig) -> dict:
 # ─── oracle check ────────────────────────────────────────────────────────────
 
 
+def _expectations(op, vectors: np.ndarray) -> np.ndarray:
+    """<v|op|v> for every eigenvector column v."""
+    return np.einsum("ij,ij->j", vectors.conj(), op.matrix @ vectors).real
+
+
 def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, float]]:
     """Exact per-spin sector traces of all oracle moments from eigendata.
 
@@ -649,31 +648,22 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
         if spectrum.dim == 0:
             continue
         basis = enumerate_sector_basis(lab)
-        diags = {}
-        for tag in ("A", "B"):
-            op = build_observable(basis, tag)
-            diags[tag] = np.einsum("ij,ij->j", spectrum.vectors.conj(),
-                                   op.matrix @ spectrum.vectors).real
+        ops = {"meanA": build_observable(basis, "A"), "meanB": build_observable(basis, "B")}
         for tag, terms in (("eps2", pair_correlator_terms(L, "dot")),
                            ("eps2z", pair_correlator_terms(L, "zz")),
                            ("eps4", quad_correlator_terms(L, "dotdot")),
                            ("eps4z", quad_correlator_terms(L, "zzdot"))):
-            op = build_operator(basis, terms, tag)
-            diags[tag] = np.einsum("ij,ij->j", spectrum.vectors.conj(),
-                                   op.matrix @ spectrum.vectors).real
+            ops[tag] = build_operator(basis, terms, tag)
+        # per-state values whose sector averages are the moments
+        per_state = {f: _expectations(op, spectrum.vectors) for f, op in ops.items()}
+        e = spectrum.energies
+        per_state.update(E0=e, HH=e * e, AH=per_state["meanA"] * e, BH=per_state["meanB"] * e)
         for s in np.unique(spectrum.spins):
             sel = spectrum.spins == s
-            d = sums.setdefault(int(s), {f: 0.0 for f in _MOMENT_FIELDS})
+            d = sums.setdefault(int(s), dict.fromkeys(_MOMENT_FIELDS, 0.0))
             counts[int(s)] = counts.get(int(s), 0) + int(sel.sum())
-            e = spectrum.energies[sel]
-            d["E0"] += e.sum()
-            d["HH"] += (e * e).sum()
-            d["meanA"] += diags["A"][sel].sum()
-            d["meanB"] += diags["B"][sel].sum()
-            d["AH"] += (diags["A"][sel] * e).sum()
-            d["BH"] += (diags["B"][sel] * e).sum()
-            for tag in ("eps2", "eps2z", "eps4", "eps4z"):
-                d[tag] += diags[tag][sel].sum()
+            for f in _MOMENT_FIELDS:
+                d[f] += per_state[f][sel].sum()
     return {s: {f: d[f] / counts[s] for f in _MOMENT_FIELDS} for s, d in sums.items()}
 
 
@@ -686,8 +676,7 @@ def _audit_block(lab: SectorLabel, lam: float, spectrum: SpinResolvedSpectrum) -
     v = spectrum.vectors
     eig_res = float(np.abs(h @ v - v * spectrum.energies).max())
     ortho = float(np.abs(v.conj().T @ v - np.eye(spectrum.dim)).max())
-    s2 = build_total_spin_squared(basis)
-    expect = np.einsum("ij,ij->j", v.conj(), s2.matrix @ v).real
+    expect = _expectations(build_total_spin_squared(basis), v)
     spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max())
     return {"eigen_residual": eig_res, "orthonormality": ortho, "spin_residual": spin_res}
 
@@ -699,24 +688,14 @@ def run_oracle_check(config: RunConfig) -> dict:
     corrupted or stale cache entries and name the sector; the pooled moment
     table then validates every closed form to 1e-10.
     """
-    _validate_common(config)
-    if config.M != 0:
-        raise ConfigError("oracle check runs in the M = 0 sector only")
-    for L in config.L_list:
-        if not 6 <= L <= 10:
-            raise ConfigError(f"oracle check covers 6 <= L <= 10, got {L}")
-    root = _resolve_cache_root(config, required=False)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    chash = config.config_hash()
-
+    root, out, manifest = _begin(config, "oracle-check")
     tol_moment = 1e-10
-    report = {"config": chash, "lambda": config.lam, "rows": [], "block_audits": [],
-              "failures": [], "pass": True}
+    report = {"config": manifest.config_hash, "lambda": config.lam, "rows": [],
+              "block_audits": [], "failures": [], "pass": True}
     for L in config.L_list:
         blocks = []
         for lab in sector_labels(L, 0):
-            spectrum, _ = ensure_spectrum(lab, config.lam, root, config.degeneracy_tol)
+            spectrum, _ = ensure_spectrum(lab, config.lam, root)
             blocks.append((lab, spectrum))
             audit = _audit_block(lab, config.lam, spectrum)
             name = _sector_name(lab, config.lam)
@@ -728,11 +707,7 @@ def run_oracle_check(config: RunConfig) -> dict:
                 report["pass"] = False
                 report["failures"].append({"sector": name, "kind": "block_audit", **audit})
 
-        counts: dict[int, int] = {}
-        for _, spectrum in blocks:
-            for s, c in spectrum.spin_dims().items():
-                counts[s] = counts.get(s, 0) + c
-        for s, c in sorted(counts.items()):
+        for s, c in sorted(_spin_counts(spectrum for _, spectrum in blocks).items()):
             expected = oracle.spin_sector_dimension(L, s)
             if c != expected:
                 report["pass"] = False
@@ -754,4 +729,5 @@ def run_oracle_check(config: RunConfig) -> dict:
                     report["failures"].append({"kind": "moment", "L": L, "S": s,
                                                "moment": fieldname, "abs_diff": diff})
     _write_json(out / "oracle_check.json", report)
+    manifest.record("run", "done", command="oracle-check")
     return report

@@ -155,14 +155,12 @@ class MatrixElementTable:
     """Matrix elements of one observable between spin-resolved eigenstates.
 
     records is a RECORD_DTYPE structured array; alpha/beta are state indices
-    within the block spectrum. spin_dims holds the per-spin state counts of
-    the block, needed downstream for dimension bookkeeping.
+    within the block spectrum.
     """
 
     observable: str
     sector: SectorLabel
     records: np.ndarray
-    spin_dims: dict[int, int]
 
     def __post_init__(self):
         self.records.setflags(write=False)
@@ -196,8 +194,6 @@ def matrix_elements(
         rows = np.flatnonzero(spec_row.spins == s_a)
         cols = np.flatnonzero(spec_col.spins == s_b)
 
-    spin_dims = spec_col.spin_dims()
-
     if part == "diagonal":
         if spin_filter is not None:
             shared = np.intersect1d(rows, cols)
@@ -211,7 +207,7 @@ def matrix_elements(
         records["e_a"] = records["e_b"] = spec_col.energies[cols]
         records["s_a"] = records["s_b"] = spec_col.spins[cols]
         records["value"] = values
-        return MatrixElementTable(obs.label, obs.sector, records, spin_dims)
+        return MatrixElementTable(obs.label, obs.sector, records)
 
     block = spec_row.vectors[:, rows].conj().T @ (obs.matrix @ spec_col.vectors[:, cols])
     alpha = np.repeat(rows, len(cols))
@@ -228,4 +224,4 @@ def matrix_elements(
     records["s_a"] = spec_row.spins[alpha]
     records["s_b"] = spec_col.spins[beta]
     records["value"] = values
-    return MatrixElementTable(obs.label, obs.sector, records, spin_dims)
+    return MatrixElementTable(obs.label, obs.sector, records)

@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "AngularMomentum",
     "SqrtRational",
     "ZERO",
     "ONE",
@@ -144,24 +143,7 @@ ZERO = SqrtRational()
 ONE = SqrtRational(Fraction(1))
 
 
-@dataclass(frozen=True, order=True)
-class AngularMomentum:
-    """An angular momentum stored as twice its value (j = 3/2 -> twice_j = 3)."""
-
-    twice_j: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice_j, int) or self.twice_j < 0:
-            raise ValueError("twice_j must be a nonnegative integer")
-
-    @property
-    def j(self) -> float:
-        return self.twice_j / 2
-
-
 def _twice(value) -> int:
-    if isinstance(value, AngularMomentum):
-        return value.twice_j
     iv = int(value)
     if iv != value:
         raise ValueError(f"twice-integer argument expected, got {value!r}")

@@ -23,7 +23,7 @@ from su2eth import analysis, oracle
 from su2eth.basis import enumerate_sector_basis, expansion_matrix, sector_labels
 from su2eth.operators import (CouplingSpec, build_hamiltonian, build_observable,
                               build_total_spin_squared, raising_matrix)
-from su2eth.pipeline import (RunConfig, _offdiag_ensembles, run_diag_eth,
+from su2eth.pipeline import (RunConfig, _load_blocks, _offdiag_ensembles, run_diag_eth,
                              run_offdiag_eth, run_oracle_check, run_spectrum)
 from su2eth.spectral import (diagonalization_count, diagonalize_block,
                              matrix_elements, reset_diagonalization_count,
@@ -107,7 +107,8 @@ def _ensemble(cache, lam, L, observable, pair):
                        spins=(pair[0],) if diagonal else (),
                        spin_pairs=() if diagonal else (pair,),
                        observables=(observable,), cache_dir=str(cache))
-    ens, _ = _offdiag_ensembles(config, Path(cache), L, observable)[pair]
+    blocks = _load_blocks(config, Path(cache), L)
+    ens, _ = _offdiag_ensembles(config, blocks, L, observable)[pair]
     return ens
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from su2eth.cache import (
     spectrum_path,
 )
 from su2eth.operators import CouplingSpec, build_hamiltonian, build_total_spin_squared
-from su2eth.spectral import diagonalize_block, resolve_spins
+from su2eth.spectral import SpinResolvedSpectrum, diagonalize_block, resolve_spins
 
 
 def _make_spectrum(lab, lam):
@@ -122,3 +124,42 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv("SU2ETH_CACHE_DIR")
     with pytest.raises(ValueError, match="SU2ETH_CACHE_DIR"):
         cache_dir()
+
+
+def _synthetic_spectrum():
+    # built directly: the writers race on the file, not on the eigensolver
+    dim = 256
+    return SpinResolvedSpectrum(SectorLabel(8, 0, 1, 1), np.arange(dim, dtype=np.float64),
+                                np.eye(dim, dtype=np.complex128),
+                                np.zeros(dim, dtype=np.int16), np.zeros(dim))
+
+
+def _save_repeatedly(root, start, times):
+    spectrum = _synthetic_spectrum()
+    start.wait()
+    for _ in range(times):
+        save_spectrum(Path(root), 3.0, spectrum)
+
+
+def test_concurrent_writers_do_not_collide(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(2, timeout=60)
+    writers = [ctx.Process(target=_save_repeatedly, args=(str(tmp_path), start, 30))
+               for _ in range(2)]
+    for w in writers:
+        w.start()
+    try:
+        for w in writers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in writers)
+    finally:
+        for w in writers:
+            if w.is_alive():
+                w.kill()
+                w.join(timeout=10)
+    assert [w.exitcode for w in writers] == [0, 0]
+    assert not list(tmp_path.glob("*.tmp"))
+    expected = _synthetic_spectrum()
+    back = load_spectrum(tmp_path, expected.sector, 3.0)
+    assert np.array_equal(back.energies, expected.energies)
+    assert np.array_equal(back.vectors, expected.vectors)

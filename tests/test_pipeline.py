@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from su2eth.basis import SectorLabel
-from su2eth.cache import spectrum_path
+from su2eth import pipeline
+from su2eth.basis import SectorLabel, sector_labels
+from su2eth.cache import build_fingerprint, spectrum_path
 from su2eth.cli import main
 from su2eth.oracle import diagonal_prediction, linear_coefficients, moments
 from su2eth.pipeline import (
@@ -158,6 +160,40 @@ def test_manifest_is_append_only_jsonl(tmp_path):
     run_spectrum(cfg)
     lines = (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()
     assert len(lines) > n_first
+
+
+@pytest.mark.parametrize("command,run", [
+    ("spectrum", run_spectrum),
+    ("diag-eth", run_diag_eth),
+    ("offdiag-eth", run_offdiag_eth),
+    ("oracle-check", run_oracle_check),
+])
+def test_every_command_journals_start_and_done(tmp_path, command, run):
+    cfg = _analysis_config(tmp_path, observables=("B",))
+    run_spectrum(cfg.replace(out_dir=str(tmp_path / "fill")))
+    run(cfg)
+    entries = [json.loads(line)
+               for line in (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()]
+    runs = [e for e in entries if e["stage"] == "run"]
+    assert [(e["status"], e["command"]) for e in runs] == [("start", command), ("done", command)]
+    assert runs[0]["fingerprint"] == f"{build_fingerprint():016x}"
+
+
+def test_offdiag_loads_each_admitted_block_once_per_size(tmp_path, monkeypatch):
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(1,), observables=("A", "B"))
+    run_spectrum(cfg)
+    loads = Counter()
+    load = pipeline.load_cached_spectrum
+
+    def counting_load(sector, lam, root):
+        loads[sector] += 1
+        return load(sector, lam, root)
+
+    monkeypatch.setattr(pipeline, "load_cached_spectrum", counting_load)
+    run_offdiag_eth(cfg)
+    admitted = [lab for L in cfg.L_list for lab in sector_labels(L)
+                if lab.k_index not in cfg.excluded_k(L)]
+    assert loads == Counter(admitted)
 
 
 def test_stale_cache_entry_is_rebuilt_with_warning(tmp_path):
