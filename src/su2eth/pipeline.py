@@ -25,7 +25,8 @@ from .basis import MAX_SITES, MIN_SITES, SectorLabel, enumerate_sector_basis, se
 from .operators import (OBSERVABLE_TAGS, CouplingSpec, build_hamiltonian, build_observable,
                         build_operator, build_total_spin_squared, pair_correlator_terms,
                         quad_correlator_terms)
-from .spectral import SpinResolvedSpectrum, diagonalize_block, matrix_elements, resolve_spins
+from .spectral import (SpinResolvedSpectrum, diagonalize_block, expectations, matrix_elements,
+                       resolve_spins)
 from .tensors import reduce_matrix_elements
 
 __all__ = [
@@ -191,8 +192,10 @@ def _validate(config: RunConfig, command: str) -> None:
         raise ConfigError("empty spin selection: diag-eth needs at least one S in spins")
     if not config.spins and not config.spin_pairs:
         raise ConfigError("empty spin selection: set spins and/or spin_pairs")
+    # diag-eth never reads spin_pairs, so the pair rules bind offdiag-eth only
+    pairs = config.all_pairs() if command == "offdiag-eth" else tuple((s, s) for s in config.spins)
     bound = min(config.L_list) // 2
-    for s_a, s_b in config.all_pairs():
+    for s_a, s_b in pairs:
         for s in (s_a, s_b):
             if not 0 <= s <= bound:
                 raise ConfigError(f"S={s} exceeds the bound S <= L/2 = {bound} for the smallest L")
@@ -289,11 +292,11 @@ def load_cached_spectrum(sector: SectorLabel, lam: float, root: Path) -> SpinRes
             f"{exc}; run the spectrum command first to populate the cache") from exc
 
 
-def _spin_counts(spectra) -> dict[int, int]:
-    """Eigenstates per total spin, summed over block spectra."""
+def _spin_counts(spin_dims) -> dict[int, int]:
+    """Eigenstates per total spin, summed over the blocks' spin_dims() dicts."""
     counts: dict[int, int] = {}
-    for spectrum in spectra:
-        for s, c in spectrum.spin_dims().items():
+    for dims in spin_dims:
+        for s, c in dims.items():
             counts[s] = counts.get(s, 0) + c
     return counts
 
@@ -332,6 +335,12 @@ def _write_json(path: Path, payload: dict) -> Path:
 # ─── spectrum command ────────────────────────────────────────────────────────
 
 
+def _sweep_sector(sector: SectorLabel, lam: float, root: Path) -> tuple[int, dict[int, int], bool]:
+    """(dim, spin_dims, cache_hit) of one sector; its eigenvectors are not kept."""
+    spectrum, hit = ensure_spectrum(sector, lam, root)
+    return spectrum.dim, spectrum.spin_dims(), hit
+
+
 def run_spectrum(config: RunConfig) -> dict:
     """Diagonalize every sector in the plan, caching the spin-resolved data."""
     root, out, manifest = _begin(config, "spectrum")
@@ -342,23 +351,23 @@ def run_spectrum(config: RunConfig) -> dict:
         t0 = time.perf_counter()
         results = []
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [(lab, pool.submit(ensure_spectrum, lab, config.lam, root))
+            futures = [(lab, pool.submit(_sweep_sector, lab, config.lam, root))
                        for lab in labels]
             for lab, fut in futures:
                 name = _sector_name(lab, config.lam)
                 try:
-                    spectrum, hit = fut.result()
+                    result = fut.result()
                 except Exception as exc:  # quarantine the sector, keep sweeping
                     manifest.record("spectrum", "failed", sector=name, error=str(exc))
                     summary["failures"].append({"sector": name, "error": str(exc)})
                     continue
-                results.append((spectrum, hit))
-                manifest.record("spectrum", "hit" if hit else "built", sector=name)
-        per_spin = _spin_counts(spectrum for spectrum, _ in results)
-        hits = sum(hit for _, hit in results)
+                results.append(result)
+                manifest.record("spectrum", "hit" if result[2] else "built", sector=name)
+        per_spin = _spin_counts(dims for _, dims, _ in results)
+        hits = sum(hit for _, _, hit in results)
         summary["sizes"][str(L)] = {
             "blocks": len(results),
-            "states": sum(spectrum.dim for spectrum, _ in results),
+            "states": sum(dim for dim, _, _ in results),
             "per_spin_counts": {str(s): per_spin[s] for s in sorted(per_spin)},
             "cache_hits": hits,
             "built": len(results) - hits,
@@ -372,28 +381,15 @@ def run_spectrum(config: RunConfig) -> dict:
 # ─── shared extraction ───────────────────────────────────────────────────────
 
 
-def _admitted_labels(config: RunConfig, L: int) -> list[SectorLabel]:
+def _admitted_blocks(config: RunConfig, root: Path, L: int):
+    """Yield (spectrum, basis) for each nonempty admitted block of size L, one load at a time."""
     excluded = config.excluded_k(L)
-    return [lab for lab in sector_labels(L, config.M) if lab.k_index not in excluded]
-
-
-def _load_blocks(config: RunConfig, root: Path, L: int) -> list[tuple[SectorLabel, SpinResolvedSpectrum]]:
-    return [(lab, load_cached_spectrum(lab, config.lam, root))
-            for lab in _admitted_labels(config, L)]
-
-
-def _diag_tables(blocks, observable: str):
-    """Per-block (energies, diagonal values, spins) for one observable."""
-    out = []
-    for lab, spectrum in blocks:
-        if spectrum.dim == 0:
+    for lab in sector_labels(L, config.M):
+        if lab.k_index in excluded:
             continue
-        basis = enumerate_sector_basis(lab)
-        obs = build_observable(basis, observable)
-        table = matrix_elements(obs, spectrum, spectrum, part="diagonal")
-        recs = table.records
-        out.append((recs["e_a"], recs["value"].real, recs["s_a"]))
-    return out
+        spectrum = load_cached_spectrum(lab, config.lam, root)
+        if spectrum.dim:
+            yield spectrum, enumerate_sector_basis(lab)
 
 
 def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> analysis.DiagonalSeries:
@@ -419,9 +415,12 @@ def run_diag_eth(config: RunConfig) -> dict:
     fluct_points: dict[tuple[str, int], list[tuple[float, float]]] = {}
 
     for L in config.L_list:
-        blocks = _load_blocks(config, root, L)
-        for observable in config.observables:
-            tables = _diag_tables(blocks, observable)
+        diagonals: dict[str, list] = {observable: [] for observable in config.observables}
+        for spectrum, basis in _admitted_blocks(config, root, L):
+            for observable in config.observables:
+                values = expectations(build_observable(basis, observable), spectrum.vectors)
+                diagonals[observable].append((spectrum.energies, values, spectrum.spins))
+        for observable, tables in diagonals.items():
             all_spins = sorted({int(s) for _, _, spins in tables for s in np.unique(spins)})
 
             for S in config.spins:
@@ -494,44 +493,44 @@ def run_diag_eth(config: RunConfig) -> dict:
 # ─── off-diagonal command ────────────────────────────────────────────────────
 
 
-def _offdiag_ensembles(config: RunConfig, blocks, L: int, observable: str):
-    """Raw and reduced ensembles per spin pair for one (L, observable).
+def _offdiag_ensembles(config: RunConfig, root: Path, L: int):
+    """Yield (observable, pair, ens, red_ens) for size L, observables outermost.
 
-    blocks: the admitted (SectorLabel, SpinResolvedSpectrum) pairs of size L.
+    Every observable and spin pair is taken from each admitted block before
+    the next one loads. red_ens is the CG-reduced ensemble, None for the
+    observables without a single tensor rank or without reduced elements.
     """
-    rank = _REDUCTION_RANK.get(observable)
-    raw: dict[tuple[int, int], list] = {pair: [] for pair in config.all_pairs()}
-    red: dict[tuple[int, int], list] = {pair: [] for pair in config.all_pairs()}
-    for lab, spectrum in blocks:
-        if spectrum.dim == 0:
-            continue
+    pairs = config.all_pairs()
+    raw = {(observable, pair): [] for observable in config.observables for pair in pairs}
+    red = {key: [] for key in raw}
+    for spectrum, basis in _admitted_blocks(config, root, L):
         dims = spectrum.spin_dims()
-        basis = enumerate_sector_basis(lab)
-        obs = build_observable(basis, observable)
-        for pair in config.all_pairs():
-            s_a, s_b = pair
-            d_a, d_b = dims.get(s_a, 0), dims.get(s_b, 0)
-            if d_a == 0 or d_b == 0:
-                continue
-            part = "offdiagonal" if s_a == s_b else "all"
-            table = matrix_elements(obs, spectrum, spectrum, spin_filter=pair, part=part)
-            recs = table.records
-            raw[pair].append((recs["e_a"], recs["e_b"], recs["value"], d_a, d_b))
-            if rank is not None:
-                reduced = reduce_matrix_elements(table, rank)
-                rrecs = reduced.records
-                if rrecs.size:
-                    red[pair].append((rrecs["e_a"], rrecs["e_b"], rrecs["value"], d_a, d_b))
-    ensembles = {}
-    for pair in config.all_pairs():
+        for observable in config.observables:
+            rank = _REDUCTION_RANK.get(observable)
+            obs = build_observable(basis, observable)
+            for pair in pairs:
+                s_a, s_b = pair
+                d_a, d_b = dims.get(s_a, 0), dims.get(s_b, 0)
+                if d_a == 0 or d_b == 0:
+                    continue
+                part = "offdiagonal" if s_a == s_b else "all"
+                table = matrix_elements(obs, spectrum, spin_filter=pair, part=part)
+                recs = table.records
+                raw[observable, pair].append((recs["e_a"], recs["e_b"], recs["value"], d_a, d_b))
+                if rank is not None:
+                    rrecs = reduce_matrix_elements(table, rank).records
+                    if rrecs.size:
+                        red[observable, pair].append(
+                            (rrecs["e_a"], rrecs["e_b"], rrecs["value"], d_a, d_b))
+    for observable, pair in list(raw):
         ens = analysis.build_offdiagonal_ensemble(
-            observable, L, config.lam, pair, raw[pair], config.energy_window)
+            observable, L, config.lam, pair, raw.pop((observable, pair)), config.energy_window)
+        reduced = red.pop((observable, pair))
         red_ens = None
-        if rank is not None and red[pair]:
+        if reduced:
             red_ens = analysis.build_offdiagonal_ensemble(
-                observable, L, config.lam, pair, red[pair], config.energy_window)
-        ensembles[pair] = (ens, red_ens)
-    return ensembles
+                observable, L, config.lam, pair, reduced, config.energy_window)
+        yield observable, pair, ens, red_ens
 
 
 def _series_rows(series: analysis.BinnedSeries, build):
@@ -566,33 +565,29 @@ def run_offdiag_eth(config: RunConfig) -> dict:
     by_pair: dict[tuple[str, tuple[int, int]], list[analysis.OffDiagonalEnsemble]] = {}
 
     for L in config.L_list:
-        blocks = _load_blocks(config, root, L)
-        for observable in config.observables:
-            ensembles = _offdiag_ensembles(config, blocks, L, observable)
-            for pair in config.all_pairs():
-                ens, red_ens = ensembles[pair]
-                s_a, s_b = pair
-                if ens.size == 0:
-                    manifest.record("offdiag", "empty", sector=f"L{L}_{observable}_{s_a}_{s_b}")
-                    continue
-                by_pair.setdefault((observable, pair), []).append(ens)
+        for observable, pair, ens, red_ens in _offdiag_ensembles(config, root, L):
+            s_a, s_b = pair
+            if ens.size == 0:
+                manifest.record("offdiag", "empty", sector=f"L{L}_{observable}_{s_a}_{s_b}")
+                continue
+            by_pair.setdefault((observable, pair), []).append(ens)
 
-                gamma = analysis.gaussianity_ratio(ens, binning)
-                gamma_rows += _series_rows(
-                    gamma, lambda w, v, c, f, _t=(L, s_a, s_b): (w, v, c) + _t
-                    + (config.lam, observable, f))
+            gamma = analysis.gaussianity_ratio(ens, binning)
+            gamma_rows += _series_rows(
+                gamma, lambda w, v, c, f, _t=(L, s_a, s_b): (w, v, c) + _t
+                + (config.lam, observable, f))
 
-                spec_row = lambda w, v, c, f, _t=(L, s_a, s_b): (w, v) + _t \
-                    + (config.lam, observable, c, f)
-                spectral = analysis.spectral_function(ens, binning)
-                spec_rows += _series_rows(spectral, spec_row)
+            spec_row = lambda w, v, c, f, _t=(L, s_a, s_b): (w, v) + _t \
+                + (config.lam, observable, c, f)
+            spectral = analysis.spectral_function(ens, binning)
+            spec_rows += _series_rows(spectral, spec_row)
 
-                low = analysis.low_frequency_view(spectral, L, divide_by_L=(observable == "A"))
-                low_rows += _series_rows(low, spec_row)
+            low = analysis.low_frequency_view(spectral, L, divide_by_L=(observable == "A"))
+            low_rows += _series_rows(low, spec_row)
 
-                if red_ens is not None and red_ens.size:
-                    red_spec = analysis.spectral_function(red_ens, binning)
-                    spec_red_rows += _series_rows(red_spec, spec_row)
+            if red_ens is not None and red_ens.size:
+                red_spec = analysis.spectral_function(red_ens, binning)
+                spec_red_rows += _series_rows(red_spec, spec_row)
 
     fits = {}
     for (observable, pair), group in sorted(by_pair.items()):
@@ -631,11 +626,6 @@ def run_offdiag_eth(config: RunConfig) -> dict:
 # ─── oracle check ────────────────────────────────────────────────────────────
 
 
-def _expectations(op, vectors: np.ndarray) -> np.ndarray:
-    """<v|op|v> for every eigenvector column v."""
-    return np.einsum("ij,ij->j", vectors.conj(), op.matrix @ vectors).real
-
-
 def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, float]]:
     """Exact per-spin sector traces of all oracle moments from eigendata.
 
@@ -655,7 +645,7 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
                            ("eps4z", quad_correlator_terms(L, "zzdot"))):
             ops[tag] = build_operator(basis, terms, tag)
         # per-state values whose sector averages are the moments
-        per_state = {f: _expectations(op, spectrum.vectors) for f, op in ops.items()}
+        per_state = {f: expectations(op, spectrum.vectors) for f, op in ops.items()}
         e = spectrum.energies
         per_state.update(E0=e, HH=e * e, AH=per_state["meanA"] * e, BH=per_state["meanB"] * e)
         for s in np.unique(spectrum.spins):
@@ -676,7 +666,7 @@ def _audit_block(lab: SectorLabel, lam: float, spectrum: SpinResolvedSpectrum) -
     v = spectrum.vectors
     eig_res = float(np.abs(h @ v - v * spectrum.energies).max())
     ortho = float(np.abs(v.conj().T @ v - np.eye(spectrum.dim)).max())
-    expect = _expectations(build_total_spin_squared(basis), v)
+    expect = expectations(build_total_spin_squared(basis), v)
     spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max())
     return {"eigen_residual": eig_res, "orthonormality": ortho, "spin_residual": spin_res}
 
@@ -707,7 +697,7 @@ def run_oracle_check(config: RunConfig) -> dict:
                 report["pass"] = False
                 report["failures"].append({"sector": name, "kind": "block_audit", **audit})
 
-        for s, c in sorted(_spin_counts(spectrum for _, spectrum in blocks).items()):
+        for s, c in sorted(_spin_counts(spectrum.spin_dims() for _, spectrum in blocks).items()):
             expected = oracle.spin_sector_dimension(L, s)
             if c != expected:
                 report["pass"] = False

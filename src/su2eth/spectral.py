@@ -21,6 +21,7 @@ __all__ = [
     "SpinResolvedSpectrum",
     "MatrixElementTable",
     "diagonalize_block",
+    "expectations",
     "resolve_spins",
     "matrix_elements",
     "diagonalization_count",
@@ -166,50 +167,37 @@ class MatrixElementTable:
         self.records.setflags(write=False)
 
 
+def expectations(op: BlockOperator, vectors: np.ndarray) -> np.ndarray:
+    """<v|op|v> for every eigenvector column v: the diagonal elements of op."""
+    return np.einsum("ij,ij->j", vectors.conj(), op.matrix @ vectors).real
+
+
 def matrix_elements(
     obs: BlockOperator,
-    spec_row: SpinResolvedSpectrum,
-    spec_col: SpinResolvedSpectrum,
+    spectrum: SpinResolvedSpectrum,
     spin_filter: tuple[int, int] | None = None,
     part: str = "all",
 ) -> MatrixElementTable:
     """<alpha| O |beta> for eigenstates of one block.
 
     spin_filter (S_a, S_b) restricts bra and ket spins before the matrix
-    products, which is what keeps large sweeps cheap. part selects 'all',
-    'diagonal' (alpha == beta) or 'offdiagonal' pairs.
+    products, which is what keeps large sweeps cheap. part selects 'all'
+    or 'offdiagonal' (alpha != beta) pairs; diagonal elements come from
+    expectations().
     """
-    if spec_row.sector != spec_col.sector:
-        raise ValueError("row and column spectra come from different sectors")
-    if obs.sector != spec_row.sector:
-        raise ValueError("observable block does not match the spectra")
-    if part not in ("all", "diagonal", "offdiagonal"):
+    if obs.sector != spectrum.sector:
+        raise ValueError("observable block does not match the spectrum")
+    if part not in ("all", "offdiagonal"):
         raise ValueError(f"unknown part {part!r}")
 
     if spin_filter is None:
-        rows = np.arange(spec_row.dim)
-        cols = np.arange(spec_col.dim)
+        rows = cols = np.arange(spectrum.dim)
     else:
         s_a, s_b = spin_filter
-        rows = np.flatnonzero(spec_row.spins == s_a)
-        cols = np.flatnonzero(spec_col.spins == s_b)
+        rows = np.flatnonzero(spectrum.spins == s_a)
+        cols = np.flatnonzero(spectrum.spins == s_b)
 
-    if part == "diagonal":
-        if spin_filter is not None:
-            shared = np.intersect1d(rows, cols)
-            rows = cols = shared
-        values = np.einsum(
-            "ij,ij->j", spec_col.vectors[:, cols].conj(), obs.matrix @ spec_col.vectors[:, cols]
-        )
-        n = len(cols)
-        records = np.empty(n, dtype=RECORD_DTYPE)
-        records["alpha"] = records["beta"] = cols
-        records["e_a"] = records["e_b"] = spec_col.energies[cols]
-        records["s_a"] = records["s_b"] = spec_col.spins[cols]
-        records["value"] = values
-        return MatrixElementTable(obs.label, obs.sector, records)
-
-    block = spec_row.vectors[:, rows].conj().T @ (obs.matrix @ spec_col.vectors[:, cols])
+    block = spectrum.vectors[:, rows].conj().T @ (obs.matrix @ spectrum.vectors[:, cols])
     alpha = np.repeat(rows, len(cols))
     beta = np.tile(cols, len(rows))
     values = block.reshape(-1)
@@ -219,9 +207,9 @@ def matrix_elements(
     records = np.empty(len(alpha), dtype=RECORD_DTYPE)
     records["alpha"] = alpha
     records["beta"] = beta
-    records["e_a"] = spec_row.energies[alpha]
-    records["e_b"] = spec_col.energies[beta]
-    records["s_a"] = spec_row.spins[alpha]
-    records["s_b"] = spec_col.spins[beta]
+    records["e_a"] = spectrum.energies[alpha]
+    records["e_b"] = spectrum.energies[beta]
+    records["s_a"] = spectrum.spins[alpha]
+    records["s_b"] = spectrum.spins[beta]
     records["value"] = values
     return MatrixElementTable(obs.label, obs.sector, records)

@@ -280,28 +280,28 @@ class ReducedElementTable:
     observable: str = ""
 
 
-def reduce_matrix_elements(table, rank: int, q: int = 0, m_row: int = 0, m_col: int = 0) -> ReducedElementTable:
-    """Divide each record's value by <S_a m_row | S_b m_col; rank q>.
+def reduce_matrix_elements(table, rank: int) -> ReducedElementTable:
+    """Divide each record's value by <S_a 0 | S_b 0; rank 0>.
 
-    ``table`` is any object carrying a structured ``records`` array with
-    fields s_a, s_b and value (the tables produced by the spectral layer).
-    m_row, m_col, q are physical integers here, not twice-values.
+    ``table`` is any object carrying an ``observable`` label and a
+    structured ``records`` array with fields s_a, s_b and value (the tables
+    produced by the spectral layer). Only M = 0 and the q = 0 tensor
+    component enter, the one case the pipeline analyses.
     """
     recs = np.asarray(table.records)
-    label = getattr(table, "observable", "")
     if recs.size == 0:
-        return ReducedElementTable(rank, recs.copy(), 0, label)
+        return ReducedElementTable(rank, recs.copy(), 0, table.observable)
     s_a = recs["s_a"].astype(int)
     s_b = recs["s_b"].astype(int)
     factor = np.zeros(len(recs))
     for sa, sb in {(int(a), int(b)) for a, b in zip(s_a, s_b)}:
-        cg = float(clebsch_gordan(2 * sa, 2 * m_row, 2 * sb, 2 * m_col, 2 * rank, 2 * q))
+        cg = float(clebsch_gordan(2 * sa, 0, 2 * sb, 0, 2 * rank, 0))
         if cg:
             factor[(s_a == sa) & (s_b == sb)] = cg
     keep = factor != 0.0
     out = recs[keep].copy()
     out["value"] = out["value"] / factor[keep]
-    return ReducedElementTable(rank, out, int(len(recs) - keep.sum()), label)
+    return ReducedElementTable(rank, out, int(len(recs) - keep.sum()), table.observable)
 
 
 def hermitian_reduced_relation(value: complex, s_row: int, s_col: int, rank: int) -> complex:

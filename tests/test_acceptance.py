@@ -23,8 +23,8 @@ from su2eth import analysis, oracle
 from su2eth.basis import enumerate_sector_basis, expansion_matrix, sector_labels
 from su2eth.operators import (CouplingSpec, build_hamiltonian, build_observable,
                               build_total_spin_squared, raising_matrix)
-from su2eth.pipeline import (RunConfig, _load_blocks, _offdiag_ensembles, run_diag_eth,
-                             run_offdiag_eth, run_oracle_check, run_spectrum)
+from su2eth.pipeline import (RunConfig, _offdiag_ensembles, run_diag_eth, run_offdiag_eth,
+                             run_oracle_check, run_spectrum)
 from su2eth.spectral import (diagonalization_count, diagonalize_block,
                              matrix_elements, reset_diagonalization_count,
                              resolve_spins)
@@ -107,8 +107,7 @@ def _ensemble(cache, lam, L, observable, pair):
                        spins=(pair[0],) if diagonal else (),
                        spin_pairs=() if diagonal else (pair,),
                        observables=(observable,), cache_dir=str(cache))
-    blocks = _load_blocks(config, Path(cache), L)
-    ens, _ = _offdiag_ensembles(config, blocks, L, observable)[pair]
+    [(_, _, ens, _)] = _offdiag_ensembles(config, Path(cache), L)
     return ens
 
 
@@ -298,7 +297,7 @@ def _all_element_tables(L, lam):
             continue
         for tag in ("A", "B"):
             obs = build_observable(basis, tag)
-            yield tag, matrix_elements(obs, spectrum, spectrum, part="all")
+            yield tag, matrix_elements(obs, spectrum, part="all")
 
 
 def test_criterion_05_hermitian_reduction():

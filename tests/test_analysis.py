@@ -343,7 +343,7 @@ def l14_diag_blocks():
     from su2eth.basis import enumerate_sector_basis, sector_labels
     from su2eth.operators import (CouplingSpec, build_hamiltonian,
                                   build_observable, build_total_spin_squared)
-    from su2eth.spectral import diagonalize_block, matrix_elements, resolve_spins
+    from su2eth.spectral import diagonalize_block, expectations, resolve_spins
 
     out = {"A": {}, "B": {}}
     for lab in sector_labels(14, 0):
@@ -355,13 +355,11 @@ def l14_diag_blocks():
         spec = resolve_spins(*diagonalize_block(build_hamiltonian(basis, CouplingSpec(3.0))),
                              build_total_spin_squared(basis))
         for which in ("A", "B"):
-            table = matrix_elements(build_observable(basis, which), spec, spec,
-                                    part="diagonal")
-            recs = table.records
-            for S in np.unique(recs["s_a"]):
-                rows = recs[recs["s_a"] == S]
+            values = expectations(build_observable(basis, which), spec.vectors)
+            for S in np.unique(spec.spins):
+                sel = spec.spins == S
                 out[which].setdefault(int(S), []).append(
-                    (rows["e_a"], rows["value"].real, len(rows)))
+                    (spec.energies[sel], values[sel], int(sel.sum())))
     return out
 
 

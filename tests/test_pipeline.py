@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -119,6 +120,17 @@ def test_spin_selection_validation(tmp_path):
         run_diag_eth(_analysis_config(tmp_path, M=1))
 
 
+def test_diag_eth_ignores_the_spin_pair_rules(tmp_path):
+    # diag-eth never reads spin_pairs: the cross-spin pair that offdiag-eth
+    # rejects for A must not stop it
+    cfg = _analysis_config(tmp_path, spin_pairs=((0, 2),), observables=("A",))
+    run_spectrum(cfg)
+    run_diag_eth(cfg)
+    assert (tmp_path / "out" / "diag.csv").exists()
+    with pytest.raises(ConfigError, match="A is spin-diagonal"):
+        run_offdiag_eth(cfg)
+
+
 # ─── spectra and cache flow ─────────────────────────────────────────────────
 
 
@@ -194,6 +206,50 @@ def test_offdiag_loads_each_admitted_block_once_per_size(tmp_path, monkeypatch):
     admitted = [lab for L in cfg.L_list for lab in sector_labels(L)
                 if lab.k_index not in cfg.excluded_k(L)]
     assert loads == Counter(admitted)
+
+
+@pytest.mark.parametrize("run", [run_diag_eth, run_offdiag_eth])
+def test_analyses_build_one_basis_per_nonempty_admitted_block(tmp_path, monkeypatch, run):
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), observables=("A", "B", "C"))
+    run_spectrum(cfg)
+    root = tmp_path / "cache"
+    nonempty = [lab for L in cfg.L_list for lab in sector_labels(L)
+                if lab.k_index not in cfg.excluded_k(L)
+                and load_cached_spectrum(lab, cfg.lam, root).dim]
+    builds = Counter()
+    enumerate_basis = pipeline.enumerate_sector_basis
+
+    def counting_enumerate(sector):
+        builds[sector] += 1
+        return enumerate_basis(sector)
+
+    monkeypatch.setattr(pipeline, "enumerate_sector_basis", counting_enumerate)
+    run(cfg)
+    assert builds == Counter(nonempty)
+
+
+@pytest.mark.parametrize("run,source", [
+    (run_spectrum, "ensure_spectrum"),
+    (run_diag_eth, "load_cached_spectrum"),
+    (run_offdiag_eth, "load_cached_spectrum"),
+])
+def test_commands_hold_at_most_one_earlier_spectrum(tmp_path, monkeypatch, run, source):
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), observables=("B",), workers=1)
+    run_spectrum(cfg.replace(out_dir=str(tmp_path / "fill")))
+    fetch = getattr(pipeline, source)
+    refs = []
+    alive = []
+
+    def tracking_fetch(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        result = fetch(*args)
+        refs.append(weakref.ref(result[0] if source == "ensure_spectrum" else result))
+        return result
+
+    monkeypatch.setattr(pipeline, source, tracking_fetch)
+    run(cfg)
+    assert len(refs) >= 12
+    assert max(alive) <= 1
 
 
 def test_stale_cache_entry_is_rebuilt_with_warning(tmp_path):
