@@ -55,9 +55,9 @@ def sector_mean_energy(L: int, s_mean: float, lam: float) -> float:
 class DiagonalSeries:
     """Energy-ordered diagonal elements of one observable at fixed spin.
 
-    Records are pooled across the admitted momentum blocks; uniform
-    per-record weights then realize dimension-weighted block averages.
-    block_ids maps each record to its entry in block_dims.
+    Records are pooled across the admitted momentum blocks, so a plain mean
+    over records is the dimension-weighted block average. block_ids maps
+    each record to its entry in block_dims.
     """
 
     observable: str
@@ -66,20 +66,17 @@ class DiagonalSeries:
     S: int
     energies: np.ndarray
     values: np.ndarray
-    weights: np.ndarray
     block_ids: np.ndarray
     block_dims: tuple[int, ...]
     half_width: int = 25
 
     def __post_init__(self):
         n = len(self.energies)
-        if not (len(self.values) == len(self.weights) == len(self.block_ids) == n):
+        if not (len(self.values) == len(self.block_ids) == n):
             raise ValueError("record arrays must share one length")
         if n and np.any(np.diff(self.energies) < 0):
             raise ValueError("energies must be ascending")
-        if n and abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("pooling weights must sum to 1")
-        for arr in (self.energies, self.values, self.weights, self.block_ids):
+        for arr in (self.energies, self.values, self.block_ids):
             arr.setflags(write=False)
 
     @property
@@ -119,9 +116,7 @@ def pool_diagonal(
         e = v = np.empty(0)
         i = np.empty(0, dtype=np.int32)
     order = np.argsort(e, kind="stable")
-    n = len(e)
-    w = np.full(n, 1.0 / n) if n else np.empty(0)
-    return DiagonalSeries(observable, L, lam, S, e[order], v[order], w,
+    return DiagonalSeries(observable, L, lam, S, e[order], v[order],
                           i[order], tuple(dims), half_width)
 
 
@@ -366,20 +361,13 @@ def gaussianity_ratio(ensemble: OffDiagonalEnsemble, binning: Binning = Binning(
                        f"Gamma[{ensemble.observable}]")
 
 
-def spectral_function(
-    ensemble: OffDiagonalEnsemble,
-    binning: Binning = Binning(),
-    L: int | None = None,
-    dim: float | None = None,
-) -> BinnedSeries:
+def spectral_function(ensemble: OffDiagonalEnsemble, binning: Binning = Binning()) -> BinnedSeries:
     """Smooth envelope L*D*mean|O|^2 on the omega grid, signed omega kept.
 
     Cross-spin series are not symmetrized; the two omega signs carry
     independent information there.
     """
-    L = ensemble.L if L is None else L
-    dim = ensemble.effective_dimension if dim is None else dim
-    scale = float(L) * float(dim)
+    scale = float(ensemble.L) * float(ensemble.effective_dimension)
     return _binned(ensemble, binning,
                    lambda sq, ab: scale * sq,
                    f"specfun[{ensemble.observable}]", scale=scale)

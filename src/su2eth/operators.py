@@ -6,6 +6,11 @@ being the full exchange S_i . S_j ("dot") or its Ising part S^z_i S^z_j
 that covers the chain Hamiltonian, the observables, the total-spin square
 and the four-site correlators needed by the trace oracle.
 
+``_branches`` is the one two-site branch rule: diagonal +-1/4 (aligned or
+anti-aligned pair) and, for "dot" on anti-aligned pairs, an exchange of 1/2.
+``raising_matrix`` is written independently of it and, with the closed
+forms in ``oracle``, checks it.
+
 Block assembly follows the representative-orbit calculus: applying a branch
 of a term to a column representative |r> yields a product state u, and the
 canonical data (t, x) with T^t X^x |u> = |rep'> contribute
@@ -111,12 +116,6 @@ class BlockOperator:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def hermiticity_defect(self) -> float:
-        if self.dim == 0:
-            return 0.0
-        d = self.matrix - self.matrix.getH()
-        return np.abs(d.toarray()).max() if d.nnz else 0.0
-
 
 # ─── standard term lists ────────────────────────────────────────────────────
 
@@ -189,6 +188,32 @@ def quad_correlator_terms(L: int, kind: str) -> TermSum:
 # ─── block assembly ─────────────────────────────────────────────────────────
 
 
+def _branches(states: np.ndarray, terms: TermSum):
+    """Yield (src, flip_mask, amplitude) for each branch of each term.
+
+    src indexes the states the branch acts on, states[src] ^ flip_mask are
+    their images and amplitude holds the matrix elements in src order.
+    """
+    n = len(states)
+    for term in terms.terms:
+        aligned = [((states >> f.i) & 1) == ((states >> f.j) & 1) for f in term.factors]
+        choices = [(False, True) if f.kind == "dot" else (False,) for f in term.factors]
+        for flips in iter_product(*choices):
+            value = np.full(n, term.coeff, dtype=np.float64)
+            ok = np.ones(n, dtype=bool)
+            flip_mask = 0
+            for f, al, flip in zip(term.factors, aligned, flips):
+                if flip:
+                    ok &= ~al
+                    value *= 0.5
+                    flip_mask |= (1 << f.i) | (1 << f.j)
+                else:
+                    value *= np.where(al, 0.25, -0.25)
+            src = np.flatnonzero(ok)
+            if src.size:
+                yield src, flip_mask, value[src]
+
+
 def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOperator:
     """Assemble the block matrix of a TermSum in one symmetry sector."""
     sector = basis.sector
@@ -196,52 +221,31 @@ def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOpe
     if dim == 0:
         return BlockOperator(sector, sp.csr_matrix((0, 0), dtype=np.complex128), label)
 
-    reps = basis.reps
     tabs = basis.tables
-    k = sector.k
-    z_minus = sector.z2_parity == -1
     sqrt_n = np.sqrt(basis.orbit_sizes.astype(np.float64))
     diag = np.full(dim, terms.identity, dtype=np.float64)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
-    for term in terms.terms:
-        branch_sets = tuple(("d", "f") if f.kind == "dot" else ("d",) for f in term.factors)
-        for choice in iter_product(*branch_sets):
-            value = np.full(dim, term.coeff, dtype=np.float64)
-            ok = np.ones(dim, dtype=bool)
-            flip_mask = 0
-            for f, c in zip(term.factors, choice):
-                aligned = ((reps >> f.i) & 1) == ((reps >> f.j) & 1)
-                if c == "d":
-                    value *= np.where(aligned, 0.25, -0.25)
-                else:
-                    # exchange branch exists only for anti-aligned pairs
-                    ok &= ~aligned
-                    value *= 0.5
-                    flip_mask |= (1 << f.i) | (1 << f.j)
-            if flip_mask == 0:
-                diag += value
-                continue
-            src = np.flatnonzero(ok)
-            if src.size == 0:
-                continue
-            targets = reps[src] ^ flip_mask
-            ti = np.searchsorted(tabs.states, targets)
-            row = basis.rep_index[ti]
-            good = row >= 0
-            if not good.any():
-                continue
-            src = src[good]
-            row = row[good]
-            ti = ti[good]
-            phase = np.exp(-1j * k * tabs.shift_t[ti])
-            if z_minus:
-                phase = phase * np.where(tabs.shift_x[ti] == 1, -1.0, 1.0)
-            rows.append(row)
-            cols.append(src)
-            vals.append(value[src] * phase * (sqrt_n[src] / sqrt_n[row]))
+    for src, flip_mask, amp in _branches(basis.reps, terms):
+        if flip_mask == 0:
+            diag[src] += amp
+            continue
+        ti = np.searchsorted(tabs.states, basis.reps[src] ^ flip_mask)
+        row = basis.rep_index[ti]
+        good = row >= 0
+        if not good.any():
+            continue
+        src = src[good]
+        row = row[good]
+        ti = ti[good]
+        phase = np.exp(-1j * sector.k * tabs.shift_t[ti])
+        if sector.z2_parity == -1:
+            phase = phase * np.where(tabs.shift_x[ti] == 1, -1.0, 1.0)
+        rows.append(row)
+        cols.append(src)
+        vals.append(amp[good] * phase * (sqrt_n[src] / sqrt_n[row]))
 
     mat = sp.coo_matrix(
         (
@@ -287,28 +291,8 @@ def product_basis_matrix(L: int, M: int, terms: TermSum) -> np.ndarray:
     n = len(states)
     out = np.zeros((n, n), dtype=np.float64)
     out[np.diag_indices(n)] = terms.identity
-    for term in terms.terms:
-        branch_sets = tuple(("d", "f") if f.kind == "dot" else ("d",) for f in term.factors)
-        for choice in iter_product(*branch_sets):
-            value = np.full(n, term.coeff, dtype=np.float64)
-            ok = np.ones(n, dtype=bool)
-            flip_mask = 0
-            for f, c in zip(term.factors, choice):
-                aligned = ((states >> f.i) & 1) == ((states >> f.j) & 1)
-                if c == "d":
-                    value *= np.where(aligned, 0.25, -0.25)
-                else:
-                    ok &= ~aligned
-                    value *= 0.5
-                    flip_mask |= (1 << f.i) | (1 << f.j)
-            src = np.flatnonzero(ok)
-            if flip_mask == 0:
-                out[src, src] += value[src]
-                continue
-            if src.size == 0:
-                continue
-            row = np.searchsorted(states, states[src] ^ flip_mask)
-            np.add.at(out, (row, src), value[src])
+    for src, flip_mask, amp in _branches(states, terms):
+        np.add.at(out, (np.searchsorted(states, states[src] ^ flip_mask), src), amp)
     return out
 
 

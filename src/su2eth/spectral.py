@@ -24,8 +24,6 @@ __all__ = [
     "expectations",
     "resolve_spins",
     "matrix_elements",
-    "diagonalization_count",
-    "reset_diagonalization_count",
 ]
 
 # one record per bra/ket pair; value is <alpha| O |beta>
@@ -39,26 +37,12 @@ RECORD_DTYPE = np.dtype([
     ("value", np.complex128),
 ])
 
-_diagonalizations = 0
-
-
-def diagonalization_count() -> int:
-    """Number of dense eigensolves since the last reset (cache audit hook)."""
-    return _diagonalizations
-
-
-def reset_diagonalization_count() -> None:
-    global _diagonalizations
-    _diagonalizations = 0
-
-
 def diagonalize_block(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of one Hermitian block.
 
     Rejects non-Hermitian input and audits the reconstruction residual
     max|H v - E v| < 1e-9 * max|E|.
     """
-    global _diagonalizations
     dim = block.dim
     if dim == 0:
         return np.empty(0), np.empty((0, 0), dtype=np.complex128)
@@ -67,7 +51,6 @@ def diagonalize_block(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
     defect = float(np.abs(m - m.conj().T).max())
     if defect > 1e-12 * scale:
         raise ValueError(f"block {block.label} in {block.sector} is not Hermitian (defect {defect:.3e})")
-    _diagonalizations += 1
     energies, vectors = sla.eigh(m)
     residual = float(np.abs(m @ vectors - vectors * energies).max())
     if residual > 1e-9 * max(1.0, float(np.abs(energies).max())):

@@ -291,13 +291,16 @@ def reduce_matrix_elements(table, rank: int) -> ReducedElementTable:
     recs = np.asarray(table.records)
     if recs.size == 0:
         return ReducedElementTable(rank, recs.copy(), 0, table.observable)
-    s_a = recs["s_a"].astype(int)
-    s_b = recs["s_b"].astype(int)
-    factor = np.zeros(len(recs))
-    for sa, sb in {(int(a), int(b)) for a, b in zip(s_a, s_b)}:
-        cg = float(clebsch_gordan(2 * sa, 0, 2 * sb, 0, 2 * rank, 0))
-        if cg:
-            factor[(s_a == sa) & (s_b == sb)] = cg
+    s_a = recs["s_a"].astype(np.intp)
+    s_b = recs["s_b"].astype(np.intp)
+    if min(s_a.min(), s_b.min()) < 0:
+        raise ValueError("angular momenta must be nonnegative")
+    # one coefficient per (S_a, S_b) pair present, gathered per record
+    cg = np.zeros((s_a.max() + 1, s_b.max() + 1))
+    cg[s_a, s_b] = 1.0
+    for sa, sb in zip(*np.nonzero(cg)):
+        cg[sa, sb] = float(clebsch_gordan(2 * int(sa), 0, 2 * int(sb), 0, 2 * rank, 0))
+    factor = cg[s_a, s_b]
     keep = factor != 0.0
     out = recs[keep].copy()
     out["value"] = out["value"] / factor[keep]

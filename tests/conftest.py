@@ -7,6 +7,8 @@ run can be audited without digging through the full pytest output.
 
 from __future__ import annotations
 
+import pytest
+
 _CRITERIA: dict[int, tuple[str, bool]] = {}
 
 
@@ -23,3 +25,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         description, ok = _CRITERIA[number]
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {number:02d}: {verdict}  {description}")
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Sectors of the dense eigensolves the pipeline starts during one test.
+
+    Wraps pipeline.diagonalize_block, which ensure_spectrum calls through
+    the module global; list.append keeps the count exact under the sector
+    thread pool.
+    """
+    from su2eth import pipeline
+
+    calls = []
+    original = pipeline.diagonalize_block
+
+    def counted(block):
+        calls.append(block.sector)
+        return original(block)
+
+    monkeypatch.setattr(pipeline, "diagonalize_block", counted)
+    return calls

@@ -25,9 +25,7 @@ from su2eth.operators import (CouplingSpec, build_hamiltonian, build_observable,
                               build_total_spin_squared, raising_matrix)
 from su2eth.pipeline import (RunConfig, _offdiag_ensembles, run_diag_eth, run_offdiag_eth,
                              run_oracle_check, run_spectrum)
-from su2eth.spectral import (diagonalization_count, diagonalize_block,
-                             matrix_elements, reset_diagonalization_count,
-                             resolve_spins)
+from su2eth.spectral import diagonalize_block, matrix_elements, resolve_spins
 from su2eth.tensors import (cg_asymptotic_r_even, cg_column_sum, clebsch_gordan,
                             hermitian_reduced_relation, reduce_matrix_elements)
 
@@ -489,9 +487,8 @@ def test_criterion_11_fit_fidelity():
 # ─── 12: determinism and cache reuse ─────────────────────────────────────────
 
 
-def test_criterion_12_determinism(eth_data, work):
+def test_criterion_12_determinism(eth_data, work, eigensolves):
     cache = eth_data["cache"]
-    reset_diagonalization_count()
 
     repeat_diag = run_diag_eth(_config(cache, work / "diag_repeat", 3.0,
                                        spins=(0, 1), observables=("A", "B")))
@@ -499,7 +496,7 @@ def test_criterion_12_determinism(eth_data, work):
                                          spins=(0, 1), observables=("A", "B")))
     summary = run_spectrum(_config(cache, work / "spec_repeat", 3.0,
                                    observables=("A", "B")))
-    fresh = diagonalization_count()
+    fresh = len(eigensolves)
 
     mismatched = []
     for first, second in ((eth_data["diag"][3.0], repeat_diag),

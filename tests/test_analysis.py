@@ -56,8 +56,7 @@ def _series(energies, values, S=0, half_width=4, observable="A", L=10, lam=3.0):
     return DiagonalSeries(observable, L, lam, S,
                           np.asarray(energies, dtype=float),
                           np.asarray(values, dtype=float),
-                          np.full(n, 1.0 / n), np.zeros(n, dtype=np.int32),
-                          (n,), half_width)
+                          np.zeros(n, dtype=np.int32), (n,), half_width)
 
 
 def test_series_validation():
@@ -65,10 +64,7 @@ def test_series_validation():
         _series([1.0, 0.5, 2.0], [0, 0, 0])
     with pytest.raises(ValueError, match="one length"):
         DiagonalSeries("A", 10, 3.0, 0, np.arange(3.0), np.zeros(2),
-                       np.full(3, 1 / 3), np.zeros(3, dtype=np.int32), (3,))
-    with pytest.raises(ValueError, match="sum to 1"):
-        DiagonalSeries("A", 10, 3.0, 0, np.arange(3.0), np.zeros(3),
-                       np.full(3, 0.5), np.zeros(3, dtype=np.int32), (3,))
+                       np.zeros(3, dtype=np.int32), (3,))
 
 
 def test_fluctuations_vanish_for_smooth_series():
@@ -96,7 +92,6 @@ def test_pool_diagonal_sorts_and_weights():
     series = pool_diagonal("A", 10, 3.0, 1, blocks, half_width=2)
     assert np.array_equal(series.energies, [1.0, 2.0, 3.0])
     assert np.array_equal(series.values, [10.0, 20.0, 30.0])
-    assert series.weights.sum() == pytest.approx(1.0)
     assert series.block_dims == (2, 1)
     assert series.mean_block_dim == 1.5
     assert list(series.block_ids) == [0, 1, 0]
@@ -133,7 +128,6 @@ def test_spin_scan_block_mean_convention():
     e = np.zeros(n)
     series = DiagonalSeries("A", 10, 3.0, 0, e,
                             np.array([1.0, 1.0, 1.0, 5.0]),
-                            np.full(n, 1 / n),
                             np.array([0, 0, 0, 1], dtype=np.int32), (3, 1))
     scan = diagonal_vs_spin([series])
     assert scan.means[0] == pytest.approx(2.0)        # 8/4

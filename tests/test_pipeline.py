@@ -27,7 +27,6 @@ from su2eth.pipeline import (
     run_oracle_check,
     run_spectrum,
 )
-from su2eth.spectral import diagonalization_count, reset_diagonalization_count
 
 # ─── configuration ──────────────────────────────────────────────────────────
 
@@ -149,12 +148,13 @@ def test_run_spectrum_l6_summary(tmp_path):
     assert (tmp_path / "out" / "manifest.jsonl").exists()
 
 
-def test_warm_rerun_hits_cache_with_zero_diagonalizations(tmp_path):
+def test_warm_rerun_hits_cache_with_zero_diagonalizations(tmp_path, eigensolves):
     cfg = _analysis_config(tmp_path)
     run_spectrum(cfg)
-    reset_diagonalization_count()
+    assert len(eigensolves) == 12
+    eigensolves.clear()
     summary = run_spectrum(cfg)
-    assert diagonalization_count() == 0
+    assert eigensolves == []
     size = summary["sizes"]["6"]
     assert size["cache_hits"] == 12
     assert size["built"] == 0

@@ -15,11 +15,9 @@ from su2eth.operators import (
     build_total_spin_squared,
 )
 from su2eth.spectral import (
-    diagonalization_count,
     diagonalize_block,
     expectations,
     matrix_elements,
-    reset_diagonalization_count,
     resolve_spins,
 )
 
@@ -56,16 +54,6 @@ def test_eigen_residuals():
     H = build_hamiltonian(basis, CouplingSpec(3.0)).dense()
     resid = H @ spec.vectors - spec.vectors * spec.energies
     assert np.max(np.abs(resid)) < 1e-11
-
-
-def test_diagonalization_counter():
-    reset_diagonalization_count()
-    assert diagonalization_count() == 0
-    _spectrum(SectorLabel(6, 0, 1, 1))
-    _spectrum(SectorLabel(6, 0, 1, -1))
-    assert diagonalization_count() == 2
-    reset_diagonalization_count()
-    assert diagonalization_count() == 0
 
 
 # ─── spin resolution ────────────────────────────────────────────────────────

@@ -239,6 +239,18 @@ def test_reduce_divides_by_cg():
     assert red.rank == 2
     assert red.records["value"][0] == pytest.approx(3.5)
 
+    # two spin pairs, each record divided by its own pair's coefficient
+    cg02 = float(clebsch_gordan(0, 0, 4, 0, 4, 0))
+    assert cg02 and cg02 != cg
+    table = _FakeTable(_records([(2, 2, 3.5 * cg), (0, 2, -1.25 * cg02), (2, 2, 0.5 * cg)]))
+    red = reduce_matrix_elements(table, rank=2)
+    assert red.skipped == 0
+    assert list(red.records["s_a"]) == [2, 0, 2]
+    assert red.records["value"] == pytest.approx([3.5, -1.25, 0.5])
+
+    with pytest.raises(ValueError, match="nonnegative"):
+        reduce_matrix_elements(_FakeTable(_records([(-1, 1, 1.0)])), rank=2)
+
 
 def test_reduce_drops_vanishing_cg_records():
     # (s_a, s_b) = (2, 1) has a zero rank-2 CG at m = 0: no information
