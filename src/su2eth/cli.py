@@ -104,7 +104,11 @@ def main():
 @main.command()
 @_config_options
 def spectrum(**kwargs):
-    """Diagonalize every sector in the plan and fill the eigendata cache."""
+    """Diagonalize every k >= 0 sector in the plan and fill the eigendata cache.
+
+    Each -k sector is the complex conjugate of its +k mirror and is counted
+    with it, never solved or cached on its own.
+    """
     config = _build_config(**kwargs)
     summary = _run(run_spectrum, config)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, cache, oracle
-from .basis import MAX_SITES, MIN_SITES, SectorLabel, enumerate_sector_basis, sector_labels
+from .basis import (MAX_SITES, MIN_SITES, SectorLabel, SymmetryBasis, enumerate_sector_basis,
+                    sector_labels)
 from .operators import (OBSERVABLE_TAGS, CouplingSpec, build_hamiltonian, build_observable,
                         build_operator, build_total_spin_squared, pair_correlator_terms,
                         quad_correlator_terms)
@@ -261,32 +262,58 @@ def _begin(config: RunConfig, command: str) -> tuple[Path | None, Path, RunManif
 # ─── spectra ─────────────────────────────────────────────────────────────────
 
 
+def _mirror(sector: SectorLabel) -> SectorLabel:
+    """The sector at -k; k = 0 and k = pi are their own mirrors."""
+    return SectorLabel(sector.L, sector.M, -sector.k_index, sector.z2_parity)
+
+
+def _solved(sector: SectorLabel) -> SectorLabel:
+    """The k >= 0 sector whose eigendata are solved and cached for this one."""
+    return sector if sector.k_index >= 0 else _mirror(sector)
+
+
+def _serve(spectrum: SpinResolvedSpectrum, sector: SectorLabel) -> SpinResolvedSpectrum:
+    """The spectrum of _solved(sector), handed out as sector's own.
+
+    H is real in the product basis, so the block at -k is the exact complex
+    conjugate of the block at +k: same energies, spins and spin residuals
+    (shared read-only), conjugate eigenvectors.
+    """
+    if spectrum.sector == sector:
+        return spectrum
+    return SpinResolvedSpectrum(sector, spectrum.energies, np.conjugate(spectrum.vectors),
+                                spectrum.spins, spectrum.spin_residuals)
+
+
 def ensure_spectrum(sector: SectorLabel, lam: float,
                     root: Path | None) -> tuple[SpinResolvedSpectrum, bool]:
     """Load one block spectrum from cache, or build and store it.
 
-    Returns (spectrum, cache_hit). A present-but-incompatible file triggers
-    a rebuild with a warning rather than an error.
+    Only k >= 0 sectors are solved and cached; a -k sector is served from
+    its mirror. Returns (spectrum, cache_hit). A present-but-incompatible
+    file triggers a rebuild with a warning rather than an error.
     """
+    solved = _solved(sector)
     if root is not None:
-        path = cache.spectrum_path(root, sector, lam)
+        path = cache.spectrum_path(root, solved, lam)
         try:
-            return cache.load_spectrum(root, sector, lam), True
+            return _serve(cache.load_spectrum(root, solved, lam), sector), True
         except cache.CacheMismatch as exc:
             if path.exists():
                 warnings.warn(f"rebuilding stale cache entry: {exc}")
-    basis = enumerate_sector_basis(sector)
+    basis = enumerate_sector_basis(solved)
     h = build_hamiltonian(basis, CouplingSpec(lam))
     energies, vectors = diagonalize_block(h)
     spectrum = resolve_spins(energies, vectors, build_total_spin_squared(basis))
     if root is not None:
         cache.save_spectrum(root, lam, spectrum)
-    return spectrum, False
+    return _serve(spectrum, sector), False
 
 
 def load_cached_spectrum(sector: SectorLabel, lam: float, root: Path) -> SpinResolvedSpectrum:
+    """One block spectrum from the cache; a -k sector is served from its mirror."""
     try:
-        return cache.load_spectrum(root, sector, lam)
+        return _serve(cache.load_spectrum(root, _solved(sector), lam), sector)
     except cache.CacheMismatch as exc:
         raise MissingCacheError(
             f"{exc}; run the spectrum command first to populate the cache") from exc
@@ -335,14 +362,20 @@ def _write_json(path: Path, payload: dict) -> Path:
 # ─── spectrum command ────────────────────────────────────────────────────────
 
 
-def _sweep_sector(sector: SectorLabel, lam: float, root: Path) -> tuple[int, dict[int, int], bool]:
-    """(dim, spin_dims, cache_hit) of one sector; its eigenvectors are not kept."""
+def _sweep_sector(sector: SectorLabel, lam: float,
+                  root: Path) -> tuple[int, dict[int, int], bool, float]:
+    """(dim, spin_dims, cache_hit, seconds) of one sector; its eigenvectors are not kept."""
+    t0 = time.perf_counter()
     spectrum, hit = ensure_spectrum(sector, lam, root)
-    return spectrum.dim, spectrum.spin_dims(), hit
+    return spectrum.dim, spectrum.spin_dims(), hit, time.perf_counter() - t0
 
 
 def run_spectrum(config: RunConfig) -> dict:
-    """Diagonalize every sector in the plan, caching the spin-resolved data."""
+    """Solve every k >= 0 sector in the plan, caching the spin-resolved data.
+
+    A -k sector shares its mirror's energies and spins, so it is counted
+    in the summary with its mirror's result and never solved or cached.
+    """
     root, out, manifest = _begin(config, "spectrum")
     chash = manifest.config_hash
     summary = {"config": chash, "lambda": config.lam, "M": config.M, "sizes": {}, "failures": []}
@@ -351,18 +384,21 @@ def run_spectrum(config: RunConfig) -> dict:
         t0 = time.perf_counter()
         results = []
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [(lab, pool.submit(_sweep_sector, lab, config.lam, root))
-                       for lab in labels]
-            for lab, fut in futures:
+            futures = {lab: pool.submit(_sweep_sector, lab, config.lam, root)
+                       for lab in labels if lab.k_index >= 0}
+            for lab in labels:
                 name = _sector_name(lab, config.lam)
+                solved = _solved(lab)
+                mirror = {} if solved == lab else {"mirror_of": _sector_name(solved, config.lam)}
                 try:
-                    result = fut.result()
+                    dim, dims, hit, seconds = futures[solved].result()
                 except Exception as exc:  # quarantine the sector, keep sweeping
-                    manifest.record("spectrum", "failed", sector=name, error=str(exc))
+                    manifest.record("spectrum", "failed", sector=name, error=str(exc), **mirror)
                     summary["failures"].append({"sector": name, "error": str(exc)})
                     continue
-                results.append(result)
-                manifest.record("spectrum", "hit" if result[2] else "built", sector=name)
+                results.append((dim, dims, hit))
+                manifest.record("spectrum", "hit" if hit else "built", sector=name,
+                                seconds=None if mirror else seconds, dim=dim, **mirror)
         per_spin = _spin_counts(dims for _, dims, _ in results)
         hits = sum(hit for _, _, hit in results)
         summary["sizes"][str(L)] = {
@@ -626,30 +662,28 @@ def run_offdiag_eth(config: RunConfig) -> dict:
 # ─── oracle check ────────────────────────────────────────────────────────────
 
 
-def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, float]]:
-    """Exact per-spin sector traces of all oracle moments from eigendata.
+def _state_moments(basis: SymmetryBasis, spectrum: SpinResolvedSpectrum) -> dict[str, np.ndarray]:
+    """Per-state values of one nonempty block whose sector averages are the moments."""
+    L = basis.sector.L
+    ops = {"meanA": build_observable(basis, "A"), "meanB": build_observable(basis, "B")}
+    for tag, terms in (("eps2", pair_correlator_terms(L, "dot")),
+                       ("eps2z", pair_correlator_terms(L, "zz")),
+                       ("eps4", quad_correlator_terms(L, "dotdot")),
+                       ("eps4z", quad_correlator_terms(L, "zzdot"))):
+        ops[tag] = build_operator(basis, terms, tag)
+    per_state = {f: expectations(op, spectrum.vectors) for f, op in ops.items()}
+    e = spectrum.energies
+    per_state.update(E0=e, HH=e * e, AH=per_state["meanA"] * e, BH=per_state["meanB"] * e)
+    return per_state
 
-    blocks: (SectorLabel, SpinResolvedSpectrum) pairs covering every (k, Z2)
-    sector of M = 0. Pooling all of them realizes the (S, M=0) trace.
-    """
+
+def _pooled_moments(blocks) -> dict[int, dict[str, float]]:
+    """Per-spin averages over (spins, per-state moments) of every block."""
     sums: dict[int, dict[str, float]] = {}
     counts: dict[int, int] = {}
-    for lab, spectrum in blocks:
-        if spectrum.dim == 0:
-            continue
-        basis = enumerate_sector_basis(lab)
-        ops = {"meanA": build_observable(basis, "A"), "meanB": build_observable(basis, "B")}
-        for tag, terms in (("eps2", pair_correlator_terms(L, "dot")),
-                           ("eps2z", pair_correlator_terms(L, "zz")),
-                           ("eps4", quad_correlator_terms(L, "dotdot")),
-                           ("eps4z", quad_correlator_terms(L, "zzdot"))):
-            ops[tag] = build_operator(basis, terms, tag)
-        # per-state values whose sector averages are the moments
-        per_state = {f: expectations(op, spectrum.vectors) for f, op in ops.items()}
-        e = spectrum.energies
-        per_state.update(E0=e, HH=e * e, AH=per_state["meanA"] * e, BH=per_state["meanB"] * e)
-        for s in np.unique(spectrum.spins):
-            sel = spectrum.spins == s
+    for spins, per_state in blocks:
+        for s in np.unique(spins):
+            sel = spins == s
             d = sums.setdefault(int(s), dict.fromkeys(_MOMENT_FIELDS, 0.0))
             counts[int(s)] = counts.get(int(s), 0) + int(sel.sum())
             for f in _MOMENT_FIELDS:
@@ -657,9 +691,18 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
     return {s: {f: d[f] / counts[s] for f in _MOMENT_FIELDS} for s, d in sums.items()}
 
 
-def _audit_block(lab: SectorLabel, lam: float, spectrum: SpinResolvedSpectrum) -> dict:
-    """Recompute trusted residuals for possibly cache-loaded eigendata."""
-    basis = enumerate_sector_basis(lab)
+def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, float]]:
+    """Exact per-spin sector traces of all oracle moments from eigendata.
+
+    blocks: (SectorLabel, SpinResolvedSpectrum) pairs covering every (k, Z2)
+    sector of M = 0. Pooling all of them realizes the (S, M=0) trace.
+    """
+    return _pooled_moments((spectrum.spins, _state_moments(enumerate_sector_basis(lab), spectrum))
+                           for lab, spectrum in blocks if spectrum.dim)
+
+
+def _audit_block(basis: SymmetryBasis, lam: float, spectrum: SpinResolvedSpectrum) -> dict:
+    """Recompute trusted residuals for possibly cache-loaded eigendata of basis's sector."""
     if spectrum.dim == 0:
         return {"eigen_residual": 0.0, "orthonormality": 0.0, "spin_residual": 0.0}
     h = build_hamiltonian(basis, CouplingSpec(lam)).dense()
@@ -676,18 +719,24 @@ def run_oracle_check(config: RunConfig) -> dict:
 
     Per-block checks (eigen residual, orthonormality, spin sharpness) catch
     corrupted or stale cache entries and name the sector; the pooled moment
-    table then validates every closed form to 1e-10.
+    table then validates every closed form to 1e-10. Each sector's basis is
+    built once and serves its audit and its moments; a -k sector is audited
+    against its own H(-k), not its mirror's.
     """
     root, out, manifest = _begin(config, "oracle-check")
     tol_moment = 1e-10
     report = {"config": manifest.config_hash, "lambda": config.lam, "rows": [],
               "block_audits": [], "failures": [], "pass": True}
     for L in config.L_list:
-        blocks = []
+        spin_dims = []
+        moments = []
         for lab in sector_labels(L, 0):
             spectrum, _ = ensure_spectrum(lab, config.lam, root)
-            blocks.append((lab, spectrum))
-            audit = _audit_block(lab, config.lam, spectrum)
+            basis = enumerate_sector_basis(lab)
+            spin_dims.append(spectrum.spin_dims())
+            if spectrum.dim:
+                moments.append((spectrum.spins, _state_moments(basis, spectrum)))
+            audit = _audit_block(basis, config.lam, spectrum)
             name = _sector_name(lab, config.lam)
             entry = {"sector": name, **audit}
             report["block_audits"].append(entry)
@@ -697,14 +746,14 @@ def run_oracle_check(config: RunConfig) -> dict:
                 report["pass"] = False
                 report["failures"].append({"sector": name, "kind": "block_audit", **audit})
 
-        for s, c in sorted(_spin_counts(spectrum.spin_dims() for _, spectrum in blocks).items()):
+        for s, c in sorted(_spin_counts(spin_dims).items()):
             expected = oracle.spin_sector_dimension(L, s)
             if c != expected:
                 report["pass"] = False
                 report["failures"].append({"kind": "spin_count", "L": L, "S": s,
                                            "got": c, "expected": expected})
 
-        traces = sector_trace_moments(L, config.lam, blocks)
+        traces = _pooled_moments(moments)
         for s in sorted(traces):
             m = oracle.moments(L, s, config.lam)
             for fieldname in _MOMENT_FIELDS:

@@ -164,6 +164,32 @@ def test_blocks_are_projections_of_the_product_basis_matrix(L, M):
             assert np.max(np.abs(U.conj().T @ full @ U - block)) < 1e-13, (name, basis.sector)
 
 
+@pytest.mark.parametrize("L, M", [(6, 0), (8, 0), (10, 0), (12, 0), (8, 1)])
+def test_mirror_blocks_are_exact_conjugates(L, M):
+    """H(-k) == conj(H(k)) bit for bit, so the pipeline may solve k >= 0 only.
+
+    The one bit allowed to differ is the sign of a zero imaginary part
+    (conj turns +0j into -0j); adding 0.0 maps -0.0 to +0.0 and nothing else.
+    """
+    builders = {
+        "H lam=0": lambda b: build_hamiltonian(b, CouplingSpec(0.0)),
+        "H lam=3": lambda b: build_hamiltonian(b, CouplingSpec(3.0)),
+        "S2": build_total_spin_squared,
+        **{tag: (lambda b, tag=tag: build_observable(b, tag)) for tag in ("A", "B", "C")},
+    }
+    mirrored = [lab for lab in sector_labels(L, M) if lab.k_index < 0]
+    assert mirrored
+    for lab in mirrored:
+        minus = enumerate_sector_basis(lab)
+        plus = enumerate_sector_basis(SectorLabel(L, M, -lab.k_index, lab.z2_parity))
+        assert np.array_equal(minus.reps, plus.reps), lab
+        for name, build in builders.items():
+            a, b = build(minus).matrix, build(plus).matrix
+            assert a.indptr.tobytes() == b.indptr.tobytes(), (name, lab)
+            assert a.indices.tobytes() == b.indices.tobytes(), (name, lab)
+            assert (a.data + 0.0).tobytes() == (np.conjugate(b.data) + 0.0).tobytes(), (name, lab)
+
+
 def test_quad_correlators_are_hermitian():
     for kind in ("dotdot", "zzdot"):
         mat = product_basis_matrix(6, 0, quad_correlator_terms(6, kind))

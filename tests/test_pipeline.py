@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from su2eth import pipeline
-from su2eth.basis import SectorLabel, sector_labels
+from su2eth.basis import SectorLabel, enumerate_sector_basis, sector_labels
 from su2eth.cache import build_fingerprint, spectrum_path
 from su2eth.cli import main
 from su2eth.oracle import diagonal_prediction, linear_coefficients, moments
@@ -151,13 +151,87 @@ def test_run_spectrum_l6_summary(tmp_path):
 def test_warm_rerun_hits_cache_with_zero_diagonalizations(tmp_path, eigensolves):
     cfg = _analysis_config(tmp_path)
     run_spectrum(cfg)
-    assert len(eigensolves) == 12
+    # 12 sectors, 4 of them at k < 0 served by conjugating their mirror
+    assert len(eigensolves) == 8
+    assert all(sector.k_index >= 0 for sector in eigensolves)
     eigensolves.clear()
     summary = run_spectrum(cfg)
     assert eigensolves == []
     size = summary["sizes"]["6"]
     assert size["cache_hits"] == 12
     assert size["built"] == 0
+
+
+@pytest.mark.parametrize("M, solved", [(0, 8), (1, 4)])
+def test_mirrored_spectrum_passes_block_audit(tmp_path, M, solved):
+    cfg = _analysis_config(tmp_path, M=M)
+    run_spectrum(cfg)
+    root = tmp_path / "cache"
+    names = sorted(path.name for path in root.glob("*.eig"))
+    assert len(names) == solved
+    assert not any("_k-" in name for name in names)
+    mirrored = [lab for lab in sector_labels(6, M) if lab.k_index < 0]
+    assert mirrored
+    for lab in mirrored:
+        minus, hit = ensure_spectrum(lab, 3.0, root)
+        plus, _ = ensure_spectrum(pipeline._mirror(lab), 3.0, root)
+        assert hit and minus.sector == lab and minus.dim
+        for name in ("energies", "spins", "spin_residuals"):
+            assert np.array_equal(getattr(minus, name), getattr(plus, name)), name
+        assert np.array_equal(minus.vectors, np.conjugate(plus.vectors))
+        assert load_cached_spectrum(lab, 3.0, root).vectors.tobytes() == minus.vectors.tobytes()
+        # oracle-check's bounds, against a freshly built H(-k)
+        audit = pipeline._audit_block(enumerate_sector_basis(lab), 3.0, minus)
+        scale = max(1.0, float(np.abs(minus.energies).max()))
+        assert audit["eigen_residual"] <= 1e-8 * scale, audit
+        assert audit["orthonormality"] <= 1e-10, audit
+        assert audit["spin_residual"] <= 1e-6, audit
+    assert sorted(path.name for path in root.glob("*.eig")) == names
+
+
+def test_spectrum_manifest_rows_carry_dim_seconds_and_mirror(tmp_path):
+    cfg = _analysis_config(tmp_path)
+    run_spectrum(cfg)
+    entries = [json.loads(line)
+               for line in (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()]
+    rows = [e for e in entries if e["stage"] == "spectrum"]
+    labels = sector_labels(6)
+    assert [r["sector"] for r in rows] == [spectrum_path(tmp_path, lab, 3.0).stem
+                                           for lab in labels]
+    dims = {r["sector"]: r["dim"] for r in rows}
+    assert sum(dims.values()) == 20
+    mirrored = [r for r in rows if "mirror_of" in r]
+    assert len(mirrored) == 4
+    for row, lab in zip(rows, labels):
+        assert row["status"] == "built"
+        if lab.k_index < 0:
+            mirror = spectrum_path(tmp_path, pipeline._mirror(lab), 3.0).stem
+            assert row["mirror_of"] == mirror
+            assert row["dim"] == dims[mirror]
+            assert "seconds" not in row
+        else:
+            assert "mirror_of" not in row
+            assert row["seconds"] >= 0.0
+
+
+def test_failed_sector_fails_its_mirror_too(tmp_path, monkeypatch):
+    solve = pipeline.diagonalize_block
+
+    def failing(block):
+        if block.sector.k_index == 1:
+            raise RuntimeError("planted failure")
+        return solve(block)
+
+    monkeypatch.setattr(pipeline, "diagonalize_block", failing)
+    summary = run_spectrum(_analysis_config(tmp_path))
+    failed = {f["sector"] for f in summary["failures"]}
+    assert failed == {f"L6_M0_k{k}_z{z}_lam3" for k in (1, -1) for z in ("p1", "m1")}
+    assert summary["sizes"]["6"]["blocks"] == 8
+    entries = [json.loads(line)
+               for line in (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()]
+    rows = {e["sector"]: e for e in entries if e["stage"] == "spectrum"}
+    assert rows["L6_M0_k-1_zp1_lam3"]["status"] == "failed"
+    assert rows["L6_M0_k-1_zp1_lam3"]["mirror_of"] == "L6_M0_k1_zp1_lam3"
 
 
 def test_manifest_is_append_only_jsonl(tmp_path):
@@ -206,6 +280,22 @@ def test_offdiag_loads_each_admitted_block_once_per_size(tmp_path, monkeypatch):
     admitted = [lab for L in cfg.L_list for lab in sector_labels(L)
                 if lab.k_index not in cfg.excluded_k(L)]
     assert loads == Counter(admitted)
+
+
+def test_warm_oracle_check_builds_one_basis_per_sector(tmp_path, monkeypatch):
+    cfg = _analysis_config(tmp_path, L_list=(6, 8, 10), spins=())
+    run_spectrum(cfg)
+    builds = Counter()
+    enumerate_basis = pipeline.enumerate_sector_basis
+
+    def counting_enumerate(sector):
+        builds[sector] += 1
+        return enumerate_basis(sector)
+
+    monkeypatch.setattr(pipeline, "enumerate_sector_basis", counting_enumerate)
+    assert run_oracle_check(cfg)["pass"] is True
+    assert builds == Counter(lab for L in cfg.L_list for lab in sector_labels(L))
+    assert sum(builds.values()) == 48
 
 
 @pytest.mark.parametrize("run", [run_diag_eth, run_offdiag_eth])
