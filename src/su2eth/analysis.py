@@ -156,10 +156,6 @@ class SpinMeans:
     the two conventions are reported together. Empty windows are flagged.
     """
 
-    observable: str
-    L: int
-    lam: float
-    energy_window: float
     spins: np.ndarray
     means: np.ndarray
     stds: np.ndarray
@@ -195,8 +191,7 @@ def diagonal_vs_spin(series_list, energy_window: float = 0.025) -> SpinMeans:
             stds.append(math.nan)
             block_means.append(math.nan)
             flagged.append(True)
-    return SpinMeans(obs, L, lam, energy_window,
-                     np.array(spins), np.array(means), np.array(stds),
+    return SpinMeans(np.array(spins), np.array(means), np.array(stds),
                      np.array(counts), np.array(block_means), np.array(flagged))
 
 
@@ -216,7 +211,6 @@ class OffDiagonalEnsemble:
     L: int
     lam: float
     spin_pair: tuple[int, int]
-    e_mean: np.ndarray
     omega: np.ndarray
     abs_sq: np.ndarray
     block_dims: tuple[tuple[int, int], ...]
@@ -224,9 +218,9 @@ class OffDiagonalEnsemble:
     e_center: float
 
     def __post_init__(self):
-        if not (len(self.e_mean) == len(self.omega) == len(self.abs_sq)):
+        if len(self.omega) != len(self.abs_sq):
             raise ValueError("record arrays must share one length")
-        for arr in (self.e_mean, self.omega, self.abs_sq):
+        for arr in (self.omega, self.abs_sq):
             arr.setflags(write=False)
 
     @property
@@ -257,24 +251,21 @@ def build_offdiagonal_ensemble(
     """
     s_a, s_b = spin_pair
     e_center = sector_mean_energy(L, 0.5 * (s_a + s_b), lam)
-    e_mean_parts, omega_parts, sq_parts, dims = [], [], [], []
+    omega_parts, sq_parts, dims = [], [], []
     for e_row, e_col, values, d_row, d_col in blocks:
         e_row = np.asarray(e_row, dtype=np.float64)
         e_col = np.asarray(e_col, dtype=np.float64)
         values = np.asarray(values)
         dims.append((int(d_row), int(d_col)))
-        e_mean = 0.5 * (e_row + e_col)
-        keep = np.abs(e_mean - e_center) / L <= energy_window
-        e_mean_parts.append(e_mean[keep])
+        keep = np.abs(0.5 * (e_row + e_col) - e_center) / L <= energy_window
         omega_parts.append((e_row - e_col)[keep])
         sq_parts.append(np.abs(values[keep]) ** 2)
-    if e_mean_parts:
-        e_mean = np.concatenate(e_mean_parts)
+    if omega_parts:
         omega = np.concatenate(omega_parts)
         abs_sq = np.concatenate(sq_parts)
     else:
-        e_mean = omega = abs_sq = np.empty(0)
-    return OffDiagonalEnsemble(observable, L, lam, (s_a, s_b), e_mean, omega,
+        omega = abs_sq = np.empty(0)
+    return OffDiagonalEnsemble(observable, L, lam, (s_a, s_b), omega,
                                abs_sq, tuple(dims), energy_window, e_center)
 
 
@@ -300,18 +291,14 @@ class BinnedSeries:
     flagged and carry NaN rather than zeros.
     """
 
-    label: str
     centers: np.ndarray
     values: np.ndarray
-    mean_sq: np.ndarray
-    mean_abs: np.ndarray
     counts: np.ndarray
     flagged: np.ndarray
     scale: float = 1.0
 
     def __post_init__(self):
-        for arr in (self.centers, self.values, self.mean_sq, self.mean_abs,
-                    self.counts, self.flagged):
+        for arr in (self.centers, self.values, self.counts, self.flagged):
             arr.setflags(write=False)
 
     @property
@@ -339,26 +326,23 @@ def _windowed_moments(omega, abs_sq, binning: Binning):
     return centers, counts, mean_sq, mean_abs
 
 
-def _binned(ensemble: OffDiagonalEnsemble, binning: Binning, values_from, label, scale=1.0):
+def _binned(ensemble: OffDiagonalEnsemble, binning: Binning, values_from, scale=1.0):
     if ensemble.size == 0:
         empty = np.empty(0)
-        return BinnedSeries(label, empty, empty.copy(), empty.copy(), empty.copy(),
-                            np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), scale)
+        return BinnedSeries(empty, empty.copy(), np.empty(0, dtype=np.int64),
+                            np.empty(0, dtype=bool), scale)
     centers, counts, mean_sq, mean_abs = _windowed_moments(
         ensemble.omega, ensemble.abs_sq, binning)
     flagged = counts < binning.min_count
     values = values_from(mean_sq, mean_abs)
     values = np.where(flagged, np.nan, values)
-    return BinnedSeries(label, centers, values, mean_sq, mean_abs,
-                        counts.astype(np.int64), flagged, scale)
+    return BinnedSeries(centers, values, counts.astype(np.int64), flagged, scale)
 
 
 def gaussianity_ratio(ensemble: OffDiagonalEnsemble, binning: Binning = Binning()) -> BinnedSeries:
     """Per-window ratio mean|O|^2 / (mean|O|)^2; pi/2 for Gaussian elements."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return _binned(ensemble, binning,
-                       lambda sq, ab: sq / ab ** 2,
-                       f"Gamma[{ensemble.observable}]")
+        return _binned(ensemble, binning, lambda sq, ab: sq / ab ** 2)
 
 
 def spectral_function(ensemble: OffDiagonalEnsemble, binning: Binning = Binning()) -> BinnedSeries:
@@ -368,9 +352,7 @@ def spectral_function(ensemble: OffDiagonalEnsemble, binning: Binning = Binning(
     independent information there.
     """
     scale = float(ensemble.L) * float(ensemble.effective_dimension)
-    return _binned(ensemble, binning,
-                   lambda sq, ab: scale * sq,
-                   f"specfun[{ensemble.observable}]", scale=scale)
+    return _binned(ensemble, binning, lambda sq, ab: scale * sq, scale)
 
 
 def variance_scaling(ensembles, omega_cut: float) -> "FitResult":
@@ -399,12 +381,8 @@ def low_frequency_view(series: BinnedSeries, L: int, divide_by_L: bool = False) 
     bond-energy observable whose spectral function grows linearly with L.
     """
     factor = 1.0 / L if divide_by_L else 1.0
-    return BinnedSeries(series.label + "/lowfreq",
-                        series.centers * (L * L),
-                        series.values * factor,
-                        series.mean_sq.copy(), series.mean_abs.copy(),
-                        series.counts.copy(), series.flagged.copy(),
-                        series.scale * factor)
+    return BinnedSeries(series.centers * (L * L), series.values * factor,
+                        series.counts.copy(), series.flagged.copy(), series.scale * factor)
 
 
 # ─── fits ────────────────────────────────────────────────────────────────────

@@ -28,7 +28,7 @@ def _config_options(fn):
         click.option("--config", "config_path",
                      type=click.Path(exists=True, dir_okay=False),
                      help="JSON run configuration; flags below override its fields."),
-        click.option("--L", "L_values", type=int, multiple=True,
+        click.option("--L", "L_list", type=int, multiple=True,
                      help="System size (repeatable)."),
         click.option("--lambda", "lam", type=float, default=None,
                      help="Next-nearest-neighbour coupling."),
@@ -51,8 +51,11 @@ def _config_options(fn):
     return fn
 
 
-def _build_config(config_path, L_values, lam, spins, spin_pairs, observables,
-                  out_dir, cache_dir, workers) -> RunConfig:
+def _build_config(config_path, **flags) -> RunConfig:
+    """The config file's fields, overridden by every flag that was set.
+
+    Each flag's destination is the RunConfig field it sets.
+    """
     data = {}
     if config_path:
         try:
@@ -60,24 +63,11 @@ def _build_config(config_path, L_values, lam, spins, spin_pairs, observables,
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise click.UsageError(f"config {config_path} is not valid JSON: {exc}")
-    if L_values:
-        data["L_list"] = list(L_values)
-    if lam is not None:
+    if flags["lam"] is not None:
         data.pop("lambda", None)  # the flag beats the file's alias key
-        data["lam"] = lam
-    if spins:
-        data["spins"] = list(spins)
-    if spin_pairs:
-        data["spin_pairs"] = [list(p) for p in spin_pairs]
-    if observables:
-        data["observables"] = list(observables)
-    if out_dir is not None:
-        data["out_dir"] = out_dir
-    if cache_dir is not None:
-        data["cache_dir"] = cache_dir
-    if workers is not None:
-        data["workers"] = workers
-    if "L_list" not in data or not data["L_list"]:
+    # unset flags arrive as None, or as () when repeatable
+    data.update({key: value for key, value in flags.items() if value not in (None, ())})
+    if not data.get("L_list"):
         raise click.UsageError("no system sizes given: set L_list in the config or pass --L")
     try:
         return RunConfig.from_dict(data)

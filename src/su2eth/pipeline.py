@@ -14,7 +14,7 @@ import hashlib
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -107,11 +107,6 @@ class RunConfig:
             data["spin_pairs"] = tuple((int(a), int(b)) for a, b in data["spin_pairs"])
         return cls(**data)
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     def replace(self, **changes) -> "RunConfig":
         data = asdict(self)
         data.update(changes)
@@ -119,14 +114,9 @@ class RunConfig:
 
     def canonical(self) -> dict:
         data = asdict(self)
-        data["spin_pairs"] = [list(p) for p in self.spin_pairs]
-        for key in ("L_list", "spins", "observables", "exclude_k"):
-            if data[key] is not None:
-                data[key] = list(data[key])
         # cache/output locations do not change the numbers
-        data.pop("cache_dir")
-        data.pop("out_dir")
-        data.pop("workers")
+        for key in ("cache_dir", "out_dir", "workers"):
+            data.pop(key)
         return data
 
     def config_hash(self) -> str:
@@ -238,19 +228,16 @@ class RunManifest:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _begin(config: RunConfig, command: str) -> tuple[Path | None, Path, RunManifest]:
+def _begin(config: RunConfig, command: str) -> tuple[Path, Path, RunManifest]:
     """Validate, resolve the cache root, make the output dir, journal the start.
 
-    Returns (cache root, output dir, manifest). Only oracle-check runs
-    without a cache root, building its spectra in memory.
+    Returns (cache root, output dir, manifest).
     """
     _validate(config, command)
     try:
         root = cache.cache_dir(config.cache_dir)
     except ValueError as exc:
-        if command != "oracle-check":
-            raise ConfigError(str(exc)) from exc
-        root = None
+        raise ConfigError(str(exc)) from exc
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(out / "manifest.jsonl", config.config_hash())
@@ -286,7 +273,7 @@ def _serve(spectrum: SpinResolvedSpectrum, sector: SectorLabel) -> SpinResolvedS
 
 
 def ensure_spectrum(sector: SectorLabel, lam: float,
-                    root: Path | None) -> tuple[SpinResolvedSpectrum, bool]:
+                    root: Path) -> tuple[SpinResolvedSpectrum, bool]:
     """Load one block spectrum from cache, or build and store it.
 
     Only k >= 0 sectors are solved and cached; a -k sector is served from
@@ -294,19 +281,16 @@ def ensure_spectrum(sector: SectorLabel, lam: float,
     file triggers a rebuild with a warning rather than an error.
     """
     solved = _solved(sector)
-    if root is not None:
-        path = cache.spectrum_path(root, solved, lam)
-        try:
-            return _serve(cache.load_spectrum(root, solved, lam), sector), True
-        except cache.CacheMismatch as exc:
-            if path.exists():
-                warnings.warn(f"rebuilding stale cache entry: {exc}")
+    try:
+        return _serve(cache.load_spectrum(root, solved, lam), sector), True
+    except cache.CacheMismatch as exc:
+        if cache.spectrum_path(root, solved, lam).exists():
+            warnings.warn(f"rebuilding stale cache entry: {exc}")
     basis = enumerate_sector_basis(solved)
     h = build_hamiltonian(basis, CouplingSpec(lam))
     energies, vectors = diagonalize_block(h)
     spectrum = resolve_spins(energies, vectors, build_total_spin_squared(basis))
-    if root is not None:
-        cache.save_spectrum(root, lam, spectrum)
+    cache.save_spectrum(root, lam, spectrum)
     return _serve(spectrum, sector), False
 
 
@@ -458,9 +442,11 @@ def run_diag_eth(config: RunConfig) -> dict:
                 diagonals[observable].append((spectrum.energies, values, spectrum.spins))
         for observable, tables in diagonals.items():
             all_spins = sorted({int(s) for _, _, spins in tables for s in np.unique(spins)})
+            pooled = {S: _pool_spin(config, observable, L, tables, S)
+                      for S in {*all_spins, *config.spins}}
 
             for S in config.spins:
-                series = _pool_spin(config, observable, L, tables, S)
+                series = pooled[S]
                 for e, v in zip(series.energies, series.values):
                     diag_rows.append((e / L, S, v, L, config.lam, observable))
                 try:
@@ -473,9 +459,7 @@ def run_diag_eth(config: RunConfig) -> dict:
                 fluct_rows.append((observable, L, S, config.lam, ld, delta))
                 fluct_points.setdefault((observable, S), []).append((ld, delta))
 
-            scan = analysis.diagonal_vs_spin(
-                [_pool_spin(config, observable, L, tables, S) for S in all_spins],
-                config.energy_window)
+            scan = analysis.diagonal_vs_spin([pooled[S] for S in all_spins], config.energy_window)
             for i, S in enumerate(scan.spins):
                 spin_rows.append((observable, L, config.lam, int(S), S / L,
                                   scan.means[i], scan.stds[i], scan.block_means[i],
@@ -549,8 +533,8 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int):
                 d_a, d_b = dims.get(s_a, 0), dims.get(s_b, 0)
                 if d_a == 0 or d_b == 0:
                     continue
-                part = "offdiagonal" if s_a == s_b else "all"
-                table = matrix_elements(obs, spectrum, spin_filter=pair, part=part)
+                # a cross-spin pair has no alpha == beta records to drop
+                table = matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")
                 recs = table.records
                 raw[observable, pair].append((recs["e_a"], recs["e_b"], recs["value"], d_a, d_b))
                 if rank is not None:

@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .spectral import MatrixElementTable
+
 __all__ = [
     "SqrtRational",
     "ZERO",
@@ -24,7 +26,6 @@ __all__ = [
     "clebsch_gordan",
     "cg_column_sum",
     "cg_asymptotic_r_even",
-    "ReducedElementTable",
     "reduce_matrix_elements",
     "hermitian_reduced_relation",
     "cg_table_rows",
@@ -263,34 +264,17 @@ def cg_asymptotic_r_even(r: int) -> float:
 # ─── Wigner-Eckart reduction ────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class ReducedElementTable:
-    """Reduced matrix elements of a rank-r tensor after CG stripping.
-
-    ``records`` is a structured array with the same fields as the raw
-    matrix-element tables (alpha, beta, e_a, e_b, s_a, s_b, value) where
-    value now holds the reduced element. Records whose CG coefficient
-    vanishes carry no information about the reduced element; they are
-    dropped and tallied in ``skipped``.
-    """
-
-    rank: int
-    records: np.ndarray
-    skipped: int
-    observable: str = ""
-
-
-def reduce_matrix_elements(table, rank: int) -> ReducedElementTable:
+def reduce_matrix_elements(table: MatrixElementTable, rank: int) -> MatrixElementTable:
     """Divide each record's value by <S_a 0 | S_b 0; rank 0>.
 
-    ``table`` is any object carrying an ``observable`` label and a
-    structured ``records`` array with fields s_a, s_b and value (the tables
-    produced by the spectral layer). Only M = 0 and the q = 0 tensor
-    component enter, the one case the pipeline analyses.
+    The result keeps the table's observable and sector; its values are the
+    reduced elements. Records whose CG coefficient vanishes carry no
+    information about the reduced element and are dropped. Only M = 0 and
+    the q = 0 tensor component enter, the one case the pipeline analyses.
     """
-    recs = np.asarray(table.records)
+    recs = table.records
     if recs.size == 0:
-        return ReducedElementTable(rank, recs.copy(), 0, table.observable)
+        return table
     s_a = recs["s_a"].astype(np.intp)
     s_b = recs["s_b"].astype(np.intp)
     if min(s_a.min(), s_b.min()) < 0:
@@ -304,7 +288,7 @@ def reduce_matrix_elements(table, rank: int) -> ReducedElementTable:
     keep = factor != 0.0
     out = recs[keep].copy()
     out["value"] = out["value"] / factor[keep]
-    return ReducedElementTable(rank, out, int(len(recs) - keep.sum()), table.observable)
+    return MatrixElementTable(table.observable, table.sector, out)
 
 
 def hermitian_reduced_relation(value: complex, s_row: int, s_col: int, rank: int) -> complex:

@@ -139,8 +139,7 @@ def test_spin_scan_block_mean_convention():
 
 def _ensemble(omega, abs_sq, L=12, dims=((64, 64),), pair=(1, 1), lam=3.0):
     omega = np.asarray(omega, dtype=float)
-    return OffDiagonalEnsemble("B", L, lam, pair, np.zeros(len(omega)),
-                               omega, np.asarray(abs_sq, dtype=float),
+    return OffDiagonalEnsemble("B", L, lam, pair, omega, np.asarray(abs_sq, dtype=float),
                                dims, 0.025, 0.0)
 
 
@@ -244,8 +243,7 @@ def _binned_series(centers, values, flagged=None):
     if flagged is None:
         flagged = np.zeros(len(centers), dtype=bool)
     from su2eth.analysis import BinnedSeries
-    return BinnedSeries("synthetic", centers, values, values.copy(),
-                        np.sqrt(np.abs(values)), np.full(len(centers), 99),
+    return BinnedSeries(centers, values, np.full(len(centers), 99),
                         np.asarray(flagged, dtype=bool))
 
 

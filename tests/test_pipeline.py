@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import weakref
@@ -42,10 +43,9 @@ def test_from_dict_rejects_unknown_keys():
         RunConfig.from_dict({"L_list": [6], "coupling": 3.0})
 
 
-def test_from_file_roundtrip(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"L_list": [6, 8], "lambda": 3.0, "spins": [0, 1]}))
-    cfg = RunConfig.from_file(path)
+def test_from_dict_of_parsed_json():
+    text = json.dumps({"L_list": [6, 8], "lambda": 3.0, "spins": [0, 1]})
+    cfg = RunConfig.from_dict(json.loads(text))
     assert cfg.L_list == (6, 8)
     assert cfg.spins == (0, 1)
 
@@ -57,6 +57,14 @@ def test_replace_and_canonical_hash():
     assert cfg.config_hash() == other.config_hash()
     assert cfg.replace(lam=0.0).config_hash() != cfg.config_hash()
     assert "cache_dir" not in cfg.canonical()
+
+
+def test_config_hash_is_pinned():
+    # every emitted file carries this hash in its "# config" line
+    cfg = RunConfig(L_list=(10, 12), lam=3.0, spins=(0, 1), spin_pairs=((0, 2),),
+                    exclude_k=(1, 2))
+    assert cfg.config_hash() == "f63ac4491ed1fdcf"
+    assert RunConfig(L_list=(6,)).config_hash() == "33a907a4ac551822"
 
 
 def test_resolved_omega_cut_defaults():
@@ -265,6 +273,14 @@ def test_every_command_journals_start_and_done(tmp_path, command, run):
     assert runs[0]["fingerprint"] == f"{build_fingerprint():016x}"
 
 
+@pytest.mark.parametrize("run", [run_spectrum, run_diag_eth, run_offdiag_eth, run_oracle_check])
+def test_every_command_needs_a_cache_root(tmp_path, monkeypatch, run):
+    monkeypatch.delenv("SU2ETH_CACHE_DIR", raising=False)
+    cfg = _analysis_config(tmp_path, cache_dir=None, observables=("B",))
+    with pytest.raises(ConfigError, match="SU2ETH_CACHE_DIR"):
+        run(cfg)
+
+
 def test_offdiag_loads_each_admitted_block_once_per_size(tmp_path, monkeypatch):
     cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(1,), observables=("A", "B"))
     run_spectrum(cfg)
@@ -428,6 +444,22 @@ def test_diag_outputs(warm):
                and "S3" in e.get("sector", "") for e in manifest)
 
 
+def test_diag_pools_each_observable_and_spin_once(warm, monkeypatch):
+    cfg, _, _ = warm
+    pooled = Counter()
+    pool = pipeline.analysis.pool_diagonal
+
+    def counting_pool(observable, L, lam, S, *args, **kwargs):
+        pooled[observable, L, S] += 1
+        return pool(observable, L, lam, S, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.analysis, "pool_diagonal", counting_pool)
+    run_diag_eth(cfg)
+    assert {key[0] for key in pooled} == set(cfg.observables)
+    assert {key[2] for key in pooled} >= set(cfg.spins)
+    assert set(pooled.values()) == {1}
+
+
 def test_diag_csv_reruns_are_byte_identical(warm):
     cfg, _, out = warm
     run_diag_eth(cfg)
@@ -501,6 +533,15 @@ def test_oracle_check_passes_on_healthy_cache(tmp_path):
     assert len(report["rows"]) == 4 * 10  # S = 0..3, ten moments each
 
 
+def test_cold_oracle_check_solves_each_k_nonnegative_sector_once(tmp_path, eigensolves):
+    cfg = _analysis_config(tmp_path, L_list=(6, 8, 10), spins=())
+    assert run_oracle_check(cfg)["pass"] is True
+    # 48 sectors at L = 6, 8, 10; the 18 at k < 0 are served from their mirrors
+    assert len(eigensolves) == 30
+    assert len(set(eigensolves)) == 30
+    assert all(sector.k_index >= 0 for sector in eigensolves)
+
+
 def test_oracle_check_catches_corrupted_vectors(tmp_path):
     cfg = _analysis_config(tmp_path, spins=())
     run_spectrum(cfg)
@@ -552,6 +593,23 @@ def test_cli_spectrum_and_exit_codes(tmp_path):
                                   "--out", str(tmp_path / "o")])
     assert result.exit_code == 1
     assert "spectrum command" in result.output
+
+
+def test_cli_oracle_check_without_cache_root_exits_2(tmp_path, monkeypatch):
+    monkeypatch.delenv("SU2ETH_CACHE_DIR", raising=False)
+    result = CliRunner().invoke(main, ["oracle-check", "--L", "6",
+                                       "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "SU2ETH_CACHE_DIR" in result.output
+
+
+@pytest.mark.parametrize("command", ["spectrum", "diag-eth", "offdiag-eth", "oracle-check"])
+def test_cli_flags_are_named_after_config_fields(command):
+    # _build_config merges the set flags into the config by destination name
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    names = {param.name for param in main.commands[command].params} - {"config_path"}
+    assert names
+    assert names <= fields, names - fields
 
 
 def test_cli_requires_system_sizes(tmp_path):

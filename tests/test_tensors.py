@@ -10,6 +10,8 @@ import pytest
 import sympy
 from sympy.physics.quantum.cg import CG
 
+from su2eth.basis import SectorLabel
+from su2eth.spectral import RECORD_DTYPE, MatrixElementTable
 from su2eth.tensors import (
     ONE,
     ZERO,
@@ -215,56 +217,54 @@ def test_orthogonality_rows_exact_small():
 # ─── reduction ──────────────────────────────────────────────────────────────
 
 
-class _FakeTable:
-    def __init__(self, records, observable="B"):
-        self.records = records
-        self.observable = observable
-
-
-def _records(rows):
-    dtype = [("alpha", "<i4"), ("beta", "<i4"), ("e_a", "<f8"), ("e_b", "<f8"),
-             ("s_a", "<i2"), ("s_b", "<i2"), ("value", "<c16")]
-    out = np.zeros(len(rows), dtype=dtype)
+def _table(rows):
+    """A table of observable B with one (s_a, s_b, value) record per row."""
+    records = np.zeros(len(rows), dtype=RECORD_DTYPE)
     for i, (sa, sb, v) in enumerate(rows):
-        out[i] = (i, i, 0.0, 0.0, sa, sb, v)
-    return out
+        records[i] = (i, i, 0.0, 0.0, sa, sb, v)
+    return MatrixElementTable("B", SectorLabel(6, 0, 1, 1), records)
+
+
+def _dropped(table, red):
+    return len(table.records) - len(red.records)
 
 
 def test_reduce_divides_by_cg():
     cg = float(clebsch_gordan(4, 0, 4, 0, 4, 0))
-    table = _FakeTable(_records([(2, 2, 3.5 * cg)]))
+    table = _table([(2, 2, 3.5 * cg)])
     red = reduce_matrix_elements(table, rank=2)
-    assert red.skipped == 0
+    assert isinstance(red, MatrixElementTable)
+    assert _dropped(table, red) == 0
     assert red.observable == "B"
-    assert red.rank == 2
+    assert red.sector == table.sector
     assert red.records["value"][0] == pytest.approx(3.5)
 
     # two spin pairs, each record divided by its own pair's coefficient
     cg02 = float(clebsch_gordan(0, 0, 4, 0, 4, 0))
     assert cg02 and cg02 != cg
-    table = _FakeTable(_records([(2, 2, 3.5 * cg), (0, 2, -1.25 * cg02), (2, 2, 0.5 * cg)]))
+    table = _table([(2, 2, 3.5 * cg), (0, 2, -1.25 * cg02), (2, 2, 0.5 * cg)])
     red = reduce_matrix_elements(table, rank=2)
-    assert red.skipped == 0
+    assert _dropped(table, red) == 0
     assert list(red.records["s_a"]) == [2, 0, 2]
     assert red.records["value"] == pytest.approx([3.5, -1.25, 0.5])
 
     with pytest.raises(ValueError, match="nonnegative"):
-        reduce_matrix_elements(_FakeTable(_records([(-1, 1, 1.0)])), rank=2)
+        reduce_matrix_elements(_table([(-1, 1, 1.0)]), rank=2)
 
 
 def test_reduce_drops_vanishing_cg_records():
     # (s_a, s_b) = (2, 1) has a zero rank-2 CG at m = 0: no information
-    table = _FakeTable(_records([(2, 1, 0.0), (2, 0, 1.0)]))
+    table = _table([(2, 1, 0.0), (2, 0, 1.0)])
     red = reduce_matrix_elements(table, rank=2)
-    assert red.skipped == 1
+    assert _dropped(table, red) == 1
     assert list(red.records["s_a"]) == [2]
 
 
 def test_reduce_empty_table_passthrough():
-    table = _FakeTable(_records([]))
+    table = _table([])
     red = reduce_matrix_elements(table, rank=2)
     assert red.records.size == 0
-    assert red.skipped == 0
+    assert _dropped(table, red) == 0
 
 
 def test_hermitian_relation_is_an_involution():
