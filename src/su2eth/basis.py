@@ -107,11 +107,6 @@ class SectorLabel:
     def k(self) -> float:
         return 2.0 * math.pi * self.k_index / self.L
 
-    @property
-    def momentum_excluded(self) -> bool:
-        """True at k = 0 and k = pi; those sectors are skipped in statistics."""
-        return self.k_index in (0, self.L // 2)
-
 
 def sector_labels(L: int, M: int = 0) -> list[SectorLabel]:
     """All sector labels of an (L, M) magnetization block, deterministic order."""
@@ -128,9 +123,6 @@ def sector_labels(L: int, M: int = 0) -> list[SectorLabel]:
 class _SectorTables:
     """Shared per-(L, M) canonicalization tables; independent of k and z."""
 
-    L: int
-    M: int
-    with_flip: bool
     states: np.ndarray      # ascending product states of the magnetization sector
     canon: np.ndarray       # canonical representative of each state's orbit
     shift_t: np.ndarray     # t with T^t X^x |state> = |canon>
@@ -141,7 +133,7 @@ class _SectorTables:
 
 
 @lru_cache(maxsize=64)
-def _sector_tables(L: int, M: int, with_flip: bool) -> _SectorTables:
+def _sector_tables(L: int, M: int) -> _SectorTables:
     states = magnetization_states(L, L // 2 + M)
     n = len(states)
     canon = states.copy()
@@ -159,7 +151,7 @@ def _sector_tables(L: int, M: int, with_flip: bool) -> _SectorTables:
         canon[better] = cur[better]
         shift_t[better] = t
 
-    if with_flip:
+    if M == 0:
         cur = flip_bits(states, L)
         for t in range(L):
             if t:
@@ -173,10 +165,8 @@ def _sector_tables(L: int, M: int, with_flip: bool) -> _SectorTables:
 
     for arr in (states, canon, shift_t, shift_x, period, flip_shift):
         arr.setflags(write=False)
-    return _SectorTables(
-        L, M, with_flip, states, canon, shift_t, shift_x, period, flip_shift,
-        np.flatnonzero(canon == states),
-    )
+    return _SectorTables(states, canon, shift_t, shift_x, period, flip_shift,
+                         np.flatnonzero(canon == states))
 
 
 @dataclass(frozen=True)
@@ -192,7 +182,6 @@ class SymmetryBasis:
     sector: SectorLabel
     reps: np.ndarray
     orbit_sizes: np.ndarray
-    norms: np.ndarray
     tables: _SectorTables
     rep_index: np.ndarray
 
@@ -202,7 +191,7 @@ class SymmetryBasis:
 
 
 def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
-    """Build the basis of one sector: admitted orbits, norms, lookup tables.
+    """Build the basis of one sector: admitted orbits, orbit sizes, lookup tables.
 
     An orbit enters the k sector only when k is commensurate with its
     translation periodicity R, i.e. (n*R) % L == 0. At M = 0 an orbit that
@@ -212,13 +201,12 @@ def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
     doubled orbit size.
     """
     L = sector.L
-    with_flip = sector.M == 0
-    tabs = _sector_tables(L, sector.M, with_flip)
+    tabs = _sector_tables(L, sector.M)
     pos = tabs.rep_positions
     R = tabs.period[pos]
     n = sector.k_index % L
     keep = (n * R) % L == 0
-    if with_flip:
+    if sector.M == 0:
         g = tabs.flip_shift[pos]
         paired = g >= 0
         phase_index = (n * np.where(paired, g, 0)) % L  # e^{-ikg} = z requirement
@@ -241,11 +229,10 @@ def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
         sector=sector,
         reps=reps,
         orbit_sizes=orbit_sizes,
-        norms=1.0 / np.sqrt(orbit_sizes.astype(np.float64)),
         tables=tabs,
         rep_index=rep_index,
     )
-    for arr in (out.reps, out.orbit_sizes, out.norms, out.rep_index):
+    for arr in (out.reps, out.orbit_sizes, out.rep_index):
         arr.setflags(write=False)
     return out
 
@@ -262,7 +249,7 @@ def expand_to_product_basis(basis: SymmetryBasis, orbit_index: int) -> dict[int,
     sector = basis.sector
     L = sector.L
     rep = int(basis.reps[orbit_index])
-    inv_sqrt_n = float(basis.norms[orbit_index])
+    inv_sqrt_n = 1.0 / math.sqrt(basis.orbit_sizes[orbit_index])
     amplitudes: dict[int, complex] = {}
     flips = (0, 1) if sector.M == 0 else (0,)
     for x in flips:

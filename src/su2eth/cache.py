@@ -5,8 +5,8 @@ fingerprint and the sector key, followed by energies, spin labels, spin
 residuals and eigenvectors. A fingerprint or key mismatch raises
 CacheMismatch so callers rebuild instead of trusting stale files. The
 payload itself is not checksummed: only the oracle check audits loaded
-eigendata (residuals per block, L <= 10), while the diag-eth and offdiag-eth
-analyses read payloads unchecked. Each writer writes its own temporary file
+eigendata (residuals per block), while the diag-eth and offdiag-eth analyses
+read payloads unchecked. Each writer writes its own temporary file
 and renames it over the entry, so concurrent writers of one sector do not
 collide.
 """
@@ -53,14 +53,11 @@ def _source_digest() -> int:
     return int.from_bytes(sha.digest()[:8], "little")
 
 
-_FINGERPRINT: int | None = None
+_FINGERPRINT = _source_digest()
 
 
 def build_fingerprint() -> int:
     """64-bit digest of the numerical core; stamps every cache file."""
-    global _FINGERPRINT
-    if _FINGERPRINT is None:
-        _FINGERPRINT = _source_digest()
     return _FINGERPRINT
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "SpinResolvedSpectrum",
     "MatrixElementTable",
     "diagonalize_block",
+    "eigen_residual",
     "expectations",
     "resolve_spins",
     "matrix_elements",
@@ -37,11 +38,17 @@ RECORD_DTYPE = np.dtype([
     ("value", np.complex128),
 ])
 
+
+def eigen_residual(block: BlockOperator, energies: np.ndarray, vectors: np.ndarray) -> float:
+    """max|H v - v E| over every eigenpair, through the sparse block matrix."""
+    return float(np.abs(block.matrix @ vectors - vectors * energies).max())
+
+
 def diagonalize_block(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of one Hermitian block.
 
     Rejects non-Hermitian input and audits the reconstruction residual
-    max|H v - E v| < 1e-9 * max|E|.
+    eigen_residual < 1e-9 * max(1, max|E|).
     """
     dim = block.dim
     if dim == 0:
@@ -52,7 +59,7 @@ def diagonalize_block(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
     if defect > 1e-12 * scale:
         raise ValueError(f"block {block.label} in {block.sector} is not Hermitian (defect {defect:.3e})")
     energies, vectors = sla.eigh(m)
-    residual = float(np.abs(m @ vectors - vectors * energies).max())
+    residual = eigen_residual(block, energies, vectors)
     if residual > 1e-9 * max(1.0, float(np.abs(energies).max())):
         raise RuntimeError(f"eigensolver residual {residual:.3e} too large for {block.sector}")
     return energies, vectors
@@ -86,12 +93,11 @@ def resolve_spins(
     energies: np.ndarray,
     vectors: np.ndarray,
     s2: BlockOperator,
-    degeneracy_tol: float | None = None,
 ) -> SpinResolvedSpectrum:
     """Assign an integer total spin to every eigenstate.
 
-    Within each energy cluster (consecutive gaps below degeneracy_tol,
-    default 1e-9 times the spectral width) the projected S^2 is
+    Within each energy cluster (consecutive gaps below 1e-9 times the
+    spectral width, or 1e-9 for a width below 1) the projected S^2 is
     diagonalized and the cluster vectors rotated accordingly, so degenerate
     states come out with sharp spin. Spins follow from rounding the
     solution of s(s+1) = <S^2>; any residual above 1e-6 is a hard error
@@ -107,7 +113,7 @@ def resolve_spins(
         raise ValueError("S^2 block does not match the eigenbasis dimension")
     vectors = np.array(vectors, dtype=np.complex128, copy=True)
     spread = float(energies[-1] - energies[0]) if dim > 1 else 0.0
-    tol = degeneracy_tol if degeneracy_tol is not None else 1e-9 * max(spread, 1.0)
+    tol = 1e-9 * max(spread, 1.0)
 
     s2v = s2.matrix @ vectors
     boundaries = np.flatnonzero(np.diff(energies) > tol)

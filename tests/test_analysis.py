@@ -339,7 +339,7 @@ def l14_diag_blocks():
 
     out = {"A": {}, "B": {}}
     for lab in sector_labels(14, 0):
-        if lab.momentum_excluded:
+        if lab.k_index in (0, 14 // 2):
             continue
         basis = enumerate_sector_basis(lab)
         if basis.dim == 0:

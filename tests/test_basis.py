@@ -85,12 +85,6 @@ def test_k_index_normalized_into_signed_window():
     assert SectorLabel(8, 1, -4).k_index == 4
 
 
-def test_momentum_excluded_flags_zero_and_pi():
-    assert SectorLabel(6, 1, 0).momentum_excluded
-    assert SectorLabel(6, 1, 3).momentum_excluded
-    assert not SectorLabel(6, 1, 1).momentum_excluded
-
-
 def test_sector_labels_m0_carries_both_parities_at_every_k():
     labels = sector_labels(6, 0)
     assert len(labels) == 12

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 import weakref
 from collections import Counter
@@ -460,6 +461,28 @@ def test_diag_pools_each_observable_and_spin_once(warm, monkeypatch):
     assert set(pooled.values()) == {1}
 
 
+def test_csv_template_writes_the_per_value_format(tmp_path):
+    """Each column is formatted by the type of its first value, as if value by value."""
+    def per_value(value):
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        return str(value)
+
+    rows = [
+        (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3, np.float64(-2.5e-17),
+         7, np.int64(-3), True, np.bool_(False), "A"),
+        (1 / 3, -0.0, math.nan, math.inf, -math.inf, np.float64(5e-324), 1e300,
+         -12, np.int16(4), False, np.bool_(True), "zz"),
+    ]
+    columns = tuple(f"c{i}" for i in range(len(rows[0])))
+    path = pipeline._write_csv(tmp_path / "t.csv", columns, rows, "h")
+    expected = "# config h\n" + ",".join(columns) + "\n"
+    expected += "".join(",".join(map(per_value, row)) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_diag_csv_reruns_are_byte_identical(warm):
     cfg, _, out = warm
     run_diag_eth(cfg)
@@ -542,10 +565,20 @@ def test_cold_oracle_check_solves_each_k_nonnegative_sector_once(tmp_path, eigen
     assert all(sector.k_index >= 0 for sector in eigensolves)
 
 
-def test_oracle_check_catches_corrupted_vectors(tmp_path):
-    cfg = _analysis_config(tmp_path, spins=())
+def test_oracle_check_passes_on_healthy_l12_cache(tmp_path):
+    report = run_oracle_check(_analysis_config(tmp_path, L_list=(12,), spins=()))
+    assert report["pass"] is True
+    assert not report["failures"]
+    assert len(report["block_audits"]) == 24
+    assert max(r["abs_diff"] for r in report["rows"]) < 1e-10
+    assert len(report["rows"]) == 7 * 10  # S = 0..6, ten moments each
+
+
+@pytest.mark.parametrize("L", [6, 12])
+def test_oracle_check_catches_corrupted_vectors(tmp_path, L):
+    cfg = _analysis_config(tmp_path, L_list=(L,), spins=())
     run_spectrum(cfg)
-    lab = SectorLabel(6, 0, 1, -1)
+    lab = SectorLabel(L, 0, 1, -1)
     path = spectrum_path(tmp_path / "cache", lab, 3.0)
     data = bytearray(path.read_bytes())
     dim = struct.unpack_from("<i", data, 44)[0]
@@ -554,12 +587,12 @@ def test_oracle_check_catches_corrupted_vectors(tmp_path):
     path.write_bytes(bytes(data))
     report = run_oracle_check(cfg)
     assert report["pass"] is False
-    assert any("L6_M0_k1_zm1" in f.get("sector", "") for f in report["failures"])
+    assert any(f"L{L}_M0_k1_zm1" in f.get("sector", "") for f in report["failures"])
 
 
-def test_oracle_check_rejects_large_l(tmp_path):
-    cfg = _analysis_config(tmp_path, L_list=(12,), spins=())
-    with pytest.raises(ConfigError, match="6 <= L <= 10"):
+def test_oracle_check_rejects_small_l(tmp_path):
+    cfg = _analysis_config(tmp_path, L_list=(4,), spins=())
+    with pytest.raises(ConfigError, match="6 <= L"):
         run_oracle_check(cfg)
 
 

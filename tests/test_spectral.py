@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import collections
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from su2eth import spectral
 from su2eth.basis import SectorLabel, enumerate_sector_basis, sector_labels
 from su2eth.operators import (
+    BlockOperator,
     CouplingSpec,
     build_hamiltonian,
     build_observable,
@@ -16,17 +20,18 @@ from su2eth.operators import (
 )
 from su2eth.spectral import (
     diagonalize_block,
+    eigen_residual,
     expectations,
     matrix_elements,
     resolve_spins,
 )
 
 
-def _spectrum(lab, lam=3.0, tol=None):
+def _spectrum(lab, lam=3.0):
     basis = enumerate_sector_basis(lab)
     H = build_hamiltonian(basis, CouplingSpec(lam))
     energies, vectors = diagonalize_block(H)
-    return basis, resolve_spins(energies, vectors, build_total_spin_squared(basis), degeneracy_tol=tol)
+    return basis, resolve_spins(energies, vectors, build_total_spin_squared(basis))
 
 
 def _all_spectra(L, lam):
@@ -54,6 +59,36 @@ def test_eigen_residuals():
     H = build_hamiltonian(basis, CouplingSpec(3.0)).dense()
     resid = H @ spec.vectors - spec.vectors * spec.energies
     assert np.max(np.abs(resid)) < 1e-11
+
+
+def test_sparse_eigen_residual_matches_dense_product():
+    basis, spec = _spectrum(SectorLabel(10, 0, 2, -1))
+    H = build_hamiltonian(basis, CouplingSpec(3.0))
+    dense = np.abs(H.dense() @ spec.vectors - spec.vectors * spec.energies).max()
+    assert abs(eigen_residual(H, spec.energies, spec.vectors) - dense) < 1e-14
+
+
+def test_non_hermitian_block_rejected():
+    lab = SectorLabel(8, 0, 1, 1)
+    skewed = build_hamiltonian(enumerate_sector_basis(lab), CouplingSpec(3.0)).dense()
+    skewed[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        diagonalize_block(BlockOperator(lab, sp.csr_matrix(skewed), "H"))
+
+
+def test_inaccurate_eigensolver_rejected(monkeypatch):
+    lab = SectorLabel(8, 0, 1, 1)
+    H = build_hamiltonian(enumerate_sector_basis(lab), CouplingSpec(3.0))
+    eigh = spectral.sla.eigh
+
+    def perturbed(m):
+        energies, vectors = eigh(m)
+        vectors[:, 0] += 1e-6 * vectors[:, 1]
+        return energies, vectors
+
+    monkeypatch.setattr(spectral.sla, "eigh", perturbed)
+    with pytest.raises(RuntimeError, match=f"too large for {re.escape(str(lab))}"):
+        diagonalize_block(H)
 
 
 # ─── spin resolution ────────────────────────────────────────────────────────
@@ -87,7 +122,7 @@ def test_spin_dims_tally_matches_labels():
 def test_energies_match_within_degenerate_clusters():
     # eigenvalues inside a resolved cluster may be reordered by spin, but
     # the multiset of energies is untouched
-    basis, spec = _spectrum(SectorLabel(8, 0, 1, 1), lam=0.0, tol=1e-9)
+    basis, spec = _spectrum(SectorLabel(8, 0, 1, 1), lam=0.0)
     H = build_hamiltonian(basis, CouplingSpec(0.0)).dense()
     assert np.allclose(np.sort(np.linalg.eigvalsh(H)), np.sort(spec.energies), atol=1e-11)
 
