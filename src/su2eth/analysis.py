@@ -207,14 +207,10 @@ class OffDiagonalEnsemble:
     entering L*D scalings is the block average of sqrt(D_row * D_col).
     """
 
-    observable: str
     L: int
-    lam: float
-    spin_pair: tuple[int, int]
     omega: np.ndarray
     abs_sq: np.ndarray
     block_dims: tuple[tuple[int, int], ...]
-    energy_window: float
     e_center: float
 
     def __post_init__(self):
@@ -247,7 +243,8 @@ def build_offdiagonal_ensemble(
     blocks: iterable of (e_row, e_col, values, d_row, d_col) with one entry
     per record for the array fields. Retained records satisfy
     |(E_a+E_b)/2 - E_center| / L <= energy_window, where E_center is the
-    closed-form sector mean energy at S = (S_a + S_b)/2.
+    closed-form sector mean energy at S = (S_a + S_b)/2. observable names
+    the ensemble for the caller and is not stored.
     """
     s_a, s_b = spin_pair
     e_center = sector_mean_energy(L, 0.5 * (s_a + s_b), lam)
@@ -265,8 +262,7 @@ def build_offdiagonal_ensemble(
         abs_sq = np.concatenate(sq_parts)
     else:
         omega = abs_sq = np.empty(0)
-    return OffDiagonalEnsemble(observable, L, lam, (s_a, s_b), omega,
-                               abs_sq, tuple(dims), energy_window, e_center)
+    return OffDiagonalEnsemble(L, omega, abs_sq, tuple(dims), e_center)
 
 
 @dataclass(frozen=True)

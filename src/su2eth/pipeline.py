@@ -403,15 +403,37 @@ def run_spectrum(config: RunConfig) -> dict:
 # ─── shared extraction ───────────────────────────────────────────────────────
 
 
-def _admitted_blocks(config: RunConfig, root: Path, L: int):
-    """Yield (spectrum, basis) for each nonempty admitted block of size L, one load at a time."""
-    excluded = config.excluded_k(L)
-    for lab in sector_labels(L, config.M):
-        if lab.k_index in excluded:
-            continue
-        spectrum = load_cached_spectrum(lab, config.lam, root)
-        if spectrum.dim:
-            yield spectrum, enumerate_sector_basis(lab)
+def _admitted_labels(config: RunConfig, L: int) -> list[SectorLabel]:
+    return [lab for lab in sector_labels(L, config.M) if lab.k_index not in config.excluded_k(L)]
+
+
+def _feed_admitted_blocks(config: RunConfig, root: Path, L: int, work) -> None:
+    """Append the (list, item) pairs of work(spectrum, basis) for each nonempty admitted block.
+
+    Blocks of size L feed in label order. A -k block, the complex conjugate of
+    its +k mirror, has the mirror's energies, diagonals and |<a|O|b>|^2 bit for
+    bit, so each solved sector is worked once and its pairs feed both labels.
+    """
+    labels = _admitted_labels(config, L)
+    pending = {}
+    for lab in labels:
+        solved = _solved(lab)
+        if solved in pending:
+            feeds = pending.pop(solved)
+        else:
+            spectrum = load_cached_spectrum(solved, config.lam, root)
+            feeds = work(spectrum, enumerate_sector_basis(solved)) if spectrum.dim else []
+            if solved != lab and solved in labels:
+                pending[solved] = feeds
+        for target, item in feeds:
+            target.append(item)
+
+
+def _journal_blocks(manifest: RunManifest, config: RunConfig, L: int) -> None:
+    """One row per size: the admitted labels and the solved sectors read for them."""
+    labels = _admitted_labels(config, L)
+    manifest.record("blocks", "done", L=L, admitted=len(labels),
+                    loaded=len({_solved(lab) for lab in labels}))
 
 
 def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> analysis.DiagonalSeries:
@@ -438,10 +460,14 @@ def run_diag_eth(config: RunConfig) -> dict:
 
     for L in config.L_list:
         diagonals: dict[str, list] = {observable: [] for observable in config.observables}
-        for spectrum, basis in _admitted_blocks(config, root, L):
-            for observable in config.observables:
-                values = expectations(build_observable(basis, observable), spectrum.vectors)
-                diagonals[observable].append((spectrum.energies, values, spectrum.spins))
+
+        def diagonal_tables(spectrum, basis):
+            return [(tables, (spectrum.energies,
+                              expectations(build_observable(basis, observable), spectrum.vectors),
+                              spectrum.spins)) for observable, tables in diagonals.items()]
+
+        _feed_admitted_blocks(config, root, L, diagonal_tables)
+        _journal_blocks(manifest, config, L)
         for observable, tables in diagonals.items():
             all_spins = sorted({int(s) for _, _, spins in tables for s in np.unique(spins)})
             pooled = {S: _pool_spin(config, observable, L, tables, S)
@@ -525,8 +551,11 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int):
     pairs = config.all_pairs()
     raw = {(observable, pair): [] for observable in config.observables for pair in pairs}
     red = {key: [] for key in raw}
-    for spectrum, basis in _admitted_blocks(config, root, L):
+
+    def element_tables(spectrum, basis):
+        """(ensemble list, element tuple) for every ensemble this block feeds."""
         dims = spectrum.spin_dims()
+        feeds = []
         for observable in config.observables:
             rank = _REDUCTION_RANK.get(observable)
             obs = build_observable(basis, observable)
@@ -538,12 +567,16 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int):
                 # a cross-spin pair has no alpha == beta records to drop
                 table = matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")
                 recs = table.records
-                raw[observable, pair].append((recs["e_a"], recs["e_b"], recs["value"], d_a, d_b))
+                feeds.append((raw[observable, pair],
+                              (recs["e_a"], recs["e_b"], recs["value"], d_a, d_b)))
                 if rank is not None:
                     rrecs = reduce_matrix_elements(table, rank).records
                     if rrecs.size:
-                        red[observable, pair].append(
-                            (rrecs["e_a"], rrecs["e_b"], rrecs["value"], d_a, d_b))
+                        feeds.append((red[observable, pair],
+                                      (rrecs["e_a"], rrecs["e_b"], rrecs["value"], d_a, d_b)))
+        return feeds
+
+    _feed_admitted_blocks(config, root, L, element_tables)
     for observable, pair in list(raw):
         ens = analysis.build_offdiagonal_ensemble(
             observable, L, config.lam, pair, raw.pop((observable, pair)), config.energy_window)
@@ -604,6 +637,7 @@ def run_offdiag_eth(config: RunConfig) -> dict:
             if red_ens is not None and red_ens.size:
                 w, v, c, f = _populated(analysis.spectral_function(red_ens, binning))
                 spec_red_rows += zip(w, v, *tag, c, f)
+        _journal_blocks(manifest, config, L)
 
     fits = {}
     for (observable, pair), group in sorted(by_pair.items()):

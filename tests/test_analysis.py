@@ -137,10 +137,9 @@ def test_spin_scan_block_mean_convention():
 # ─── off-diagonal ensembles ─────────────────────────────────────────────────
 
 
-def _ensemble(omega, abs_sq, L=12, dims=((64, 64),), pair=(1, 1), lam=3.0):
+def _ensemble(omega, abs_sq, L=12, dims=((64, 64),)):
     omega = np.asarray(omega, dtype=float)
-    return OffDiagonalEnsemble("B", L, lam, pair, omega, np.asarray(abs_sq, dtype=float),
-                               dims, 0.025, 0.0)
+    return OffDiagonalEnsemble(L, omega, np.asarray(abs_sq, dtype=float), dims, 0.0)
 
 
 def test_build_ensemble_window_and_sign():

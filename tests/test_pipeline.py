@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from su2eth import pipeline
+from su2eth import cache, pipeline
 from su2eth.basis import SectorLabel, enumerate_sector_basis, sector_labels
 from su2eth.cache import build_fingerprint, spectrum_path
 from su2eth.cli import main
+from su2eth.operators import build_observable
 from su2eth.oracle import diagonal_prediction, linear_coefficients, moments
 from su2eth.pipeline import (
     ConfigError,
@@ -29,6 +30,8 @@ from su2eth.pipeline import (
     run_oracle_check,
     run_spectrum,
 )
+from su2eth.spectral import expectations, matrix_elements
+from su2eth.tensors import reduce_matrix_elements
 
 # ─── configuration ──────────────────────────────────────────────────────────
 
@@ -198,6 +201,45 @@ def test_mirrored_spectrum_passes_block_audit(tmp_path, M, solved):
     assert sorted(path.name for path in root.glob("*.eig")) == names
 
 
+def _bits(values) -> bytes:
+    # + 0.0 maps -0.0 to 0.0, the one bit difference no output can see
+    return (np.asarray(values) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_mirror_blocks_give_bitwise_equal_analysis_inputs(tmp_path, lam):
+    # the analyses serve each -k block its +k mirror's diagonals and elements
+    cfg = _analysis_config(tmp_path, L_list=(10, 12), lam=lam)
+    run_spectrum(cfg)
+    root = tmp_path / "cache"
+    minus_labels = [lab for L in cfg.L_list for lab in sector_labels(L)
+                    if lab.k_index < 0 and not {lab.k_index, -lab.k_index} & cfg.excluded_k(L)]
+    assert len(minus_labels) == 18
+    compared = 0
+    for minus in minus_labels:
+        plus = pipeline._mirror(minus)
+        blocks = [(load_cached_spectrum(lab, lam, root), enumerate_sector_basis(lab))
+                  for lab in (plus, minus)]
+        for observable in ("A", "B", "C"):
+            ops = [build_observable(basis, observable) for _, basis in blocks]
+            diag = [expectations(op, spectrum.vectors) for op, (spectrum, _) in zip(ops, blocks)]
+            assert _bits(diag[0]) == _bits(diag[1]), (minus, observable)
+            for pair in ((0, 0), (1, 1), (0, 2)):
+                tables = [matrix_elements(op, spectrum, spin_filter=pair, part="offdiagonal")
+                          for op, (spectrum, _) in zip(ops, blocks)]
+                if observable in ("A", "B"):
+                    rank = 0 if observable == "A" else 2
+                    tables += [reduce_matrix_elements(t, rank) for t in tables]
+                for mine, mirrored in zip(tables[::2], tables[1::2]):
+                    a, b = mine.records, mirrored.records
+                    for field in ("e_a", "e_b"):
+                        assert _bits(a[field]) == _bits(b[field]), (minus, observable, pair)
+                    assert _bits(np.abs(a["value"]) ** 2) == _bits(np.abs(b["value"]) ** 2), (
+                        minus, observable, pair)
+                    compared += a.size
+    assert compared > 10_000
+
+
 def test_spectrum_manifest_rows_carry_dim_seconds_and_mirror(tmp_path):
     cfg = _analysis_config(tmp_path)
     run_spectrum(cfg)
@@ -296,7 +338,9 @@ def test_offdiag_loads_each_admitted_block_once_per_size(tmp_path, monkeypatch):
     run_offdiag_eth(cfg)
     admitted = [lab for L in cfg.L_list for lab in sector_labels(L)
                 if lab.k_index not in cfg.excluded_k(L)]
-    assert loads == Counter(admitted)
+    # a -k label is served its +k mirror's elements: each solved sector loads once
+    assert loads == Counter({pipeline._solved(lab) for lab in admitted})
+    assert sum(loads.values()) == 10
 
 
 def test_warm_oracle_check_builds_one_basis_per_sector(tmp_path, monkeypatch):
@@ -332,7 +376,7 @@ def test_analyses_build_one_basis_per_nonempty_admitted_block(tmp_path, monkeypa
 
     monkeypatch.setattr(pipeline, "enumerate_sector_basis", counting_enumerate)
     run(cfg)
-    assert builds == Counter(nonempty)
+    assert builds == Counter({pipeline._solved(lab) for lab in nonempty})
 
 
 @pytest.mark.parametrize("run,source", [
@@ -355,8 +399,50 @@ def test_commands_hold_at_most_one_earlier_spectrum(tmp_path, monkeypatch, run, 
 
     monkeypatch.setattr(pipeline, source, tracking_fetch)
     run(cfg)
-    assert len(refs) >= 12
+    # the spectrum sweep solves every k >= 0 sector, the analyses read the
+    # solved sectors of the admitted labels (k = 0 and pi excluded)
+    assert len(refs) == (18 if run is run_spectrum else 10)
     assert max(alive) <= 1
+
+
+def test_split_mirror_pair_is_served_from_the_solved_file(tmp_path, monkeypatch):
+    # exclude_k=(0, 4, 1) admits -1 without +1: the -1 labels still read the
+    # +1 files, once per size, and give the bytes of the run admitting +1 alone
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(0, 1, 2), observables=("A", "B", "C"))
+    run_spectrum(cfg.replace(out_dir=str(tmp_path / "fill")))
+    loads = Counter()
+    load = cache.load_spectrum
+
+    def counting_load(root, sector, lam):
+        loads[sector] += 1
+        return load(root, sector, lam)
+
+    monkeypatch.setattr(cache, "load_spectrum", counting_load)
+    plus_one = [lab for L in cfg.L_list for lab in sector_labels(L) if lab.k_index == 1]
+    outputs = {}
+    for k in (1, -1):
+        out = tmp_path / f"out{k}"
+        split = cfg.replace(exclude_k=(0, 4, k), out_dir=str(out))
+        for run in (run_diag_eth, run_offdiag_eth):
+            loads.clear()
+            run(split)
+            assert [loads[lab] for lab in plus_one] == [1, 1, 1, 1]
+        # everything after the "# config" line
+        outputs[k] = {p.name: p.read_bytes().split(b"\n", 1)[1] for p in out.glob("*.csv")}
+    assert len(outputs[1]) == 8
+    assert outputs[1] == outputs[-1]
+
+
+def test_analyses_journal_admitted_and_loaded_blocks_per_size(tmp_path):
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), observables=("B",))
+    run_spectrum(cfg.replace(out_dir=str(tmp_path / "fill")))
+    for run in (run_diag_eth, run_offdiag_eth):
+        out = tmp_path / run.__name__
+        run(cfg.replace(out_dir=str(out)))
+        entries = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+        # k = 0 and pi excluded; each admitted +-k pair is loaded once
+        assert [(e["L"], e["admitted"], e["loaded"])
+                for e in entries if e["stage"] == "blocks"] == [(6, 8, 4), (8, 12, 6)]
 
 
 def test_stale_cache_entry_is_rebuilt_with_warning(tmp_path):
