@@ -244,19 +244,26 @@ def build_offdiagonal_ensemble(
     per record for the array fields. Retained records satisfy
     |(E_a+E_b)/2 - E_center| / L <= energy_window, where E_center is the
     closed-form sector mean energy at S = (S_a + S_b)/2. observable names
-    the ensemble for the caller and is not stored.
+    the ensemble for the caller and is not stored. A block passed more than
+    once as the same tuple object (a -k block served its +k mirror's) is
+    filtered once and its result reused.
     """
     s_a, s_b = spin_pair
     e_center = sector_mean_energy(L, 0.5 * (s_a + s_b), lam)
     omega_parts, sq_parts, dims = [], [], []
-    for e_row, e_col, values, d_row, d_col in blocks:
-        e_row = np.asarray(e_row, dtype=np.float64)
-        e_col = np.asarray(e_col, dtype=np.float64)
-        values = np.asarray(values)
+    # id -> (block, kept omega, kept |value|^2); holding the block keeps its id unique
+    done: dict[int, tuple] = {}
+    for block in blocks:
+        e_row, e_col, values, d_row, d_col = block
         dims.append((int(d_row), int(d_col)))
-        keep = np.abs(0.5 * (e_row + e_col) - e_center) / L <= energy_window
-        omega_parts.append((e_row - e_col)[keep])
-        sq_parts.append(np.abs(values[keep]) ** 2)
+        if id(block) not in done:
+            e_row = np.asarray(e_row, dtype=np.float64)
+            e_col = np.asarray(e_col, dtype=np.float64)
+            keep = np.abs(0.5 * (e_row + e_col) - e_center) / L <= energy_window
+            done[id(block)] = (block, (e_row - e_col)[keep], np.abs(np.asarray(values)[keep]) ** 2)
+        _, omega, abs_sq = done[id(block)]
+        omega_parts.append(omega)
+        sq_parts.append(abs_sq)
     if omega_parts:
         omega = np.concatenate(omega_parts)
         abs_sq = np.concatenate(sq_parts)

@@ -6,8 +6,8 @@ runtime failures (missing cache, failed checks, I/O).
 
 import os
 
-# sector-level parallelism supplies the cores; keep the BLAS pools
-# single-threaded unless the caller overrides these explicitly
+# the sector worker processes supply the cores and inherit these; keep the
+# BLAS pools single-threaded unless the caller overrides them explicitly
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

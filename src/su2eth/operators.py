@@ -189,29 +189,40 @@ def quad_correlator_terms(L: int, kind: str) -> TermSum:
 
 
 def _branches(states: np.ndarray, terms: TermSum):
-    """Yield (src, flip_mask, amplitude) for each branch of each term.
+    """Every branch of every term in one array pass: (diag, flip_mask, src, amplitude).
 
-    src indexes the states the branch acts on, states[src] ^ flip_mask are
-    their images and amplitude holds the matrix elements in src order.
+    diag is the identity plus each non-flipping branch, added in term order.
+    The flat flipping entries take states[src] to states[src] ^ flip_mask
+    with the given amplitude, branch by branch in term order and ascending
+    src within a branch.
     """
-    n = len(states)
+    # one row per (term, flip choice), one (i, j, action) slot per factor:
+    # action 0 pads a shorter term, 1 keeps the pair, 2 flips it
+    width = max((len(term.factors) for term in terms.terms), default=0)
+    coeffs, slots, masks = [], [], []
     for term in terms.terms:
-        aligned = [((states >> f.i) & 1) == ((states >> f.j) & 1) for f in term.factors]
-        choices = [(False, True) if f.kind == "dot" else (False,) for f in term.factors]
-        for flips in iter_product(*choices):
-            value = np.full(n, term.coeff, dtype=np.float64)
-            ok = np.ones(n, dtype=bool)
-            flip_mask = 0
-            for f, al, flip in zip(term.factors, aligned, flips):
-                if flip:
-                    ok &= ~al
-                    value *= 0.5
-                    flip_mask |= (1 << f.i) | (1 << f.j)
-                else:
-                    value *= np.where(al, 0.25, -0.25)
-            src = np.flatnonzero(ok)
-            if src.size:
-                yield src, flip_mask, value[src]
+        choices = [(1, 2) if f.kind == "dot" else (1,) for f in term.factors]
+        for actions in iter_product(*choices):
+            coeffs.append(term.coeff)
+            slots.append([(f.i, f.j, a) for f, a in zip(term.factors, actions)]
+                         + [(0, 0, 0)] * (width - len(actions)))
+            masks.append(sum((1 << f.i) | (1 << f.j)
+                             for f, a in zip(term.factors, actions) if a == 2))
+    slots = np.array(slots, dtype=np.int64).reshape(len(coeffs), width, 3)
+    masks = np.array(masks, dtype=np.int64)
+    amp = np.repeat(np.array(coeffs, dtype=np.float64)[:, None], len(states), axis=1)
+    ok = np.ones(amp.shape, dtype=bool)
+    for i, j, action in slots.transpose(1, 2, 0):
+        aligned = ((states >> i[:, None]) & 1) == ((states >> j[:, None]) & 1)
+        flip = (action == 2)[:, None]
+        amp *= np.where(flip, 0.5, np.where((action == 1)[:, None],
+                                            np.where(aligned, 0.25, -0.25), 1.0))
+        ok &= ~(flip & aligned)
+    diag = np.full(len(states), terms.identity, dtype=np.float64)
+    for row in amp[masks == 0]:
+        diag += row
+    branch, src = np.nonzero(ok & (masks != 0)[:, None])
+    return diag, masks[branch], src, amp[branch, src]
 
 
 def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOperator:
@@ -223,41 +234,18 @@ def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOpe
 
     tabs = basis.tables
     sqrt_n = np.sqrt(basis.orbit_sizes.astype(np.float64))
-    diag = np.full(dim, terms.identity, dtype=np.float64)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    for src, flip_mask, amp in _branches(basis.reps, terms):
-        if flip_mask == 0:
-            diag[src] += amp
-            continue
-        ti = np.searchsorted(tabs.states, basis.reps[src] ^ flip_mask)
-        row = basis.rep_index[ti]
-        good = row >= 0
-        if not good.any():
-            continue
-        src = src[good]
-        row = row[good]
-        ti = ti[good]
-        phase = np.exp(-1j * sector.k * tabs.shift_t[ti])
-        if sector.z2_parity == -1:
-            phase = phase * np.where(tabs.shift_x[ti] == 1, -1.0, 1.0)
-        rows.append(row)
-        cols.append(src)
-        vals.append(amp[good] * phase * (sqrt_n[src] / sqrt_n[row]))
-
-    mat = sp.coo_matrix(
-        (
-            np.concatenate(vals) if vals else np.empty(0, dtype=np.complex128),
-            (
-                np.concatenate(rows) if rows else np.empty(0, dtype=np.int64),
-                np.concatenate(cols) if cols else np.empty(0, dtype=np.int64),
-            ),
-        ),
-        shape=(dim, dim),
-        dtype=np.complex128,
-    ).tocsr()
+    diag, flip_mask, src, amp = _branches(basis.reps, terms)
+    ti = np.searchsorted(tabs.states, basis.reps[src] ^ flip_mask)
+    row = basis.rep_index[ti]
+    good = row >= 0
+    src = src[good]
+    row = row[good]
+    ti = ti[good]
+    phase = np.exp(-1j * sector.k * tabs.shift_t[ti])
+    if sector.z2_parity == -1:
+        phase = phase * np.where(tabs.shift_x[ti] == 1, -1.0, 1.0)
+    vals = amp[good] * phase * (sqrt_n[src] / sqrt_n[row])
+    mat = sp.coo_matrix((vals, (row, src)), shape=(dim, dim), dtype=np.complex128).tocsr()
     mat += sp.diags(diag.astype(np.complex128), format="csr")
     return BlockOperator(sector, mat, label)
 
@@ -288,11 +276,9 @@ def product_basis_matrix(L: int, M: int, terms: TermSum) -> np.ndarray:
     pattern, matching magnetization_states(L, L/2 + M).
     """
     states = magnetization_states(L, L // 2 + M)
-    n = len(states)
-    out = np.zeros((n, n), dtype=np.float64)
-    out[np.diag_indices(n)] = terms.identity
-    for src, flip_mask, amp in _branches(states, terms):
-        np.add.at(out, (np.searchsorted(states, states[src] ^ flip_mask), src), amp)
+    diag, flip_mask, src, amp = _branches(states, terms)
+    out = np.diag(diag)
+    np.add.at(out, (np.searchsorted(states, states[src] ^ flip_mask), src), amp)
     return out
 
 

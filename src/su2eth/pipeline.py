@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import hashlib
+import multiprocessing
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from itertools import repeat
@@ -356,22 +357,47 @@ def _sweep_sector(sector: SectorLabel, lam: float,
     return spectrum.dim, spectrum.spin_dims(), hit, time.perf_counter() - t0
 
 
+def _sector_pool(workers: int):
+    """One worker thread, or that many forked processes.
+
+    Threads of one process do not run eigh side by side, so the sweep
+    parallelizes across processes. Fork children inherit the imported
+    modules and the BLAS pin instead of importing them again.
+    """
+    if workers == 1:
+        return ThreadPoolExecutor(max_workers=1)
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _submit(pool, *args) -> Future:
+    """The future of one sector; after a worker died it holds the broken pool's error."""
+    try:
+        return pool.submit(_sweep_sector, *args)
+    except BrokenExecutor as exc:
+        future = Future()
+        future.set_exception(exc)
+        return future
+
+
 def run_spectrum(config: RunConfig) -> dict:
     """Solve every k >= 0 sector in the plan, caching the spin-resolved data.
 
     A -k sector shares its mirror's energies and spins, so it is counted
     in the summary with its mirror's result and never solved or cached.
+    Sectors go to at most config.workers workers; eigenvectors travel
+    through the cache, never back from a worker.
     """
     root, out, manifest = _begin(config, "spectrum")
     chash = manifest.config_hash
     summary = {"config": chash, "lambda": config.lam, "M": config.M, "sizes": {}, "failures": []}
-    for L in config.L_list:
-        labels = sector_labels(L, config.M)
-        t0 = time.perf_counter()
-        results = []
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {lab: pool.submit(_sweep_sector, lab, config.lam, root)
-                       for lab in labels if lab.k_index >= 0}
+    plan = {L: sector_labels(L, config.M) for L in config.L_list}
+    # a fork pool starts every worker at once, so start no more than can be busy
+    workers = min(config.workers, sum(lab.k_index >= 0 for labels in plan.values() for lab in labels))
+    with _sector_pool(workers) as pool:
+        for L, labels in plan.items():
+            t0 = time.perf_counter()
+            results = []
+            futures = {lab: _submit(pool, lab, config.lam, root) for lab in labels if lab.k_index >= 0}
             for lab in labels:
                 name = _sector_name(lab, config.lam)
                 solved = _solved(lab)
@@ -385,18 +411,18 @@ def run_spectrum(config: RunConfig) -> dict:
                 results.append((dim, dims, hit))
                 manifest.record("spectrum", "hit" if hit else "built", sector=name,
                                 seconds=None if mirror else seconds, dim=dim, **mirror)
-        per_spin = _spin_counts(dims for _, dims, _ in results)
-        hits = sum(hit for _, _, hit in results)
-        summary["sizes"][str(L)] = {
-            "blocks": len(results),
-            "states": sum(dim for dim, _, _ in results),
-            "per_spin_counts": {str(s): per_spin[s] for s in sorted(per_spin)},
-            "cache_hits": hits,
-            "built": len(results) - hits,
-            "seconds": round(time.perf_counter() - t0, 3),
-        }
+            per_spin = _spin_counts(dims for _, dims, _ in results)
+            hits = sum(hit for _, _, hit in results)
+            summary["sizes"][str(L)] = {
+                "blocks": len(results),
+                "states": sum(dim for dim, _, _ in results),
+                "per_spin_counts": {str(s): per_spin[s] for s in sorted(per_spin)},
+                "cache_hits": hits,
+                "built": len(results) - hits,
+                "seconds": round(time.perf_counter() - t0, 3),
+            }
     _write_json(out / "spectrum_summary.json", summary)
-    manifest.record("run", "done", command="spectrum")
+    manifest.record("run", "done", command="spectrum", workers=workers)
     return summary
 
 

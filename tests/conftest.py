@@ -32,8 +32,9 @@ def eigensolves(monkeypatch):
     """Sectors of the dense eigensolves the pipeline starts during one test.
 
     Wraps pipeline.diagonalize_block, which ensure_spectrum calls through
-    the module global; list.append keeps the count exact under the sector
-    thread pool.
+    the module global. It counts the solves of this process only: with
+    workers == 1 run_spectrum solves in-process, but with workers > 1 it
+    solves in forked worker processes, whose calls never reach this list.
     """
     from su2eth import pipeline
 

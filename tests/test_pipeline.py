@@ -5,7 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 import weakref
 from collections import Counter
 
@@ -265,7 +269,8 @@ def test_spectrum_manifest_rows_carry_dim_seconds_and_mirror(tmp_path):
             assert row["seconds"] >= 0.0
 
 
-def test_failed_sector_fails_its_mirror_too(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_sector_fails_its_mirror_too(tmp_path, monkeypatch, workers):
     solve = pipeline.diagonalize_block
 
     def failing(block):
@@ -273,8 +278,9 @@ def test_failed_sector_fails_its_mirror_too(tmp_path, monkeypatch):
             raise RuntimeError("planted failure")
         return solve(block)
 
+    # forked workers inherit the patch
     monkeypatch.setattr(pipeline, "diagonalize_block", failing)
-    summary = run_spectrum(_analysis_config(tmp_path))
+    summary = run_spectrum(_analysis_config(tmp_path, workers=workers))
     failed = {f["sector"] for f in summary["failures"]}
     assert failed == {f"L6_M0_k{k}_z{z}_lam3" for k in (1, -1) for z in ("p1", "m1")}
     assert summary["sizes"]["6"]["blocks"] == 8
@@ -283,6 +289,98 @@ def test_failed_sector_fails_its_mirror_too(tmp_path, monkeypatch):
     rows = {e["sector"]: e for e in entries if e["stage"] == "spectrum"}
     assert rows["L6_M0_k-1_zp1_lam3"]["status"] == "failed"
     assert rows["L6_M0_k-1_zp1_lam3"]["mirror_of"] == "L6_M0_k1_zp1_lam3"
+
+
+def _manifest(out_dir):
+    return [json.loads(line) for line in (out_dir / "manifest.jsonl").read_text().splitlines()]
+
+
+def test_process_pool_matches_the_serial_sweep_and_rereads_warm(tmp_path):
+    # the eigensolves fixture cannot see solves in worker processes, so the
+    # pool is checked by its outputs and by the cache files it leaves alone
+    caches = {w: tmp_path / f"cache{w}" for w in (1, 2)}
+    for lam in (3.0, 0.0):
+        for w, root in caches.items():
+            run_spectrum(_analysis_config(tmp_path, L_list=(6, 8), lam=lam, workers=w,
+                                          cache_dir=str(root), out_dir=str(tmp_path / f"o{w}_{lam:g}")))
+        summaries, rows = [], []
+        for w in caches:
+            out = tmp_path / f"o{w}_{lam:g}"
+            summary = json.loads((out / "spectrum_summary.json").read_text())
+            for size in summary["sizes"].values():
+                size.pop("seconds")
+            summaries.append(summary)
+            rows.append([{k: v for k, v in e.items() if k not in ("ts", "seconds")}
+                         for e in _manifest(out) if e["stage"] == "spectrum"])
+        assert summaries[0] == summaries[1]
+        assert rows[0] == rows[1] and len(rows[0]) == 12 + 16
+    names = sorted(path.name for path in caches[1].glob("*.eig"))
+    assert names == sorted(path.name for path in caches[2].glob("*.eig")) and len(names) == 2 * 18
+    for name in names:
+        assert (caches[1] / name).read_bytes() == (caches[2] / name).read_bytes(), name
+
+    def stamps():
+        return {name: (os.stat(caches[2] / name).st_ino, os.stat(caches[2] / name).st_mtime_ns)
+                for name in names}
+
+    before = stamps()
+    summary = run_spectrum(_analysis_config(tmp_path, L_list=(6, 8), workers=2,
+                                            cache_dir=str(caches[2]), out_dir=str(tmp_path / "warm")))
+    assert not summary["failures"]
+    assert all(size["built"] == 0 for size in summary["sizes"].values())
+    assert stamps() == before
+
+
+def test_dead_worker_fails_its_sectors_and_the_run_still_finishes(tmp_path):
+    # a worker that dies outright breaks the pool; run in a child process so
+    # that a hang fails this test instead of blocking the suite
+    script = textwrap.dedent(f"""
+        import json, os
+        from su2eth import pipeline
+
+        solve = pipeline.diagonalize_block
+
+        def dying(block):
+            if block.sector.k_index == 1:
+                os._exit(1)
+            return solve(block)
+
+        pipeline.diagonalize_block = dying
+        summary = pipeline.run_spectrum(pipeline.RunConfig(
+            L_list=(6, 8), lam=3.0, workers=2,
+            cache_dir={str(tmp_path / "cache")!r}, out_dir={str(tmp_path / "out")!r}))
+        print(json.dumps(summary["failures"]))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    failed = {f["sector"] for f in json.loads(proc.stdout.splitlines()[-1])}
+    assert {f"L6_M0_k{k}_z{z}_lam3" for k in (1, -1) for z in ("p1", "m1")} <= failed
+    written = json.loads((tmp_path / "out" / "spectrum_summary.json").read_text())
+    assert {f["sector"] for f in written["failures"]} == failed
+    done = _manifest(tmp_path / "out")[-1]
+    assert (done["stage"], done["status"], done["command"]) == ("run", "done", "spectrum")
+
+
+def test_pool_is_capped_at_the_solved_sectors(tmp_path, monkeypatch):
+    started = []
+    real = pipeline.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording)
+    summary = run_spectrum(_analysis_config(tmp_path, workers=16))
+    # L = 6, M = 0 has 12 sectors, 8 of them at k >= 0
+    assert started == [8]
+    assert not summary["failures"]
+    done = _manifest(tmp_path / "out")[-1]
+    assert (done["stage"], done["workers"]) == ("run", 8)
+    run_spectrum(_analysis_config(tmp_path, workers=1))
+    assert started == [8]
+    assert _manifest(tmp_path / "out")[-1]["workers"] == 1
 
 
 def test_manifest_is_append_only_jsonl(tmp_path):
