@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
+
 __all__ = [
     "DiagonalSeries",
     "SpinMeans",
@@ -34,19 +36,7 @@ __all__ = [
     "low_frequency_view",
     "fit",
     "scaling_fit",
-    "sector_mean_energy",
 ]
-
-
-def sector_mean_energy(L: int, s_mean: float, lam: float) -> float:
-    """Mean energy of the (S, M=0) sector, valid at half-integer S too.
-
-    Cross-spin ensembles center their energy window here with
-    S = (S_a + S_b)/2; the closed form is the first Hamiltonian moment.
-    """
-    eps2 = (s_mean * (s_mean + 1.0) - 0.75 * L) / (L * (L - 1.0))
-    return -(1.0 + lam) * L * eps2
-
 
 # ─── diagonal estimators ─────────────────────────────────────────────────────
 
@@ -243,13 +233,14 @@ def build_offdiagonal_ensemble(
     blocks: iterable of (e_row, e_col, values, d_row, d_col) with one entry
     per record for the array fields. Retained records satisfy
     |(E_a+E_b)/2 - E_center| / L <= energy_window, where E_center is the
-    closed-form sector mean energy at S = (S_a + S_b)/2. observable names
-    the ensemble for the caller and is not stored. A block passed more than
+    closed-form sector mean energy oracle.moments(L, S, lam).E0 at
+    S = (S_a + S_b)/2, the one oracle-check audits. observable names the
+    ensemble for the caller and is not stored. A block passed more than
     once as the same tuple object (a -k block served its +k mirror's) is
     filtered once and its result reused.
     """
     s_a, s_b = spin_pair
-    e_center = sector_mean_energy(L, 0.5 * (s_a + s_b), lam)
+    e_center = oracle.moments(L, (s_a + s_b) / 2, lam).E0
     omega_parts, sq_parts, dims = [], [], []
     # id -> (block, kept omega, kept |value|^2); holding the block keeps its id unique
     done: dict[int, tuple] = {}
@@ -298,7 +289,6 @@ class BinnedSeries:
     values: np.ndarray
     counts: np.ndarray
     flagged: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         for arr in (self.centers, self.values, self.counts, self.flagged):
@@ -329,17 +319,17 @@ def _windowed_moments(omega, abs_sq, binning: Binning):
     return centers, counts, mean_sq, mean_abs
 
 
-def _binned(ensemble: OffDiagonalEnsemble, binning: Binning, values_from, scale=1.0):
+def _binned(ensemble: OffDiagonalEnsemble, binning: Binning, values_from):
     if ensemble.size == 0:
         empty = np.empty(0)
         return BinnedSeries(empty, empty.copy(), np.empty(0, dtype=np.int64),
-                            np.empty(0, dtype=bool), scale)
+                            np.empty(0, dtype=bool))
     centers, counts, mean_sq, mean_abs = _windowed_moments(
         ensemble.omega, ensemble.abs_sq, binning)
     flagged = counts < binning.min_count
     values = values_from(mean_sq, mean_abs)
     values = np.where(flagged, np.nan, values)
-    return BinnedSeries(centers, values, counts.astype(np.int64), flagged, scale)
+    return BinnedSeries(centers, values, counts.astype(np.int64), flagged)
 
 
 def gaussianity_ratio(ensemble: OffDiagonalEnsemble, binning: Binning = Binning()) -> BinnedSeries:
@@ -355,7 +345,7 @@ def spectral_function(ensemble: OffDiagonalEnsemble, binning: Binning = Binning(
     independent information there.
     """
     scale = float(ensemble.L) * float(ensemble.effective_dimension)
-    return _binned(ensemble, binning, lambda sq, ab: scale * sq, scale)
+    return _binned(ensemble, binning, lambda sq, ab: scale * sq)
 
 
 def variance_scaling(ensembles, omega_cut: float) -> "FitResult":
@@ -385,7 +375,7 @@ def low_frequency_view(series: BinnedSeries, L: int, divide_by_L: bool = False) 
     """
     factor = 1.0 / L if divide_by_L else 1.0
     return BinnedSeries(series.centers * (L * L), series.values * factor,
-                        series.counts.copy(), series.flagged.copy(), series.scale * factor)
+                        series.counts.copy(), series.flagged.copy())
 
 
 # ─── fits ────────────────────────────────────────────────────────────────────
@@ -446,12 +436,7 @@ def _fit_loglog(model: str, x: np.ndarray, y: np.ndarray,
         errs = np.array([math.nan, math.nan])
     slope, intercept = float(coeffs[0]), float(coeffs[1])
     resid = float(np.linalg.norm(logy - (slope * t + intercept)))
-    if model == "exponential":
-        params = (math.exp(intercept), -slope)
-    elif model == "gaussian":
-        params = (math.exp(intercept), -slope)
-    else:
-        params = (math.exp(intercept), slope)
+    params = (math.exp(intercept), slope if model == "power_law" else -slope)
     errors = (params[0] * float(errs[1]), float(errs[0]))
     if fit_range is None:
         fit_range = (float(x.min()), float(x.max())) if len(x) else (math.nan, math.nan)

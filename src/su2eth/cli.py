@@ -18,6 +18,7 @@ import click
 
 from . import __version__
 from . import oracle as oracle_mod
+from .operators import OBSERVABLE_TAGS
 from .pipeline import (ConfigError, MissingCacheError, RunConfig, run_diag_eth,
                        run_offdiag_eth, run_oracle_check, run_spectrum)
 from .tensors import cg_table_rows
@@ -37,7 +38,7 @@ def _config_options(fn):
         click.option("--pair", "spin_pairs", type=(int, int), multiple=True,
                      help="Cross-spin pair S_a S_b (repeatable)."),
         click.option("--observable", "-O", "observables",
-                     type=click.Choice(["A", "B", "C"]), multiple=True,
+                     type=click.Choice(OBSERVABLE_TAGS), multiple=True,
                      help="Observable tag (repeatable)."),
         click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
                      help="Output directory."),
@@ -71,7 +72,7 @@ def _build_config(config_path, **flags) -> RunConfig:
         raise click.UsageError("no system sizes given: set L_list in the config or pass --L")
     try:
         return RunConfig.from_dict(data)
-    except (ConfigError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         raise click.UsageError(str(exc))
 
 

@@ -14,8 +14,9 @@ import hashlib
 import multiprocessing
 import time
 import warnings
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -50,7 +51,7 @@ __all__ = [
 # single rank, so reduced series are only emitted for A and B
 _REDUCTION_RANK = {"A": 0, "B": 2}
 
-_MOMENT_FIELDS = ("eps2", "eps2z", "eps4", "eps4z", "E0", "meanA", "meanB", "AH", "BH", "HH")
+_MOMENT_FIELDS = tuple(f.name for f in fields(oracle.MomentSet) if f.name not in ("L", "S", "lam"))
 
 
 class ConfigError(ValueError):
@@ -91,28 +92,27 @@ class RunConfig:
     out_dir: str = "out"
     workers: int = 1
 
+    def __post_init__(self):
+        # lists, as JSON and callers write them, become the tuples the rest reads
+        pairs = tuple(tuple(int(s) for s in pair) for pair in self.spin_pairs)
+        if any(len(pair) != 2 for pair in pairs):
+            raise ConfigError(f"every spin pair needs two spins, got {list(self.spin_pairs)}")
+        object.__setattr__(self, "spin_pairs", pairs)
+        object.__setattr__(self, "L_list", tuple(int(L) for L in self.L_list))
+        for key in ("spins", "observables", "exclude_k"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, tuple(getattr(self, key)))
+
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known - {"lambda"}
+        """A config from a JSON object, whose "lambda" names the lam field."""
+        unknown = set(data) - set(cls.__dataclass_fields__) - {"lambda"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
         if "lambda" in data:
             data["lam"] = data.pop("lambda")
-        if "L_list" in data:
-            data["L_list"] = tuple(int(x) for x in data["L_list"])
-        for key in ("spins", "observables", "exclude_k"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        if data.get("spin_pairs"):
-            data["spin_pairs"] = tuple((int(a), int(b)) for a, b in data["spin_pairs"])
         return cls(**data)
-
-    def replace(self, **changes) -> "RunConfig":
-        data = asdict(self)
-        data.update(changes)
-        return RunConfig.from_dict(data)
 
     def canonical(self) -> dict:
         data = asdict(self)
@@ -151,6 +151,8 @@ def _validate(config: RunConfig, command: str) -> None:
     for tag in config.observables:
         if tag not in OBSERVABLE_TAGS:
             raise ConfigError(f"unknown observable {tag!r}, expected subset of {OBSERVABLE_TAGS}")
+    for name in ("L_list", "observables"):
+        _reject_repeats(name, getattr(config, name))
     positive = {
         "half_width": config.half_width,
         "energy_window": config.energy_window,
@@ -186,6 +188,7 @@ def _validate(config: RunConfig, command: str) -> None:
         raise ConfigError("empty spin selection: set spins and/or spin_pairs")
     # diag-eth never reads spin_pairs, so the pair rules bind offdiag-eth only
     pairs = config.all_pairs() if command == "offdiag-eth" else tuple((s, s) for s in config.spins)
+    _reject_repeats("the spin selection", pairs)
     bound = min(config.L_list) // 2
     for s_a, s_b in pairs:
         for s in (s_a, s_b):
@@ -200,6 +203,12 @@ def _validate(config: RunConfig, command: str) -> None:
         if delta > 2:
             raise ConfigError(
                 f"pair ({s_a},{s_b}): rank-2 tensors cannot connect |S_a - S_b| > 2")
+
+
+def _reject_repeats(name: str, values: tuple) -> None:
+    # a repeated entry would be pooled, fed and fitted twice
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{name} repeats an entry: {list(values)}")
 
 
 # ─── run skeleton ────────────────────────────────────────────────────────────
@@ -358,25 +367,27 @@ def _sweep_sector(sector: SectorLabel, lam: float,
 
 
 def _sector_pool(workers: int):
-    """One worker thread, or that many forked processes.
+    """That many forked processes, or for one worker no pool: each sector is solved in place.
 
     Threads of one process do not run eigh side by side, so the sweep
     parallelizes across processes. Fork children inherit the imported
     modules and the BLAS pin instead of importing them again.
     """
     if workers == 1:
-        return ThreadPoolExecutor(max_workers=1)
+        return nullcontext()
     return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _submit(pool, *args) -> Future:
-    """The future of one sector; after a worker died it holds the broken pool's error."""
+    """The future of one sector, solved in place when pool is None."""
+    future = Future()
     try:
-        return pool.submit(_sweep_sector, *args)
-    except BrokenExecutor as exc:
-        future = Future()
+        if pool is not None:
+            return pool.submit(_sweep_sector, *args)
+        future.set_result(_sweep_sector(*args))
+    except Exception as exc:  # the sector's own error, or the broken pool's after a worker died
         future.set_exception(exc)
-        return future
+    return future
 
 
 def run_spectrum(config: RunConfig) -> dict:
@@ -392,12 +403,13 @@ def run_spectrum(config: RunConfig) -> dict:
     summary = {"config": chash, "lambda": config.lam, "M": config.M, "sizes": {}, "failures": []}
     plan = {L: sector_labels(L, config.M) for L in config.L_list}
     # a fork pool starts every worker at once, so start no more than can be busy
-    workers = min(config.workers, sum(lab.k_index >= 0 for labels in plan.values() for lab in labels))
+    to_solve = {L: [lab for lab in labels if _solved(lab) == lab] for L, labels in plan.items()}
+    workers = min(config.workers, sum(map(len, to_solve.values())))
     with _sector_pool(workers) as pool:
         for L, labels in plan.items():
             t0 = time.perf_counter()
             results = []
-            futures = {lab: _submit(pool, lab, config.lam, root) for lab in labels if lab.k_index >= 0}
+            futures = {lab: _submit(pool, lab, config.lam, root) for lab in to_solve[L]}
             for lab in labels:
                 name = _sector_name(lab, config.lam)
                 solved = _solved(lab)
@@ -440,18 +452,13 @@ def _feed_admitted_blocks(config: RunConfig, root: Path, L: int, work) -> None:
     its +k mirror, has the mirror's energies, diagonals and |<a|O|b>|^2 bit for
     bit, so each solved sector is worked once and its pairs feed both labels.
     """
-    labels = _admitted_labels(config, L)
-    pending = {}
-    for lab in labels:
+    feeds = {}  # per solved sector; its items are the ones the targets hold
+    for lab in _admitted_labels(config, L):
         solved = _solved(lab)
-        if solved in pending:
-            feeds = pending.pop(solved)
-        else:
+        if solved not in feeds:
             spectrum = load_cached_spectrum(solved, config.lam, root)
-            feeds = work(spectrum, enumerate_sector_basis(solved)) if spectrum.dim else []
-            if solved != lab and solved in labels:
-                pending[solved] = feeds
-        for target, item in feeds:
+            feeds[solved] = work(spectrum, enumerate_sector_basis(solved)) if spectrum.dim else []
+        for target, item in feeds[solved]:
             target.append(item)
 
 

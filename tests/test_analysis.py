@@ -20,7 +20,6 @@ from su2eth.analysis import (
     pool_diagonal,
     running_mean,
     scaling_fit,
-    sector_mean_energy,
     spectral_function,
     variance_scaling,
 )
@@ -144,7 +143,7 @@ def _ensemble(omega, abs_sq, L=12, dims=((64, 64),)):
 
 def test_build_ensemble_window_and_sign():
     L, lam, pair = 10, 3.0, (0, 2)
-    center = sector_mean_energy(L, 1.0, lam)
+    center = moments(L, 1, lam).E0
     # one pair at the window center, one far outside
     blocks = [(
         np.array([center + 0.1, center + 50.0]),
@@ -156,14 +155,8 @@ def test_build_ensemble_window_and_sign():
     assert ens.size == 1
     assert ens.omega[0] == pytest.approx(0.2)
     assert ens.abs_sq[0] == pytest.approx(0.25)
-    assert ens.e_center == pytest.approx(center)
+    assert ens.e_center == center
     assert ens.effective_dimension == pytest.approx(math.sqrt(12))
-
-
-def test_sector_mean_energy_matches_integer_oracle():
-    for L, S, lam in [(10, 0, 3.0), (12, 2, 0.0), (8, 1, 0.7)]:
-        assert sector_mean_energy(L, S, lam) == pytest.approx(
-            moments(L, S, lam).E0, abs=1e-12)
 
 
 def test_binning_validation():
@@ -216,7 +209,6 @@ def test_spectral_function_scale():
                     L=12, dims=((64, 64), (16, 4)))
     eff = (64 + 8) / 2
     series = spectral_function(ens, Binning(0.5, 1.0, 10))
-    assert series.scale == pytest.approx(12 * eff)
     good = series.values[series.good]
     assert np.allclose(good, 12 * eff * 1e-4, rtol=1e-12)
 
@@ -228,7 +220,6 @@ def test_low_frequency_view_rescales_axes():
     assert np.allclose(low.centers, series.centers * 100)
     ok = series.good
     assert np.allclose(low.values[ok], series.values[ok] / 10)
-    assert low.scale == pytest.approx(series.scale / 10)
     plain = low_frequency_view(series, 10)
     assert np.allclose(plain.values[ok], series.values[ok])
 

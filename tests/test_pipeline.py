@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 import weakref
 from collections import Counter
 
@@ -60,10 +61,10 @@ def test_from_dict_of_parsed_json():
 
 def test_replace_and_canonical_hash():
     cfg = RunConfig(L_list=(6,), lam=3.0, cache_dir="/a", out_dir="x", workers=4)
-    other = cfg.replace(cache_dir="/b", out_dir="y", workers=1)
+    other = dataclasses.replace(cfg, cache_dir="/b", out_dir="y", workers=1)
     # storage locations and parallelism must not change the run identity
     assert cfg.config_hash() == other.config_hash()
-    assert cfg.replace(lam=0.0).config_hash() != cfg.config_hash()
+    assert dataclasses.replace(cfg, lam=0.0).config_hash() != cfg.config_hash()
     assert "cache_dir" not in cfg.canonical()
 
 
@@ -85,12 +86,31 @@ def test_excluded_k_defaults_to_zero_and_pi():
     cfg = RunConfig(L_list=(6, 8))
     assert cfg.excluded_k(6) == {0, 3}
     assert cfg.excluded_k(8) == {0, 4}
-    assert cfg.replace(exclude_k=(1,)).excluded_k(8) == {1}
+    assert dataclasses.replace(cfg, exclude_k=(1,)).excluded_k(8) == {1}
 
 
 def test_all_pairs_merges_spins_and_pairs():
     cfg = RunConfig(L_list=(6,), spins=(0, 1), spin_pairs=((0, 2),))
     assert cfg.all_pairs() == ((0, 0), (1, 1), (0, 2))
+
+
+def test_config_from_lists_equals_config_from_tuples():
+    tuples = RunConfig(L_list=(10, 12), lam=3.0, spins=(0, 1), spin_pairs=((0, 2),),
+                       observables=("B",), exclude_k=(1, 2))
+    lists = RunConfig(L_list=[10, 12], lam=3.0, spins=[0, 1], spin_pairs=[[0, 2]],
+                      observables=["B"], exclude_k=[1, 2])
+    assert lists == tuples
+    assert lists.config_hash() == tuples.config_hash()
+    assert lists.all_pairs() == ((0, 0), (1, 1), (0, 2))
+    assert RunConfig.from_dict({"L_list": [10], "spin_pairs": []}).all_pairs() == ()
+    replaced = dataclasses.replace(tuples, L_list=[8], spins=[2], spin_pairs=[[1, 1]])
+    assert replaced.L_list == (8,)
+    assert replaced.all_pairs() == ((2, 2), (1, 1))
+
+
+def test_malformed_spin_pair_is_a_config_error():
+    with pytest.raises(ConfigError, match="every spin pair needs two spins"):
+        RunConfig(L_list=(6,), spin_pairs=[[0]])
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -135,6 +155,20 @@ def test_spin_selection_validation(tmp_path):
         run_diag_eth(_analysis_config(tmp_path, M=1))
 
 
+@pytest.mark.parametrize("run,changes,message", [
+    (run_spectrum, {"L_list": (6, 8, 6)}, "L_list repeats an entry"),
+    (run_diag_eth, {"observables": ("B", "B")}, "observables repeats an entry"),
+    (run_diag_eth, {"spins": (1, 0, 1)}, "spin selection repeats an entry"),
+    (run_offdiag_eth, {"spins": (0,), "spin_pairs": ((0, 2), (0, 0)), "observables": ("B",)},
+     "spin selection repeats an entry"),
+])
+def test_repeated_entries_are_rejected(tmp_path, run, changes, message):
+    # a repeated entry would be pooled and fitted twice
+    with pytest.raises(ConfigError, match=message):
+        run(_analysis_config(tmp_path, **changes))
+    assert not (tmp_path / "cache").exists()
+
+
 def test_diag_eth_ignores_the_spin_pair_rules(tmp_path):
     # diag-eth never reads spin_pairs: the cross-spin pair that offdiag-eth
     # rejects for A must not stop it
@@ -176,6 +210,20 @@ def test_warm_rerun_hits_cache_with_zero_diagonalizations(tmp_path, eigensolves)
     size = summary["sizes"]["6"]
     assert size["cache_hits"] == 12
     assert size["built"] == 0
+
+
+def test_one_worker_solves_in_the_calling_thread(tmp_path, monkeypatch):
+    solve = pipeline.diagonalize_block
+    on_main = []
+
+    def recorded(block):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return solve(block)
+
+    monkeypatch.setattr(pipeline, "diagonalize_block", recorded)
+    summary = run_spectrum(_analysis_config(tmp_path, workers=1))
+    assert not summary["failures"]
+    assert on_main == [True] * 8
 
 
 @pytest.mark.parametrize("M, solved", [(0, 8), (1, 4)])
@@ -405,7 +453,7 @@ def test_manifest_is_append_only_jsonl(tmp_path):
 ])
 def test_every_command_journals_start_and_done(tmp_path, command, run):
     cfg = _analysis_config(tmp_path, observables=("B",))
-    run_spectrum(cfg.replace(out_dir=str(tmp_path / "fill")))
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
     run(cfg)
     entries = [json.loads(line)
                for line in (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()]
@@ -484,7 +532,7 @@ def test_analyses_build_one_basis_per_nonempty_admitted_block(tmp_path, monkeypa
 ])
 def test_commands_hold_at_most_one_earlier_spectrum(tmp_path, monkeypatch, run, source):
     cfg = _analysis_config(tmp_path, L_list=(6, 8), observables=("B",), workers=1)
-    run_spectrum(cfg.replace(out_dir=str(tmp_path / "fill")))
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
     fetch = getattr(pipeline, source)
     refs = []
     alive = []
@@ -507,7 +555,7 @@ def test_split_mirror_pair_is_served_from_the_solved_file(tmp_path, monkeypatch)
     # exclude_k=(0, 4, 1) admits -1 without +1: the -1 labels still read the
     # +1 files, once per size, and give the bytes of the run admitting +1 alone
     cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(0, 1, 2), observables=("A", "B", "C"))
-    run_spectrum(cfg.replace(out_dir=str(tmp_path / "fill")))
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
     loads = Counter()
     load = cache.load_spectrum
 
@@ -520,7 +568,7 @@ def test_split_mirror_pair_is_served_from_the_solved_file(tmp_path, monkeypatch)
     outputs = {}
     for k in (1, -1):
         out = tmp_path / f"out{k}"
-        split = cfg.replace(exclude_k=(0, 4, k), out_dir=str(out))
+        split = dataclasses.replace(cfg, exclude_k=(0, 4, k), out_dir=str(out))
         for run in (run_diag_eth, run_offdiag_eth):
             loads.clear()
             run(split)
@@ -533,10 +581,10 @@ def test_split_mirror_pair_is_served_from_the_solved_file(tmp_path, monkeypatch)
 
 def test_analyses_journal_admitted_and_loaded_blocks_per_size(tmp_path):
     cfg = _analysis_config(tmp_path, L_list=(6, 8), observables=("B",))
-    run_spectrum(cfg.replace(out_dir=str(tmp_path / "fill")))
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
     for run in (run_diag_eth, run_offdiag_eth):
         out = tmp_path / run.__name__
-        run(cfg.replace(out_dir=str(out)))
+        run(dataclasses.replace(cfg, out_dir=str(out)))
         entries = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
         # k = 0 and pi excluded; each admitted +-k pair is loaded once
         assert [(e["L"], e["admitted"], e["loaded"])
@@ -810,6 +858,37 @@ def test_cli_spectrum_and_exit_codes(tmp_path):
                                   "--out", str(tmp_path / "o")])
     assert result.exit_code == 1
     assert "spectrum command" in result.output
+
+
+def test_cli_rejects_a_repeated_size(tmp_path):
+    result = CliRunner().invoke(main, ["spectrum", "--L", "10", "--L", "10",
+                                       "--cache", str(tmp_path / "c"),
+                                       "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "L_list repeats an entry" in result.output
+
+
+def test_cli_offdiag_config_with_empty_pair_list(tmp_path):
+    runner = CliRunner()
+    common = {"L_list": [6], "lambda": 3.0, "cache_dir": str(tmp_path / "c")}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**common, "out_dir": str(tmp_path / "s")}))
+    assert runner.invoke(main, ["spectrum", "--config", str(cfg_path)]).exit_code == 0
+    cfg_path.write_text(json.dumps({**common, "out_dir": str(tmp_path / "o"),
+                                    "spins": [1], "spin_pairs": [], "observables": ["B"]}))
+    result = runner.invoke(main, ["offdiag-eth", "--config", str(cfg_path)])
+    assert result.exit_code == 0, result.output
+    for name in ("gamma", "specfun", "specfun_reduced", "lowfreq"):
+        assert (tmp_path / "o" / f"{name}.csv").exists()
+
+
+def test_cli_malformed_pair_is_a_usage_error(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"L_list": [6], "spins": [1], "spin_pairs": [[0]],
+                                    "cache_dir": str(tmp_path / "c")}))
+    result = CliRunner().invoke(main, ["offdiag-eth", "--config", str(cfg_path)])
+    assert result.exit_code == 2
+    assert "every spin pair needs two spins" in result.output
 
 
 def test_cli_oracle_check_without_cache_root_exits_2(tmp_path, monkeypatch):
