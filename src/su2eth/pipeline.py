@@ -14,6 +14,7 @@ import hashlib
 import multiprocessing
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
@@ -94,14 +95,14 @@ class RunConfig:
 
     def __post_init__(self):
         # lists, as JSON and callers write them, become the tuples the rest reads
-        pairs = tuple(tuple(int(s) for s in pair) for pair in self.spin_pairs)
+        pairs = tuple(_integers("spin_pairs", pair) for pair in self.spin_pairs)
         if any(len(pair) != 2 for pair in pairs):
             raise ConfigError(f"every spin pair needs two spins, got {list(self.spin_pairs)}")
         object.__setattr__(self, "spin_pairs", pairs)
-        object.__setattr__(self, "L_list", tuple(int(L) for L in self.L_list))
-        for key in ("spins", "observables", "exclude_k"):
+        object.__setattr__(self, "observables", tuple(self.observables))
+        for key in ("L_list", "spins", "exclude_k"):
             if getattr(self, key) is not None:
-                object.__setattr__(self, key, tuple(getattr(self, key)))
+                object.__setattr__(self, key, _integers(key, getattr(self, key)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -137,6 +138,18 @@ class RunConfig:
 
     def all_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((s, s) for s in self.spins) + self.spin_pairs
+
+
+def _integers(name: str, values) -> tuple[int, ...]:
+    """values as ints; an entry that is not a whole number is rejected, not truncated."""
+    values = tuple(values)
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise ConfigError(f"{name} must hold whole numbers, got {list(values)}")
+    return ints
 
 
 def _validate(config: RunConfig, command: str) -> None:
@@ -313,15 +326,6 @@ def load_cached_spectrum(sector: SectorLabel, lam: float, root: Path) -> SpinRes
             f"{exc}; run the spectrum command first to populate the cache") from exc
 
 
-def _spin_counts(spin_dims) -> dict[int, int]:
-    """Eigenstates per total spin, summed over the blocks' spin_dims() dicts."""
-    counts: dict[int, int] = {}
-    for dims in spin_dims:
-        for s, c in dims.items():
-            counts[s] = counts.get(s, 0) + c
-    return counts
-
-
 def _sector_name(sector: SectorLabel, lam: float) -> str:
     return cache.spectrum_path(Path("."), sector, lam).stem
 
@@ -423,7 +427,7 @@ def run_spectrum(config: RunConfig) -> dict:
                 results.append((dim, dims, hit))
                 manifest.record("spectrum", "hit" if hit else "built", sector=name,
                                 seconds=None if mirror else seconds, dim=dim, **mirror)
-            per_spin = _spin_counts(dims for _, dims, _ in results)
+            per_spin = sum((Counter(dims) for _, dims, _ in results), Counter())
             hits = sum(hit for _, _, hit in results)
             summary["sizes"][str(L)] = {
                 "blocks": len(results),
@@ -445,21 +449,21 @@ def _admitted_labels(config: RunConfig, L: int) -> list[SectorLabel]:
     return [lab for lab in sector_labels(L, config.M) if lab.k_index not in config.excluded_k(L)]
 
 
-def _feed_admitted_blocks(config: RunConfig, root: Path, L: int, work) -> None:
-    """Append the (list, item) pairs of work(spectrum, basis) for each nonempty admitted block.
+def _per_block(config: RunConfig, root: Path, labels, fetch, work) -> list:
+    """work(spectrum, basis, config) of each label's solved sector, one result per label.
 
-    Blocks of size L feed in label order. A -k block, the complex conjugate of
-    its +k mirror, has the mirror's energies, diagonals and |<a|O|b>|^2 bit for
-    bit, so each solved sector is worked once and its pairs feed both labels.
+    A solved sector is fetched, as fetch(solved, lam, root), and worked at its
+    first label, so one spectrum is alive at a time. A -k block, the conjugate
+    of its +k mirror, has the mirror's energies, spins, diagonals and
+    |<a|O|b>|^2 bit for bit, so a +-k pair shares one result object.
     """
-    feeds = {}  # per solved sector; its items are the ones the targets hold
-    for lab in _admitted_labels(config, L):
+    results = {}
+    for lab in labels:
         solved = _solved(lab)
-        if solved not in feeds:
-            spectrum = load_cached_spectrum(solved, config.lam, root)
-            feeds[solved] = work(spectrum, enumerate_sector_basis(solved)) if spectrum.dim else []
-        for target, item in feeds[solved]:
-            target.append(item)
+        if solved not in results:
+            spectrum = fetch(solved, config.lam, root)
+            results[solved] = work(spectrum, enumerate_sector_basis(solved), config)
+    return [results[_solved(lab)] for lab in labels]
 
 
 def _journal_blocks(manifest: RunManifest, config: RunConfig, L: int) -> None:
@@ -481,6 +485,14 @@ def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> an
 # ─── diagonal command ────────────────────────────────────────────────────────
 
 
+def _diagonal_tables(spectrum: SpinResolvedSpectrum, basis: SymmetryBasis,
+                     config: RunConfig) -> dict[str, tuple]:
+    """(energies, diagonal elements, spins) of one block, keyed by observable."""
+    return {observable: (spectrum.energies,
+                         expectations(build_observable(basis, observable), spectrum.vectors),
+                         spectrum.spins) for observable in config.observables}
+
+
 def run_diag_eth(config: RunConfig) -> dict:
     """Diagonal-element series, per-spin means, fluctuation scaling, oracle lines."""
     root, out, manifest = _begin(config, "diag-eth")
@@ -492,16 +504,11 @@ def run_diag_eth(config: RunConfig) -> dict:
     fluct_points: dict[tuple[str, int], list[tuple[float, float]]] = {}
 
     for L in config.L_list:
-        diagonals: dict[str, list] = {observable: [] for observable in config.observables}
-
-        def diagonal_tables(spectrum, basis):
-            return [(tables, (spectrum.energies,
-                              expectations(build_observable(basis, observable), spectrum.vectors),
-                              spectrum.spins)) for observable, tables in diagonals.items()]
-
-        _feed_admitted_blocks(config, root, L, diagonal_tables)
+        blocks = _per_block(config, root, _admitted_labels(config, L), load_cached_spectrum,
+                            _diagonal_tables)
         _journal_blocks(manifest, config, L)
-        for observable, tables in diagonals.items():
+        for observable in config.observables:
+            tables = [block[observable] for block in blocks]
             all_spins = sorted({int(s) for _, _, spins in tables for s in np.unique(spins)})
             pooled = {S: _pool_spin(config, observable, L, tables, S)
                       for S in {*all_spins, *config.spins}}
@@ -574,6 +581,30 @@ def run_diag_eth(config: RunConfig) -> dict:
 # ─── off-diagonal command ────────────────────────────────────────────────────
 
 
+def _element_tables(spectrum: SpinResolvedSpectrum, basis: SymmetryBasis,
+                    config: RunConfig) -> dict[tuple, tuple]:
+    """(e_a, e_b, values, d_a, d_b) of one block, keyed by (observable, pair, reduced)."""
+    dims = spectrum.spin_dims()
+    tables = {}
+    for observable in config.observables:
+        rank = _REDUCTION_RANK.get(observable)
+        obs = build_observable(basis, observable)
+        for pair in config.all_pairs():
+            d_a, d_b = (dims.get(s, 0) for s in pair)
+            if d_a == 0 or d_b == 0:
+                continue
+            # a cross-spin pair has no alpha == beta records to drop
+            table = matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")
+            recs = table.records
+            tables[observable, pair, False] = (recs["e_a"], recs["e_b"], recs["value"], d_a, d_b)
+            if rank is not None:
+                rrecs = reduce_matrix_elements(table, rank).records
+                if rrecs.size:
+                    tables[observable, pair, True] = (rrecs["e_a"], rrecs["e_b"], rrecs["value"],
+                                                      d_a, d_b)
+    return tables
+
+
 def _offdiag_ensembles(config: RunConfig, root: Path, L: int):
     """Yield (observable, pair, ens, red_ens) for size L, observables outermost.
 
@@ -581,44 +612,20 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int):
     the next one loads. red_ens is the CG-reduced ensemble, None for the
     observables without a single tensor rank or without reduced elements.
     """
-    pairs = config.all_pairs()
-    raw = {(observable, pair): [] for observable in config.observables for pair in pairs}
-    red = {key: [] for key in raw}
-
-    def element_tables(spectrum, basis):
-        """(ensemble list, element tuple) for every ensemble this block feeds."""
-        dims = spectrum.spin_dims()
-        feeds = []
-        for observable in config.observables:
-            rank = _REDUCTION_RANK.get(observable)
-            obs = build_observable(basis, observable)
-            for pair in pairs:
-                s_a, s_b = pair
-                d_a, d_b = dims.get(s_a, 0), dims.get(s_b, 0)
-                if d_a == 0 or d_b == 0:
-                    continue
-                # a cross-spin pair has no alpha == beta records to drop
-                table = matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")
-                recs = table.records
-                feeds.append((raw[observable, pair],
-                              (recs["e_a"], recs["e_b"], recs["value"], d_a, d_b)))
-                if rank is not None:
-                    rrecs = reduce_matrix_elements(table, rank).records
-                    if rrecs.size:
-                        feeds.append((red[observable, pair],
-                                      (rrecs["e_a"], rrecs["e_b"], rrecs["value"], d_a, d_b)))
-        return feeds
-
-    _feed_admitted_blocks(config, root, L, element_tables)
-    for observable, pair in list(raw):
-        ens = analysis.build_offdiagonal_ensemble(
-            observable, L, config.lam, pair, raw.pop((observable, pair)), config.energy_window)
-        reduced = red.pop((observable, pair))
-        red_ens = None
-        if reduced:
-            red_ens = analysis.build_offdiagonal_ensemble(
+    inputs = {}  # per key, its tables from every block; popped once its ensemble is built
+    for block in _per_block(config, root, _admitted_labels(config, L), load_cached_spectrum,
+                            _element_tables):
+        for key, table in block.items():
+            inputs.setdefault(key, []).append(table)
+    for observable in config.observables:
+        for pair in config.all_pairs():
+            ens = analysis.build_offdiagonal_ensemble(
+                observable, L, config.lam, pair, inputs.pop((observable, pair, False), []),
+                config.energy_window)
+            reduced = inputs.pop((observable, pair, True), None)
+            red_ens = None if reduced is None else analysis.build_offdiagonal_ensemble(
                 observable, L, config.lam, pair, reduced, config.energy_window)
-        yield observable, pair, ens, red_ens
+            yield observable, pair, ens, red_ens
 
 
 def _populated(series: analysis.BinnedSeries) -> list[list]:
@@ -745,19 +752,30 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
     sector of M = 0. Pooling all of them realizes the (S, M=0) trace.
     """
     return _pooled_moments((spectrum.spins, _state_moments(enumerate_sector_basis(lab), spectrum))
-                           for lab, spectrum in blocks if spectrum.dim)
+                           for lab, spectrum in blocks)
 
 
-def _audit_block(basis: SymmetryBasis, lam: float, spectrum: SpinResolvedSpectrum) -> dict:
-    """Recompute trusted residuals for possibly cache-loaded eigendata of basis's sector."""
-    if spectrum.dim == 0:
-        return {"eigen_residual": 0.0, "orthonormality": 0.0, "spin_residual": 0.0}
+def _audit_sector(spectrum: SpinResolvedSpectrum, basis: SymmetryBasis, config: RunConfig) -> dict:
+    """Spin counts, per-state moments and per-label (block audit, failed) of a solved sector.
+
+    Its -k mirror shares its orthonormality and spin sharpness; the mirror's
+    eigen residual is taken against its own H(-k), which checks the mirror rule.
+    """
     v = spectrum.vectors
-    eig_res = eigen_residual(build_hamiltonian(basis, CouplingSpec(lam)), spectrum.energies, v)
     ortho = float(np.abs(v.conj().T @ v - np.eye(spectrum.dim)).max())
     expect = expectations(build_total_spin_squared(basis), v)
     spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max())
-    return {"eigen_residual": eig_res, "orthonormality": ortho, "spin_residual": spin_res}
+    scale = max(1.0, float(np.abs(spectrum.energies).max()))
+    audits = {}
+    for sector in dict.fromkeys((spectrum.sector, _mirror(spectrum.sector))):
+        own = basis if sector == spectrum.sector else enumerate_sector_basis(sector)
+        eig_res = eigen_residual(build_hamiltonian(own, CouplingSpec(config.lam)),
+                                 spectrum.energies, _serve(spectrum, sector).vectors)
+        audit = {"sector": _sector_name(sector, config.lam), "eigen_residual": eig_res,
+                 "orthonormality": ortho, "spin_residual": spin_res}
+        audits[sector] = audit, eig_res > 1e-8 * scale or ortho > 1e-10 or spin_res > 1e-6
+    return {"spin_dims": spectrum.spin_dims(), "audits": audits,
+            "moments": (spectrum.spins, _state_moments(basis, spectrum))}
 
 
 def run_oracle_check(config: RunConfig) -> dict:
@@ -765,41 +783,31 @@ def run_oracle_check(config: RunConfig) -> dict:
 
     Per-block checks (eigen residual, orthonormality, spin sharpness) catch
     corrupted or stale cache entries and name the sector; the pooled moment
-    table then validates every closed form to 1e-10. Each sector's basis is
-    built once and serves its audit and its moments; a -k sector is audited
-    against its own H(-k), not its mirror's.
+    table then validates every closed form to 1e-10. Each solved sector is
+    read and worked once for itself and its -k mirror.
     """
     root, out, manifest = _begin(config, "oracle-check")
     tol_moment = 1e-10
     report = {"config": manifest.config_hash, "lambda": config.lam, "rows": [],
-              "block_audits": [], "failures": [], "pass": True}
+              "block_audits": [], "failures": []}
     for L in config.L_list:
-        spin_dims = []
-        moments = []
-        for lab in sector_labels(L, 0):
-            spectrum, _ = ensure_spectrum(lab, config.lam, root)
-            basis = enumerate_sector_basis(lab)
-            spin_dims.append(spectrum.spin_dims())
-            if spectrum.dim:
-                moments.append((spectrum.spins, _state_moments(basis, spectrum)))
-            audit = _audit_block(basis, config.lam, spectrum)
-            name = _sector_name(lab, config.lam)
-            entry = {"sector": name, **audit}
-            report["block_audits"].append(entry)
-            scale = max(1.0, float(np.abs(spectrum.energies).max()) if spectrum.dim else 1.0)
-            if (audit["eigen_residual"] > 1e-8 * scale or audit["orthonormality"] > 1e-10
-                    or audit["spin_residual"] > 1e-6):
-                report["pass"] = False
-                report["failures"].append({"sector": name, "kind": "block_audit", **audit})
+        labels = sector_labels(L, 0)
+        sectors = _per_block(config, root, labels, lambda *args: ensure_spectrum(*args)[0],
+                             _audit_sector)
+        for lab, checked in zip(labels, sectors):
+            audit, failed = checked["audits"][lab]
+            report["block_audits"].append(audit)
+            if failed:
+                report["failures"].append({"kind": "block_audit", **audit})
 
-        for s, c in sorted(_spin_counts(spin_dims).items()):
+        spin_counts = sum((Counter(checked["spin_dims"]) for checked in sectors), Counter())
+        for s, c in sorted(spin_counts.items()):
             expected = oracle.spin_sector_dimension(L, s)
             if c != expected:
-                report["pass"] = False
                 report["failures"].append({"kind": "spin_count", "L": L, "S": s,
                                            "got": c, "expected": expected})
 
-        traces = _pooled_moments(moments)
+        traces = _pooled_moments(checked["moments"] for checked in sectors)
         for s in sorted(traces):
             m = oracle.moments(L, s, config.lam)
             for fieldname in _MOMENT_FIELDS:
@@ -810,9 +818,9 @@ def run_oracle_check(config: RunConfig) -> dict:
                        "pass": bool(diff < tol_moment)}
                 report["rows"].append(row)
                 if diff >= tol_moment:
-                    report["pass"] = False
                     report["failures"].append({"kind": "moment", "L": L, "S": s,
                                                "moment": fieldname, "abs_diff": diff})
+    report["pass"] = not report["failures"]
     _write_json(out / "oracle_check.json", report)
     manifest.record("run", "done", command="oracle-check")
     return report

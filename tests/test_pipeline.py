@@ -113,6 +113,25 @@ def test_malformed_spin_pair_is_a_config_error():
         RunConfig(L_list=(6,), spin_pairs=[[0]])
 
 
+@pytest.mark.parametrize("changes", [
+    {"L_list": [10.9]},
+    {"spins": [1.5]},
+    {"spin_pairs": [[0.5, 2.7]]},
+    {"spin_pairs": [[0, 2], [1, 1.5]]},
+    {"exclude_k": [0, 2.5]},
+])
+def test_non_integral_sizes_and_spins_are_config_errors(changes):
+    # int() would truncate these silently; S = 1.5 is no sector at even L
+    with pytest.raises(ConfigError, match="must hold whole numbers"):
+        RunConfig(**{"L_list": [10], **changes})
+
+
+def test_whole_numbers_written_as_floats_become_ints():
+    cfg = RunConfig(L_list=[10.0], spins=[1.0], spin_pairs=[[0.0, 2]], exclude_k=[0.0])
+    assert (cfg.L_list, cfg.spins, cfg.spin_pairs, cfg.exclude_k) == ((10,), (1,), ((0, 2),), (0,))
+    assert all(type(v) is int for v in (*cfg.L_list, *cfg.spins, *cfg.spin_pairs[0]))
+
+
 @pytest.mark.parametrize("bad,message", [
     ({"L_list": []}, "must not be empty"),
     ({"L_list": [7]}, "even"),
@@ -244,8 +263,11 @@ def test_mirrored_spectrum_passes_block_audit(tmp_path, M, solved):
             assert np.array_equal(getattr(minus, name), getattr(plus, name)), name
         assert np.array_equal(minus.vectors, np.conjugate(plus.vectors))
         assert load_cached_spectrum(lab, 3.0, root).vectors.tobytes() == minus.vectors.tobytes()
-        # oracle-check's bounds, against a freshly built H(-k)
-        audit = pipeline._audit_block(enumerate_sector_basis(lab), 3.0, minus)
+        # oracle-check's bounds; the -k eigen residual is taken against a freshly built H(-k)
+        checked = pipeline._audit_sector(plus, enumerate_sector_basis(plus.sector), cfg)
+        assert set(checked["audits"]) == {plus.sector, lab}
+        audit, failed = checked["audits"][lab]
+        assert audit["sector"] == spectrum_path(root, lab, 3.0).stem and not failed
         scale = max(1.0, float(np.abs(minus.energies).max()))
         assert audit["eigen_residual"] <= 1e-8 * scale, audit
         assert audit["orthonormality"] <= 1e-10, audit
@@ -493,16 +515,35 @@ def test_warm_oracle_check_builds_one_basis_per_sector(tmp_path, monkeypatch):
     cfg = _analysis_config(tmp_path, L_list=(6, 8, 10), spins=())
     run_spectrum(cfg)
     builds = Counter()
+    loads = Counter()
     enumerate_basis = pipeline.enumerate_sector_basis
+    load = cache.load_spectrum
 
     def counting_enumerate(sector):
         builds[sector] += 1
         return enumerate_basis(sector)
 
+    def counting_load(root, sector, lam):
+        loads[sector] += 1
+        return load(root, sector, lam)
+
     monkeypatch.setattr(pipeline, "enumerate_sector_basis", counting_enumerate)
+    monkeypatch.setattr(cache, "load_spectrum", counting_load)
     assert run_oracle_check(cfg)["pass"] is True
-    assert builds == Counter(lab for L in cfg.L_list for lab in sector_labels(L))
+    labels = [lab for L in cfg.L_list for lab in sector_labels(L)]
+    assert builds == Counter(labels)
     assert sum(builds.values()) == 48
+    # each k >= 0 file is read once; its -k mirror is audited from that read
+    assert loads == Counter(lab for lab in labels if lab.k_index >= 0)
+    assert sum(loads.values()) == 30
+
+
+def test_every_analysed_sector_is_nonempty():
+    # the analyses and oracle-check run at M = 0 and 6 <= L <= 18, where no
+    # sector is empty; L = 4 has empty ones, which spectrum still solves
+    for L in range(6, 19, 2):
+        assert min(enumerate_sector_basis(lab).dim for lab in sector_labels(L)) > 0, L
+    assert sum(enumerate_sector_basis(lab).dim == 0 for lab in sector_labels(4)) == 3
 
 
 @pytest.mark.parametrize("run", [run_diag_eth, run_offdiag_eth])
@@ -529,6 +570,7 @@ def test_analyses_build_one_basis_per_nonempty_admitted_block(tmp_path, monkeypa
     (run_spectrum, "ensure_spectrum"),
     (run_diag_eth, "load_cached_spectrum"),
     (run_offdiag_eth, "load_cached_spectrum"),
+    (run_oracle_check, "ensure_spectrum"),
 ])
 def test_commands_hold_at_most_one_earlier_spectrum(tmp_path, monkeypatch, run, source):
     cfg = _analysis_config(tmp_path, L_list=(6, 8), observables=("B",), workers=1)
@@ -545,9 +587,9 @@ def test_commands_hold_at_most_one_earlier_spectrum(tmp_path, monkeypatch, run, 
 
     monkeypatch.setattr(pipeline, source, tracking_fetch)
     run(cfg)
-    # the spectrum sweep solves every k >= 0 sector, the analyses read the
-    # solved sectors of the admitted labels (k = 0 and pi excluded)
-    assert len(refs) == (18 if run is run_spectrum else 10)
+    # the spectrum sweep and oracle-check fetch every k >= 0 sector, the
+    # analyses the solved sectors of the admitted labels (k = 0 and pi excluded)
+    assert len(refs) == (18 if source == "ensure_spectrum" else 10)
     assert max(alive) <= 1
 
 
@@ -880,6 +922,17 @@ def test_cli_offdiag_config_with_empty_pair_list(tmp_path):
     assert result.exit_code == 0, result.output
     for name in ("gamma", "specfun", "specfun_reduced", "lowfreq"):
         assert (tmp_path / "o" / f"{name}.csv").exists()
+
+
+def test_cli_non_integral_spin_in_config_exits_2(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"L_list": [8], "spins": [1.5],
+                                    "cache_dir": str(tmp_path / "c"),
+                                    "out_dir": str(tmp_path / "o")}))
+    result = CliRunner().invoke(main, ["diag-eth", "--config", str(cfg_path)])
+    assert result.exit_code == 2
+    assert "spins must hold whole numbers" in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_malformed_pair_is_a_usage_error(tmp_path):
