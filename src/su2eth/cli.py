@@ -45,7 +45,7 @@ def _config_options(fn):
         click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None,
                      help="Eigendata cache root (or set SU2ETH_CACHE_DIR)."),
         click.option("--workers", type=int, default=None,
-                     help="Parallel sector workers; only spectrum uses them."),
+                     help="Parallel sector worker processes."),
     ]
     for opt in reversed(opts):
         fn = opt(fn)

@@ -16,7 +16,7 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from itertools import repeat
@@ -100,6 +100,7 @@ class RunConfig:
             raise ConfigError(f"every spin pair needs two spins, got {list(self.spin_pairs)}")
         object.__setattr__(self, "spin_pairs", pairs)
         object.__setattr__(self, "observables", tuple(self.observables))
+        object.__setattr__(self, "M", _integers("M", (self.M,))[0])
         for key in ("L_list", "spins", "exclude_k"):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, _integers(key, getattr(self, key)))
@@ -154,6 +155,10 @@ def _integers(name: str, values) -> tuple[int, ...]:
 
 def _validate(config: RunConfig, command: str) -> None:
     """Reject a configuration before any work starts, by the rules of one command."""
+    try:
+        CouplingSpec(config.lam)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     if not config.L_list:
         raise ConfigError("L_list must not be empty")
     for L in config.L_list:
@@ -251,10 +256,14 @@ class RunManifest:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _begin(config: RunConfig, command: str) -> tuple[Path, Path, RunManifest]:
-    """Validate, resolve the cache root, make the output dir, journal the start.
+@contextmanager
+def _begin(config: RunConfig, command: str):
+    """One run of a command: validate, open the journal and the sector pool around the body.
 
-    Returns (cache root, output dir, manifest).
+    Yields (cache root, output dir, manifest, plan, pool). plan maps each size
+    to the labels the command works: every sector for spectrum and
+    oracle-check, the admitted ones for the analyses. pool is None at one
+    worker. The run/done row records the effective workers after the body.
     """
     _validate(config, command)
     try:
@@ -266,7 +275,50 @@ def _begin(config: RunConfig, command: str) -> tuple[Path, Path, RunManifest]:
     manifest = RunManifest(out / "manifest.jsonl", config.config_hash())
     manifest.record("run", "start", command=command,
                     fingerprint=f"{cache.build_fingerprint():016x}")
-    return root, out, manifest
+    plan = {L: _admitted_labels(config, L) if command in ("diag-eth", "offdiag-eth")
+            else sector_labels(L, config.M) for L in config.L_list}
+    # a fork pool starts every worker at once, so start no more than can be busy
+    workers = min(config.workers, len({_solved(lab) for each in plan.values() for lab in each}))
+    with _sector_pool(workers) as pool:
+        yield root, out, manifest, plan, pool
+    manifest.record("run", "done", command=command, workers=workers)
+
+
+def _sector_pool(workers: int):
+    """That many forked processes, or for one worker no pool: each sector is worked in place.
+
+    Threads of one process do not run eigh side by side, so the sectors
+    go to processes. Fork children inherit the imported modules, the BLAS
+    pin and any patched module global instead of importing them again.
+    """
+    if workers <= 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _submit(pool, work, *args) -> Future:
+    """The future of work(*args), run in place when pool is None."""
+    future = Future()
+    try:
+        if pool is not None:
+            return pool.submit(work, *args)
+        future.set_result(work(*args))
+    except Exception as exc:  # the sector's own error, or the broken pool's after a worker died
+        future.set_exception(exc)
+    return future
+
+
+def _per_block(config: RunConfig, root: Path, labels, work, pool) -> list[Future]:
+    """One future of work(solved, config, root) per label, a +-k pair sharing one.
+
+    Each solved sector is submitted at its first label; in place, it is
+    worked before the next one is read, so one spectrum is alive at a time.
+    A -k block, the conjugate of its +k mirror, has the mirror's energies,
+    spins, diagonals and |<a|O|b>|^2 bit for bit.
+    """
+    futures = {solved: _submit(pool, work, solved, config, root)
+               for solved in dict.fromkeys(map(_solved, labels))}
+    return [futures[_solved(lab)] for lab in labels]
 
 
 # ─── spectra ─────────────────────────────────────────────────────────────────
@@ -362,36 +414,12 @@ def _write_json(path: Path, payload: dict) -> Path:
 # ─── spectrum command ────────────────────────────────────────────────────────
 
 
-def _sweep_sector(sector: SectorLabel, lam: float,
+def _sweep_sector(sector: SectorLabel, config: RunConfig,
                   root: Path) -> tuple[int, dict[int, int], bool, float]:
     """(dim, spin_dims, cache_hit, seconds) of one sector; its eigenvectors are not kept."""
     t0 = time.perf_counter()
-    spectrum, hit = ensure_spectrum(sector, lam, root)
+    spectrum, hit = ensure_spectrum(sector, config.lam, root)
     return spectrum.dim, spectrum.spin_dims(), hit, time.perf_counter() - t0
-
-
-def _sector_pool(workers: int):
-    """That many forked processes, or for one worker no pool: each sector is solved in place.
-
-    Threads of one process do not run eigh side by side, so the sweep
-    parallelizes across processes. Fork children inherit the imported
-    modules and the BLAS pin instead of importing them again.
-    """
-    if workers == 1:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-
-
-def _submit(pool, *args) -> Future:
-    """The future of one sector, solved in place when pool is None."""
-    future = Future()
-    try:
-        if pool is not None:
-            return pool.submit(_sweep_sector, *args)
-        future.set_result(_sweep_sector(*args))
-    except Exception as exc:  # the sector's own error, or the broken pool's after a worker died
-        future.set_exception(exc)
-    return future
 
 
 def run_spectrum(config: RunConfig) -> dict:
@@ -402,24 +430,18 @@ def run_spectrum(config: RunConfig) -> dict:
     Sectors go to at most config.workers workers; eigenvectors travel
     through the cache, never back from a worker.
     """
-    root, out, manifest = _begin(config, "spectrum")
-    chash = manifest.config_hash
-    summary = {"config": chash, "lambda": config.lam, "M": config.M, "sizes": {}, "failures": []}
-    plan = {L: sector_labels(L, config.M) for L in config.L_list}
-    # a fork pool starts every worker at once, so start no more than can be busy
-    to_solve = {L: [lab for lab in labels if _solved(lab) == lab] for L, labels in plan.items()}
-    workers = min(config.workers, sum(map(len, to_solve.values())))
-    with _sector_pool(workers) as pool:
+    with _begin(config, "spectrum") as (root, out, manifest, plan, pool):
+        summary = {"config": manifest.config_hash, "lambda": config.lam, "M": config.M,
+                   "sizes": {}, "failures": []}
         for L, labels in plan.items():
             t0 = time.perf_counter()
             results = []
-            futures = {lab: _submit(pool, lab, config.lam, root) for lab in to_solve[L]}
-            for lab in labels:
+            for lab, future in zip(labels, _per_block(config, root, labels, _sweep_sector, pool)):
                 name = _sector_name(lab, config.lam)
                 solved = _solved(lab)
                 mirror = {} if solved == lab else {"mirror_of": _sector_name(solved, config.lam)}
                 try:
-                    dim, dims, hit, seconds = futures[solved].result()
+                    dim, dims, hit, seconds = future.result()
                 except Exception as exc:  # quarantine the sector, keep sweeping
                     manifest.record("spectrum", "failed", sector=name, error=str(exc), **mirror)
                     summary["failures"].append({"sector": name, "error": str(exc)})
@@ -437,8 +459,7 @@ def run_spectrum(config: RunConfig) -> dict:
                 "built": len(results) - hits,
                 "seconds": round(time.perf_counter() - t0, 3),
             }
-    _write_json(out / "spectrum_summary.json", summary)
-    manifest.record("run", "done", command="spectrum", workers=workers)
+        _write_json(out / "spectrum_summary.json", summary)
     return summary
 
 
@@ -449,26 +470,8 @@ def _admitted_labels(config: RunConfig, L: int) -> list[SectorLabel]:
     return [lab for lab in sector_labels(L, config.M) if lab.k_index not in config.excluded_k(L)]
 
 
-def _per_block(config: RunConfig, root: Path, labels, fetch, work) -> list:
-    """work(spectrum, basis, config) of each label's solved sector, one result per label.
-
-    A solved sector is fetched, as fetch(solved, lam, root), and worked at its
-    first label, so one spectrum is alive at a time. A -k block, the conjugate
-    of its +k mirror, has the mirror's energies, spins, diagonals and
-    |<a|O|b>|^2 bit for bit, so a +-k pair shares one result object.
-    """
-    results = {}
-    for lab in labels:
-        solved = _solved(lab)
-        if solved not in results:
-            spectrum = fetch(solved, config.lam, root)
-            results[solved] = work(spectrum, enumerate_sector_basis(solved), config)
-    return [results[_solved(lab)] for lab in labels]
-
-
-def _journal_blocks(manifest: RunManifest, config: RunConfig, L: int) -> None:
+def _journal_blocks(manifest: RunManifest, L: int, labels) -> None:
     """One row per size: the admitted labels and the solved sectors read for them."""
-    labels = _admitted_labels(config, L)
     manifest.record("blocks", "done", L=L, admitted=len(labels),
                     loaded=len({_solved(lab) for lab in labels}))
 
@@ -485,9 +488,10 @@ def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> an
 # ─── diagonal command ────────────────────────────────────────────────────────
 
 
-def _diagonal_tables(spectrum: SpinResolvedSpectrum, basis: SymmetryBasis,
-                     config: RunConfig) -> dict[str, tuple]:
-    """(energies, diagonal elements, spins) of one block, keyed by observable."""
+def _diagonal_tables(sector: SectorLabel, config: RunConfig, root: Path) -> dict[str, tuple]:
+    """(energies, diagonal elements, spins) of one cached block, keyed by observable."""
+    spectrum = load_cached_spectrum(sector, config.lam, root)
+    basis = enumerate_sector_basis(sector)
     return {observable: (spectrum.energies,
                          expectations(build_observable(basis, observable), spectrum.vectors),
                          spectrum.spins) for observable in config.observables}
@@ -495,95 +499,96 @@ def _diagonal_tables(spectrum: SpinResolvedSpectrum, basis: SymmetryBasis,
 
 def run_diag_eth(config: RunConfig) -> dict:
     """Diagonal-element series, per-spin means, fluctuation scaling, oracle lines."""
-    root, out, manifest = _begin(config, "diag-eth")
-    chash = manifest.config_hash
-    diag_rows = []
-    spin_rows = []
-    fluct_rows = []
-    pred_rows = []
-    fluct_points: dict[tuple[str, int], list[tuple[float, float]]] = {}
+    with _begin(config, "diag-eth") as (root, out, manifest, plan, pool):
+        chash = manifest.config_hash
+        diag_rows = []
+        spin_rows = []
+        fluct_rows = []
+        pred_rows = []
+        fluct_points: dict[tuple[str, int], list[tuple[float, float]]] = {}
 
-    for L in config.L_list:
-        blocks = _per_block(config, root, _admitted_labels(config, L), load_cached_spectrum,
-                            _diagonal_tables)
-        _journal_blocks(manifest, config, L)
-        for observable in config.observables:
-            tables = [block[observable] for block in blocks]
-            all_spins = sorted({int(s) for _, _, spins in tables for s in np.unique(spins)})
-            pooled = {S: _pool_spin(config, observable, L, tables, S)
-                      for S in {*all_spins, *config.spins}}
+        for L, labels in plan.items():
+            blocks = [f.result() for f in _per_block(config, root, labels, _diagonal_tables, pool)]
+            _journal_blocks(manifest, L, labels)
+            for observable in config.observables:
+                tables = [block[observable] for block in blocks]
+                all_spins = sorted({int(s) for _, _, spins in tables for s in np.unique(spins)})
+                pooled = {S: _pool_spin(config, observable, L, tables, S)
+                          for S in {*all_spins, *config.spins}}
 
-            for S in config.spins:
-                series = pooled[S]
-                diag_rows += zip((series.energies / L).tolist(), repeat(S), series.values.tolist(),
-                                 repeat(L), repeat(config.lam), repeat(observable))
-                try:
-                    delta = analysis.diagonal_fluctuations(series, config.central_fraction)
-                except ValueError as exc:
-                    manifest.record("diag", "skipped", sector=f"L{L}_S{S}_{observable}",
-                                    error=str(exc))
-                    continue
-                ld = L * series.mean_block_dim
-                fluct_rows.append((observable, L, S, config.lam, ld, delta))
-                fluct_points.setdefault((observable, S), []).append((ld, delta))
+                for S in config.spins:
+                    series = pooled[S]
+                    diag_rows += zip((series.energies / L).tolist(), repeat(S),
+                                     series.values.tolist(), repeat(L), repeat(config.lam),
+                                     repeat(observable))
+                    try:
+                        delta = analysis.diagonal_fluctuations(series, config.central_fraction)
+                    except ValueError as exc:
+                        manifest.record("diag", "skipped", sector=f"L{L}_S{S}_{observable}",
+                                        error=str(exc))
+                        continue
+                    ld = L * series.mean_block_dim
+                    fluct_rows.append((observable, L, S, config.lam, ld, delta))
+                    fluct_points.setdefault((observable, S), []).append((ld, delta))
 
-            scan = analysis.diagonal_vs_spin([pooled[S] for S in all_spins], config.energy_window)
-            for i, S in enumerate(scan.spins):
-                spin_rows.append((observable, L, config.lam, int(S), S / L,
-                                  scan.means[i], scan.stds[i], scan.block_means[i],
-                                  int(scan.counts[i]), bool(scan.flagged[i])))
+                scan = analysis.diagonal_vs_spin([pooled[S] for S in all_spins],
+                                                 config.energy_window)
+                for i, S in enumerate(scan.spins):
+                    spin_rows.append((observable, L, config.lam, int(S), S / L,
+                                      scan.means[i], scan.stds[i], scan.block_means[i],
+                                      int(scan.counts[i]), bool(scan.flagged[i])))
 
-            for S in config.spins:
-                m = oracle.moments(L, S, config.lam)
-                try:
-                    coeffs = oracle.linear_coefficients(L, S, config.lam)
-                    slope_a, slope_b = coeffs.slopeA, coeffs.slopeB
-                except ValueError:
-                    slope_a = slope_b = float("nan")
-                slope = slope_a if observable == "A" else slope_b
-                mean = m.meanA if observable == "A" else m.meanB
-                if observable == "C":
-                    # C = -A/sqrt(3) + sqrt(2/3) B, scalars fixed by the definitions
-                    mean = -m.meanA / np.sqrt(3.0) + np.sqrt(2.0 / 3.0) * m.meanB
-                    slope = -slope_a / np.sqrt(3.0) + np.sqrt(2.0 / 3.0) * slope_b
-                pred_rows.append((observable, L, S, config.lam, m.E0, mean, slope))
+                for S in config.spins:
+                    m = oracle.moments(L, S, config.lam)
+                    try:
+                        coeffs = oracle.linear_coefficients(L, S, config.lam)
+                        slope_a, slope_b = coeffs.slopeA, coeffs.slopeB
+                    except ValueError:
+                        slope_a = slope_b = float("nan")
+                    slope = slope_a if observable == "A" else slope_b
+                    mean = m.meanA if observable == "A" else m.meanB
+                    if observable == "C":
+                        # C = -A/sqrt(3) + sqrt(2/3) B, scalars fixed by the definitions
+                        mean = -m.meanA / np.sqrt(3.0) + np.sqrt(2.0 / 3.0) * m.meanB
+                        slope = -slope_a / np.sqrt(3.0) + np.sqrt(2.0 / 3.0) * slope_b
+                    pred_rows.append((observable, L, S, config.lam, m.E0, mean, slope))
 
-    fits = {}
-    for (observable, S), points in sorted(fluct_points.items()):
-        if len(points) < 3:
-            continue
-        xs, ys = zip(*points)
-        result = analysis.scaling_fit(xs, ys)
-        entry = result.as_dict()
-        entry["inputs"] = _inputs_hash([np.asarray(xs), np.asarray(ys)])
-        fits[f"fluct[{observable},S={S}]"] = entry
+        fits = {}
+        for (observable, S), points in sorted(fluct_points.items()):
+            if len(points) < 3:
+                continue
+            xs, ys = zip(*points)
+            result = analysis.scaling_fit(xs, ys)
+            entry = result.as_dict()
+            entry["inputs"] = _inputs_hash([np.asarray(xs), np.asarray(ys)])
+            fits[f"fluct[{observable},S={S}]"] = entry
 
-    paths = {
-        "diag": _write_csv(out / "diag.csv",
-                           ("E_over_L", "S", "O_diag", "L", "lambda", "observable"),
-                           diag_rows, chash),
-        "spin_means": _write_csv(out / "spin_means.csv",
-                                 ("observable", "L", "lambda", "S", "S_over_L", "mean",
-                                  "std", "block_mean", "count", "flagged"),
-                                 spin_rows, chash),
-        "fluct": _write_csv(out / "fluct.csv",
-                            ("observable", "L", "S", "lambda", "LD", "delta"),
-                            fluct_rows, chash),
-        "predictions": _write_csv(out / "predictions.csv",
-                                  ("observable", "L", "S", "lambda", "E0", "mean", "slope"),
-                                  pred_rows, chash),
-        "fits": _write_json(out / "diag_fits.json", {"config": chash, "fits": fits}),
-    }
-    manifest.record("run", "done", command="diag-eth")
+        paths = {
+            "diag": _write_csv(out / "diag.csv",
+                               ("E_over_L", "S", "O_diag", "L", "lambda", "observable"),
+                               diag_rows, chash),
+            "spin_means": _write_csv(out / "spin_means.csv",
+                                     ("observable", "L", "lambda", "S", "S_over_L", "mean",
+                                      "std", "block_mean", "count", "flagged"),
+                                     spin_rows, chash),
+            "fluct": _write_csv(out / "fluct.csv",
+                                ("observable", "L", "S", "lambda", "LD", "delta"),
+                                fluct_rows, chash),
+            "predictions": _write_csv(out / "predictions.csv",
+                                      ("observable", "L", "S", "lambda", "E0", "mean", "slope"),
+                                      pred_rows, chash),
+            "fits": _write_json(out / "diag_fits.json", {"config": chash, "fits": fits}),
+        }
     return {"config": chash, "paths": {k: str(p) for k, p in paths.items()}, "fits": fits}
 
 
 # ─── off-diagonal command ────────────────────────────────────────────────────
 
 
-def _element_tables(spectrum: SpinResolvedSpectrum, basis: SymmetryBasis,
-                    config: RunConfig) -> dict[tuple, tuple]:
-    """(e_a, e_b, values, d_a, d_b) of one block, keyed by (observable, pair, reduced)."""
+def _element_tables(sector: SectorLabel, config: RunConfig, root: Path) -> dict[tuple, tuple]:
+    """(e_a, e_b, values, d_a, d_b) of one cached block, keyed by (observable, pair, reduced)."""
+    spectrum = load_cached_spectrum(sector, config.lam, root)
+    basis = enumerate_sector_basis(sector)
     dims = spectrum.spin_dims()
     tables = {}
     for observable in config.observables:
@@ -605,17 +610,16 @@ def _element_tables(spectrum: SpinResolvedSpectrum, basis: SymmetryBasis,
     return tables
 
 
-def _offdiag_ensembles(config: RunConfig, root: Path, L: int):
+def _offdiag_ensembles(config: RunConfig, root: Path, L: int, pool=None):
     """Yield (observable, pair, ens, red_ens) for size L, observables outermost.
 
     Every observable and spin pair is taken from each admitted block before
-    the next one loads. red_ens is the CG-reduced ensemble, None for the
+    the next one loads, or in pool's workers when one is given. red_ens is the CG-reduced ensemble, None for the
     observables without a single tensor rank or without reduced elements.
     """
     inputs = {}  # per key, its tables from every block; popped once its ensemble is built
-    for block in _per_block(config, root, _admitted_labels(config, L), load_cached_spectrum,
-                            _element_tables):
-        for key, table in block.items():
+    for future in _per_block(config, root, _admitted_labels(config, L), _element_tables, pool):
+        for key, table in future.result().items():
             inputs.setdefault(key, []).append(table)
     for observable in config.observables:
         for pair in config.all_pairs():
@@ -643,73 +647,72 @@ def _inputs_hash(arrays) -> str:
 
 def run_offdiag_eth(config: RunConfig) -> dict:
     """Gaussianity ratios, spectral functions, variance scalings, low-freq views."""
-    root, out, manifest = _begin(config, "offdiag-eth")
-    chash = manifest.config_hash
-    binning = analysis.Binning(config.bin_spacing, config.bin_width, config.min_bin_count)
-    omega_cut = config.resolved_omega_cut()
+    with _begin(config, "offdiag-eth") as (root, out, manifest, plan, pool):
+        chash = manifest.config_hash
+        binning = analysis.Binning(config.bin_spacing, config.bin_width, config.min_bin_count)
+        omega_cut = config.resolved_omega_cut()
 
-    gamma_rows = []
-    spec_rows = []
-    spec_red_rows = []
-    low_rows = []
-    by_pair: dict[tuple[str, tuple[int, int]], list[analysis.OffDiagonalEnsemble]] = {}
+        gamma_rows = []
+        spec_rows = []
+        spec_red_rows = []
+        low_rows = []
+        by_pair: dict[tuple[str, tuple[int, int]], list[analysis.OffDiagonalEnsemble]] = {}
 
-    for L in config.L_list:
-        for observable, pair, ens, red_ens in _offdiag_ensembles(config, root, L):
-            s_a, s_b = pair
-            if ens.size == 0:
-                manifest.record("offdiag", "empty", sector=f"L{L}_{observable}_{s_a}_{s_b}")
+        for L, labels in plan.items():
+            for observable, pair, ens, red_ens in _offdiag_ensembles(config, root, L, pool):
+                s_a, s_b = pair
+                if ens.size == 0:
+                    manifest.record("offdiag", "empty", sector=f"L{L}_{observable}_{s_a}_{s_b}")
+                    continue
+                by_pair.setdefault((observable, pair), []).append(ens)
+
+                tag = [repeat(x) for x in (L, s_a, s_b, config.lam, observable)]
+                w, v, c, f = _populated(analysis.gaussianity_ratio(ens, binning))
+                gamma_rows += zip(w, v, c, *tag, f)
+
+                spectral = analysis.spectral_function(ens, binning)
+                w, v, c, f = _populated(spectral)
+                spec_rows += zip(w, v, *tag, c, f)
+
+                low = analysis.low_frequency_view(spectral, L, divide_by_L=(observable == "A"))
+                w, v, c, f = _populated(low)
+                low_rows += zip(w, v, *tag, c, f)
+
+                if red_ens is not None and red_ens.size:
+                    w, v, c, f = _populated(analysis.spectral_function(red_ens, binning))
+                    spec_red_rows += zip(w, v, *tag, c, f)
+            _journal_blocks(manifest, L, labels)
+
+        fits = {}
+        for (observable, pair), group in sorted(by_pair.items()):
+            if len({e.L for e in group}) < 3:
                 continue
-            by_pair.setdefault((observable, pair), []).append(ens)
+            result = analysis.variance_scaling(group, omega_cut)
+            entry = result.as_dict()
+            entry["inputs"] = _inputs_hash(
+                [e.omega for e in group] + [e.abs_sq for e in group])
+            fits[f"variance[{observable},{pair[0]},{pair[1]}]"] = entry
 
-            tag = [repeat(x) for x in (L, s_a, s_b, config.lam, observable)]
-            w, v, c, f = _populated(analysis.gaussianity_ratio(ens, binning))
-            gamma_rows += zip(w, v, c, *tag, f)
-
-            spectral = analysis.spectral_function(ens, binning)
-            w, v, c, f = _populated(spectral)
-            spec_rows += zip(w, v, *tag, c, f)
-
-            low = analysis.low_frequency_view(spectral, L, divide_by_L=(observable == "A"))
-            w, v, c, f = _populated(low)
-            low_rows += zip(w, v, *tag, c, f)
-
-            if red_ens is not None and red_ens.size:
-                w, v, c, f = _populated(analysis.spectral_function(red_ens, binning))
-                spec_red_rows += zip(w, v, *tag, c, f)
-        _journal_blocks(manifest, config, L)
-
-    fits = {}
-    for (observable, pair), group in sorted(by_pair.items()):
-        if len({e.L for e in group}) < 3:
-            continue
-        result = analysis.variance_scaling(group, omega_cut)
-        entry = result.as_dict()
-        entry["inputs"] = _inputs_hash(
-            [e.omega for e in group] + [e.abs_sq for e in group])
-        fits[f"variance[{observable},{pair[0]},{pair[1]}]"] = entry
-
-    paths = {
-        "gamma": _write_csv(out / "gamma.csv",
-                            ("omega", "Gamma", "count", "L", "S_a", "S_b", "lambda",
-                             "observable", "flagged"),
-                            gamma_rows, chash),
-        "specfun": _write_csv(out / "specfun.csv",
-                              ("omega", "LD_var", "L", "S_a", "S_b", "lambda", "observable",
-                               "count", "flagged"),
-                              spec_rows, chash),
-        "specfun_reduced": _write_csv(out / "specfun_reduced.csv",
-                                      ("omega", "LD_var", "L", "S_a", "S_b", "lambda",
-                                       "observable", "count", "flagged"),
-                                      spec_red_rows, chash),
-        "lowfreq": _write_csv(out / "lowfreq.csv",
-                              ("omega_L2", "value", "L", "S_a", "S_b", "lambda", "observable",
-                               "count", "flagged"),
-                              low_rows, chash),
-        "fits": _write_json(out / "fits.json",
-                            {"config": chash, "omega_cut": omega_cut, "fits": fits}),
-    }
-    manifest.record("run", "done", command="offdiag-eth")
+        paths = {
+            "gamma": _write_csv(out / "gamma.csv",
+                                ("omega", "Gamma", "count", "L", "S_a", "S_b", "lambda",
+                                 "observable", "flagged"),
+                                gamma_rows, chash),
+            "specfun": _write_csv(out / "specfun.csv",
+                                  ("omega", "LD_var", "L", "S_a", "S_b", "lambda", "observable",
+                                   "count", "flagged"),
+                                  spec_rows, chash),
+            "specfun_reduced": _write_csv(out / "specfun_reduced.csv",
+                                          ("omega", "LD_var", "L", "S_a", "S_b", "lambda",
+                                           "observable", "count", "flagged"),
+                                          spec_red_rows, chash),
+            "lowfreq": _write_csv(out / "lowfreq.csv",
+                                  ("omega_L2", "value", "L", "S_a", "S_b", "lambda", "observable",
+                                   "count", "flagged"),
+                                  low_rows, chash),
+            "fits": _write_json(out / "fits.json",
+                                {"config": chash, "omega_cut": omega_cut, "fits": fits}),
+        }
     return {"config": chash, "paths": {k: str(p) for k, p in paths.items()}, "fits": fits}
 
 
@@ -755,25 +758,27 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
                            for lab, spectrum in blocks)
 
 
-def _audit_sector(spectrum: SpinResolvedSpectrum, basis: SymmetryBasis, config: RunConfig) -> dict:
+def _audit_sector(sector: SectorLabel, config: RunConfig, root: Path) -> dict:
     """Spin counts, per-state moments and per-label (block audit, failed) of a solved sector.
 
     Its -k mirror shares its orthonormality and spin sharpness; the mirror's
     eigen residual is taken against its own H(-k), which checks the mirror rule.
     """
+    spectrum, _ = ensure_spectrum(sector, config.lam, root)
+    basis = enumerate_sector_basis(sector)
     v = spectrum.vectors
     ortho = float(np.abs(v.conj().T @ v - np.eye(spectrum.dim)).max())
     expect = expectations(build_total_spin_squared(basis), v)
     spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max())
     scale = max(1.0, float(np.abs(spectrum.energies).max()))
     audits = {}
-    for sector in dict.fromkeys((spectrum.sector, _mirror(spectrum.sector))):
-        own = basis if sector == spectrum.sector else enumerate_sector_basis(sector)
+    for label in dict.fromkeys((sector, _mirror(sector))):
+        own = basis if label == sector else enumerate_sector_basis(label)
         eig_res = eigen_residual(build_hamiltonian(own, CouplingSpec(config.lam)),
-                                 spectrum.energies, _serve(spectrum, sector).vectors)
-        audit = {"sector": _sector_name(sector, config.lam), "eigen_residual": eig_res,
+                                 spectrum.energies, _serve(spectrum, label).vectors)
+        audit = {"sector": _sector_name(label, config.lam), "eigen_residual": eig_res,
                  "orthonormality": ortho, "spin_residual": spin_res}
-        audits[sector] = audit, eig_res > 1e-8 * scale or ortho > 1e-10 or spin_res > 1e-6
+        audits[label] = audit, eig_res > 1e-8 * scale or ortho > 1e-10 or spin_res > 1e-6
     return {"spin_dims": spectrum.spin_dims(), "audits": audits,
             "moments": (spectrum.spins, _state_moments(basis, spectrum))}
 
@@ -786,41 +791,38 @@ def run_oracle_check(config: RunConfig) -> dict:
     table then validates every closed form to 1e-10. Each solved sector is
     read and worked once for itself and its -k mirror.
     """
-    root, out, manifest = _begin(config, "oracle-check")
-    tol_moment = 1e-10
-    report = {"config": manifest.config_hash, "lambda": config.lam, "rows": [],
-              "block_audits": [], "failures": []}
-    for L in config.L_list:
-        labels = sector_labels(L, 0)
-        sectors = _per_block(config, root, labels, lambda *args: ensure_spectrum(*args)[0],
-                             _audit_sector)
-        for lab, checked in zip(labels, sectors):
-            audit, failed = checked["audits"][lab]
-            report["block_audits"].append(audit)
-            if failed:
-                report["failures"].append({"kind": "block_audit", **audit})
+    with _begin(config, "oracle-check") as (root, out, manifest, plan, pool):
+        tol_moment = 1e-10
+        report = {"config": manifest.config_hash, "lambda": config.lam, "rows": [],
+                  "block_audits": [], "failures": []}
+        for L, labels in plan.items():
+            sectors = [f.result() for f in _per_block(config, root, labels, _audit_sector, pool)]
+            for lab, checked in zip(labels, sectors):
+                audit, failed = checked["audits"][lab]
+                report["block_audits"].append(audit)
+                if failed:
+                    report["failures"].append({"kind": "block_audit", **audit})
 
-        spin_counts = sum((Counter(checked["spin_dims"]) for checked in sectors), Counter())
-        for s, c in sorted(spin_counts.items()):
-            expected = oracle.spin_sector_dimension(L, s)
-            if c != expected:
-                report["failures"].append({"kind": "spin_count", "L": L, "S": s,
-                                           "got": c, "expected": expected})
+            spin_counts = sum((Counter(checked["spin_dims"]) for checked in sectors), Counter())
+            for s, c in sorted(spin_counts.items()):
+                expected = oracle.spin_sector_dimension(L, s)
+                if c != expected:
+                    report["failures"].append({"kind": "spin_count", "L": L, "S": s,
+                                               "got": c, "expected": expected})
 
-        traces = _pooled_moments(checked["moments"] for checked in sectors)
-        for s in sorted(traces):
-            m = oracle.moments(L, s, config.lam)
-            for fieldname in _MOMENT_FIELDS:
-                diff = abs(traces[s][fieldname] - getattr(m, fieldname))
-                row = {"L": L, "S": s, "moment": fieldname,
-                       "analytic": getattr(m, fieldname),
-                       "trace": traces[s][fieldname], "abs_diff": diff,
-                       "pass": bool(diff < tol_moment)}
-                report["rows"].append(row)
-                if diff >= tol_moment:
-                    report["failures"].append({"kind": "moment", "L": L, "S": s,
-                                               "moment": fieldname, "abs_diff": diff})
-    report["pass"] = not report["failures"]
-    _write_json(out / "oracle_check.json", report)
-    manifest.record("run", "done", command="oracle-check")
+            traces = _pooled_moments(checked["moments"] for checked in sectors)
+            for s in sorted(traces):
+                m = oracle.moments(L, s, config.lam)
+                for fieldname in _MOMENT_FIELDS:
+                    diff = abs(traces[s][fieldname] - getattr(m, fieldname))
+                    row = {"L": L, "S": s, "moment": fieldname,
+                           "analytic": getattr(m, fieldname),
+                           "trace": traces[s][fieldname], "abs_diff": diff,
+                           "pass": bool(diff < tol_moment)}
+                    report["rows"].append(row)
+                    if diff >= tol_moment:
+                        report["failures"].append({"kind": "moment", "L": L, "S": s,
+                                                   "moment": fieldname, "abs_diff": diff})
+        report["pass"] = not report["failures"]
+        _write_json(out / "oracle_check.json", report)
     return report

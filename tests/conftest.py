@@ -7,7 +7,14 @@ run can be audited without digging through the full pytest output.
 
 from __future__ import annotations
 
+import os
+
 import pytest
+
+# pin BLAS before anything loads numpy (pytest itself does not): the tests
+# that run sectors in forked workers would otherwise oversubscribe the cores
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 _CRITERIA: dict[int, tuple[str, bool]] = {}
 
@@ -33,8 +40,9 @@ def eigensolves(monkeypatch):
 
     Wraps pipeline.diagonalize_block, which ensure_spectrum calls through
     the module global. It counts the solves of this process only: with
-    workers == 1 run_spectrum solves in-process, but with workers > 1 it
-    solves in forked worker processes, whose calls never reach this list.
+    workers == 1 every command works its sectors in-process, but with
+    workers > 1 spectrum and oracle-check solve in forked worker processes,
+    whose calls never reach this list.
     """
     from su2eth import pipeline
 

@@ -119,6 +119,7 @@ def test_malformed_spin_pair_is_a_config_error():
     {"spin_pairs": [[0.5, 2.7]]},
     {"spin_pairs": [[0, 2], [1, 1.5]]},
     {"exclude_k": [0, 2.5]},
+    {"M": 0.5},
 ])
 def test_non_integral_sizes_and_spins_are_config_errors(changes):
     # int() would truncate these silently; S = 1.5 is no sector at even L
@@ -127,9 +128,11 @@ def test_non_integral_sizes_and_spins_are_config_errors(changes):
 
 
 def test_whole_numbers_written_as_floats_become_ints():
-    cfg = RunConfig(L_list=[10.0], spins=[1.0], spin_pairs=[[0.0, 2]], exclude_k=[0.0])
+    cfg = RunConfig(L_list=[10.0], spins=[1.0], spin_pairs=[[0.0, 2]], exclude_k=[0.0], M=0.0)
     assert (cfg.L_list, cfg.spins, cfg.spin_pairs, cfg.exclude_k) == ((10,), (1,), ((0, 2),), (0,))
-    assert all(type(v) is int for v in (*cfg.L_list, *cfg.spins, *cfg.spin_pairs[0]))
+    assert all(type(v) is int for v in (*cfg.L_list, *cfg.spins, *cfg.spin_pairs[0], cfg.M))
+    assert cfg.config_hash() == RunConfig(L_list=[10], spins=[1], spin_pairs=[[0, 2]],
+                                          exclude_k=[0]).config_hash()
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -264,7 +267,7 @@ def test_mirrored_spectrum_passes_block_audit(tmp_path, M, solved):
         assert np.array_equal(minus.vectors, np.conjugate(plus.vectors))
         assert load_cached_spectrum(lab, 3.0, root).vectors.tobytes() == minus.vectors.tobytes()
         # oracle-check's bounds; the -k eigen residual is taken against a freshly built H(-k)
-        checked = pipeline._audit_sector(plus, enumerate_sector_basis(plus.sector), cfg)
+        checked = pipeline._audit_sector(plus.sector, cfg, root)
         assert set(checked["audits"]) == {plus.sector, lab}
         audit, failed = checked["audits"][lab]
         assert audit["sector"] == spectrum_path(root, lab, 3.0).stem and not failed
@@ -453,6 +456,42 @@ def test_pool_is_capped_at_the_solved_sectors(tmp_path, monkeypatch):
     assert _manifest(tmp_path / "out")[-1]["workers"] == 1
 
 
+@pytest.mark.parametrize("run,cap", [
+    (run_diag_eth, 4), (run_offdiag_eth, 4), (run_oracle_check, 8)])
+def test_every_command_pool_is_capped_at_its_solved_sectors(tmp_path, monkeypatch, run, cap):
+    cfg = _analysis_config(tmp_path, observables=("B",))
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
+    started = []
+    real = pipeline.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording)
+    run(dataclasses.replace(cfg, workers=16))
+    # at L = 6 the analyses read the k = 1, 2 files of both parities, k = 0
+    # and pi being excluded; oracle-check reads all 8 k >= 0 files
+    assert started == [cap]
+    assert _manifest(tmp_path / "out")[-1]["workers"] == cap
+
+
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_every_command_gives_the_same_bytes_at_one_and_two_workers(tmp_path, lam):
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), lam=lam, spins=(0, 1, 2),
+                           spin_pairs=((0, 2),), observables=("B", "C"))
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        for run in (run_diag_eth, run_offdiag_eth, run_oracle_check):
+            run(dataclasses.replace(cfg, workers=workers, out_dir=str(out)))
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "manifest.jsonl"})
+    assert len(outputs[0]) == 11
+    assert outputs[0] == outputs[1]
+
+
 def test_manifest_is_append_only_jsonl(tmp_path):
     cfg = _analysis_config(tmp_path)
     run_spectrum(cfg)
@@ -482,6 +521,7 @@ def test_every_command_journals_start_and_done(tmp_path, command, run):
     runs = [e for e in entries if e["stage"] == "run"]
     assert [(e["status"], e["command"]) for e in runs] == [("start", command), ("done", command)]
     assert runs[0]["fingerprint"] == f"{build_fingerprint():016x}"
+    assert runs[1]["workers"] == 1
 
 
 @pytest.mark.parametrize("run", [run_spectrum, run_diag_eth, run_offdiag_eth, run_oracle_check])
@@ -942,6 +982,45 @@ def test_cli_malformed_pair_is_a_usage_error(tmp_path):
     result = CliRunner().invoke(main, ["offdiag-eth", "--config", str(cfg_path)])
     assert result.exit_code == 2
     assert "every spin pair needs two spins" in result.output
+
+
+@pytest.mark.parametrize("command", ["diag-eth", "offdiag-eth"])
+def test_cli_missing_cache_in_a_worker_exits_1_and_names_the_file(tmp_path, command):
+    cache_dir = tmp_path / "c"
+    cache_dir.mkdir()
+    result = CliRunner().invoke(main, [command, "--L", "6", "--spin", "0", "--workers", "2",
+                                       "--cache", str(cache_dir), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1, result.output
+    # the first admitted label is k = -2, served from the k = 2 file
+    missing = spectrum_path(cache_dir, SectorLabel(6, 0, 2, 1), 0.0)
+    assert f"no cached spectrum at {missing}" in result.output
+    assert "run the spectrum command first" in result.output
+
+
+@pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["spectrum", "diag-eth", "offdiag-eth", "oracle-check"])
+def test_cli_bad_lambda_exits_2_before_any_work(tmp_path, command, lam):
+    result = CliRunner().invoke(main, [command, "--L", "6", f"--lambda={lam}", "--spin", "0",
+                                       "--cache", str(tmp_path / "c"),
+                                       "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "lambda must be a finite nonnegative real" in result.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,changes,message", [
+    ("oracle-check", {"lambda": float("nan")}, "lambda must be a finite nonnegative real, got nan"),
+    ("spectrum", {"M": 0.5}, "M must hold whole numbers"),
+], ids=["nan-lambda", "half-M"])
+def test_cli_bad_config_file_exits_2_before_any_work(tmp_path, command, changes, message):
+    cfg_path = tmp_path / "run.json"
+    # json writes a float NaN as the bare NaN token, which json.load reads back
+    cfg_path.write_text(json.dumps({"L_list": [6], "cache_dir": str(tmp_path / "c"),
+                                    "out_dir": str(tmp_path / "o"), **changes}))
+    result = CliRunner().invoke(main, [command, "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_oracle_check_without_cache_root_exits_2(tmp_path, monkeypatch):
