@@ -32,7 +32,7 @@ from .operators import (OBSERVABLE_TAGS, CouplingSpec, build_hamiltonian, build_
                         quad_correlator_terms)
 from .spectral import (SpinResolvedSpectrum, diagonalize_block, eigen_residual, expectations,
                        matrix_elements, resolve_spins)
-from .tensors import reduce_matrix_elements
+from .tensors import clebsch_gordan, reduce_matrix_elements
 
 __all__ = [
     "ConfigError",
@@ -51,6 +51,8 @@ __all__ = [
 # tensor rank entering the CG reduction; the mixed observable C has no
 # single rank, so reduced series are only emitted for A and B
 _REDUCTION_RANK = {"A": 0, "B": 2}
+
+_FILL_CACHE = "run the spectrum command first to populate the cache"
 
 _MOMENT_FIELDS = tuple(f.name for f in fields(oracle.MomentSet) if f.name not in ("L", "S", "lam"))
 
@@ -112,6 +114,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
+        if "lambda" in data and "lam" in data:
+            raise ConfigError("set the coupling once: the config has both 'lambda' and 'lam'")
         if "lambda" in data:
             data["lam"] = data.pop("lambda")
         return cls(**data)
@@ -275,10 +279,16 @@ def _begin(config: RunConfig, command: str):
     manifest = RunManifest(out / "manifest.jsonl", config.config_hash())
     manifest.record("run", "start", command=command,
                     fingerprint=f"{cache.build_fingerprint():016x}")
-    plan = {L: _admitted_labels(config, L) if command in ("diag-eth", "offdiag-eth")
-            else sector_labels(L, config.M) for L in config.L_list}
+    analysis_run = command in ("diag-eth", "offdiag-eth")
+    plan = {L: _admitted_labels(config, L) if analysis_run else sector_labels(L, config.M)
+            for L in config.L_list}
+    solved = dict.fromkeys(_solved(lab) for each in plan.values() for lab in each)
+    for sector in solved:
+        path = cache.spectrum_path(root, sector, config.lam)
+        if analysis_run and not path.exists():  # fail before any sector is worked
+            raise MissingCacheError(f"no cached spectrum at {path}; {_FILL_CACHE}")
     # a fork pool starts every worker at once, so start no more than can be busy
-    workers = min(config.workers, len({_solved(lab) for each in plan.values() for lab in each}))
+    workers = min(config.workers, len(solved))
     with _sector_pool(workers) as pool:
         yield root, out, manifest, plan, pool
     manifest.record("run", "done", command=command, workers=workers)
@@ -374,8 +384,7 @@ def load_cached_spectrum(sector: SectorLabel, lam: float, root: Path) -> SpinRes
     try:
         return _serve(cache.load_spectrum(root, _solved(sector), lam), sector)
     except cache.CacheMismatch as exc:
-        raise MissingCacheError(
-            f"{exc}; run the spectrum command first to populate the cache") from exc
+        raise MissingCacheError(f"{exc}; {_FILL_CACHE}") from exc
 
 
 def _sector_name(sector: SectorLabel, lam: float) -> str:
@@ -470,6 +479,12 @@ def _admitted_labels(config: RunConfig, L: int) -> list[SectorLabel]:
     return [lab for lab in sector_labels(L, config.M) if lab.k_index not in config.excluded_k(L)]
 
 
+def _vanishes(observable: str, s_a: int, s_b: int) -> bool:
+    """Whether <S_a 0|S_b 0; r 0> = 0 forces every element of observable between the spins to 0."""
+    rank = _REDUCTION_RANK.get(observable)
+    return rank is not None and clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0).is_zero
+
+
 def _journal_blocks(manifest: RunManifest, L: int, labels) -> None:
     """One row per size: the admitted labels and the solved sectors read for them."""
     manifest.record("blocks", "done", L=L, admitted=len(labels),
@@ -522,6 +537,8 @@ def run_diag_eth(config: RunConfig) -> dict:
                                      series.values.tolist(), repeat(L), repeat(config.lam),
                                      repeat(observable))
                     try:
+                        if _vanishes(observable, S, S):  # its fluctuations would be round-off
+                            raise ValueError(f"{observable} vanishes between S = {S} states")
                         delta = analysis.diagonal_fluctuations(series, config.central_fraction)
                     except ValueError as exc:
                         manifest.record("diag", "skipped", sector=f"L{L}_S{S}_{observable}",
@@ -596,7 +613,7 @@ def _element_tables(sector: SectorLabel, config: RunConfig, root: Path) -> dict[
         obs = build_observable(basis, observable)
         for pair in config.all_pairs():
             d_a, d_b = (dims.get(s, 0) for s in pair)
-            if d_a == 0 or d_b == 0:
+            if d_a == 0 or d_b == 0 or _vanishes(observable, *pair):
                 continue
             # a cross-spin pair has no alpha == beta records to drop
             table = matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")

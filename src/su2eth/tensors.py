@@ -10,7 +10,6 @@ at the boundary, when a value is handed to the numerical tables.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,46 +29,6 @@ __all__ = [
     "hermitian_reduced_relation",
     "cg_table_rows",
 ]
-
-
-# ─── small-prime bookkeeping ────────────────────────────────────────────────
-
-_primes: list[int] = [2, 3, 5, 7, 11, 13]
-
-
-def _primes_upto(n: int) -> list[int]:
-    """All primes <= n from a cached sieve that grows on demand."""
-    global _primes
-    if _primes[-1] < n:
-        limit = max(n, 2 * _primes[-1])
-        sieve = bytearray(b"\x01") * (limit + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _primes = [i for i, flag in enumerate(sieve) if flag]
-    return _primes[: bisect.bisect_right(_primes, n)]
-
-
-def _add_factorial_exponents(n: int, weight: int, acc: dict[int, int]) -> None:
-    # Legendre's formula: nu_p(n!) = sum_i floor(n / p^i)
-    for p in _primes_upto(n):
-        e = 0
-        q = n
-        while q:
-            q //= p
-            e += q
-        acc[p] = acc.get(p, 0) + weight * e
-
-
-def _add_integer_exponents(n: int, weight: int, acc: dict[int, int]) -> None:
-    # trial division; n here is 2j+1, never more than a few hundred
-    for p in _primes_upto(math.isqrt(n)):
-        while n % p == 0:
-            acc[p] = acc.get(p, 0) + weight
-            n //= p
-    if n > 1:
-        acc[n] = acc.get(n, 0) + weight
 
 
 # ─── exact value type ───────────────────────────────────────────────────────
@@ -144,6 +103,20 @@ ZERO = SqrtRational()
 ONE = SqrtRational(Fraction(1))
 
 
+def _split_square(n: int, bound: int) -> tuple[int, int]:
+    """(s, r) with n = s**2 * r and r squarefree, for n whose primes are <= bound.
+
+    Dividing out p**2 for every p = 2 .. bound needs no prime list: once the
+    squares of all smaller primes are gone, no composite square divides n.
+    """
+    s = 1
+    for p in range(2, bound + 1):
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+    return s, n
+
+
 def _twice(value) -> int:
     iv = int(value)
     if iv != value:
@@ -162,9 +135,9 @@ def clebsch_gordan(tj, tm, tj1, tm1, tj2, tm2) -> SqrtRational:
     momenta raise ValueError.
 
     The value is assembled from the Racah single-sum formula: the rational
-    sum over k is done in Fraction arithmetic, and the square-root prefactor
-    is carried as prime-factorization exponent vectors so its square root
-    splits exactly into a rational times the root of a squarefree integer.
+    sum over k is done in Fraction arithmetic, and the squared square-root
+    prefactor is one Fraction of factorials whose numerator and denominator
+    each split into a square times a squarefree integer.
     """
     tj, tm, tj1, tm1, tj2, tm2 = (_twice(v) for v in (tj, tm, tj1, tm1, tj2, tm2))
     if min(tj, tj1, tj2) < 0:
@@ -198,33 +171,16 @@ def clebsch_gordan(tj, tm, tj1, tm1, tj2, tm2) -> SqrtRational:
     if total == 0:
         return ZERO
 
-    expo: dict[int, int] = {}
-    _add_integer_exponents(tj + 1, 1, expo)
-    _add_factorial_exponents((tj1 + tj2 - tj) // 2, 1, expo)
-    _add_factorial_exponents((tj1 - tj2 + tj) // 2, 1, expo)
-    _add_factorial_exponents((-tj1 + tj2 + tj) // 2, 1, expo)
-    _add_factorial_exponents((tj1 + tj2 + tj) // 2 + 1, -1, expo)
-    for n in (
-        (tj + tm) // 2,
-        (tj - tm) // 2,
-        (tj1 - tm1) // 2,
-        (tj1 + tm1) // 2,
-        (tj2 - tm2) // 2,
-        (tj2 + tm2) // 2,
-    ):
-        _add_factorial_exponents(n, 1, expo)
-
-    num = den = 1
-    rad = 1
-    for p, e in expo.items():
-        half, odd = divmod(e, 2)
-        if half >= 0:
-            num *= p**half
-        else:
-            den *= p**-half
-        if odd:
-            rad *= p
-    return SqrtRational(total * Fraction(num, den), rad)
+    # squared prefactor as one fraction; no prime in it exceeds bound
+    bound = (tj1 + tj2 + tj) // 2 + 1
+    legs = (tj1 + tj2 - tj, tj1 - tj2 + tj, tj2 - tj1 + tj, tj + tm, tj - tm,
+            tj1 - tm1, tj1 + tm1, tj2 - tm2, tj2 + tm2)
+    squared = Fraction((tj + 1) * math.prod(math.factorial(n // 2) for n in legs),
+                       math.factorial(bound))
+    s_n, r_n = _split_square(squared.numerator, bound)
+    s_d, r_d = _split_square(squared.denominator, bound)
+    # sqrt(n/d) = s_n/(s_d r_d) sqrt(r_n r_d); n, d coprime, so r_n r_d is squarefree
+    return SqrtRational(total * Fraction(s_n, s_d * r_d), r_n * r_d)
 
 
 def cg_column_sum(s: int, r: int) -> Fraction:

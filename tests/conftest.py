@@ -2,12 +2,14 @@
 
 test_acceptance.py registers a verdict for each numbered criterion; the
 terminal-summary hook below prints one PASS/FAIL line per criterion so a
-run can be audited without digging through the full pytest output.
+run can be audited without digging through the full pytest output, and
+then the line count of the package source, the measure of its size.
 """
 
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -25,13 +27,16 @@ def record_criterion(number: int, description: str, passed: bool) -> None:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _CRITERIA:
-        return
-    terminalreporter.section("acceptance criteria")
+    if _CRITERIA:
+        terminalreporter.section("acceptance criteria")
     for number in sorted(_CRITERIA):
         description, ok = _CRITERIA[number]
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {number:02d}: {verdict}  {description}")
+    # counted like `wc -l src/su2eth/*.py`
+    source = Path(__file__).resolve().parents[1] / "src" / "su2eth"
+    lines = sum(path.read_bytes().count(b"\n") for path in source.glob("*.py"))
+    terminalreporter.write_line(f"src/su2eth: {lines} lines")
 
 
 @pytest.fixture

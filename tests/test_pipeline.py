@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -45,6 +46,12 @@ def test_from_dict_accepts_lambda_alias():
     cfg = RunConfig.from_dict({"L_list": [6], "lambda": 3.0})
     assert cfg.lam == 3.0
     assert cfg.L_list == (6,)
+
+
+def test_from_dict_rejects_both_coupling_keys():
+    # neither key is the obvious winner, so the config is ambiguous
+    with pytest.raises(ConfigError, match="both 'lambda' and 'lam'"):
+        RunConfig.from_dict({"L_list": [6], "lam": 1.0, "lambda": 3.0})
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -849,6 +856,67 @@ def test_offdiag_outputs(warm):
         assert set(entry) >= {"model", "params", "inputs"}
 
 
+def _records(path):
+    header, rows = _read_csv(path)
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_rank_two_observable_is_not_fitted_between_spin_zero_states(tmp_path, monkeypatch):
+    """<0 0|0 0; 2 0> = 0 makes every B element between S = 0 states vanish.
+
+    Statistics of those elements describe round-off only; the run without
+    the rule differs from the run with it by exactly those entries.
+    """
+    # L = 6 has no S = 0 pair in the energy window, so three sizes that fit start at 8
+    cfg = _analysis_config(tmp_path, L_list=(8, 10, 12), spins=(0, 1), observables=("B", "C"),
+                           half_width=2, workers=1)
+    run_spectrum(cfg)
+    runs = {}
+    for rule in (True, False):
+        runs[rule] = out = tmp_path / f"out_{rule}"
+        with monkeypatch.context() as m:
+            if not rule:
+                m.setattr(pipeline, "_vanishes", lambda *args: False)
+            run_offdiag_eth(dataclasses.replace(cfg, out_dir=str(out)))
+            run_diag_eth(dataclasses.replace(cfg, out_dir=str(out)))
+    with_rule, without = runs[True], runs[False]
+
+    def spin_zero(row):
+        return {row.get(key) for key in ("S", "S_a", "S_b")} - {None} == {"0"}
+
+    for name in ("gamma.csv", "specfun.csv", "lowfreq.csv", "fluct.csv"):
+        rows = _records(without / name)
+        noise = [r for r in rows if r["observable"] == "B" and spin_zero(r)]
+        assert noise, name
+        assert any(r["observable"] == "C" and spin_zero(r) for r in rows), name
+        assert _records(with_rule / name) == [r for r in rows if r not in noise], name
+    for name in ("specfun_reduced.csv", "diag.csv", "spin_means.csv"):
+        assert _read_csv(with_rule / name) == _read_csv(without / name), name
+    for name, key in (("fits.json", "variance[{},{S},{S}]"), ("diag_fits.json", "fluct[{},S={S}]")):
+        fits = json.loads((without / name).read_text())["fits"]
+        assert set(fits) == {key.format(o, S=S) for o in "BC" for S in (0, 1)}
+        del fits[key.format("B", S=0)]
+        assert json.loads((with_rule / name).read_text())["fits"] == fits
+    manifest = _manifest(with_rule)
+    assert {e["sector"] for e in manifest if e["stage"] == "offdiag"} == \
+        {f"L{L}_B_0_0" for L in cfg.L_list}
+    assert {e["sector"] for e in manifest if e["stage"] == "diag"} == \
+        {f"L{L}_S0_B" for L in cfg.L_list}
+
+
+@pytest.mark.parametrize("run", [run_diag_eth, run_offdiag_eth])
+def test_analysis_names_a_missing_file_before_reading_any(tmp_path, monkeypatch, run):
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(1,), observables=("B",), workers=1)
+    run_spectrum(cfg)
+    missing = spectrum_path(tmp_path / "cache", SectorLabel(8, 0, 3, -1), 3.0)
+    missing.unlink()
+    loads = []
+    monkeypatch.setattr(pipeline, "load_cached_spectrum", lambda *args: loads.append(args))
+    with pytest.raises(MissingCacheError, match=f"no cached spectrum at {missing}"):
+        run(cfg)
+    assert loads == []
+
+
 def test_offdiag_requires_cache(tmp_path):
     cfg = _analysis_config(tmp_path, spins=(1,), observables=("B",))
     with pytest.raises(MissingCacheError):
@@ -1061,6 +1129,27 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert summary["lambda"] == 3.0  # the flag wins over the file
 
 
+def test_cli_config_file_with_lam_and_flag_override(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"L_list": [6], "lam": 0.0, "cache_dir": str(tmp_path / "c"),
+                                    "out_dir": str(tmp_path / "o")}))
+    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg_path), "--lambda", "3.0"])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "o" / "spectrum_summary.json").read_text())
+    assert summary["lambda"] == 3.0
+
+
+def test_cli_config_file_with_both_coupling_keys_exits_2(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"L_list": [6], "lam": 1.0, "lambda": 3.0,
+                                    "cache_dir": str(tmp_path / "c"),
+                                    "out_dir": str(tmp_path / "o")}))
+    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg_path)])
+    assert result.exit_code == 2
+    assert "both 'lambda' and 'lam'" in result.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_oracle_command():
     runner = CliRunner()
     result = runner.invoke(main, ["oracle", "--L", "8", "-S", "1", "--lambda", "3.0"])
@@ -1083,6 +1172,16 @@ def test_cli_cg_table(tmp_path):
                                    "numerator", "denominator-square", "float"]
     from su2eth.tensors import cg_table_rows
     assert len(lines) - 1 == sum(1 for _ in cg_table_rows(20))
+
+
+def test_cli_default_cg_table_is_pinned(tmp_path):
+    # exact rationals and correctly rounded floats: the bytes hold on every platform
+    out = tmp_path / "table.csv"
+    result = CliRunner().invoke(main, ["cg-table", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "wrote 1143 rows" in result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "fb37e807be202bba41519900f3e9584b665b76b29c807152d78df0ac92a90cf5"
 
 
 def test_cli_version():
