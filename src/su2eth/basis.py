@@ -11,6 +11,13 @@ canonical representative of its symmetry orbit together with the group
 element (t, x) mapping the state onto that representative,
 T^t X^x |state> = |rep>. These shared tables are what the operator layer
 consumes to assemble block matrices.
+
+Each sector's coordinates are not the orbit states |r> themselves but a
+basis invariant under PK, the bond reflection P (bit reversal) composed
+with complex conjugation K of product amplitudes. PK keeps k, z and M and
+maps |r> to c_r |r'>, with r' the orbit of P(r) and c_r a phase. Every
+operator that is real in the product basis and reflection-invariant is
+therefore real symmetric in this basis.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ __all__ = [
     "SymmetryBasis",
     "translate_bits",
     "flip_bits",
+    "reflect_bits",
     "magnetization_states",
     "sector_labels",
     "enumerate_sector_basis",
@@ -57,6 +65,15 @@ def flip_bits(states, L: int):
     if isinstance(states, (int, np.integer)):
         return int(states) ^ mask
     return np.asarray(states, dtype=np.int64) ^ mask
+
+
+def reflect_bits(states, L: int):
+    """Bond reflection P: site i -> L-1-i (bit reversal of the L-bit word)."""
+    states = np.asarray(states, dtype=np.int64)
+    out = np.zeros_like(states)
+    for i in range(L):
+        out |= ((states >> i) & 1) << (L - 1 - i)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -171,12 +188,15 @@ def _sector_tables(L: int, M: int) -> _SectorTables:
 
 @dataclass(frozen=True)
 class SymmetryBasis:
-    """Orthonormal symmetry-adapted basis of one {M, k, Z2} sector.
+    """Orthonormal PK-invariant basis of one {M, k, Z2} sector.
 
-    Row/column index order is ascending representative. rep_index maps each
+    reps lists the admitted orbits in ascending order; rep_index maps each
     product state of the magnetization sector (by its position in
-    tables.states) to the row of its orbit here, or -1 when that orbit has
-    vanishing projection in this sector.
+    tables.states) to its orbit's row in reps, or -1 when that orbit has
+    vanishing projection in this sector. The basis vectors are the columns
+    of a unitary U on the orbit states, at most two orbits per column:
+    orbit a enters column pk_columns[a, m] with amplitude pk_coeffs[a, m]
+    (m = 0, 1; a zero amplitude pads an orbit that enters one column).
     """
 
     sector: SectorLabel
@@ -184,6 +204,8 @@ class SymmetryBasis:
     orbit_sizes: np.ndarray
     tables: _SectorTables
     rep_index: np.ndarray
+    pk_columns: np.ndarray
+    pk_coeffs: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -224,41 +246,67 @@ def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
     rep_index = rep_rows[canon_pos]
 
     reps = tabs.states[pos[kept]]
-    orbit_sizes = sizes[kept]
-    out = SymmetryBasis(
-        sector=sector,
-        reps=reps,
-        orbit_sizes=orbit_sizes,
-        tables=tabs,
-        rep_index=rep_index,
-    )
-    for arr in (out.reps, out.orbit_sizes, out.rep_index):
+    out = SymmetryBasis(sector, reps, sizes[kept], tabs, rep_index,
+                        *_pk_basis(sector, reps, tabs, rep_index))
+    for arr in (out.reps, out.orbit_sizes, out.rep_index, out.pk_columns, out.pk_coeffs):
         arr.setflags(write=False)
     return out
 
 
-def expand_to_product_basis(basis: SymmetryBasis, orbit_index: int) -> dict[int, complex]:
+def _pk_basis(sector: SectorLabel, reps: np.ndarray, tabs: _SectorTables,
+              rep_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pk_columns, pk_coeffs) of the PK-invariant columns of one sector.
+
+    PK |r> = c_r |r'>, where r' is the orbit of s = P(r) and
+    c_r = exp(-i k t_s) z^(x_s). A self-partnered orbit gives the column
+    sqrt(c_r) |r>; a pair r < r' gives (|r> + c_r |r'>)/sqrt(2) and
+    i (|r> - c_r |r'>)/sqrt(2), in that order. Columns follow the first
+    orbit of each pair. The basis at -k is the conjugate of the one at +k,
+    so both give the same real blocks bit for bit.
+    """
+    dim = len(reps)
+    pos = np.searchsorted(tabs.states, reflect_bits(reps, sector.L))
+    partner = rep_index[pos]
+    angle = (-2.0 * math.pi * abs(sector.k_index) / sector.L) * tabs.shift_t[pos]
+    if sector.z2_parity == -1:
+        angle = angle + math.pi * tabs.shift_x[pos]
+    rows = np.arange(dim)
+    alone = partner == rows
+    first = partner > rows
+    width = np.where(alone, 1, np.where(first, 2, 0))
+    start = (np.cumsum(width) - width)[np.minimum(rows, partner)]
+    columns = np.stack((start, start + ~alone), axis=1)
+    # the phase of each pair is its first orbit's c_r
+    c = np.where(first, 1.0, np.exp(1j * angle[np.minimum(rows, partner)]))
+    r2 = math.sqrt(0.5)
+    coeffs = np.stack((np.where(alone, np.exp(0.5j * angle), r2 * c),
+                       np.where(alone, 0.0, np.where(first, 1j, -1j) * r2 * c)), axis=1)
+    return columns, coeffs.conj() if sector.k_index < 0 else coeffs
+
+
+def expand_to_product_basis(basis: SymmetryBasis, column: int) -> dict[int, complex]:
     """Amplitudes of one normalized basis vector on its product states.
 
-    The amplitude on T^t X^x |rep> is exp(-i k t) z^x / sqrt(N) with N the
-    orbit size; group elements hitting the same product state agree on this
-    phase for every admitted orbit.
+    The vector is sum_a U[a, column] |a> over its (at most two) orbits. The
+    orbit state |a> has amplitude exp(-i k t) z^x / sqrt(N) on T^t X^x |rep>
+    with N the orbit size; group elements hitting the same product state
+    agree on this phase for every admitted orbit.
     """
-    if not 0 <= orbit_index < basis.dim:
-        raise IndexError(f"orbit_index {orbit_index} out of range (dim {basis.dim})")
+    if not 0 <= column < basis.dim:
+        raise IndexError(f"column {column} out of range (dim {basis.dim})")
     sector = basis.sector
     L = sector.L
-    rep = int(basis.reps[orbit_index])
-    inv_sqrt_n = 1.0 / math.sqrt(basis.orbit_sizes[orbit_index])
     amplitudes: dict[int, complex] = {}
-    flips = (0, 1) if sector.M == 0 else (0,)
-    for x in flips:
-        s = flip_bits(rep, L) if x else rep
-        zx = (sector.z2_parity if x else 1) or 1
-        for t in range(L):
-            if t:
-                s = translate_bits(s, L)
-            amplitudes[s] = cmath.exp(-1j * sector.k * t) * zx * inv_sqrt_n
+    hit = (basis.pk_columns == column) & (basis.pk_coeffs != 0)
+    for orbit, m in zip(*np.nonzero(hit)):
+        weight = basis.pk_coeffs[orbit, m] / math.sqrt(basis.orbit_sizes[orbit])
+        for x in ((0, 1) if sector.M == 0 else (0,)):
+            s = flip_bits(int(basis.reps[orbit]), L) if x else int(basis.reps[orbit])
+            zx = (sector.z2_parity if x else 1) or 1
+            for t in range(L):
+                if t:
+                    s = translate_bits(s, L)
+                amplitudes[s] = cmath.exp(-1j * sector.k * t) * zx * weight
     return amplitudes
 
 

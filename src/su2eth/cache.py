@@ -1,14 +1,15 @@
 """On-disk cache for spin-resolved block spectra.
 
-Flat little-endian binary per sector: a fixed header carrying a build
-fingerprint and the sector key, followed by energies, spin labels, spin
-residuals and eigenvectors. A fingerprint or key mismatch raises
-CacheMismatch so callers rebuild instead of trusting stale files. The
-payload itself is not checksummed: only the oracle check audits loaded
-eigendata (residuals per block), while the diag-eth and offdiag-eth analyses
-read payloads unchecked. Each writer writes its own temporary file
-and renames it over the entry, so concurrent writers of one sector do not
-collide.
+Flat little-endian binary per sector (format v2): a fixed header carrying a
+build fingerprint, the sector key and a zlib.crc32 of the payload, followed
+by energies (f8), spin residuals (f8), real eigenvectors (f8, row-major)
+and spin labels (i2). The fingerprint covers the numerical core's source,
+the numpy, scipy and BLAS/LAPACK versions and the LAPACK eigh driver, since
+eigenvector signs depend on the library. A missing, stale, truncated or
+corrupted file raises CacheMismatch naming the file, and so the sector:
+spectrum rebuilds it, the analyses stop. Each writer writes its own
+temporary file and renames it over the entry, so concurrent writers of one
+sector do not collide.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import hashlib
 import os
 import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .basis import SectorLabel
-from .spectral import SpinResolvedSpectrum
+from .spectral import EIGH_DRIVER, SpinResolvedSpectrum
 
 __all__ = [
     "CacheMismatch",
@@ -34,9 +37,9 @@ __all__ = [
 ]
 
 _MAGIC = b"SU2ETHEV"
-_VERSION = 1
-# magic, version, build id, L, M, k_index, z2 flag, dim, pad, lambda
-_HEADER = struct.Struct("<8sIQiiiiiid4x")
+_VERSION = 2
+# magic, version, build id, L, M, k_index, z2 flag, dim, payload crc32, lambda
+_HEADER = struct.Struct("<8sIQiiiiiId4x")
 
 _ENV_VAR = "SU2ETH_CACHE_DIR"
 
@@ -45,9 +48,21 @@ class CacheMismatch(Exception):
     """Cached file exists but does not match the requested build or sector."""
 
 
+def _numerical_stack() -> str:
+    """numpy and scipy versions, the BLAS/LAPACK each was built with, and the LAPACK eigh driver."""
+    parts = [f"numpy {np.__version__}", f"scipy {scipy.__version__}", f"eigh {EIGH_DRIVER}"]
+    for module in (np, scipy):
+        try:
+            deps = module.show_config(mode="dicts")["Build Dependencies"]
+            parts += [f"{lib} {deps[lib]['name']} {deps[lib]['version']}" for lib in ("blas", "lapack")]
+        except (TypeError, KeyError):  # an older build without the dict form
+            parts.append(f"{module.__name__} build unknown")
+    return "; ".join(parts)
+
+
 def _source_digest() -> int:
     here = Path(__file__).parent
-    sha = hashlib.sha256()
+    sha = hashlib.sha256(_numerical_stack().encode())
     for name in ("basis.py", "operators.py", "spectral.py", "cache.py"):
         sha.update((here / name).read_bytes())
     return int.from_bytes(sha.digest()[:8], "little")
@@ -57,7 +72,7 @@ _FINGERPRINT = _source_digest()
 
 
 def build_fingerprint() -> int:
-    """64-bit digest of the numerical core; stamps every cache file."""
+    """64-bit digest of the numerical core and stack; stamps every cache file."""
     return _FINGERPRINT
 
 
@@ -89,19 +104,24 @@ def save_spectrum(root: Path, lam: float, spectrum: SpinResolvedSpectrum) -> Pat
     sector = spectrum.sector
     path = spectrum_path(root, sector, lam)
     z2 = 0 if sector.z2_parity is None else sector.z2_parity
+    payload = [np.ascontiguousarray(spectrum.energies, dtype="<f8"),
+               np.ascontiguousarray(spectrum.spin_residuals, dtype="<f8"),
+               np.ascontiguousarray(spectrum.vectors, dtype="<f8"),
+               np.ascontiguousarray(spectrum.spins, dtype="<i2")]
+    crc = 0
+    for part in payload:
+        crc = zlib.crc32(part, crc)
     header = _HEADER.pack(
         _MAGIC, _VERSION, build_fingerprint(),
         sector.L, sector.M, sector.k_index, z2,
-        spectrum.dim, 0, lam,
+        spectrum.dim, crc, lam,
     )
     fd, tmp = tempfile.mkstemp(dir=root, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(np.ascontiguousarray(spectrum.energies, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(spectrum.spins, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(spectrum.spin_residuals, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(spectrum.vectors, dtype="<c16").tobytes())
+            for part in payload:
+                fh.write(part.data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -110,14 +130,18 @@ def save_spectrum(root: Path, lam: float, spectrum: SpinResolvedSpectrum) -> Pat
 
 
 def load_spectrum(root: Path, sector: SectorLabel, lam: float) -> SpinResolvedSpectrum:
-    """Read one cached spectrum; CacheMismatch if absent or incompatible."""
+    """Read one cached spectrum; CacheMismatch if absent, incompatible or corrupted.
+
+    The arrays are read-only views of the file's bytes, checked against the
+    header's crc32 first.
+    """
     path = spectrum_path(root, sector, lam)
     if not path.exists():
         raise CacheMismatch(f"no cached spectrum at {path}")
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise CacheMismatch(f"{path} is truncated")
-    magic, version, fingerprint, L, M, k, z2, dim, _, file_lam = _HEADER.unpack_from(raw)
+    magic, version, fingerprint, L, M, k, z2, dim, crc, file_lam = _HEADER.unpack_from(raw)
     if magic != _MAGIC or version != _VERSION:
         raise CacheMismatch(f"{path} has wrong magic or version")
     if fingerprint != build_fingerprint():
@@ -126,15 +150,14 @@ def load_spectrum(root: Path, sector: SectorLabel, lam: float) -> SpinResolvedSp
            0 if sector.z2_parity is None else sector.z2_parity)
     if (L, M, k, z2) != key or file_lam != lam:
         raise CacheMismatch(f"{path} holds a different sector or coupling")
-    expect = _HEADER.size + dim * 8 * 3 + dim * dim * 16
+    expect = _HEADER.size + dim * (8 + 8 + 8 * dim + 2)
     if len(raw) != expect:
         raise CacheMismatch(f"{path} has {len(raw)} bytes, expected {expect}")
+    if zlib.crc32(memoryview(raw)[_HEADER.size:]) != crc:
+        raise CacheMismatch(f"{path} fails its payload checksum")
     off = _HEADER.size
-    energies = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
-    off += dim * 8
-    spins = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).astype(np.int16)
-    off += dim * 8
-    residuals = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
-    off += dim * 8
-    vectors = np.frombuffer(raw, dtype="<c16", count=dim * dim, offset=off).copy()
+    energies = np.frombuffer(raw, dtype="<f8", count=dim, offset=off)
+    residuals = np.frombuffer(raw, dtype="<f8", count=dim, offset=off + 8 * dim)
+    vectors = np.frombuffer(raw, dtype="<f8", count=dim * dim, offset=off + 16 * dim)
+    spins = np.frombuffer(raw, dtype="<i2", count=dim, offset=off + (16 + 8 * dim) * dim)
     return SpinResolvedSpectrum(sector, energies, vectors.reshape(dim, dim), spins, residuals)

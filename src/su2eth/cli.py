@@ -97,7 +97,7 @@ def main():
 def spectrum(**kwargs):
     """Diagonalize every k >= 0 sector in the plan and fill the eigendata cache.
 
-    Each -k sector is the complex conjugate of its +k mirror and is counted
+    Each -k sector has the same real block as its +k mirror and is counted
     with it, never solved or cached on its own.
     """
     config = _build_config(**kwargs)

@@ -1,4 +1,4 @@
-"""Hermitian block operators in a symmetry-adapted basis.
+"""Real symmetric block operators in a symmetry-adapted basis.
 
 Operators are described as sums of products of two-site factors, each factor
 being the full exchange S_i . S_j ("dot") or its Ising part S^z_i S^z_j
@@ -17,8 +17,13 @@ canonical data (t, x) with T^t X^x |u> = |rep'> contribute
 
     value * exp(-i k t) * z^x * sqrt(N_col / N_row)
 
-to the (row of rep', row of r) entry. Branches landing on orbits with
-vanishing projection in the sector are dropped.
+to the (row of rep', row of r) entry of the orbit-basis block M. Branches
+landing on orbits with vanishing projection in the sector are dropped.
+The block returned is U^dagger M U in the PK-invariant basis (see
+``basis``), with at most two nonzeros per column of U. Every operator here
+is real in the product basis and reflection-invariant, so that block is
+real: an imaginary part above round-off means a broken symmetry, and the
+build raises.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ __all__ = [
 ]
 
 OBSERVABLE_TAGS = ("A", "B", "C")
+
+# largest imaginary part a block entry may drop, relative to its largest entry
+_IMAG_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,12 +137,8 @@ def hamiltonian_terms(L: int, coupling: CouplingSpec) -> TermSum:
 
 
 def spin_squared_terms(L: int) -> TermSum:
-    """S^2 = (3L/4) + 2 sum_{i<j} S_i.S_j, written over ordered pairs."""
-    terms = [
-        Term(1.0, (Factor("dot", i, (i + d) % L),))
-        for d in range(1, L)
-        for i in range(L)
-    ]
+    """S^2 = (3L/4) + 2 sum_{i<j} S_i.S_j, one term per unordered pair."""
+    terms = [Term(2.0, (Factor("dot", i, j),)) for i in range(L) for j in range(i + 1, L)]
     return TermSum(tuple(terms), identity=0.75 * L)
 
 
@@ -172,16 +176,19 @@ def quad_correlator_terms(L: int, kind: str) -> TermSum:
     """Translation average of a disjoint four-site product.
 
     kind 'dotdot': (1/L) sum_i (S_i.S_{i+1})(S_{i+2}.S_{i+3})
-    kind 'zzdot' : (1/L) sum_i (S^z_i S^z_{i+1})(S_{i+2}.S_{i+3})
+    kind 'zzdot' : (1/(2L)) sum_i [(S^z_i S^z_{i+1})(S_{i+2}.S_{i+3})
+                                   + (S_i.S_{i+1})(S^z_{i+2} S^z_{i+3})]
 
-    The sector trace of either equals the corresponding four-site moment
-    because the trace only sees the partition pattern of the site set.
+    Reflection swaps the two orders of zzdot, so only their average is
+    reflection-invariant. The sector trace of either kind equals the
+    corresponding four-site moment because the trace only sees the
+    partition pattern of the site set.
     """
-    first = {"dotdot": "dot", "zzdot": "zz"}[kind]
-    c = 1.0 / L
+    orders = {"dotdot": (("dot", "dot"),), "zzdot": (("zz", "dot"), ("dot", "zz"))}[kind]
+    c = 1.0 / (L * len(orders))
     return TermSum(tuple(
-        Term(c, (Factor(first, i, (i + 1) % L), Factor("dot", (i + 2) % L, (i + 3) % L)))
-        for i in range(L)
+        Term(c, (Factor(a, i, (i + 1) % L), Factor(b, (i + 2) % L, (i + 3) % L)))
+        for i in range(L) for a, b in orders
     ))
 
 
@@ -226,11 +233,15 @@ def _branches(states: np.ndarray, terms: TermSum):
 
 
 def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOperator:
-    """Assemble the block matrix of a TermSum in one symmetry sector."""
+    """Assemble the real block matrix of a TermSum in one symmetry sector.
+
+    Raises ValueError when an entry's imaginary part exceeds _IMAG_BOUND
+    times the largest entry, i.e. when the operator is not PK-invariant.
+    """
     sector = basis.sector
     dim = basis.dim
     if dim == 0:
-        return BlockOperator(sector, sp.csr_matrix((0, 0), dtype=np.complex128), label)
+        return BlockOperator(sector, sp.csr_matrix((0, 0), dtype=np.float64), label)
 
     tabs = basis.tables
     sqrt_n = np.sqrt(basis.orbit_sizes.astype(np.float64))
@@ -247,7 +258,16 @@ def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOpe
     vals = amp[good] * phase * (sqrt_n[src] / sqrt_n[row])
     mat = sp.coo_matrix((vals, (row, src)), shape=(dim, dim), dtype=np.complex128).tocsr()
     mat += sp.diags(diag.astype(np.complex128), format="csr")
-    return BlockOperator(sector, mat, label)
+    u = sp.csr_matrix((basis.pk_coeffs.ravel(), basis.pk_columns.ravel(),
+                       np.arange(0, 2 * dim + 1, 2)), shape=(dim, dim))
+    mat = (u.conj().T @ (mat @ u)).tocsr()
+    scale = max(1.0, float(np.abs(mat.data).max(initial=0.0)))
+    dropped = float(np.abs(mat.data.imag).max(initial=0.0))
+    if dropped > _IMAG_BOUND * scale:
+        raise ValueError(f"{label} in {sector} is not real in the PK basis "
+                         f"(imaginary part {dropped:.3e}): it breaks reflection symmetry")
+    real = sp.csr_matrix((mat.data.real.copy(), mat.indices, mat.indptr), shape=(dim, dim))
+    return BlockOperator(sector, real, label)
 
 
 def build_hamiltonian(basis: SymmetryBasis, coupling: CouplingSpec) -> BlockOperator:

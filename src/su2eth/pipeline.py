@@ -267,7 +267,9 @@ def _begin(config: RunConfig, command: str):
     Yields (cache root, output dir, manifest, plan, pool). plan maps each size
     to the labels the command works: every sector for spectrum and
     oracle-check, the admitted ones for the analyses. pool is None at one
-    worker. The run/done row records the effective workers after the body.
+    worker. The run/done row records the effective workers after the body;
+    an error raised once the run/start row is written ends the journal
+    with a run/failed row carrying it instead, and propagates.
     """
     _validate(config, command)
     try:
@@ -279,18 +281,22 @@ def _begin(config: RunConfig, command: str):
     manifest = RunManifest(out / "manifest.jsonl", config.config_hash())
     manifest.record("run", "start", command=command,
                     fingerprint=f"{cache.build_fingerprint():016x}")
-    analysis_run = command in ("diag-eth", "offdiag-eth")
-    plan = {L: _admitted_labels(config, L) if analysis_run else sector_labels(L, config.M)
-            for L in config.L_list}
-    solved = dict.fromkeys(_solved(lab) for each in plan.values() for lab in each)
-    for sector in solved:
-        path = cache.spectrum_path(root, sector, config.lam)
-        if analysis_run and not path.exists():  # fail before any sector is worked
-            raise MissingCacheError(f"no cached spectrum at {path}; {_FILL_CACHE}")
-    # a fork pool starts every worker at once, so start no more than can be busy
-    workers = min(config.workers, len(solved))
-    with _sector_pool(workers) as pool:
-        yield root, out, manifest, plan, pool
+    try:
+        analysis_run = command in ("diag-eth", "offdiag-eth")
+        plan = {L: _admitted_labels(config, L) if analysis_run else sector_labels(L, config.M)
+                for L in config.L_list}
+        solved = dict.fromkeys(_solved(lab) for each in plan.values() for lab in each)
+        for sector in solved:
+            path = cache.spectrum_path(root, sector, config.lam)
+            if analysis_run and not path.exists():  # fail before any sector is worked
+                raise MissingCacheError(f"no cached spectrum at {path}; {_FILL_CACHE}")
+        # a fork pool starts every worker at once, so start no more than can be busy
+        workers = min(config.workers, len(solved))
+        with _sector_pool(workers) as pool:
+            yield root, out, manifest, plan, pool
+    except Exception as exc:
+        manifest.record("run", "failed", command=command, error=f"{type(exc).__name__}: {exc}")
+        raise
     manifest.record("run", "done", command=command, workers=workers)
 
 
@@ -323,8 +329,8 @@ def _per_block(config: RunConfig, root: Path, labels, work, pool) -> list[Future
 
     Each solved sector is submitted at its first label; in place, it is
     worked before the next one is read, so one spectrum is alive at a time.
-    A -k block, the conjugate of its +k mirror, has the mirror's energies,
-    spins, diagonals and |<a|O|b>|^2 bit for bit.
+    A -k block equals its +k mirror's real block bit for bit, so it has the
+    mirror's energies, spins, diagonals and elements.
     """
     futures = {solved: _submit(pool, work, solved, config, root)
                for solved in dict.fromkeys(map(_solved, labels))}
@@ -345,15 +351,14 @@ def _solved(sector: SectorLabel) -> SectorLabel:
 
 
 def _serve(spectrum: SpinResolvedSpectrum, sector: SectorLabel) -> SpinResolvedSpectrum:
-    """The spectrum of _solved(sector), handed out as sector's own.
+    """The spectrum of _solved(sector), relabeled as sector's own.
 
-    H is real in the product basis, so the block at -k is the exact complex
-    conjugate of the block at +k: same energies, spins and spin residuals
-    (shared read-only), conjugate eigenvectors.
+    The PK basis at -k is the conjugate of the one at +k, so both real
+    blocks are equal bit for bit and share every array (read-only).
     """
     if spectrum.sector == sector:
         return spectrum
-    return SpinResolvedSpectrum(sector, spectrum.energies, np.conjugate(spectrum.vectors),
+    return SpinResolvedSpectrum(sector, spectrum.energies, spectrum.vectors,
                                 spectrum.spins, spectrum.spin_residuals)
 
 
@@ -778,13 +783,14 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
 def _audit_sector(sector: SectorLabel, config: RunConfig, root: Path) -> dict:
     """Spin counts, per-state moments and per-label (block audit, failed) of a solved sector.
 
-    Its -k mirror shares its orthonormality and spin sharpness; the mirror's
-    eigen residual is taken against its own H(-k), which checks the mirror rule.
+    Its -k mirror shares its vectors, orthonormality and spin sharpness; the
+    mirror's eigen residual is taken against its own H(-k), which checks the
+    mirror rule.
     """
     spectrum, _ = ensure_spectrum(sector, config.lam, root)
     basis = enumerate_sector_basis(sector)
     v = spectrum.vectors
-    ortho = float(np.abs(v.conj().T @ v - np.eye(spectrum.dim)).max())
+    ortho = float(np.abs(v.T @ v - np.eye(spectrum.dim)).max())
     expect = expectations(build_total_spin_squared(basis), v)
     spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max())
     scale = max(1.0, float(np.abs(spectrum.energies).max()))
@@ -792,10 +798,11 @@ def _audit_sector(sector: SectorLabel, config: RunConfig, root: Path) -> dict:
     for label in dict.fromkeys((sector, _mirror(sector))):
         own = basis if label == sector else enumerate_sector_basis(label)
         eig_res = eigen_residual(build_hamiltonian(own, CouplingSpec(config.lam)),
-                                 spectrum.energies, _serve(spectrum, label).vectors)
+                                 spectrum.energies, v)
         audit = {"sector": _sector_name(label, config.lam), "eigen_residual": eig_res,
                  "orthonormality": ortho, "spin_residual": spin_res}
-        audits[label] = audit, eig_res > 1e-8 * scale or ortho > 1e-10 or spin_res > 1e-6
+        audits[label] = audit, (eig_res > 1e-8 * scale or spin_res > 1e-6
+                                or ortho > 10 * spectrum.dim * np.finfo(float).eps)
     return {"spin_dims": spectrum.spin_dims(), "audits": audits,
             "moments": (spectrum.spins, _state_moments(basis, spectrum))}
 
@@ -803,10 +810,11 @@ def _audit_sector(sector: SectorLabel, config: RunConfig, root: Path) -> dict:
 def run_oracle_check(config: RunConfig) -> dict:
     """Audit cached eigendata and compare sector traces to the closed forms.
 
-    Per-block checks (eigen residual, orthonormality, spin sharpness) catch
-    corrupted or stale cache entries and name the sector; the pooled moment
-    table then validates every closed form to 1e-10. Each solved sector is
-    read and worked once for itself and its -k mirror.
+    Per-block checks (eigen residual, orthonormality within 10 * dim * eps,
+    spin sharpness) catch corrupted or stale cache entries and name the
+    sector; the pooled moment table then validates every closed form to
+    1e-10. Each solved sector is read and worked once for itself and its -k
+    mirror.
     """
     with _begin(config, "oracle-check") as (root, out, manifest, plan, pool):
         tol_moment = 1e-10

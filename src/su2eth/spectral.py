@@ -1,9 +1,12 @@
 """Block diagonalization, total-spin resolution, matrix-element tables.
 
-Every symmetry block is small enough at desk scale (<= ~3000 states) for a
-full dense eigensolve. Total spin is assigned per eigenstate by evaluating
-S^2; inside degenerate energy clusters the eigenvectors are first rotated
-to diagonalize the projected S^2 so each output vector carries a sharp spin.
+Every symmetry block is real symmetric (see ``operators``) and small enough
+at desk scale (<= ~3000 states) for a full dense eigensolve with LAPACK's
+divide-and-conquer driver. Eigenvectors, expectation values and matrix
+elements are all float64. Total spin is assigned per eigenstate by
+evaluating S^2; inside degenerate energy clusters the eigenvectors are first
+rotated to diagonalize the projected S^2 so each output vector carries a
+sharp spin.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .basis import SectorLabel
 from .operators import BlockOperator
 
 __all__ = [
+    "EIGH_DRIVER",
     "RECORD_DTYPE",
     "SpinResolvedSpectrum",
     "MatrixElementTable",
@@ -35,8 +39,11 @@ RECORD_DTYPE = np.dtype([
     ("e_b", np.float64),
     ("s_a", np.int16),
     ("s_b", np.int16),
-    ("value", np.complex128),
+    ("value", np.float64),
 ])
+
+# the LAPACK driver of every eigensolve; part of the cache fingerprint
+EIGH_DRIVER = "evd"
 
 
 def eigen_residual(block: BlockOperator, energies: np.ndarray, vectors: np.ndarray) -> float:
@@ -45,20 +52,20 @@ def eigen_residual(block: BlockOperator, energies: np.ndarray, vectors: np.ndarr
 
 
 def diagonalize_block(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of one Hermitian block.
+    """Full eigendecomposition of one real symmetric block.
 
-    Rejects non-Hermitian input and audits the reconstruction residual
+    Rejects non-symmetric input and audits the reconstruction residual
     eigen_residual < 1e-9 * max(1, max|E|).
     """
     dim = block.dim
     if dim == 0:
-        return np.empty(0), np.empty((0, 0), dtype=np.complex128)
+        return np.empty(0), np.empty((0, 0))
     m = block.dense()
     scale = max(1.0, float(np.abs(m).max()))
-    defect = float(np.abs(m - m.conj().T).max())
+    defect = float(np.abs(m - m.T).max())
     if defect > 1e-12 * scale:
-        raise ValueError(f"block {block.label} in {block.sector} is not Hermitian (defect {defect:.3e})")
-    energies, vectors = sla.eigh(m)
+        raise ValueError(f"block {block.label} in {block.sector} is not Hermitian (symmetric defect {defect:.3e})")
+    energies, vectors = sla.eigh(m, driver=EIGH_DRIVER)
     residual = eigen_residual(block, energies, vectors)
     if residual > 1e-9 * max(1.0, float(np.abs(energies).max())):
         raise RuntimeError(f"eigensolver residual {residual:.3e} too large for {block.sector}")
@@ -111,7 +118,7 @@ def resolve_spins(
                                     empty.astype(np.int16), empty.copy())
     if s2.dim != dim:
         raise ValueError("S^2 block does not match the eigenbasis dimension")
-    vectors = np.array(vectors, dtype=np.complex128, copy=True)
+    vectors = np.array(vectors, dtype=np.float64, copy=True)
     spread = float(energies[-1] - energies[0]) if dim > 1 else 0.0
     tol = 1e-9 * max(spread, 1.0)
 
@@ -122,13 +129,13 @@ def resolve_spins(
     for lo, hi in zip(starts, stops):
         if hi - lo < 2:
             continue
-        sub = vectors[:, lo:hi].conj().T @ s2v[:, lo:hi]
-        sub = 0.5 * (sub + sub.conj().T)
+        sub = vectors[:, lo:hi].T @ s2v[:, lo:hi]
+        sub = 0.5 * (sub + sub.T)
         _, rot = np.linalg.eigh(sub)
         vectors[:, lo:hi] = vectors[:, lo:hi] @ rot
         s2v[:, lo:hi] = s2v[:, lo:hi] @ rot
 
-    expectation = np.einsum("ij,ij->j", vectors.conj(), s2v).real
+    expectation = np.einsum("ij,ij->j", vectors, s2v)
     spins = np.rint((-1.0 + np.sqrt(1.0 + 4.0 * np.maximum(expectation, 0.0))) / 2.0).astype(np.int16)
     residuals = np.abs(expectation - spins * (spins + 1.0))
     worst = int(np.argmax(residuals)) if dim else 0
@@ -158,7 +165,7 @@ class MatrixElementTable:
 
 def expectations(op: BlockOperator, vectors: np.ndarray) -> np.ndarray:
     """<v|op|v> for every eigenvector column v: the diagonal elements of op."""
-    return np.einsum("ij,ij->j", vectors.conj(), op.matrix @ vectors).real
+    return np.einsum("ij,ij->j", vectors, op.matrix @ vectors)
 
 
 def matrix_elements(
@@ -186,7 +193,7 @@ def matrix_elements(
         rows = np.flatnonzero(spectrum.spins == s_a)
         cols = np.flatnonzero(spectrum.spins == s_b)
 
-    block = spectrum.vectors[:, rows].conj().T @ (obs.matrix @ spectrum.vectors[:, cols])
+    block = spectrum.vectors[:, rows].T @ (obs.matrix @ spectrum.vectors[:, cols])
     alpha = np.repeat(rows, len(cols))
     beta = np.tile(cols, len(rows))
     values = block.reshape(-1)

@@ -16,6 +16,7 @@ from su2eth.basis import (
     expansion_matrix,
     flip_bits,
     magnetization_states,
+    reflect_bits,
     sector_labels,
     translate_bits,
 )
@@ -118,6 +119,26 @@ def test_expansion_matrix_is_an_isometry():
         assert U.shape == (len(magnetization_states(6, 3)), basis.dim)
         gram = U.conj().T @ U
         assert np.allclose(gram, np.eye(basis.dim), atol=1e-13)
+
+
+@pytest.mark.parametrize("L, M", [(6, 0), (6, 1), (8, 0), (8, 1)])
+def test_pk_basis_is_unitary_with_at_most_two_orbits_per_column(L, M):
+    for lab in sector_labels(L, M):
+        basis = enumerate_sector_basis(lab)
+        u = np.zeros((basis.dim, basis.dim), dtype=complex)
+        np.add.at(u, (np.arange(basis.dim)[:, None], basis.pk_columns), basis.pk_coeffs)
+        assert np.abs(u.conj().T @ u - np.eye(basis.dim)).max() < 1e-14, lab
+        assert (np.count_nonzero(u, axis=0) <= 2).all(), lab
+
+
+@pytest.mark.parametrize("L, M", [(6, 0), (6, 1), (8, 0), (8, 1)])
+def test_every_basis_vector_is_pk_invariant(L, M):
+    # (PK v)(s) = conj(v(P s)) on product states
+    states = magnetization_states(L, L // 2 + M)
+    reflected = np.searchsorted(states, reflect_bits(states, L))
+    for lab in sector_labels(L, M):
+        vectors = expansion_matrix(enumerate_sector_basis(lab))
+        assert np.abs(vectors[reflected].conj() - vectors).max() < 1e-14, lab
 
 
 def test_blocks_of_one_sector_are_mutually_orthogonal():

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+from su2eth import cache
 from su2eth.basis import SectorLabel, enumerate_sector_basis
 from su2eth.cache import (
     CacheMismatch,
@@ -116,6 +118,32 @@ def test_build_fingerprint_is_stable():
     assert isinstance(build_fingerprint(), int)
 
 
+def test_build_fingerprint_covers_the_numerical_stack():
+    # eigenvector signs depend on the library, not only on this source
+    stack = cache._numerical_stack()
+    for part in (f"numpy {np.__version__}", f"scipy {scipy.__version__}", "eigh evd", "blas", "lapack"):
+        assert part in stack
+
+
+def test_vectors_are_stored_as_float64(tmp_path):
+    lab = SectorLabel(8, 0, 1, -1)
+    spec = _make_spectrum(lab, 3.0)
+    path = save_spectrum(tmp_path, 3.0, spec)
+    assert path.stat().st_size == 56 + spec.dim * (8 + 8 + 8 * spec.dim + 2)
+    back = load_spectrum(tmp_path, lab, 3.0)
+    assert back.vectors.dtype == np.float64 and back.spins.dtype == np.int16
+
+
+def test_flipped_payload_bit_fails_the_checksum(tmp_path):
+    lab = SectorLabel(8, 0, 1, -1)
+    path = save_spectrum(tmp_path, 3.0, _make_spectrum(lab, 3.0))
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01  # the last spin label
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheMismatch, match=f"{path.name} fails its payload checksum"):
+        load_spectrum(tmp_path, lab, 3.0)
+
+
 def test_cache_dir_resolution(tmp_path, monkeypatch):
     explicit = cache_dir(tmp_path / "sub")
     assert explicit.is_dir()
@@ -130,7 +158,7 @@ def _synthetic_spectrum():
     # built directly: the writers race on the file, not on the eigensolver
     dim = 256
     return SpinResolvedSpectrum(SectorLabel(8, 0, 1, 1), np.arange(dim, dtype=np.float64),
-                                np.eye(dim, dtype=np.complex128),
+                                np.eye(dim),
                                 np.zeros(dim, dtype=np.int16), np.zeros(dim))
 
 

@@ -10,6 +10,9 @@ import pytest
 from su2eth.basis import SectorLabel, enumerate_sector_basis, expansion_matrix, sector_labels
 from su2eth.operators import (
     CouplingSpec,
+    Factor,
+    Term,
+    TermSum,
     build_hamiltonian,
     build_observable,
     build_operator,
@@ -22,6 +25,7 @@ from su2eth.operators import (
     raising_matrix,
     spin_squared_terms,
 )
+from su2eth.spectral import diagonalize_block
 
 
 def _blocks(L, M=0):
@@ -143,40 +147,66 @@ def test_pair_correlator_trace_vanishes_over_full_space():
         assert abs(total) < 1e-12
 
 
-@pytest.mark.parametrize("L, M", [(6, 0), (6, 1), (8, 0)])
-def test_blocks_are_projections_of_the_product_basis_matrix(L, M):
-    """Each sector block is U^dagger P U, with U the sector's expansion map."""
-    term_sets = {
+def _term_sets(L):
+    """Every operator the pipeline builds: H, S^2, the observables, the oracle's correlators."""
+    return {
+        "H lam=0": hamiltonian_terms(L, CouplingSpec(0.0)),
         "H": hamiltonian_terms(L, CouplingSpec(3.0)),
         "S2": spin_squared_terms(L),
-        "B": observable_terms(L, "B"),
-        "C": observable_terms(L, "C"),
+        **{tag: observable_terms(L, tag) for tag in ("A", "B", "C")},
+        "pair dot": pair_correlator_terms(L, "dot"),
         "pair zz": pair_correlator_terms(L, "zz"),
         "quad dotdot": quad_correlator_terms(L, "dotdot"),
         "quad zzdot": quad_correlator_terms(L, "zzdot"),
     }
+
+
+@pytest.mark.parametrize("L, M", [(6, 0), (6, 1), (8, 0), (8, 1)])
+def test_blocks_are_projections_of_the_product_basis_matrix(L, M):
+    """Each sector block is real and equals U^dagger P U, with U the sector's expansion map."""
     bases = _nonempty(L, M)
-    for name, terms in term_sets.items():
+    for name, terms in _term_sets(L).items():
         full = product_basis_matrix(L, M, terms)
         for basis in bases:
             U = expansion_matrix(basis)
-            block = build_operator(basis, terms, name).dense()
-            assert np.max(np.abs(U.conj().T @ full @ U - block)) < 1e-13, (name, basis.sector)
+            block = build_operator(basis, terms, name).matrix
+            assert block.dtype == np.float64, (name, basis.sector)
+            assert np.max(np.abs(U.conj().T @ full @ U - block.toarray())) < 1e-13, (name, basis.sector)
 
 
-@pytest.mark.parametrize("L, M", [(6, 0), (8, 0), (10, 0), (12, 0), (8, 1)])
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+@pytest.mark.parametrize("L, M", [(6, 0), (6, 1), (8, 0), (8, 1)])
+def test_block_energies_match_the_dense_product_basis_spectrum(L, M, lam):
+    terms = hamiltonian_terms(L, CouplingSpec(lam))
+    pooled = []
+    for basis in _nonempty(L, M):
+        energies, vectors = diagonalize_block(build_operator(basis, terms, "H"))
+        assert vectors.dtype == np.float64
+        pooled.extend(energies)
+    full = np.linalg.eigvalsh(product_basis_matrix(L, M, terms))
+    assert np.abs(np.sort(pooled) - full).max() < 1e-12
+
+
+def test_an_operator_without_reflection_symmetry_is_rejected():
+    # (S^z_i S^z_{i+1})(S_{i+2}.S_{i+3}) alone reflects into the other order
+    L = 8
+    terms = TermSum(tuple(
+        Term(1.0 / L, (Factor("zz", i, (i + 1) % L), Factor("dot", (i + 2) % L, (i + 3) % L)))
+        for i in range(L)))
+    with pytest.raises(ValueError, match="breaks reflection symmetry"):
+        for basis in _nonempty(L):
+            build_operator(basis, terms, "zzdot")
+
+
+@pytest.mark.parametrize("L, M", [(6, 0), (8, 0), (10, 0), (12, 0), (8, 1), (6, 1)])
 def test_mirror_blocks_are_exact_conjugates(L, M):
-    """H(-k) == conj(H(k)) bit for bit, so the pipeline may solve k >= 0 only.
+    """H(-k) == conj(H(k)) == H(k) bit for bit, so the pipeline may solve k >= 0 only.
 
-    The one bit allowed to differ is the sign of a zero imaginary part
-    (conj turns +0j into -0j); adding 0.0 maps -0.0 to +0.0 and nothing else.
+    The PK basis at -k is the conjugate of the one at +k, so the real
+    blocks are equal, which is what conjugation means for real data.
     """
-    builders = {
-        "H lam=0": lambda b: build_hamiltonian(b, CouplingSpec(0.0)),
-        "H lam=3": lambda b: build_hamiltonian(b, CouplingSpec(3.0)),
-        "S2": build_total_spin_squared,
-        **{tag: (lambda b, tag=tag: build_observable(b, tag)) for tag in ("A", "B", "C")},
-    }
+    builders = {name: (lambda b, terms=terms, name=name: build_operator(b, terms, name))
+                for name, terms in _term_sets(L).items()}
     mirrored = [lab for lab in sector_labels(L, M) if lab.k_index < 0]
     assert mirrored
     for lab in mirrored:
@@ -187,7 +217,8 @@ def test_mirror_blocks_are_exact_conjugates(L, M):
             a, b = build(minus).matrix, build(plus).matrix
             assert a.indptr.tobytes() == b.indptr.tobytes(), (name, lab)
             assert a.indices.tobytes() == b.indices.tobytes(), (name, lab)
-            assert (a.data + 0.0).tobytes() == (np.conjugate(b.data) + 0.0).tobytes(), (name, lab)
+            assert a.data.dtype == np.float64, (name, lab)
+            assert a.data.tobytes() == np.conjugate(b.data).tobytes(), (name, lab)
 
 
 def test_quad_correlators_are_hermitian():

@@ -13,6 +13,7 @@ import sys
 import textwrap
 import threading
 import weakref
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -963,9 +964,12 @@ def test_oracle_check_catches_corrupted_vectors(tmp_path, L):
     lab = SectorLabel(L, 0, 1, -1)
     path = spectrum_path(tmp_path / "cache", lab, 3.0)
     data = bytearray(path.read_bytes())
-    dim = struct.unpack_from("<i", data, 44)[0]
-    offset = 56 + 3 * 8 * dim + (dim * dim // 2) * 16 + 4
+    dim = struct.unpack_from("<i", data, 36)[0]
+    # a high byte of the middle eigenvector entry, then a matching checksum,
+    # so the file loads and only the per-block audit can catch it
+    offset = 56 + 2 * 8 * dim + (dim * dim // 2) * 8 + 6
     data[offset] ^= 0xFF
+    struct.pack_into("<I", data, 40, zlib.crc32(data[56:]))
     path.write_bytes(bytes(data))
     report = run_oracle_check(cfg)
     assert report["pass"] is False
@@ -1063,6 +1067,56 @@ def test_cli_missing_cache_in_a_worker_exits_1_and_names_the_file(tmp_path, comm
     missing = spectrum_path(cache_dir, SectorLabel(6, 0, 2, 1), 0.0)
     assert f"no cached spectrum at {missing}" in result.output
     assert "run the spectrum command first" in result.output
+
+
+def test_cli_failed_run_ends_its_manifest(tmp_path):
+    result = CliRunner().invoke(main, ["diag-eth", "--L", "6", "-S", "1",
+                                       "--cache", str(tmp_path / "empty"),
+                                       "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1, result.output
+    rows = [json.loads(line) for line in (tmp_path / "o" / "manifest.jsonl").read_text().splitlines()]
+    assert [(r["stage"], r["status"]) for r in rows] == [("run", "start"), ("run", "failed")]
+    assert rows[1]["command"] == "diag-eth"
+    assert rows[1]["error"].startswith("MissingCacheError: no cached spectrum at")
+
+
+def _spin_one_vector_bit_flipped(path, spectrum):
+    # one mantissa bit of the first entry of the first S = 1 eigenvector
+    data = bytearray(path.read_bytes())
+    column = int(np.flatnonzero(spectrum.spins == 1)[0])
+    data[56 + 16 * spectrum.dim + 8 * column] ^= 0x01
+    return bytes(data)
+
+
+_FAULTS = {
+    "bit flip": _spin_one_vector_bit_flipped,
+    "truncation": lambda path, spectrum: path.read_bytes()[:-8],
+    "foreign fingerprint": lambda path, spectrum: (
+        path.read_bytes()[:12] + struct.pack("<Q", build_fingerprint() ^ 1) + path.read_bytes()[20:]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_faulty_cache_file_stops_the_analysis_and_is_rebuilt_by_spectrum(tmp_path, fault):
+    cfg = _analysis_config(tmp_path, L_list=(10,), spins=(1,))
+    run_spectrum(cfg)
+    lab = SectorLabel(10, 0, 1, 1)
+    path = spectrum_path(tmp_path / "cache", lab, 3.0)
+    good = path.read_bytes()
+    path.write_bytes(_FAULTS[fault](path, cache.load_spectrum(tmp_path / "cache", lab, 3.0)))
+
+    args = ["--L", "10", "--lambda", "3", "--cache", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "o")]
+    result = CliRunner().invoke(main, ["diag-eth", "-S", "1", *args])
+    assert result.exit_code == 1, result.output
+    assert str(path) in result.output
+
+    with pytest.warns(UserWarning, match=f"rebuilding stale cache entry: {path}"):
+        summary = run_spectrum(cfg)
+    # the sector and its -k mirror, served from it
+    assert summary["sizes"]["10"]["built"] == 2 and not summary["failures"]
+    assert path.read_bytes() == good
+    assert CliRunner().invoke(main, ["diag-eth", "-S", "1", *args]).exit_code == 0
 
 
 @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])

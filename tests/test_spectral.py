@@ -81,8 +81,8 @@ def test_inaccurate_eigensolver_rejected(monkeypatch):
     H = build_hamiltonian(enumerate_sector_basis(lab), CouplingSpec(3.0))
     eigh = spectral.sla.eigh
 
-    def perturbed(m):
-        energies, vectors = eigh(m)
+    def perturbed(m, **kwargs):
+        energies, vectors = eigh(m, **kwargs)
         vectors[:, 0] += 1e-6 * vectors[:, 1]
         return energies, vectors
 
