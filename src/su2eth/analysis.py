@@ -235,26 +235,18 @@ def build_offdiagonal_ensemble(
     |(E_a+E_b)/2 - E_center| / L <= energy_window, where E_center is the
     closed-form sector mean energy oracle.moments(L, S, lam).E0 at
     S = (S_a + S_b)/2, the one oracle-check audits. observable names the
-    ensemble for the caller and is not stored. A block passed more than
-    once as the same tuple object (a -k block served its +k mirror's) is
-    filtered once and its result reused.
+    ensemble for the caller and is not stored.
     """
     s_a, s_b = spin_pair
     e_center = oracle.moments(L, (s_a + s_b) / 2, lam).E0
     omega_parts, sq_parts, dims = [], [], []
-    # id -> (block, kept omega, kept |value|^2); holding the block keeps its id unique
-    done: dict[int, tuple] = {}
-    for block in blocks:
-        e_row, e_col, values, d_row, d_col = block
+    for e_row, e_col, values, d_row, d_col in blocks:
         dims.append((int(d_row), int(d_col)))
-        if id(block) not in done:
-            e_row = np.asarray(e_row, dtype=np.float64)
-            e_col = np.asarray(e_col, dtype=np.float64)
-            keep = np.abs(0.5 * (e_row + e_col) - e_center) / L <= energy_window
-            done[id(block)] = (block, (e_row - e_col)[keep], np.abs(np.asarray(values)[keep]) ** 2)
-        _, omega, abs_sq = done[id(block)]
-        omega_parts.append(omega)
-        sq_parts.append(abs_sq)
+        e_row = np.asarray(e_row, dtype=np.float64)
+        e_col = np.asarray(e_col, dtype=np.float64)
+        keep = np.abs(0.5 * (e_row + e_col) - e_center) / L <= energy_window
+        omega_parts.append((e_row - e_col)[keep])
+        sq_parts.append(np.abs(np.asarray(values)[keep]) ** 2)
     if omega_parts:
         omega = np.concatenate(omega_parts)
         abs_sq = np.concatenate(sq_parts)

@@ -490,10 +490,10 @@ def _vanishes(observable: str, s_a: int, s_b: int) -> bool:
     return rank is not None and clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0).is_zero
 
 
-def _journal_blocks(manifest: RunManifest, L: int, labels) -> None:
-    """One row per size: the admitted labels and the solved sectors read for them."""
+def _journal_blocks(manifest: RunManifest, L: int, labels, **counts) -> None:
+    """One row per size: the admitted labels, the solved sectors read for them and counts."""
     manifest.record("blocks", "done", L=L, admitted=len(labels),
-                    loaded=len({_solved(lab) for lab in labels}))
+                    loaded=len({_solved(lab) for lab in labels}), **counts)
 
 
 def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> analysis.DiagonalSeries:
@@ -512,9 +512,11 @@ def _diagonal_tables(sector: SectorLabel, config: RunConfig, root: Path) -> dict
     """(energies, diagonal elements, spins) of one cached block, keyed by observable."""
     spectrum = load_cached_spectrum(sector, config.lam, root)
     basis = enumerate_sector_basis(sector)
-    return {observable: (spectrum.energies,
-                         expectations(build_observable(basis, observable), spectrum.vectors),
-                         spectrum.spins) for observable in config.observables}
+    # copies: views would keep the whole cache file's bytes, vectors included, alive
+    energies, spins = spectrum.energies.copy(), spectrum.spins.copy()
+    return {observable: (energies, expectations(build_observable(basis, observable),
+                                                spectrum.vectors), spins)
+            for observable in config.observables}
 
 
 def run_diag_eth(config: RunConfig) -> dict:
@@ -607,12 +609,17 @@ def run_diag_eth(config: RunConfig) -> dict:
 # ─── off-diagonal command ────────────────────────────────────────────────────
 
 
-def _element_tables(sector: SectorLabel, config: RunConfig, root: Path) -> dict[tuple, tuple]:
-    """(e_a, e_b, values, d_a, d_b) of one cached block, keyed by (observable, pair, reduced)."""
+def _element_tables(sector: SectorLabel, config: RunConfig,
+                    root: Path) -> dict[tuple, analysis.OffDiagonalEnsemble]:
+    """One cached block's windowed ensembles, keyed by (observable, pair, reduced).
+
+    Each table's records are windowed as soon as they are computed, so only
+    the kept (omega, |O|^2) pairs outlive the call or leave a worker.
+    """
     spectrum = load_cached_spectrum(sector, config.lam, root)
     basis = enumerate_sector_basis(sector)
     dims = spectrum.spin_dims()
-    tables = {}
+    parts = {}
     for observable in config.observables:
         rank = _REDUCTION_RANK.get(observable)
         obs = build_observable(basis, observable)
@@ -621,37 +628,45 @@ def _element_tables(sector: SectorLabel, config: RunConfig, root: Path) -> dict[
             if d_a == 0 or d_b == 0 or _vanishes(observable, *pair):
                 continue
             # a cross-spin pair has no alpha == beta records to drop
-            table = matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")
-            recs = table.records
-            tables[observable, pair, False] = (recs["e_a"], recs["e_b"], recs["value"], d_a, d_b)
+            tables = [matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")]
             if rank is not None:
-                rrecs = reduce_matrix_elements(table, rank).records
-                if rrecs.size:
-                    tables[observable, pair, True] = (rrecs["e_a"], rrecs["e_b"], rrecs["value"],
-                                                      d_a, d_b)
-    return tables
+                tables.append(reduce_matrix_elements(tables[0], rank))
+            for reduced, recs in zip((False, True), (table.records for table in tables)):
+                if recs.size or not reduced:
+                    parts[observable, pair, reduced] = analysis.build_offdiagonal_ensemble(
+                        observable, sector.L, config.lam, pair,
+                        [(recs["e_a"], recs["e_b"], recs["value"], d_a, d_b)], config.energy_window)
+    return parts
 
 
 def _offdiag_ensembles(config: RunConfig, root: Path, L: int, pool=None):
     """Yield (observable, pair, ens, red_ens) for size L, observables outermost.
 
-    Every observable and spin pair is taken from each admitted block before
-    the next one loads, or in pool's workers when one is given. red_ens is the CG-reduced ensemble, None for the
+    Each admitted block is windowed where its elements are computed, in place
+    or in pool's workers when one is given; ens joins the blocks' kept pairs
+    in label order. red_ens is the CG-reduced ensemble, None for the
     observables without a single tensor rank or without reduced elements.
     """
-    inputs = {}  # per key, its tables from every block; popped once its ensemble is built
+    parts = {}  # per key, its part from every block; popped once its ensemble is joined
     for future in _per_block(config, root, _admitted_labels(config, L), _element_tables, pool):
-        for key, table in future.result().items():
-            inputs.setdefault(key, []).append(table)
+        for key, part in future.result().items():
+            parts.setdefault(key, []).append(part)
     for observable in config.observables:
         for pair in config.all_pairs():
-            ens = analysis.build_offdiagonal_ensemble(
-                observable, L, config.lam, pair, inputs.pop((observable, pair, False), []),
-                config.energy_window)
-            reduced = inputs.pop((observable, pair, True), None)
-            red_ens = None if reduced is None else analysis.build_offdiagonal_ensemble(
-                observable, L, config.lam, pair, reduced, config.energy_window)
+            ens = _joined(config, L, observable, pair, parts.pop((observable, pair, False), []))
+            reduced = parts.pop((observable, pair, True), None)
+            red_ens = None if reduced is None else _joined(config, L, observable, pair, reduced)
             yield observable, pair, ens, red_ens
+
+
+def _joined(config: RunConfig, L: int, observable: str, pair, parts) -> analysis.OffDiagonalEnsemble:
+    """The windowed parts of a size's blocks as one ensemble, in label order."""
+    # a pair that no admitted block populates gets the empty ensemble
+    parts = parts or [analysis.build_offdiagonal_ensemble(observable, L, config.lam, pair, [],
+                                                          config.energy_window)]
+    return analysis.OffDiagonalEnsemble(
+        L, np.concatenate([p.omega for p in parts]), np.concatenate([p.abs_sq for p in parts]),
+        sum((p.block_dims for p in parts), ()), parts[0].e_center)
 
 
 def _populated(series: analysis.BinnedSeries) -> list[list]:
@@ -681,8 +696,11 @@ def run_offdiag_eth(config: RunConfig) -> dict:
         by_pair: dict[tuple[str, tuple[int, int]], list[analysis.OffDiagonalEnsemble]] = {}
 
         for L, labels in plan.items():
+            elements = kept = 0  # raw pairs (alpha != beta) offered to the window, and kept
             for observable, pair, ens, red_ens in _offdiag_ensembles(config, root, L, pool):
                 s_a, s_b = pair
+                elements += sum(d_a * (d_b - (s_a == s_b)) for d_a, d_b in ens.block_dims)
+                kept += ens.size
                 if ens.size == 0:
                     manifest.record("offdiag", "empty", sector=f"L{L}_{observable}_{s_a}_{s_b}")
                     continue
@@ -703,7 +721,7 @@ def run_offdiag_eth(config: RunConfig) -> dict:
                 if red_ens is not None and red_ens.size:
                     w, v, c, f = _populated(analysis.spectral_function(red_ens, binning))
                     spec_red_rows += zip(w, v, *tag, c, f)
-            _journal_blocks(manifest, L, labels)
+            _journal_blocks(manifest, L, labels, elements=elements, kept=kept)
 
         fits = {}
         for (observable, pair), group in sorted(by_pair.items()):

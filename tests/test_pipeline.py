@@ -21,6 +21,7 @@ import pytest
 from click.testing import CliRunner
 
 from su2eth import cache, pipeline
+from su2eth.analysis import build_offdiagonal_ensemble
 from su2eth.basis import SectorLabel, enumerate_sector_basis, sector_labels
 from su2eth.cache import build_fingerprint, spectrum_path
 from su2eth.cli import main
@@ -679,6 +680,123 @@ def test_analyses_journal_admitted_and_loaded_blocks_per_size(tmp_path):
         # k = 0 and pi excluded; each admitted +-k pair is loaded once
         assert [(e["L"], e["admitted"], e["loaded"])
                 for e in entries if e["stage"] == "blocks"] == [(6, 8, 4), (8, 12, 6)]
+
+
+def _full_element_records(cfg, root, labels):
+    """Per (observable, pair, reduced), each label's whole element records, in label order."""
+    records = {}
+    for lab in labels:
+        spectrum = load_cached_spectrum(lab, cfg.lam, root)
+        basis = enumerate_sector_basis(lab)
+        dims = spectrum.spin_dims()
+        for observable in cfg.observables:
+            op = build_observable(basis, observable)
+            for pair in cfg.all_pairs():
+                d_a, d_b = (dims.get(s, 0) for s in pair)
+                if d_a == 0 or d_b == 0 or pipeline._vanishes(observable, *pair):
+                    continue
+                table = matrix_elements(op, spectrum, spin_filter=pair, part="offdiagonal")
+                tables = {False: table}
+                if observable == "B":
+                    tables[True] = reduce_matrix_elements(table, 2)
+                for reduced, t in tables.items():
+                    if t.records.size or not reduced:
+                        records.setdefault((observable, pair, reduced), []).append(
+                            (t.records, d_a, d_b))
+    return records
+
+
+def _window_all(cfg, L, key, entries):
+    # the ensemble built from a size's whole record tables at once
+    observable, pair, _ = key
+    return build_offdiagonal_ensemble(
+        observable, L, cfg.lam, pair,
+        [(r["e_a"], r["e_b"], r["value"], d_a, d_b) for r, d_a, d_b in entries],
+        cfg.energy_window)
+
+
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, lam):
+    cfg = _analysis_config(tmp_path, L_list=(8, 10), lam=lam, spins=(0, 1, 2),
+                           spin_pairs=((0, 2),), observables=("B", "C"))
+    run_spectrum(cfg)
+    root = tmp_path / "cache"
+    compared = 0
+    for L in cfg.L_list:
+        records = _full_element_records(cfg, root, pipeline._admitted_labels(cfg, L))
+        for workers in (1, 2):
+            with pipeline._sector_pool(workers) as pool:
+                yielded = list(pipeline._offdiag_ensembles(cfg, root, L, pool))
+            assert [(o, p) for o, p, _, _ in yielded] == [
+                (o, p) for o in cfg.observables for p in cfg.all_pairs()]
+            for observable, pair, ens, red_ens in yielded:
+                for reduced, got in ((False, ens), (True, red_ens)):
+                    key = (observable, pair, reduced)
+                    if reduced and key not in records:
+                        assert got is None, key
+                        continue
+                    want = _window_all(cfg, L, key, records.get(key, []))
+                    assert got.omega.tobytes() == want.omega.tobytes(), key
+                    assert got.abs_sq.tobytes() == want.abs_sq.tobytes(), key
+                    assert got.block_dims == want.block_dims, key
+                    assert got.e_center == want.e_center, key
+                    compared += got.size
+            # B between S = 0 states vanishes and is not offered: empty, as before
+            assert dict(((o, p), e.size) for o, p, e, _ in yielded)["B", (0, 0)] == 0
+    assert compared > 300
+
+
+def test_element_tables_hold_only_the_kept_pairs(tmp_path):
+    cfg = _analysis_config(tmp_path, L_list=(10,), spins=(0, 1, 2), spin_pairs=((0, 2),),
+                           observables=("B", "C"))
+    run_spectrum(cfg)
+    root = tmp_path / "cache"
+    offered = kept_total = 0
+    for lab in pipeline._admitted_labels(cfg, 10):
+        parts = pipeline._element_tables(lab, cfg, root)
+        assert parts
+        for key, entries in _full_element_records(cfg, root, [lab]).items():
+            [(recs, _, _)] = entries
+            kept = _window_all(cfg, 10, key, entries).size
+            part = parts.pop(key)
+            arrays = [getattr(part, f.name) for f in dataclasses.fields(part)]
+            assert all(len(a) <= kept for a in arrays if isinstance(a, np.ndarray)), key
+            assert part.size == kept
+            offered += recs.size
+            kept_total += kept
+        assert not parts
+    # the window drops most pairs, so the parts are a fraction of the records
+    assert 0 < kept_total < offered / 2
+
+
+def test_diagonal_tables_own_their_arrays(tmp_path):
+    # a view into a cache file's bytes would keep the whole file alive
+    cfg = _analysis_config(tmp_path, L_list=(8,), observables=("A", "B", "C"))
+    run_spectrum(cfg)
+    for lab in pipeline._admitted_labels(cfg, 8):
+        tables = pipeline._diagonal_tables(lab, cfg, tmp_path / "cache")
+        arrays = [a for table in tables.values() for a in table]
+        assert len(arrays) == 9
+        assert all(a.base is None and a.flags.owndata for a in arrays), lab
+
+
+def test_offdiag_blocks_row_counts_offered_and_kept_pairs(tmp_path):
+    cfg = _analysis_config(tmp_path, L_list=(8, 10), spins=(0, 1, 2), spin_pairs=((0, 2),),
+                           observables=("B", "C"))
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
+    run_offdiag_eth(cfg)
+    rows = [e for e in _manifest(tmp_path / "out") if e["stage"] == "blocks"]
+    root = tmp_path / "cache"
+    for row, L in zip(rows, cfg.L_list, strict=True):
+        records = _full_element_records(cfg, root, pipeline._admitted_labels(cfg, L))
+        raw = [(key, entries) for key, entries in records.items() if not key[2]]
+        assert row["elements"] == sum(r.size for _, entries in raw for r, _, _ in entries)
+        assert row["kept"] == sum(_window_all(cfg, L, key, entries).size for key, entries in raw)
+        assert 0 < row["kept"] < row["elements"]
+    run_diag_eth(cfg)
+    diag_rows = [e for e in _manifest(tmp_path / "out") if e["stage"] == "blocks"][len(rows):]
+    assert len(diag_rows) == 2
+    assert not any({"elements", "kept"} & set(e) for e in diag_rows)
 
 
 def test_stale_cache_entry_is_rebuilt_with_warning(tmp_path):
