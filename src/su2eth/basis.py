@@ -3,8 +3,9 @@
 Product states are L-bit integers with bit i set meaning spin up on site i.
 One translation step moves site i to site i+1, i.e. rotates the bit word
 left; the global spin flip complements all L bits. Sectors are labeled by
-magnetization M, quasimomentum index n (k = 2*pi*n/L) and, at M = 0, the
-spin-flip parity z = +/-1.
+magnetization M, quasimomentum index n (k = 2*pi*n/L), at M = 0 the
+spin-flip parity z = +/-1 and, at k = 0 and pi, optionally the bond
+reflection parity p = +/-1.
 
 For every product state of the magnetization sector we tabulate once the
 canonical representative of its symmetry orbit together with the group
@@ -18,14 +19,20 @@ with complex conjugation K of product amplitudes. PK keeps k, z and M and
 maps |r> to c_r |r'>, with r' the orbit of P(r) and c_r a phase. Every
 operator that is real in the product basis and reflection-invariant is
 therefore real symmetric in this basis.
+
+At k = 0 and pi the orbit states are real, so PK acts there as P itself,
+and every PK column is a P eigenvector: a self-partnered column has parity
+c_r, a pair's first column +1 and its second -1. A label with parity p
+spans the parity-p columns of its (k, z) sector; one with parity None
+spans them all.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -35,12 +42,15 @@ __all__ = [
     "MAX_SITES",
     "SectorLabel",
     "SymmetryBasis",
+    "normalized_k",
     "translate_bits",
     "flip_bits",
     "reflect_bits",
     "magnetization_states",
     "sector_labels",
+    "parity_halves",
     "enumerate_sector_basis",
+    "with_parity",
     "expand_to_product_basis",
     "expansion_matrix",
 ]
@@ -91,49 +101,68 @@ def magnetization_states(L: int, n_up: int) -> np.ndarray:
     return out
 
 
+def normalized_k(n: int, L: int) -> int:
+    """The momentum index n modulo L, in the window (-L/2, L/2]."""
+    n %= L
+    return n - L if n > L // 2 else n
+
+
 @dataclass(frozen=True)
 class SectorLabel:
-    """One simultaneous {M, k, Z2} symmetry sector of an L-site ring.
+    """One simultaneous {M, k, Z2, P} symmetry sector of an L-site ring.
 
     k_index is the integer n in k = 2*pi*n/L, normalized into the window
     (-L/2, L/2]. z2_parity must be +1 or -1 when M = 0 (where the flip is
-    a symmetry) and None otherwise.
+    a symmetry) and None otherwise. parity, the bond reflection eigenvalue
+    +1 or -1, may be set only at k = 0 and pi (where reflection keeps k);
+    None means the whole (k, z) sector.
     """
 
     L: int
     M: int
     k_index: int
     z2_parity: int | None = None
+    parity: int | None = None
 
     def __post_init__(self):
         if self.L % 2 or not MIN_SITES <= self.L <= MAX_SITES:
             raise ValueError(f"L must be even with {MIN_SITES} <= L <= {MAX_SITES}, got {self.L}")
         if abs(self.M) > self.L // 2:
             raise ValueError(f"|M| <= L/2 required, got M={self.M} at L={self.L}")
-        n = self.k_index % self.L
-        if n > self.L // 2:
-            n -= self.L
-        object.__setattr__(self, "k_index", n)
+        object.__setattr__(self, "k_index", normalized_k(self.k_index, self.L))
         if self.M == 0:
             if self.z2_parity not in (1, -1):
                 raise ValueError("M = 0 sectors carry z2_parity of +1 or -1")
         elif self.z2_parity is not None:
             raise ValueError("z2_parity is only defined at M = 0")
+        if self.parity is not None and (self.parity not in (1, -1) or not self.reflective):
+            raise ValueError(f"parity must be +1 or -1 at k = 0 or pi, got {self.parity} "
+                             f"at k_index {self.k_index}")
 
     @property
     def k(self) -> float:
         return 2.0 * math.pi * self.k_index / self.L
 
+    @property
+    def reflective(self) -> bool:
+        """Whether bond reflection keeps the sector's momentum: k = 0 or pi."""
+        return self.k_index in (0, self.L // 2)
+
 
 def sector_labels(L: int, M: int = 0) -> list[SectorLabel]:
-    """All sector labels of an (L, M) magnetization block, deterministic order."""
-    out = []
-    for n in range(-L // 2 + 1, L // 2 + 1):
-        if M == 0:
-            out.extend(SectorLabel(L, 0, n, z) for z in (1, -1))
-        else:
-            out.append(SectorLabel(L, M, n))
-    return out
+    """All sector labels of an (L, M) magnetization block, deterministic order.
+
+    At k = 0 and pi each (k, z) sector comes as its two parity halves,
+    p = +1 first.
+    """
+    return [half for n in range(-L // 2 + 1, L // 2 + 1)
+            for z in ((1, -1) if M == 0 else (None,))
+            for half in parity_halves(SectorLabel(L, M, n, z))]
+
+
+def parity_halves(sector: SectorLabel) -> list[SectorLabel]:
+    """The labels of a whole (k, z) sector: its two parity halves at k = 0 and pi, else itself."""
+    return [replace(sector, parity=p) for p in (1, -1)] if sector.reflective else [sector]
 
 
 @dataclass(frozen=True)
@@ -188,15 +217,18 @@ def _sector_tables(L: int, M: int) -> _SectorTables:
 
 @dataclass(frozen=True)
 class SymmetryBasis:
-    """Orthonormal PK-invariant basis of one {M, k, Z2} sector.
+    """Orthonormal PK-invariant basis of one {M, k, Z2, P} sector.
 
-    reps lists the admitted orbits in ascending order; rep_index maps each
-    product state of the magnetization sector (by its position in
-    tables.states) to its orbit's row in reps, or -1 when that orbit has
-    vanishing projection in this sector. The basis vectors are the columns
-    of a unitary U on the orbit states, at most two orbits per column:
-    orbit a enters column pk_columns[a, m] with amplitude pk_coeffs[a, m]
-    (m = 0, 1; a zero amplitude pads an orbit that enters one column).
+    reps lists the admitted orbits of the (k, z) sector in ascending order;
+    rep_index maps each product state of the magnetization sector (by its
+    position in tables.states) to its orbit's row in reps, or -1 when that
+    orbit has vanishing projection in this sector. The (k, z) sector's PK
+    columns are the columns of a unitary U on the orbit states, at most two
+    orbits per column: orbit a enters column pk_columns[a, m] with amplitude
+    pk_coeffs[a, m] (m = 0, 1; a zero amplitude pads an orbit that enters
+    one column). parities holds each of those columns' reflection parity,
+    None away from k = 0 and pi. The basis spans the columns listed in
+    columns: all of them, or a parity half's.
     """
 
     sector: SectorLabel
@@ -206,10 +238,19 @@ class SymmetryBasis:
     rep_index: np.ndarray
     pk_columns: np.ndarray
     pk_coeffs: np.ndarray
+    parities: np.ndarray | None
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The (k, z) sector's PK columns this basis spans, ascending."""
+        p = self.sector.parity
+        out = np.arange(len(self.reps)) if p is None else np.flatnonzero(self.parities == p)
+        out.setflags(write=False)
+        return out
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self.columns)
 
 
 def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
@@ -248,21 +289,29 @@ def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
     reps = tabs.states[pos[kept]]
     out = SymmetryBasis(sector, reps, sizes[kept], tabs, rep_index,
                         *_pk_basis(sector, reps, tabs, rep_index))
-    for arr in (out.reps, out.orbit_sizes, out.rep_index, out.pk_columns, out.pk_coeffs):
-        arr.setflags(write=False)
+    for arr in (out.reps, out.orbit_sizes, out.rep_index, out.pk_columns, out.pk_coeffs,
+                out.parities):
+        if arr is not None:
+            arr.setflags(write=False)
     return out
 
 
+def with_parity(basis: SymmetryBasis, parity: int | None) -> SymmetryBasis:
+    """The basis of the same (k, z) sector spanning one parity half, or all of it for None."""
+    return replace(basis, sector=replace(basis.sector, parity=parity))
+
+
 def _pk_basis(sector: SectorLabel, reps: np.ndarray, tabs: _SectorTables,
-              rep_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pk_columns, pk_coeffs) of the PK-invariant columns of one sector.
+              rep_index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(pk_columns, pk_coeffs, parities) of the PK-invariant columns of one (k, z) sector.
 
     PK |r> = c_r |r'>, where r' is the orbit of s = P(r) and
     c_r = exp(-i k t_s) z^(x_s). A self-partnered orbit gives the column
     sqrt(c_r) |r>; a pair r < r' gives (|r> + c_r |r'>)/sqrt(2) and
     i (|r> - c_r |r'>)/sqrt(2), in that order. Columns follow the first
     orbit of each pair. The basis at -k is the conjugate of the one at +k,
-    so both give the same real blocks bit for bit.
+    so both give the same real blocks bit for bit. At k = 0 and pi, where
+    c_r = +-1 and PK = P, the columns have parities c_r, +1 and -1.
     """
     dim = len(reps)
     pos = np.searchsorted(tabs.states, reflect_bits(reps, sector.L))
@@ -281,7 +330,12 @@ def _pk_basis(sector: SectorLabel, reps: np.ndarray, tabs: _SectorTables,
     r2 = math.sqrt(0.5)
     coeffs = np.stack((np.where(alone, np.exp(0.5j * angle), r2 * c),
                        np.where(alone, 0.0, np.where(first, 1j, -1j) * r2 * c)), axis=1)
-    return columns, coeffs.conj() if sector.k_index < 0 else coeffs
+    parities = None
+    if sector.reflective:
+        parities = np.ones(dim, dtype=np.int64)
+        parities[start[alone]] = np.rint(np.cos(angle[alone]))
+        parities[start[first] + 1] = -1
+    return columns, coeffs.conj() if sector.k_index < 0 else coeffs, parities
 
 
 def expand_to_product_basis(basis: SymmetryBasis, column: int) -> dict[int, complex]:
@@ -297,7 +351,7 @@ def expand_to_product_basis(basis: SymmetryBasis, column: int) -> dict[int, comp
     sector = basis.sector
     L = sector.L
     amplitudes: dict[int, complex] = {}
-    hit = (basis.pk_columns == column) & (basis.pk_coeffs != 0)
+    hit = (basis.pk_columns == basis.columns[column]) & (basis.pk_coeffs != 0)
     for orbit, m in zip(*np.nonzero(hit)):
         weight = basis.pk_coeffs[orbit, m] / math.sqrt(basis.orbit_sizes[orbit])
         for x in ((0, 1) if sector.M == 0 else (0,)):

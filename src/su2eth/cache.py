@@ -1,11 +1,14 @@
 """On-disk cache for spin-resolved block spectra.
 
 Flat little-endian binary per sector (format v2): a fixed header carrying a
-build fingerprint, the sector key and a zlib.crc32 of the payload, followed
-by energies (f8), spin residuals (f8), real eigenvectors (f8, row-major)
-and spin labels (i2). The fingerprint covers the numerical core's source,
-the numpy, scipy and BLAS/LAPACK versions and the LAPACK eigh driver, since
-eigenvector signs depend on the library. A missing, stale, truncated or
+build fingerprint, the sector key (L, M, k, z and, in its last four bytes,
+the reflection parity of a k = 0 or pi parity half, 0 for a whole sector)
+and a zlib.crc32 of the payload, followed by energies (f8), spin residuals
+(f8), real eigenvectors (f8, row-major) and spin labels (i2). A parity
+half's file name carries its parity after the z tag, as in
+L16_M0_k0_zp1_Pm1_lam3.eig. The fingerprint covers the numerical core's
+source, the numpy, scipy and BLAS/LAPACK versions and the LAPACK eigh
+driver, since eigenvector signs depend on the library. A missing, stale, truncated or
 corrupted file raises CacheMismatch naming the file, and so the sector:
 spectrum rebuilds it, the analyses stop. Each writer writes its own
 temporary file and renames it over the entry, so concurrent writers of one
@@ -38,8 +41,9 @@ __all__ = [
 
 _MAGIC = b"SU2ETHEV"
 _VERSION = 2
-# magic, version, build id, L, M, k_index, z2 flag, dim, payload crc32, lambda
-_HEADER = struct.Struct("<8sIQiiiiiId4x")
+# magic, version, build id, L, M, k_index, z2 flag, dim, payload crc32, lambda,
+# reflection parity flag (0 for a whole sector)
+_HEADER = struct.Struct("<8sIQiiiiiIdi")
 
 _ENV_VAR = "SU2ETH_CACHE_DIR"
 
@@ -86,16 +90,22 @@ def cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return path
 
 
-def _z2_tag(sector: SectorLabel) -> str:
-    if sector.z2_parity is None:
+def _tag(parity: int | None) -> str:
+    if parity is None:
         return "na"
-    return "p1" if sector.z2_parity == 1 else "m1"
+    return "p1" if parity == 1 else "m1"
+
+
+def _key(sector: SectorLabel) -> tuple[int, int, int, int, int]:
+    """The header's sector key; 0 stands for a missing z2 parity or reflection parity."""
+    return (sector.L, sector.M, sector.k_index, sector.z2_parity or 0, sector.parity or 0)
 
 
 def spectrum_path(root: Path, sector: SectorLabel, lam: float) -> Path:
+    parity = "" if sector.parity is None else f"_P{_tag(sector.parity)}"
     name = (
         f"L{sector.L}_M{sector.M}_k{sector.k_index}"
-        f"_z{_z2_tag(sector)}_lam{lam:.17g}.eig"
+        f"_z{_tag(sector.z2_parity)}{parity}_lam{lam:.17g}.eig"
     )
     return root / name
 
@@ -103,7 +113,7 @@ def spectrum_path(root: Path, sector: SectorLabel, lam: float) -> Path:
 def save_spectrum(root: Path, lam: float, spectrum: SpinResolvedSpectrum) -> Path:
     sector = spectrum.sector
     path = spectrum_path(root, sector, lam)
-    z2 = 0 if sector.z2_parity is None else sector.z2_parity
+    L, M, k, z2, parity = _key(sector)
     payload = [np.ascontiguousarray(spectrum.energies, dtype="<f8"),
                np.ascontiguousarray(spectrum.spin_residuals, dtype="<f8"),
                np.ascontiguousarray(spectrum.vectors, dtype="<f8"),
@@ -112,9 +122,7 @@ def save_spectrum(root: Path, lam: float, spectrum: SpinResolvedSpectrum) -> Pat
     for part in payload:
         crc = zlib.crc32(part, crc)
     header = _HEADER.pack(
-        _MAGIC, _VERSION, build_fingerprint(),
-        sector.L, sector.M, sector.k_index, z2,
-        spectrum.dim, crc, lam,
+        _MAGIC, _VERSION, build_fingerprint(), L, M, k, z2, spectrum.dim, crc, lam, parity,
     )
     fd, tmp = tempfile.mkstemp(dir=root, prefix=path.name + ".", suffix=".tmp")
     try:
@@ -141,14 +149,12 @@ def load_spectrum(root: Path, sector: SectorLabel, lam: float) -> SpinResolvedSp
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise CacheMismatch(f"{path} is truncated")
-    magic, version, fingerprint, L, M, k, z2, dim, crc, file_lam = _HEADER.unpack_from(raw)
+    magic, version, fingerprint, L, M, k, z2, dim, crc, file_lam, parity = _HEADER.unpack_from(raw)
     if magic != _MAGIC or version != _VERSION:
         raise CacheMismatch(f"{path} has wrong magic or version")
     if fingerprint != build_fingerprint():
         raise CacheMismatch(f"{path} was written by a different build")
-    key = (sector.L, sector.M, sector.k_index,
-           0 if sector.z2_parity is None else sector.z2_parity)
-    if (L, M, k, z2) != key or file_lam != lam:
+    if (L, M, k, z2, parity) != _key(sector) or file_lam != lam:
         raise CacheMismatch(f"{path} holds a different sector or coupling")
     expect = _HEADER.size + dim * (8 + 8 + 8 * dim + 2)
     if len(raw) != expect:

@@ -23,19 +23,21 @@ The block returned is U^dagger M U in the PK-invariant basis (see
 ``basis``), with at most two nonzeros per column of U. Every operator here
 is real in the product basis and reflection-invariant, so that block is
 real: an imaginary part above round-off means a broken symmetry, and the
-build raises.
+build raises. A parity half's block (see ``basis``) is the parity-p rows
+and columns of its whole (k, z) block, cut by ``parity_block``, which
+raises on a cross-parity entry above round-off in the same way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import SectorLabel, SymmetryBasis, magnetization_states
+from .basis import SectorLabel, SymmetryBasis, magnetization_states, with_parity
 
 __all__ = [
     "CouplingSpec",
@@ -49,6 +51,7 @@ __all__ = [
     "pair_correlator_terms",
     "quad_correlator_terms",
     "build_operator",
+    "parity_block",
     "build_hamiltonian",
     "build_total_spin_squared",
     "build_observable",
@@ -58,7 +61,7 @@ __all__ = [
 
 OBSERVABLE_TAGS = ("A", "B", "C")
 
-# largest imaginary part a block entry may drop, relative to its largest entry
+# largest imaginary part, or cross-parity entry, a block may drop, relative to its largest entry
 _IMAG_BOUND = 1e-12
 
 
@@ -236,8 +239,11 @@ def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOpe
     """Assemble the real block matrix of a TermSum in one symmetry sector.
 
     Raises ValueError when an entry's imaginary part exceeds _IMAG_BOUND
-    times the largest entry, i.e. when the operator is not PK-invariant.
+    times the largest entry, i.e. when the operator is not PK-invariant. A
+    parity half's block is cut from the block of its whole (k, z) sector.
     """
+    if basis.sector.parity is not None:
+        return parity_block(build_operator(with_parity(basis, None), terms, label), basis)
     sector = basis.sector
     dim = basis.dim
     if dim == 0:
@@ -268,6 +274,29 @@ def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOpe
                          f"(imaginary part {dropped:.3e}): it breaks reflection symmetry")
     real = sp.csr_matrix((mat.data.real.copy(), mat.indices, mat.indptr), shape=(dim, dim))
     return BlockOperator(sector, real, label)
+
+
+def parity_block(block: BlockOperator, basis: SymmetryBasis) -> BlockOperator:
+    """The rows and columns of a whole (k, z) block that basis spans.
+
+    basis spans one parity half of block's sector, or the whole sector, whose
+    block is returned as it is. Raises ValueError when a dropped cross-parity
+    entry exceeds _IMAG_BOUND times max(1, largest entry), i.e. when the
+    operator breaks reflection symmetry.
+    """
+    if basis.sector == block.sector:
+        return block
+    if replace(basis.sector, parity=None) != block.sector:
+        raise ValueError(f"{basis.sector} is not a parity half of {block.sector}")
+    inside = np.zeros(block.dim, dtype=bool)
+    inside[basis.columns] = True
+    rows = block.matrix[inside]
+    scale = max(1.0, float(np.abs(block.matrix.data).max(initial=0.0)))
+    dropped = float(np.abs(rows[:, ~inside].data).max(initial=0.0))
+    if dropped > _IMAG_BOUND * scale:
+        raise ValueError(f"{block.label} in {basis.sector} couples opposite reflection parities "
+                         f"(entry {dropped:.3e}): it breaks reflection symmetry")
+    return BlockOperator(basis.sector, rows[:, inside].tocsr(), block.label)
 
 
 def build_hamiltonian(basis: SymmetryBasis, coupling: CouplingSpec) -> BlockOperator:

@@ -17,8 +17,9 @@ import warnings
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
+from functools import cache as memoized, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -26,10 +27,10 @@ import numpy as np
 
 from . import analysis, cache, oracle
 from .basis import (MAX_SITES, MIN_SITES, SectorLabel, SymmetryBasis, enumerate_sector_basis,
-                    sector_labels)
-from .operators import (OBSERVABLE_TAGS, CouplingSpec, build_hamiltonian, build_observable,
-                        build_operator, build_total_spin_squared, pair_correlator_terms,
-                        quad_correlator_terms)
+                    normalized_k, parity_halves, sector_labels, with_parity)
+from .operators import (OBSERVABLE_TAGS, BlockOperator, CouplingSpec, build_hamiltonian,
+                        build_observable, build_operator, build_total_spin_squared,
+                        pair_correlator_terms, parity_block, quad_correlator_terms)
 from .spectral import (SpinResolvedSpectrum, diagonalize_block, eigen_residual, expectations,
                        matrix_elements, resolve_spins)
 from .tensors import clebsch_gordan, reduce_matrix_elements
@@ -74,7 +75,8 @@ class RunConfig:
 
     spins selects same-spin ensembles; spin_pairs adds cross-spin ones.
     omega_cut None resolves to 10 for lam != 0 and 3 for the integrable
-    point. exclude_k None resolves to {0, L/2} per size.
+    point. exclude_k None resolves to {0, L/2} per size; an entry n names
+    k = 2*pi*n/L at every size, so -8 and 24 exclude k = pi at L = 16.
     """
 
     L_list: tuple[int, ...]
@@ -137,8 +139,9 @@ class RunConfig:
         return 10.0 if self.lam != 0.0 else 3.0
 
     def excluded_k(self, L: int) -> set[int]:
+        """The excluded k indices at size L, in SectorLabel's window (-L/2, L/2]."""
         if self.exclude_k is not None:
-            return set(self.exclude_k)
+            return {normalized_k(n, L) for n in self.exclude_k}
         return {0, L // 2}
 
     def all_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -291,7 +294,7 @@ def _begin(config: RunConfig, command: str):
             if analysis_run and not path.exists():  # fail before any sector is worked
                 raise MissingCacheError(f"no cached spectrum at {path}; {_FILL_CACHE}")
         # a fork pool starts every worker at once, so start no more than can be busy
-        workers = min(config.workers, len(solved))
+        workers = min(config.workers, len({_unit(sector) for sector in solved}))
         with _sector_pool(workers) as pool:
             yield root, out, manifest, plan, pool
     except Exception as exc:
@@ -325,29 +328,43 @@ def _submit(pool, work, *args) -> Future:
 
 
 def _per_block(config: RunConfig, root: Path, labels, work, pool) -> list[Future]:
-    """One future of work(solved, config, root) per label, a +-k pair sharing one.
+    """One future of work(_unit(label), config, root) per label, labels of one unit sharing it.
 
-    Each solved sector is submitted at its first label; in place, it is
-    worked before the next one is read, so one spectrum is alive at a time.
-    A -k block equals its +k mirror's real block bit for bit, so it has the
-    mirror's energies, spins, diagonals and elements.
+    work returns its results keyed by the unit's solved sectors, so that a
+    +-k pair and the two parity halves of a k = 0 or pi sector share one
+    future. Each unit is submitted at its first label; in place, it is
+    worked before the next one is read, so one unit's spectra are alive at
+    a time. A -k block equals its +k mirror's real block bit for bit, so it
+    has the mirror's energies, spins, diagonals and elements.
     """
-    futures = {solved: _submit(pool, work, solved, config, root)
-               for solved in dict.fromkeys(map(_solved, labels))}
-    return [futures[_solved(lab)] for lab in labels]
+    futures = {key: _submit(pool, work, key, config, root)
+               for key in dict.fromkeys(map(_unit, labels))}
+    return [futures[_unit(lab)] for lab in labels]
 
 
 # ─── spectra ─────────────────────────────────────────────────────────────────
 
 
 def _mirror(sector: SectorLabel) -> SectorLabel:
-    """The sector at -k; k = 0 and k = pi are their own mirrors."""
-    return SectorLabel(sector.L, sector.M, -sector.k_index, sector.z2_parity)
+    """The sector at -k; k = 0 and k = pi, the only parity halves, are their own mirrors."""
+    return replace(sector, k_index=-sector.k_index)
 
 
 def _solved(sector: SectorLabel) -> SectorLabel:
     """The k >= 0 sector whose eigendata are solved and cached for this one."""
     return sector if sector.k_index >= 0 else _mirror(sector)
+
+
+def _unit(sector: SectorLabel) -> SectorLabel:
+    """The whole (k, z) sector, k >= 0, whose one assembly of H and S^2 solves this one."""
+    return replace(_solved(sector), parity=None)
+
+
+def _assembly(unit: SectorLabel, lam: float):
+    """Builders of one whole (k, z) sector's basis, H and S^2, each built once at its first call."""
+    basis = memoized(partial(enumerate_sector_basis, unit))
+    return (basis, memoized(lambda: build_hamiltonian(basis(), CouplingSpec(lam))),
+            memoized(lambda: build_total_spin_squared(basis())))
 
 
 def _serve(spectrum: SpinResolvedSpectrum, sector: SectorLabel) -> SpinResolvedSpectrum:
@@ -362,13 +379,17 @@ def _serve(spectrum: SpinResolvedSpectrum, sector: SectorLabel) -> SpinResolvedS
                                 spectrum.spins, spectrum.spin_residuals)
 
 
-def ensure_spectrum(sector: SectorLabel, lam: float,
-                    root: Path) -> tuple[SpinResolvedSpectrum, bool]:
+def ensure_spectrum(sector: SectorLabel, lam: float, root: Path,
+                    assembly=None) -> tuple[SpinResolvedSpectrum, bool]:
     """Load one block spectrum from cache, or build and store it.
 
     Only k >= 0 sectors are solved and cached; a -k sector is served from
-    its mirror. Returns (spectrum, cache_hit). A present-but-incompatible
-    file triggers a rebuild with a warning rather than an error.
+    its mirror. A sector is built from H and S^2 of its whole (k, z)
+    sector, cut to its parity half at k = 0 and pi; assembly, when given,
+    holds that sector's builders (see _assembly), so that both halves can
+    share one assembly. Returns (spectrum, cache_hit). A
+    present-but-incompatible file triggers a rebuild with a warning rather
+    than an error.
     """
     solved = _solved(sector)
     try:
@@ -376,10 +397,10 @@ def ensure_spectrum(sector: SectorLabel, lam: float,
     except cache.CacheMismatch as exc:
         if cache.spectrum_path(root, solved, lam).exists():
             warnings.warn(f"rebuilding stale cache entry: {exc}")
-    basis = enumerate_sector_basis(solved)
-    h = build_hamiltonian(basis, CouplingSpec(lam))
-    energies, vectors = diagonalize_block(h)
-    spectrum = resolve_spins(energies, vectors, build_total_spin_squared(basis))
+    basis, h, s2 = assembly or _assembly(_unit(sector), lam)
+    half = with_parity(basis(), solved.parity)
+    energies, vectors = diagonalize_block(parity_block(h(), half))
+    spectrum = resolve_spins(energies, vectors, parity_block(s2(), half))
     cache.save_spectrum(root, lam, spectrum)
     return _serve(spectrum, sector), False
 
@@ -428,12 +449,26 @@ def _write_json(path: Path, payload: dict) -> Path:
 # ─── spectrum command ────────────────────────────────────────────────────────
 
 
-def _sweep_sector(sector: SectorLabel, config: RunConfig,
-                  root: Path) -> tuple[int, dict[int, int], bool, float]:
-    """(dim, spin_dims, cache_hit, seconds) of one sector; its eigenvectors are not kept."""
-    t0 = time.perf_counter()
-    spectrum, hit = ensure_spectrum(sector, config.lam, root)
-    return spectrum.dim, spectrum.spin_dims(), hit, time.perf_counter() - t0
+def _sweep_unit(unit: SectorLabel, config: RunConfig,
+                root: Path) -> dict[SectorLabel, tuple | Exception]:
+    """(dim, spin_dims, cache_hit, seconds) of each solved sector of one unit, or its error.
+
+    A unit at k = 0 or pi is solved as its two parity halves, which share
+    one assembly of H and S^2, made only if a half is not cached and
+    counted in the seconds of the first half built. A half that fails does
+    not stop the other. No eigenvectors are kept.
+    """
+    assembly = _assembly(unit, config.lam)
+    out = {}
+    for sector in parity_halves(unit):
+        t0 = time.perf_counter()
+        try:
+            spectrum, hit = ensure_spectrum(sector, config.lam, root, assembly)
+        except Exception as exc:  # quarantined on its own by run_spectrum
+            out[sector] = exc
+            continue
+        out[sector] = spectrum.dim, spectrum.spin_dims(), hit, time.perf_counter() - t0
+    return out
 
 
 def run_spectrum(config: RunConfig) -> dict:
@@ -441,8 +476,10 @@ def run_spectrum(config: RunConfig) -> dict:
 
     A -k sector shares its mirror's energies and spins, so it is counted
     in the summary with its mirror's result and never solved or cached.
-    Sectors go to at most config.workers workers; eigenvectors travel
-    through the cache, never back from a worker.
+    The parity halves of a k = 0 or pi sector are worked as one unit, each
+    eigensolved, cached and quarantined on its own. Units go to at most
+    config.workers workers; eigenvectors travel through the cache, never
+    back from a worker.
     """
     with _begin(config, "spectrum") as (root, out, manifest, plan, pool):
         summary = {"config": manifest.config_hash, "lambda": config.lam, "M": config.M,
@@ -450,12 +487,15 @@ def run_spectrum(config: RunConfig) -> dict:
         for L, labels in plan.items():
             t0 = time.perf_counter()
             results = []
-            for lab, future in zip(labels, _per_block(config, root, labels, _sweep_sector, pool)):
+            for lab, future in zip(labels, _per_block(config, root, labels, _sweep_unit, pool)):
                 name = _sector_name(lab, config.lam)
                 solved = _solved(lab)
                 mirror = {} if solved == lab else {"mirror_of": _sector_name(solved, config.lam)}
                 try:
-                    dim, dims, hit, seconds = future.result()
+                    outcome = future.result()[solved]
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    dim, dims, hit, seconds = outcome
                 except Exception as exc:  # quarantine the sector, keep sweeping
                     manifest.record("spectrum", "failed", sector=name, error=str(exc), **mirror)
                     summary["failures"].append({"sector": name, "error": str(exc)})
@@ -508,15 +548,31 @@ def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> an
 # ─── diagonal command ────────────────────────────────────────────────────────
 
 
-def _diagonal_tables(sector: SectorLabel, config: RunConfig, root: Path) -> dict[str, tuple]:
+def _unit_tables(work, unit: SectorLabel, config: RunConfig,
+                 root: Path) -> dict[SectorLabel, dict]:
+    """work(spectrum, blocks, config) of each cached solved sector of one unit, keyed by sector.
+
+    blocks maps each observable to its block in that sector. Each observable
+    is assembled once for the whole (k, z) sector, and each parity half at
+    k = 0 or pi takes its cut.
+    """
+    whole = enumerate_sector_basis(unit)
+    assembled = {o: build_observable(whole, o) for o in config.observables}
+    out = {}
+    for sector in parity_halves(unit):
+        half = with_parity(whole, sector.parity)
+        out[sector] = work(load_cached_spectrum(sector, config.lam, root),
+                           {o: parity_block(block, half) for o, block in assembled.items()}, config)
+    return out
+
+
+def _diagonal_tables(spectrum: SpinResolvedSpectrum, blocks: dict[str, BlockOperator],
+                     config: RunConfig) -> dict[str, tuple]:
     """(energies, diagonal elements, spins) of one cached block, keyed by observable."""
-    spectrum = load_cached_spectrum(sector, config.lam, root)
-    basis = enumerate_sector_basis(sector)
     # copies: views would keep the whole cache file's bytes, vectors included, alive
     energies, spins = spectrum.energies.copy(), spectrum.spins.copy()
-    return {observable: (energies, expectations(build_observable(basis, observable),
-                                                spectrum.vectors), spins)
-            for observable in config.observables}
+    return {observable: (energies, expectations(block, spectrum.vectors), spins)
+            for observable, block in blocks.items()}
 
 
 def run_diag_eth(config: RunConfig) -> dict:
@@ -530,7 +586,9 @@ def run_diag_eth(config: RunConfig) -> dict:
         fluct_points: dict[tuple[str, int], list[tuple[float, float]]] = {}
 
         for L, labels in plan.items():
-            blocks = [f.result() for f in _per_block(config, root, labels, _diagonal_tables, pool)]
+            work = partial(_unit_tables, _diagonal_tables)
+            blocks = [f.result()[_solved(lab)]
+                      for lab, f in zip(labels, _per_block(config, root, labels, work, pool))]
             _journal_blocks(manifest, L, labels)
             for observable in config.observables:
                 tables = [block[observable] for block in blocks]
@@ -609,20 +667,17 @@ def run_diag_eth(config: RunConfig) -> dict:
 # ─── off-diagonal command ────────────────────────────────────────────────────
 
 
-def _element_tables(sector: SectorLabel, config: RunConfig,
-                    root: Path) -> dict[tuple, analysis.OffDiagonalEnsemble]:
+def _element_tables(spectrum: SpinResolvedSpectrum, blocks: dict[str, BlockOperator],
+                    config: RunConfig) -> dict[tuple, analysis.OffDiagonalEnsemble]:
     """One cached block's windowed ensembles, keyed by (observable, pair, reduced).
 
     Each table's records are windowed as soon as they are computed, so only
     the kept (omega, |O|^2) pairs outlive the call or leave a worker.
     """
-    spectrum = load_cached_spectrum(sector, config.lam, root)
-    basis = enumerate_sector_basis(sector)
     dims = spectrum.spin_dims()
     parts = {}
-    for observable in config.observables:
+    for observable, obs in blocks.items():
         rank = _REDUCTION_RANK.get(observable)
-        obs = build_observable(basis, observable)
         for pair in config.all_pairs():
             d_a, d_b = (dims.get(s, 0) for s in pair)
             if d_a == 0 or d_b == 0 or _vanishes(observable, *pair):
@@ -634,7 +689,7 @@ def _element_tables(sector: SectorLabel, config: RunConfig,
             for reduced, recs in zip((False, True), (table.records for table in tables)):
                 if recs.size or not reduced:
                     parts[observable, pair, reduced] = analysis.build_offdiagonal_ensemble(
-                        observable, sector.L, config.lam, pair,
+                        observable, spectrum.sector.L, config.lam, pair,
                         [(recs["e_a"], recs["e_b"], recs["value"], d_a, d_b)], config.energy_window)
     return parts
 
@@ -648,8 +703,10 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int, pool=None):
     observables without a single tensor rank or without reduced elements.
     """
     parts = {}  # per key, its part from every block; popped once its ensemble is joined
-    for future in _per_block(config, root, _admitted_labels(config, L), _element_tables, pool):
-        for key, part in future.result().items():
+    labels = _admitted_labels(config, L)
+    work = partial(_unit_tables, _element_tables)
+    for lab, future in zip(labels, _per_block(config, root, labels, work, pool)):
+        for key, part in future.result()[_solved(lab)].items():
             parts.setdefault(key, []).append(part)
     for observable in config.observables:
         for pair in config.all_pairs():
@@ -759,8 +816,8 @@ def run_offdiag_eth(config: RunConfig) -> dict:
 # ─── oracle check ────────────────────────────────────────────────────────────
 
 
-def _state_moments(basis: SymmetryBasis, spectrum: SpinResolvedSpectrum) -> dict[str, np.ndarray]:
-    """Per-state values of one nonempty block whose sector averages are the moments."""
+def _moment_operators(basis: SymmetryBasis) -> dict[str, BlockOperator]:
+    """The blocks whose per-state expectations average to the moments they are keyed by."""
     L = basis.sector.L
     ops = {"meanA": build_observable(basis, "A"), "meanB": build_observable(basis, "B")}
     for tag, terms in (("eps2", pair_correlator_terms(L, "dot")),
@@ -768,6 +825,12 @@ def _state_moments(basis: SymmetryBasis, spectrum: SpinResolvedSpectrum) -> dict
                        ("eps4", quad_correlator_terms(L, "dotdot")),
                        ("eps4z", quad_correlator_terms(L, "zzdot"))):
         ops[tag] = build_operator(basis, terms, tag)
+    return ops
+
+
+def _state_moments(ops: dict[str, BlockOperator],
+                   spectrum: SpinResolvedSpectrum) -> dict[str, np.ndarray]:
+    """Per-state values of one block, from its _moment_operators, whose sector averages are the moments."""
     per_state = {f: expectations(op, spectrum.vectors) for f, op in ops.items()}
     e = spectrum.energies
     per_state.update(E0=e, HH=e * e, AH=per_state["meanA"] * e, BH=per_state["meanB"] * e)
@@ -794,35 +857,47 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
     blocks: (SectorLabel, SpinResolvedSpectrum) pairs covering every (k, Z2)
     sector of M = 0. Pooling all of them realizes the (S, M=0) trace.
     """
-    return _pooled_moments((spectrum.spins, _state_moments(enumerate_sector_basis(lab), spectrum))
-                           for lab, spectrum in blocks)
+    return _pooled_moments(
+        (spectrum.spins, _state_moments(_moment_operators(enumerate_sector_basis(lab)), spectrum))
+        for lab, spectrum in blocks)
 
 
-def _audit_sector(sector: SectorLabel, config: RunConfig, root: Path) -> dict:
-    """Spin counts, per-state moments and per-label (block audit, failed) of a solved sector.
+def _audit_unit(unit: SectorLabel, config: RunConfig, root: Path) -> dict[SectorLabel, dict]:
+    """Spin counts, per-state moments and per-label (block audit, failed) of each solved sector of one unit.
 
-    Its -k mirror shares its vectors, orthonormality and spin sharpness; the
-    mirror's eigen residual is taken against its own H(-k), which checks the
-    mirror rule.
+    H, S^2 and the moment operators are assembled once for the whole
+    (k, z) sector, and each parity half at k = 0 or pi takes its cut; a
+    sector missing from the cache is solved from the same H and S^2. A
+    solved sector's -k mirror shares its vectors, orthonormality and spin
+    sharpness; the mirror's eigen residual is taken against its own H(-k),
+    which checks the mirror rule.
     """
-    spectrum, _ = ensure_spectrum(sector, config.lam, root)
-    basis = enumerate_sector_basis(sector)
-    v = spectrum.vectors
-    ortho = float(np.abs(v.T @ v - np.eye(spectrum.dim)).max())
-    expect = expectations(build_total_spin_squared(basis), v)
-    spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max())
-    scale = max(1.0, float(np.abs(spectrum.energies).max()))
-    audits = {}
-    for label in dict.fromkeys((sector, _mirror(sector))):
-        own = basis if label == sector else enumerate_sector_basis(label)
-        eig_res = eigen_residual(build_hamiltonian(own, CouplingSpec(config.lam)),
-                                 spectrum.energies, v)
-        audit = {"sector": _sector_name(label, config.lam), "eigen_residual": eig_res,
-                 "orthonormality": ortho, "spin_residual": spin_res}
-        audits[label] = audit, (eig_res > 1e-8 * scale or spin_res > 1e-6
-                                or ortho > 10 * spectrum.dim * np.finfo(float).eps)
-    return {"spin_dims": spectrum.spin_dims(), "audits": audits,
-            "moments": (spectrum.spins, _state_moments(basis, spectrum))}
+    assembly = _assembly(unit, config.lam)
+    whole, h, s2 = assembly
+    moments = _moment_operators(whole())
+    out = {}
+    for sector in parity_halves(unit):
+        spectrum, _ = ensure_spectrum(sector, config.lam, root, assembly)
+        basis = with_parity(whole(), sector.parity)
+        v = spectrum.vectors
+        # a parity half may be empty, with every audit 0
+        ortho = float(np.abs(v.T @ v - np.eye(spectrum.dim)).max(initial=0.0))
+        expect = expectations(parity_block(s2(), basis), v)
+        spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max(initial=0.0))
+        scale = max(1.0, float(np.abs(spectrum.energies).max(initial=0.0)))
+        audits = {}
+        for label in dict.fromkeys((sector, _mirror(sector))):
+            own = parity_block(h(), basis) if label == sector else build_hamiltonian(
+                enumerate_sector_basis(label), CouplingSpec(config.lam))
+            eig_res = eigen_residual(own, spectrum.energies, v)
+            audit = {"sector": _sector_name(label, config.lam), "eigen_residual": eig_res,
+                     "orthonormality": ortho, "spin_residual": spin_res}
+            audits[label] = audit, (eig_res > 1e-8 * scale or spin_res > 1e-6
+                                    or ortho > 10 * spectrum.dim * np.finfo(float).eps)
+        cut = {f: parity_block(op, basis) for f, op in moments.items()}
+        out[sector] = {"spin_dims": spectrum.spin_dims(), "audits": audits,
+                       "moments": (spectrum.spins, _state_moments(cut, spectrum))}
+    return out
 
 
 def run_oracle_check(config: RunConfig) -> dict:
@@ -832,14 +907,16 @@ def run_oracle_check(config: RunConfig) -> dict:
     spin sharpness) catch corrupted or stale cache entries and name the
     sector; the pooled moment table then validates every closed form to
     1e-10. Each solved sector is read and worked once for itself and its -k
-    mirror.
+    mirror; the two parity halves of a k = 0 or pi sector are worked as one
+    unit, with one assembly of each operator.
     """
     with _begin(config, "oracle-check") as (root, out, manifest, plan, pool):
         tol_moment = 1e-10
         report = {"config": manifest.config_hash, "lambda": config.lam, "rows": [],
                   "block_audits": [], "failures": []}
         for L, labels in plan.items():
-            sectors = [f.result() for f in _per_block(config, root, labels, _audit_sector, pool)]
+            futures = _per_block(config, root, labels, _audit_unit, pool)
+            sectors = [f.result()[_solved(lab)] for lab, f in zip(labels, futures)]
             for lab, checked in zip(labels, sectors):
                 audit, failed = checked["audits"][lab]
                 report["block_audits"].append(audit)

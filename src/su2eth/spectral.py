@@ -48,7 +48,7 @@ EIGH_DRIVER = "evd"
 
 def eigen_residual(block: BlockOperator, energies: np.ndarray, vectors: np.ndarray) -> float:
     """max|H v - v E| over every eigenpair, through the sparse block matrix."""
-    return float(np.abs(block.matrix @ vectors - vectors * energies).max())
+    return float(np.abs(block.matrix @ vectors - vectors * energies).max(initial=0.0))
 
 
 def diagonalize_block(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ def test_label_validation():
         SectorLabel(6, 1, 0, 1)  # parity meaningless away from M = 0
 
 
+def test_reflection_parity_only_at_k_zero_and_pi():
+    assert SectorLabel(6, 0, 0, 1, -1).parity == -1
+    assert SectorLabel(6, 1, -3, None, 1).k_index == 3
+    for k in (1, -2):
+        with pytest.raises(ValueError, match="parity"):
+            SectorLabel(6, 0, k, 1, 1)
+    with pytest.raises(ValueError, match="parity"):
+        SectorLabel(6, 0, 0, 1, 0)
+
+
 def test_k_index_normalized_into_signed_window():
     assert SectorLabel(6, 1, 5).k_index == -1
     assert SectorLabel(6, 1, -3).k_index == 3
@@ -88,16 +99,19 @@ def test_k_index_normalized_into_signed_window():
 
 def test_sector_labels_m0_carries_both_parities_at_every_k():
     labels = sector_labels(6, 0)
-    assert len(labels) == 12
+    assert len(labels) == 16
     seen = {(lab.k_index, lab.z2_parity) for lab in labels}
     assert seen == {(n, z) for n in range(-2, 4) for z in (1, -1)}
+    halves = {(lab.k_index, lab.z2_parity, lab.parity) for lab in labels if lab.parity}
+    assert halves == {(n, z, p) for n in (0, 3) for z in (1, -1) for p in (1, -1)}
 
 
 def test_sector_labels_m_nonzero_has_no_parity():
     labels = sector_labels(6, 1)
-    assert len(labels) == 6
+    assert len(labels) == 8
     assert all(lab.z2_parity is None for lab in labels)
-    assert [lab.k_index for lab in labels] == [-2, -1, 0, 1, 2, 3]
+    assert [lab.k_index for lab in labels] == [-2, -1, 0, 0, 1, 2, 3, 3]
+    assert [lab.parity for lab in labels] == [None, None, 1, -1, None, None, 1, -1]
 
 
 # ─── completeness and orthonormality ────────────────────────────────────────
@@ -123,7 +137,8 @@ def test_expansion_matrix_is_an_isometry():
 
 @pytest.mark.parametrize("L, M", [(6, 0), (6, 1), (8, 0), (8, 1)])
 def test_pk_basis_is_unitary_with_at_most_two_orbits_per_column(L, M):
-    for lab in sector_labels(L, M):
+    # U spans a whole (k, z) sector; a parity half takes some of its columns
+    for lab in dict.fromkeys(replace(lab, parity=None) for lab in sector_labels(L, M)):
         basis = enumerate_sector_basis(lab)
         u = np.zeros((basis.dim, basis.dim), dtype=complex)
         np.add.at(u, (np.arange(basis.dim)[:, None], basis.pk_columns), basis.pk_coeffs)
@@ -138,7 +153,25 @@ def test_every_basis_vector_is_pk_invariant(L, M):
     reflected = np.searchsorted(states, reflect_bits(states, L))
     for lab in sector_labels(L, M):
         vectors = expansion_matrix(enumerate_sector_basis(lab))
-        assert np.abs(vectors[reflected].conj() - vectors).max() < 1e-14, lab
+        assert np.abs(vectors[reflected].conj() - vectors).max(initial=0.0) < 1e-14, lab
+
+
+@pytest.mark.parametrize("L, M", [(6, 0), (6, 1), (8, 0), (8, 1), (10, 0), (10, 1)])
+def test_reflection_is_diagonal_on_the_pk_columns_at_k_zero_and_pi(L, M):
+    # P v = p v for every column of parity p; a half spans exactly its columns
+    states = magnetization_states(L, L // 2 + M)
+    reflected = np.searchsorted(states, reflect_bits(states, L))
+    halves = [lab for lab in sector_labels(L, M) if lab.parity is not None]
+    assert len(halves) == (8 if M == 0 else 4)
+    for lab in halves:
+        whole = enumerate_sector_basis(replace(lab, parity=None))
+        half = enumerate_sector_basis(lab)
+        vectors = expansion_matrix(whole)
+        assert np.abs(vectors[reflected] - whole.parities * vectors).max() < 1e-14, lab
+        assert np.array_equal(half.columns, np.flatnonzero(whole.parities == lab.parity))
+        assert np.array_equal(expansion_matrix(half), vectors[:, half.columns]), lab
+    for lab in sector_labels(L, M):
+        assert (enumerate_sector_basis(lab).parities is None) == (lab.k_index not in (0, L // 2))
 
 
 def test_blocks_of_one_sector_are_mutually_orthogonal():

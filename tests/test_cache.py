@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,27 @@ def test_renamed_file_fails_key_check(tmp_path):
     dst.write_bytes(src.read_bytes())
     with pytest.raises(CacheMismatch, match="different sector or coupling"):
         load_spectrum(tmp_path, other, 3.0)
+
+
+def test_parity_halves_are_named_and_keyed_apart(tmp_path):
+    assert spectrum_path(tmp_path, SectorLabel(16, 0, 0, 1, 1), 3.0).name == "L16_M0_k0_zp1_Pp1_lam3.eig"
+    assert spectrum_path(tmp_path, SectorLabel(16, 0, 8, -1, -1), 3.0).name == "L16_M0_k8_zm1_Pm1_lam3.eig"
+    assert spectrum_path(tmp_path, SectorLabel(8, 1, 4, None, 1), 0.5).name == "L8_M1_k4_zna_Pp1_lam0.5.eig"
+    # the parity sits in the header's last four bytes, 0 for a whole sector
+    for lab, flag in ((SectorLabel(10, 0, 0, 1, -1), -1), (SectorLabel(10, 0, 5, -1, 1), 1),
+                      (SectorLabel(10, 0, 0, 1), 0), (SectorLabel(10, 0, 2, 1), 0)):
+        path = save_spectrum(tmp_path, 3.0, _make_spectrum(lab, 3.0))
+        assert struct.unpack_from("<i", path.read_bytes(), 52)[0] == flag, lab
+        assert load_spectrum(tmp_path, lab, 3.0).sector == lab
+
+
+def test_half_copied_over_its_sibling_fails_key_check(tmp_path):
+    lab = SectorLabel(10, 0, 0, 1, 1)
+    sibling = replace(lab, parity=-1)
+    src = save_spectrum(tmp_path, 3.0, _make_spectrum(lab, 3.0))
+    spectrum_path(tmp_path, sibling, 3.0).write_bytes(src.read_bytes())
+    with pytest.raises(CacheMismatch, match="holds a different sector"):
+        load_spectrum(tmp_path, sibling, 3.0)
 
 
 def test_build_fingerprint_is_stable():

@@ -1,0 +1,89 @@
+"""The output comparator in tools/: equal trees pass, and it names each file's first difference."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_outputs", Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
+
+_DIAG = """# config 0123456789abcdef
+E_over_L,S,O_diag,L,lambda,observable
+-0.40000000000000002,1,0.012345678901234568,10,3,B
+-0.39000000000000001,1,-0.023456789012345678,10,3,B
+"""
+_GAMMA = """# config 0123456789abcdef
+omega,Gamma,count,L,S_a,S_b,lambda,observable,flagged
+0.025000000000000001,0.63661977236758138,120,10,1,1,3,B,False
+0.050000000000000003,nan,4,10,1,1,3,B,True
+"""
+
+
+def _tree(root: Path, diag=_DIAG, gamma=_GAMMA, seconds=0.5, slope=-1.2345678901234567) -> Path:
+    root.mkdir()
+    (root / "diag.csv").write_text(diag)
+    (root / "gamma.csv").write_text(gamma)
+    (root / "spectrum_summary.json").write_text(json.dumps(
+        {"sizes": {"10": {"blocks": 24, "built": 24, "seconds": seconds}}, "failures": []}))
+    (root / "fits.json").write_text(json.dumps({"fits": {"variance[B,1,1]": {"params": [0.5, slope]}}}))
+    (root / "manifest.jsonl").write_text(json.dumps({"ts": str(seconds)}) + "\n")
+    return root
+
+
+def _run(tmp_path, capsys, **changes):
+    code = compare_outputs.main([str(_tree(tmp_path / "a")), str(_tree(tmp_path / "b", **changes))])
+    return code, capsys.readouterr().out
+
+
+def test_identical_trees_agree(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, seconds=9.75)  # run times and the manifest are masked
+    assert code == 0 and out == "4 files agree\n"
+
+
+def test_numbers_within_their_bounds_agree(tmp_path, capsys):
+    diag = _DIAG.replace("0.012345678901234568", "0.012345678901235")  # 4e-16 absolute
+    gamma = _GAMMA.replace("0.63661977236758138", "0.6366197723680")  # 4e-13 relative
+    code, out = _run(tmp_path, capsys, diag=diag, gamma=gamma, slope=-1.2345678901234)
+    assert code == 0, out
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"diag": _DIAG.replace("0.012345678901234568", "-0.012345678901234568")},
+     "diag.csv: row 1, column O_diag: 0.012345678901234568 against -0.012345678901234568"),
+    ({"diag": _DIAG.replace("-0.39000000000000001", "-0.390000000002")},
+     "diag.csv: row 2, column E_over_L"),
+    ({"gamma": _GAMMA.replace("0.63661977236758138", "0.63661978")},
+     "gamma.csv: row 1, column Gamma"),
+    ({"gamma": _GAMMA.replace(",120,", ",121,")}, "gamma.csv: row 1, column count: 120 against 121"),
+    ({"gamma": _GAMMA.replace("False", "True")}, "gamma.csv: row 1, column flagged"),
+    ({"gamma": _GAMMA.replace(",nan,", ",0.5,")}, "gamma.csv: row 2, column Gamma: nan against 0.5"),
+    ({"gamma": "".join(_GAMMA.splitlines(keepends=True)[:3])}, "gamma.csv: 2 rows against 1"),
+    ({"gamma": _GAMMA.replace("# config 0123", "# config 9123")}, "gamma.csv: config line or header"),
+    ({"slope": 1.2345678901234567}, "fits.json: /fits/variance[B,1,1]/params[1]"),
+], ids=["flipped sign", "energy", "binned value", "count", "flag", "nan", "missing row",
+        "config line", "fit"])
+def test_a_difference_fails_and_is_named(tmp_path, capsys, changes, named):
+    code, out = _run(tmp_path, capsys, **changes)
+    assert code == 1
+    assert out.startswith(named), out
+    assert len(out.splitlines()) == 1, out
+
+
+def test_a_missing_file_fails_and_every_differing_file_is_named(tmp_path, capsys):
+    a = _tree(tmp_path / "a")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    (b / "fits.json").unlink()
+    (b / "diag.csv").write_text(_DIAG.replace(",1,", ",2,", 1))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "diag.csv: row 1, column S: 1 against 2"
+    assert lines[1] == f"fits.json: only under {a}"
+    assert len(lines) == 2

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from su2eth.basis import SectorLabel, enumerate_sector_basis, expansion_matrix, sector_labels
 from su2eth.operators import (
+    BlockOperator,
     CouplingSpec,
     Factor,
     Term,
@@ -20,6 +23,7 @@ from su2eth.operators import (
     hamiltonian_terms,
     observable_terms,
     pair_correlator_terms,
+    parity_block,
     product_basis_matrix,
     quad_correlator_terms,
     raising_matrix,
@@ -196,6 +200,50 @@ def test_an_operator_without_reflection_symmetry_is_rejected():
     with pytest.raises(ValueError, match="breaks reflection symmetry"):
         for basis in _nonempty(L):
             build_operator(basis, terms, "zzdot")
+
+
+def _halves(L, M=0):
+    return [lab for lab in sector_labels(L, M) if lab.parity is not None]
+
+
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+@pytest.mark.parametrize("L, M", [(8, 0), (10, 0), (12, 0), (10, 1)])
+def test_parity_halves_split_the_whole_block(L, M, lam):
+    """A half's block is its parity's rows and columns; both halves' energies are the whole's."""
+    terms = hamiltonian_terms(L, CouplingSpec(lam))
+    for z in dict.fromkeys(lab.z2_parity for lab in _halves(L, M)):
+        for k in (0, L // 2):
+            whole = enumerate_sector_basis(SectorLabel(L, M, k, z))
+            block = build_operator(whole, terms, "H")
+            energies = []
+            for p in (1, -1):
+                half = enumerate_sector_basis(SectorLabel(L, M, k, z, p))
+                cut = build_operator(half, terms, "H")
+                assert cut.sector == half.sector and cut.dim == half.dim
+                cols = half.columns
+                assert np.array_equal(cut.dense(), block.dense()[np.ix_(cols, cols)])
+                energies.extend(diagonalize_block(cut)[0])
+            full = diagonalize_block(block)[0]
+            assert np.abs(np.sort(energies) - full).max() < 1e-12, (k, z)
+
+
+def test_an_operator_coupling_opposite_parities_is_rejected():
+    lab = SectorLabel(10, 0, 0, 1, 1)
+    whole = enumerate_sector_basis(replace(lab, parity=None))
+    half = enumerate_sector_basis(lab)
+    block = build_hamiltonian(whole, CouplingSpec(3.0))
+    a = int(half.columns[0])
+    b = int(np.flatnonzero(whole.parities == -1)[0])
+    coupling = sp.csr_matrix(([1e-6, 1e-6], ([a, b], [b, a])), shape=block.matrix.shape)
+    mixed = BlockOperator(block.sector, (block.matrix + coupling).tocsr(), "mixed")
+    with pytest.raises(ValueError, match="couples opposite reflection parities"):
+        parity_block(mixed, half)
+    # round-off is not a coupling, and a whole sector's block is returned as it is
+    tiny = BlockOperator(block.sector, (block.matrix + 1e-15 * coupling / 1e-6).tocsr(), "H")
+    assert parity_block(tiny, half).dim == half.dim
+    assert parity_block(block, whole) is block
+    with pytest.raises(ValueError, match="not a parity half"):
+        parity_block(block, enumerate_sector_basis(SectorLabel(10, 0, 5, 1, 1)))
 
 
 @pytest.mark.parametrize("L, M", [(6, 0), (8, 0), (10, 0), (12, 0), (8, 1), (6, 1)])

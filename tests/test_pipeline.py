@@ -98,6 +98,17 @@ def test_excluded_k_defaults_to_zero_and_pi():
     assert dataclasses.replace(cfg, exclude_k=(1,)).excluded_k(8) == {1}
 
 
+def test_excluded_k_entries_name_momenta_at_every_size():
+    # -8 and 24 name k = pi at L = 16, as 8 does; the hash keeps the given values
+    configs = [RunConfig(L_list=(16,), exclude_k=(k,)) for k in (8, -8, 24)]
+    admitted = [pipeline._admitted_labels(cfg, 16) for cfg in configs]
+    assert admitted[0] == admitted[1] == admitted[2]
+    assert {lab.k_index for lab in admitted[0]} == set(range(-7, 8))
+    assert all(cfg.excluded_k(16) == {8} for cfg in configs)
+    assert configs[1].excluded_k(10) == {2} and configs[2].excluded_k(12) == {0}
+    assert len({cfg.config_hash() for cfg in configs}) == 3
+
+
 def test_all_pairs_merges_spins_and_pairs():
     cfg = RunConfig(L_list=(6,), spins=(0, 1), spin_pairs=((0, 2),))
     assert cfg.all_pairs() == ((0, 0), (1, 1), (0, 2))
@@ -218,11 +229,12 @@ def test_run_spectrum_l6_summary(tmp_path):
     cfg = _analysis_config(tmp_path)
     summary = run_spectrum(cfg)
     size = summary["sizes"]["6"]
-    assert size["blocks"] == 12
+    # 12 (k, z) sectors, the four at k = 0 and pi as two parity halves each
+    assert size["blocks"] == 16
     assert size["states"] == 20
     assert size["per_spin_counts"] == {"0": "5", "1": "9", "2": "5", "3": "1"} or \
         size["per_spin_counts"] == {"0": 5, "1": 9, "2": 5, "3": 1}
-    assert size["built"] == 12
+    assert size["built"] == 16
     assert size["cache_hits"] == 0
     assert not summary["failures"]
     assert (tmp_path / "out" / "spectrum_summary.json").exists()
@@ -232,15 +244,100 @@ def test_run_spectrum_l6_summary(tmp_path):
 def test_warm_rerun_hits_cache_with_zero_diagonalizations(tmp_path, eigensolves):
     cfg = _analysis_config(tmp_path)
     run_spectrum(cfg)
-    # 12 sectors, 4 of them at k < 0 served by conjugating their mirror
-    assert len(eigensolves) == 8
+    # 16 sectors, 4 of them at k < 0 served by conjugating their mirror
+    assert len(eigensolves) == 12
     assert all(sector.k_index >= 0 for sector in eigensolves)
     eigensolves.clear()
     summary = run_spectrum(cfg)
     assert eigensolves == []
     size = summary["sizes"]["6"]
-    assert size["cache_hits"] == 12
+    assert size["cache_hits"] == 16
     assert size["built"] == 0
+
+
+def test_parity_halves_share_one_assembly_and_rerun_warm(tmp_path, monkeypatch, eigensolves):
+    assembled = Counter()
+    for name in ("build_hamiltonian", "build_total_spin_squared"):
+        def counted(basis, *args, _build=getattr(pipeline, name), _name=name):
+            assembled[_name, basis.sector] += 1
+            return _build(basis, *args)
+        monkeypatch.setattr(pipeline, name, counted)
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), workers=1)
+    run_spectrum(cfg)
+    labels = [lab for L in cfg.L_list for lab in sector_labels(L)]
+    units = {dataclasses.replace(lab, k_index=abs(lab.k_index), parity=None) for lab in labels}
+    # one H and one S^2 per whole (k, z) sector; one eigensolve per k >= 0 label
+    assert assembled == Counter({(name, unit): 1 for unit in units
+                                 for name in ("build_hamiltonian", "build_total_spin_squared")})
+    assert sorted(eigensolves, key=repr) == sorted((lab for lab in labels if lab.k_index >= 0), key=repr)
+    names = {path.name for path in (tmp_path / "cache").glob("*.eig")}
+    assert names == {spectrum_path(tmp_path, lab, 3.0).name for lab in labels if lab.k_index >= 0}
+    assembled.clear()
+    eigensolves.clear()
+    summary = run_spectrum(cfg)
+    assert eigensolves == [] and not assembled
+    assert [size["built"] for size in summary["sizes"].values()] == [0, 0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_analyses_admitting_k_zero_and_pi_read_each_parity_half(tmp_path, workers):
+    # L = 6 and 8 have empty parity halves, which every command works like any block
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(0, 1), spin_pairs=((0, 2),),
+                           observables=("B", "C"), exclude_k=(), workers=workers)
+    run_spectrum(cfg)
+    run_diag_eth(cfg)
+    run_offdiag_eth(cfg)
+    rows = [e for e in _manifest(tmp_path / "out") if e["stage"] == "blocks"]
+    assert [(r["L"], r["admitted"], r["loaded"]) for r in rows] == [(6, 16, 12), (8, 20, 14)] * 2
+    report = run_oracle_check(cfg)
+    assert report["pass"] is True
+    assert len(report["block_audits"]) == 16 + 20
+
+
+def test_analyses_assemble_each_observable_once_per_unit(tmp_path, monkeypatch):
+    # both parity halves of a k = 0 or pi sector cut one assembly of each observable
+    built = Counter()
+    build = pipeline.build_observable
+
+    def counted(basis, observable):
+        built[observable, basis.sector] += 1
+        return build(basis, observable)
+
+    monkeypatch.setattr(pipeline, "build_observable", counted)
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(0, 1), observables=("B", "C"),
+                           exclude_k=())
+    run_spectrum(cfg)
+    units = {pipeline._unit(lab) for L in cfg.L_list for lab in sector_labels(L)}
+    for run in (run_diag_eth, run_offdiag_eth):
+        built.clear()
+        run(cfg)
+        assert built == Counter({(o, unit): 1 for unit in units for o in cfg.observables})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_parity_half_is_quarantined_alone(tmp_path, monkeypatch, workers):
+    solve = pipeline.diagonalize_block
+
+    def failing(block):
+        if block.sector.k_index == 0 and block.sector.parity == 1:
+            raise np.linalg.LinAlgError("eigensolve did not converge")
+        return solve(block)
+
+    monkeypatch.setattr(pipeline, "diagonalize_block", failing)
+    cfg = _analysis_config(tmp_path, L_list=(10,), workers=workers)
+    summary = run_spectrum(cfg)
+    labels = sector_labels(10)
+    bad = [lab for lab in labels if lab.k_index == 0 and lab.parity == 1]
+    assert [f["sector"] for f in summary["failures"]] == [pipeline._sector_name(lab, 3.0)
+                                                          for lab in bad]
+    # a unit works its +1 half first; the failure does not stop the -1 half
+    assert all(spectrum_path(tmp_path / "cache", dataclasses.replace(lab, parity=-1), 3.0).exists()
+               for lab in bad)
+    assert summary["sizes"]["10"]["built"] == len(labels) - len(bad)
+    monkeypatch.setattr(pipeline, "diagonalize_block", solve)
+    summary = run_spectrum(cfg)
+    assert not summary["failures"]
+    assert summary["sizes"]["10"]["built"] == len(bad)
 
 
 def test_one_worker_solves_in_the_calling_thread(tmp_path, monkeypatch):
@@ -254,7 +351,7 @@ def test_one_worker_solves_in_the_calling_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "diagonalize_block", recorded)
     summary = run_spectrum(_analysis_config(tmp_path, workers=1))
     assert not summary["failures"]
-    assert on_main == [True] * 8
+    assert on_main == [True] * 12
 
 
 @pytest.mark.parametrize("M, solved", [(0, 8), (1, 4)])
@@ -263,7 +360,9 @@ def test_mirrored_spectrum_passes_block_audit(tmp_path, M, solved):
     run_spectrum(cfg)
     root = tmp_path / "cache"
     names = sorted(path.name for path in root.glob("*.eig"))
-    assert len(names) == solved
+    # one file per solved (k, z) sector, two for each of those at k = 0 and pi
+    assert len({name.replace("_Pp1", "").replace("_Pm1", "") for name in names}) == solved
+    assert len(names) == solved + (4 if M == 0 else 2)
     assert not any("_k-" in name for name in names)
     mirrored = [lab for lab in sector_labels(6, M) if lab.k_index < 0]
     assert mirrored
@@ -276,7 +375,7 @@ def test_mirrored_spectrum_passes_block_audit(tmp_path, M, solved):
         assert np.array_equal(minus.vectors, np.conjugate(plus.vectors))
         assert load_cached_spectrum(lab, 3.0, root).vectors.tobytes() == minus.vectors.tobytes()
         # oracle-check's bounds; the -k eigen residual is taken against a freshly built H(-k)
-        checked = pipeline._audit_sector(plus.sector, cfg, root)
+        checked = pipeline._audit_unit(plus.sector, cfg, root)[plus.sector]
         assert set(checked["audits"]) == {plus.sector, lab}
         audit, failed = checked["audits"][lab]
         assert audit["sector"] == spectrum_path(root, lab, 3.0).stem and not failed
@@ -365,7 +464,7 @@ def test_failed_sector_fails_its_mirror_too(tmp_path, monkeypatch, workers):
     summary = run_spectrum(_analysis_config(tmp_path, workers=workers))
     failed = {f["sector"] for f in summary["failures"]}
     assert failed == {f"L6_M0_k{k}_z{z}_lam3" for k in (1, -1) for z in ("p1", "m1")}
-    assert summary["sizes"]["6"]["blocks"] == 8
+    assert summary["sizes"]["6"]["blocks"] == 12
     entries = [json.loads(line)
                for line in (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()]
     rows = {e["sector"]: e for e in entries if e["stage"] == "spectrum"}
@@ -395,9 +494,9 @@ def test_process_pool_matches_the_serial_sweep_and_rereads_warm(tmp_path):
             rows.append([{k: v for k, v in e.items() if k not in ("ts", "seconds")}
                          for e in _manifest(out) if e["stage"] == "spectrum"])
         assert summaries[0] == summaries[1]
-        assert rows[0] == rows[1] and len(rows[0]) == 12 + 16
+        assert rows[0] == rows[1] and len(rows[0]) == 16 + 20
     names = sorted(path.name for path in caches[1].glob("*.eig"))
-    assert names == sorted(path.name for path in caches[2].glob("*.eig")) and len(names) == 2 * 18
+    assert names == sorted(path.name for path in caches[2].glob("*.eig")) and len(names) == 2 * 26
     for name in names:
         assert (caches[1] / name).read_bytes() == (caches[2] / name).read_bytes(), name
 
@@ -455,7 +554,8 @@ def test_pool_is_capped_at_the_solved_sectors(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording)
     summary = run_spectrum(_analysis_config(tmp_path, workers=16))
-    # L = 6, M = 0 has 12 sectors, 8 of them at k >= 0
+    # L = 6, M = 0 has 12 (k, z) sectors, 8 of them at k >= 0: the parity
+    # halves of a k = 0 or pi sector are solved in one unit
     assert started == [8]
     assert not summary["failures"]
     done = _manifest(tmp_path / "out")[-1]
@@ -480,7 +580,8 @@ def test_every_command_pool_is_capped_at_its_solved_sectors(tmp_path, monkeypatc
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording)
     run(dataclasses.replace(cfg, workers=16))
     # at L = 6 the analyses read the k = 1, 2 files of both parities, k = 0
-    # and pi being excluded; oracle-check reads all 8 k >= 0 files
+    # and pi being excluded; oracle-check works all 8 k >= 0 (k, z) sectors,
+    # the two parity halves of those at k = 0 and pi as one unit
     assert started == [cap]
     assert _manifest(tmp_path / "out")[-1]["workers"] == cap
 
@@ -580,19 +681,27 @@ def test_warm_oracle_check_builds_one_basis_per_sector(tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "load_spectrum", counting_load)
     assert run_oracle_check(cfg)["pass"] is True
     labels = [lab for L in cfg.L_list for lab in sector_labels(L)]
-    assert builds == Counter(labels)
+    # one basis per k >= 0 (k, z) sector, cut for its parity halves, and one
+    # per -k label, whose H(-k) checks the mirror rule
+    assert builds == Counter({pipeline._unit(lab) for lab in labels}
+                             | {lab for lab in labels if lab.k_index < 0})
     assert sum(builds.values()) == 48
     # each k >= 0 file is read once; its -k mirror is audited from that read
     assert loads == Counter(lab for lab in labels if lab.k_index >= 0)
-    assert sum(loads.values()) == 30
+    assert sum(loads.values()) == 42
 
 
 def test_every_analysed_sector_is_nonempty():
     # the analyses and oracle-check run at M = 0 and 6 <= L <= 18, where no
-    # sector is empty; L = 4 has empty ones, which spectrum still solves
+    # (k, z) sector is empty; L = 4 has empty ones, which spectrum still
+    # solves. Parity halves are empty at L = 6 and 8 only, and every command
+    # works them like any other block
     for L in range(6, 19, 2):
-        assert min(enumerate_sector_basis(lab).dim for lab in sector_labels(L)) > 0, L
-    assert sum(enumerate_sector_basis(lab).dim == 0 for lab in sector_labels(4)) == 3
+        whole = {dataclasses.replace(lab, parity=None) for lab in sector_labels(L)}
+        assert min(enumerate_sector_basis(lab).dim for lab in whole) > 0, L
+        empty = sum(enumerate_sector_basis(lab).dim == 0 for lab in sector_labels(L))
+        assert empty == {6: 4, 8: 2}.get(L, 0), L
+    assert sum(enumerate_sector_basis(lab).dim == 0 for lab in sector_labels(4)) == 7
 
 
 @pytest.mark.parametrize("run", [run_diag_eth, run_offdiag_eth])
@@ -638,7 +747,7 @@ def test_commands_hold_at_most_one_earlier_spectrum(tmp_path, monkeypatch, run, 
     run(cfg)
     # the spectrum sweep and oracle-check fetch every k >= 0 sector, the
     # analyses the solved sectors of the admitted labels (k = 0 and pi excluded)
-    assert len(refs) == (18 if source == "ensure_spectrum" else 10)
+    assert len(refs) == (26 if source == "ensure_spectrum" else 10)
     assert max(alive) <= 1
 
 
@@ -753,7 +862,8 @@ def test_element_tables_hold_only_the_kept_pairs(tmp_path):
     root = tmp_path / "cache"
     offered = kept_total = 0
     for lab in pipeline._admitted_labels(cfg, 10):
-        parts = pipeline._element_tables(lab, cfg, root)
+        unit = pipeline._unit_tables(pipeline._element_tables, pipeline._unit(lab), cfg, root)
+        parts = unit[pipeline._solved(lab)]
         assert parts
         for key, entries in _full_element_records(cfg, root, [lab]).items():
             [(recs, _, _)] = entries
@@ -774,7 +884,9 @@ def test_diagonal_tables_own_their_arrays(tmp_path):
     cfg = _analysis_config(tmp_path, L_list=(8,), observables=("A", "B", "C"))
     run_spectrum(cfg)
     for lab in pipeline._admitted_labels(cfg, 8):
-        tables = pipeline._diagonal_tables(lab, cfg, tmp_path / "cache")
+        unit = pipeline._unit_tables(pipeline._diagonal_tables, pipeline._unit(lab), cfg,
+                                     tmp_path / "cache")
+        tables = unit[pipeline._solved(lab)]
         arrays = [a for table in tables.values() for a in table]
         assert len(arrays) == 9
         assert all(a.base is None and a.flags.owndata for a in arrays), lab
@@ -1060,17 +1172,38 @@ def test_oracle_check_passes_on_healthy_cache(tmp_path):
 def test_cold_oracle_check_solves_each_k_nonnegative_sector_once(tmp_path, eigensolves):
     cfg = _analysis_config(tmp_path, L_list=(6, 8, 10), spins=())
     assert run_oracle_check(cfg)["pass"] is True
-    # 48 sectors at L = 6, 8, 10; the 18 at k < 0 are served from their mirrors
-    assert len(eigensolves) == 30
-    assert len(set(eigensolves)) == 30
+    # 60 sectors at L = 6, 8, 10; the 18 at k < 0 are served from their mirrors
+    assert len(eigensolves) == 42
+    assert len(set(eigensolves)) == 42
     assert all(sector.k_index >= 0 for sector in eigensolves)
+
+
+def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch):
+    # cold or warm: one H and one S^2 per k >= 0 (k, z) sector, shared by its
+    # parity halves and by the solve of a missing half, and one H(-k) per mirror
+    built = Counter()
+    for name in ("build_hamiltonian", "build_total_spin_squared"):
+        def counted(basis, *args, _build=getattr(pipeline, name), _name=name):
+            built[_name, basis.sector] += 1
+            return _build(basis, *args)
+        monkeypatch.setattr(pipeline, name, counted)
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=())
+    labels = [lab for L in cfg.L_list for lab in sector_labels(L)]
+    units = {pipeline._unit(lab) for lab in labels}
+    expected = Counter({("build_total_spin_squared", unit): 1 for unit in units})
+    expected.update(("build_hamiltonian", lab) for lab in units | {lab for lab in labels
+                                                                   if lab.k_index < 0})
+    for _ in ("cold", "warm"):
+        assert run_oracle_check(cfg)["pass"] is True
+        assert built == expected
+        built.clear()
 
 
 def test_oracle_check_passes_on_healthy_l12_cache(tmp_path):
     report = run_oracle_check(_analysis_config(tmp_path, L_list=(12,), spins=()))
     assert report["pass"] is True
     assert not report["failures"]
-    assert len(report["block_audits"]) == 24
+    assert len(report["block_audits"]) == 28
     assert max(r["abs_diff"] for r in report["rows"]) < 1e-10
     assert len(report["rows"]) == 7 * 10  # S = 0..6, ten moments each
 
@@ -1216,14 +1349,22 @@ _FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_faulty_cache_file_stops_the_analysis_and_is_rebuilt_by_spectrum(tmp_path, fault):
-    cfg = _analysis_config(tmp_path, L_list=(10,), spins=(1,))
+    _fault_stops_the_analysis_and_is_rebuilt(tmp_path, 10, fault)
+
+
+def test_flipped_vector_bit_at_l14_stops_the_analysis_and_is_rebuilt(tmp_path):
+    _fault_stops_the_analysis_and_is_rebuilt(tmp_path, 14, "bit flip")
+
+
+def _fault_stops_the_analysis_and_is_rebuilt(tmp_path, L, fault):
+    cfg = _analysis_config(tmp_path, L_list=(L,), spins=(1,))
     run_spectrum(cfg)
-    lab = SectorLabel(10, 0, 1, 1)
+    lab = SectorLabel(L, 0, 1, 1)
     path = spectrum_path(tmp_path / "cache", lab, 3.0)
     good = path.read_bytes()
     path.write_bytes(_FAULTS[fault](path, cache.load_spectrum(tmp_path / "cache", lab, 3.0)))
 
-    args = ["--L", "10", "--lambda", "3", "--cache", str(tmp_path / "cache"),
+    args = ["--L", str(L), "--lambda", "3", "--cache", str(tmp_path / "cache"),
             "--out", str(tmp_path / "o")]
     result = CliRunner().invoke(main, ["diag-eth", "-S", "1", *args])
     assert result.exit_code == 1, result.output
@@ -1232,7 +1373,7 @@ def test_faulty_cache_file_stops_the_analysis_and_is_rebuilt_by_spectrum(tmp_pat
     with pytest.warns(UserWarning, match=f"rebuilding stale cache entry: {path}"):
         summary = run_spectrum(cfg)
     # the sector and its -k mirror, served from it
-    assert summary["sizes"]["10"]["built"] == 2 and not summary["failures"]
+    assert summary["sizes"][str(L)]["built"] == 2 and not summary["failures"]
     assert path.read_bytes() == good
     assert CliRunner().invoke(main, ["diag-eth", "-S", "1", *args]).exit_code == 0
 

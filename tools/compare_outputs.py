@@ -1,0 +1,157 @@
+"""Compare two su2eth output trees: the same files and rows, numbers within bounds.
+
+    python tools/compare_outputs.py <reference dir> <candidate dir>
+
+Every *.csv and *.json file under either directory is compared with the one
+at the same relative path under the other (manifest.jsonl, which holds
+timestamps, is not compared). A CSV's `# config` line and header must be
+equal and its rows are compared in order, so a missing or extra row is a
+difference. Two cells agree when their text is equal or both are numbers
+within bounds:
+
+- whole numbers (integer columns) and text (flags, names) only when equal;
+- energies and diagonal elements (the columns in ABSOLUTE) within 1e-12;
+- every other number (binned values, fits, moments) within 1e-9 relative
+  or 1e-14 absolute.
+
+JSON files are compared key by key and item by item under the same rules,
+with the run times (`seconds`) masked. Exits 0 when the trees agree and 1
+naming the first difference of every differing file, in path order.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+ABSOLUTE = frozenset({"E_over_L", "O_diag", "E0"})
+ABSOLUTE_BOUND = 1e-12
+RELATIVE_BOUND = 1e-9
+FLOOR = 1e-14
+MASKED = frozenset({"seconds"})
+
+
+def close(name: str, x: float, y: float) -> bool:
+    """Whether two numbers of the column or key name agree within its bound."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    if x == y:
+        return True
+    if name in ABSOLUTE:
+        return abs(x - y) <= ABSOLUTE_BOUND
+    return abs(x - y) <= max(RELATIVE_BOUND * max(abs(x), abs(y)), FLOOR)
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _whole(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _cells_agree(name: str, a: str, b: str) -> bool:
+    if a == b:
+        return True
+    x, y = _number(a), _number(b)
+    if x is None or y is None or (_whole(a) and _whole(b)):
+        return False
+    return close(name, x, y)
+
+
+def compare_csv(a: Path, b: Path) -> str | None:
+    """The first difference between two CSV files, or None."""
+    rows_a, rows_b = a.read_text().splitlines(), b.read_text().splitlines()
+    if rows_a[:2] != rows_b[:2]:
+        return f"config line or header differs: {rows_a[:2]} against {rows_b[:2]}"
+    if len(rows_a) != len(rows_b):
+        return f"{len(rows_a) - 2} rows against {len(rows_b) - 2}"
+    columns = rows_a[1].split(",") if len(rows_a) > 1 else []
+    for i, (row_a, row_b) in enumerate(zip(rows_a[2:], rows_b[2:]), 1):
+        cells_a, cells_b = row_a.split(","), row_b.split(",")
+        if len(cells_a) != len(cells_b):
+            return f"row {i} has {len(cells_a)} cells against {len(cells_b)}"
+        for name, x, y in zip(columns, cells_a, cells_b):
+            if not _cells_agree(name, x, y):
+                return f"row {i}, column {name}: {x} against {y}"
+    return None
+
+
+def compare_json(a, b, where: str = "", key: str = "") -> str | None:
+    """The first difference between two parsed JSON values, or None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys_a, keys_b = set(a) - MASKED, set(b) - MASKED
+        if keys_a != keys_b:
+            return f"{where or '/'}: keys {sorted(keys_a ^ keys_b)} in one tree only"
+        for k in sorted(keys_a):
+            found = compare_json(a[k], b[k], f"{where}/{k}", k)
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return f"{where}: {len(a)} items against {len(b)}"
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = compare_json(x, y, f"{where}[{i}]", key)
+            if found:
+                return found
+        return None
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    if numbers and (isinstance(a, float) or isinstance(b, float)):
+        agree = close(key, float(a), float(b))
+    else:
+        agree = type(a) is type(b) and a == b
+    return None if agree else f"{where}: {a!r} against {b!r}"
+
+
+def _outputs(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*")
+            if p.suffix in (".csv", ".json") and p.is_file()}
+
+
+def compare_trees(a: Path, b: Path) -> list[str]:
+    """The first difference of every differing file, in path order."""
+    found = []
+    names_a, names_b = _outputs(a), _outputs(b)
+    for name in sorted(names_a | names_b):
+        if name not in names_a or name not in names_b:
+            found.append(f"{name}: only under {a if name in names_a else b}")
+            continue
+        if name.endswith(".csv"):
+            diff = compare_csv(a / name, b / name)
+        else:
+            diff = compare_json(json.loads((a / name).read_text()),
+                                json.loads((b / name).read_text()))
+        if diff:
+            found.append(f"{name}: {diff}")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("reference", type=Path)
+    parser.add_argument("candidate", type=Path)
+    args = parser.parse_args(argv)
+    for root in (args.reference, args.candidate):
+        if not root.is_dir():
+            parser.error(f"{root} is not a directory")
+    found = compare_trees(args.reference, args.candidate)
+    for line in found:
+        print(line)
+    if not found:
+        print(f"{len(_outputs(args.reference))} files agree")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
