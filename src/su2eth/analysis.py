@@ -4,9 +4,15 @@ This module is deliberately ignorant of bases and operators: it consumes
 plain arrays of energies, diagonal elements and squared off-diagonal
 elements (plus block dimensions) and produces the running averages,
 fluctuation measures, Gaussianity ratios, spectral functions and fits.
-Pooling convention throughout: records from all admitted momentum blocks
-are concatenated, so each block enters every average with weight
-proportional to its dimension.
+Pooling convention throughout: each admitted momentum block enters every
+average with weight proportional to its dimension. Diagonal records of all
+admitted blocks are concatenated. An off-diagonal ensemble holds each
+distinct element once, with an integer weight: the number of admitted
+blocks that share it. A +-k pair of blocks, equal bit for bit, enters with
+weight 2, and a block whose mirror is not admitted, or a parity half at
+k = 0 or pi, with weight 1. Window counts are weighted counts and window
+means weighted means, so an ensemble equals the one listing every element
+once per admitted block.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "build_offdiagonal_ensemble",
     "gaussianity_ratio",
     "spectral_function",
+    "variance_point",
     "variance_scaling",
     "low_frequency_view",
     "fit",
@@ -192,9 +199,11 @@ def diagonal_vs_spin(series_list, energy_window: float = 0.025) -> SpinMeans:
 class OffDiagonalEnsemble:
     """Squared off-diagonal elements near the sector mean energy.
 
-    Records keep signed omega = E_a - E_b. block_dims holds one
-    (D_row, D_col) pair per contributing block; the effective dimension
-    entering L*D scalings is the block average of sqrt(D_row * D_col).
+    Records keep signed omega = E_a - E_b. weights holds each record's
+    integer multiplicity, the number of admitted blocks it stands for; it
+    defaults to ones. block_dims holds one (D_row, D_col) pair per admitted
+    block; the effective dimension entering L*D scalings is the block
+    average of sqrt(D_row * D_col).
     """
 
     L: int
@@ -202,16 +211,26 @@ class OffDiagonalEnsemble:
     abs_sq: np.ndarray
     block_dims: tuple[tuple[int, int], ...]
     e_center: float
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.omega) != len(self.abs_sq):
+        if self.weights is None:
+            object.__setattr__(self, "weights", np.ones(len(self.omega), dtype=np.uint8))
+        if not len(self.omega) == len(self.abs_sq) == len(self.weights):
             raise ValueError("record arrays must share one length")
-        for arr in (self.omega, self.abs_sq):
+        if self.weights.dtype.kind not in "iu" or (self.weights.size and self.weights.min() < 1):
+            raise ValueError("weights must be positive integers")
+        for arr in (self.omega, self.abs_sq, self.weights):
             arr.setflags(write=False)
 
     @property
     def size(self) -> int:
         return len(self.omega)
+
+    @property
+    def weighted_size(self) -> int:
+        """The number of records, each counted with its weight."""
+        return int(self.weights.sum(dtype=np.int64))
 
     @property
     def effective_dimension(self) -> float:
@@ -291,23 +310,47 @@ class BinnedSeries:
         return ~self.flagged
 
 
-def _windowed_moments(omega, abs_sq, binning: Binning):
-    order = np.argsort(omega)
-    omega = omega[order]
-    abs_sq = abs_sq[order]
-    abs_v = np.sqrt(abs_sq)
+def _windowed_moments(ensemble: OffDiagonalEnsemble, binning: Binning):
+    """Centers, weighted counts and weighted means of |O|^2 and |O| of every window.
+
+    A window holds the records with |omega - center| <= width/2. Each
+    window's sums run over its own records only, so a window of small
+    values next to windows of large ones keeps its relative precision.
+    """
+    order = np.argsort(ensemble.omega)
+    omega = ensemble.omega[order]
     first = math.floor(omega[0] / binning.spacing)
     last = math.ceil(omega[-1] / binning.spacing)
     centers = np.arange(first, last + 1) * binning.spacing
     half = 0.5 * binning.width
-    lo = np.searchsorted(omega, centers - half, side="left")
-    hi = np.searchsorted(omega, centers + half, side="right")
-    counts = hi - lo
-    c_sq = np.concatenate(([0.0], np.cumsum(abs_sq)))
-    c_abs = np.concatenate(([0.0], np.cumsum(abs_v)))
+    # each window's first record and the one past its last, interleaved for reduceat
+    bounds = np.empty(2 * len(centers), dtype=np.intp)
+    bounds[0::2] = np.searchsorted(omega, centers - half, side="left")
+    bounds[1::2] = np.searchsorted(omega, centers + half, side="right")
+    del omega
+    # one zero past the last record, so that a window ending there has a valid end index;
+    # take with mode="clip" writes in place, where the default mode would buffer a copy
+    n = len(order)
+    w = np.zeros(n + 1, dtype=ensemble.weights.dtype)
+    np.take(ensemble.weights, order, out=w[:n], mode="clip")
+    sq = np.zeros(n + 1)
+    np.take(ensemble.abs_sq, order, out=sq[:n], mode="clip")
+    del order
+    ab = np.sqrt(sq)
+    sq *= w
+    ab *= w
+    empty = bounds[0::2] == bounds[1::2]
+
+    def window_sums(values, dtype=None):
+        # reduceat gives values[lo] for an empty window (lo == hi), which holds no records
+        sums = np.add.reduceat(values, bounds, dtype=dtype)[0::2]
+        sums[empty] = 0
+        return sums
+
+    counts = window_sums(w, np.int64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_sq = (c_sq[hi] - c_sq[lo]) / counts
-        mean_abs = (c_abs[hi] - c_abs[lo]) / counts
+        mean_sq = window_sums(sq) / counts
+        mean_abs = window_sums(ab) / counts
     return centers, counts, mean_sq, mean_abs
 
 
@@ -316,12 +359,11 @@ def _binned(ensemble: OffDiagonalEnsemble, binning: Binning, values_from):
         empty = np.empty(0)
         return BinnedSeries(empty, empty.copy(), np.empty(0, dtype=np.int64),
                             np.empty(0, dtype=bool))
-    centers, counts, mean_sq, mean_abs = _windowed_moments(
-        ensemble.omega, ensemble.abs_sq, binning)
+    centers, counts, mean_sq, mean_abs = _windowed_moments(ensemble, binning)
     flagged = counts < binning.min_count
     values = values_from(mean_sq, mean_abs)
     values = np.where(flagged, np.nan, values)
-    return BinnedSeries(centers, values, counts.astype(np.int64), flagged)
+    return BinnedSeries(centers, values, counts, flagged)
 
 
 def gaussianity_ratio(ensemble: OffDiagonalEnsemble, binning: Binning = Binning()) -> BinnedSeries:
@@ -340,23 +382,31 @@ def spectral_function(ensemble: OffDiagonalEnsemble, binning: Binning = Binning(
     return _binned(ensemble, binning, lambda sq, ab: scale * sq)
 
 
-def variance_scaling(ensembles, omega_cut: float) -> "FitResult":
+def variance_point(ensemble: OffDiagonalEnsemble, omega_cut: float) -> tuple[int, float, float]:
+    """(L, L*D, weighted mean |O|^2 over |omega| <= omega_cut) of one size's ensemble.
+
+    The mean runs over raw records (no intermediate binning); it is NaN
+    when no record lies below the cut.
+    """
+    keep = np.abs(ensemble.omega) <= omega_cut
+    w = ensemble.weights[keep]
+    total = int(w.sum(dtype=np.int64))
+    mean = float(np.sum(ensemble.abs_sq[keep] * w) / total) if total else math.nan
+    return ensemble.L, ensemble.L * ensemble.effective_dimension, mean
+
+
+def variance_scaling(points) -> "FitResult":
     """Power-law fit of the below-cut variance against L*D over system sizes.
 
-    The average runs over raw records with |omega| <= omega_cut (no
-    intermediate binning).
+    points: one (L, L*D, mean) triple per size, as variance_point gives
+    them; a size with no record below the cut (NaN mean) is left out.
     """
-    sizes = sorted({e.L for e in ensembles})
+    points = list(points)
+    sizes = {L for L, _, _ in points}
     if len(sizes) < 3:
         raise ValueError(f"need at least 3 system sizes, got {len(sizes)}")
-    xs, ys = [], []
-    for ens in ensembles:
-        keep = np.abs(ens.omega) <= omega_cut
-        if not keep.any():
-            continue
-        xs.append(ens.L * ens.effective_dimension)
-        ys.append(float(ens.abs_sq[keep].mean()))
-    return _fit_loglog("power_law", np.array(xs), np.array(ys), min_points=3)
+    usable = np.array([(x, y) for _, x, y in points if not math.isnan(y)]).reshape(-1, 2)
+    return _fit_loglog("power_law", usable[:, 0], usable[:, 1], min_points=3)
 
 
 def low_frequency_view(series: BinnedSeries, L: int, divide_by_L: bool = False) -> BinnedSeries:

@@ -477,7 +477,9 @@ def run_spectrum(config: RunConfig) -> dict:
     A -k sector shares its mirror's energies and spins, so it is counted
     in the summary with its mirror's result and never solved or cached.
     The parity halves of a k = 0 or pi sector are worked as one unit, each
-    eigensolved, cached and quarantined on its own. Units go to at most
+    eigensolved, cached and quarantined on its own; a cache file of the
+    whole sector, left from before the split, is removed and journaled.
+    Units go to at most
     config.workers workers; eigenvectors travel through the cache, never
     back from a worker.
     """
@@ -486,6 +488,12 @@ def run_spectrum(config: RunConfig) -> dict:
                    "sizes": {}, "failures": []}
         for L, labels in plan.items():
             t0 = time.perf_counter()
+            for unit in dict.fromkeys(_unit(lab) for lab in labels if lab.parity is not None):
+                # a whole-sector file written before the parity split, which no build reads
+                stale = cache.spectrum_path(root, unit, config.lam)
+                if stale.exists():
+                    stale.unlink(missing_ok=True)
+                    manifest.record("cache", "removed", file=stale.name)
             results = []
             for lab, future in zip(labels, _per_block(config, root, labels, _sweep_unit, pool)):
                 name = _sector_name(lab, config.lam)
@@ -698,32 +706,46 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int, pool=None):
     """Yield (observable, pair, ens, red_ens) for size L, observables outermost.
 
     Each admitted block is windowed where its elements are computed, in place
-    or in pool's workers when one is given; ens joins the blocks' kept pairs
-    in label order. red_ens is the CG-reduced ensemble, None for the
-    observables without a single tensor rank or without reduced elements.
+    or in pool's workers when one is given. ens joins the kept pairs of each
+    solved sector once, in label order of its first admitted label, weighted
+    by the number of admitted labels it serves (2 for a +-k pair, 1 for a
+    lone -k or +k label or a parity half); its block_dims has one entry per
+    admitted label, in label order. red_ens is the CG-reduced ensemble, None
+    for the observables without a single tensor rank or without reduced
+    elements.
     """
-    parts = {}  # per key, its part from every block; popped once its ensemble is joined
+    parts = {}  # per key, (part, weight) of each solved sector; popped once its ensemble is joined
+    dims = {}  # per key, the block dims of every admitted label
     labels = _admitted_labels(config, L)
+    served = Counter(map(_solved, labels))
+    taken = set()
     work = partial(_unit_tables, _element_tables)
     for lab, future in zip(labels, _per_block(config, root, labels, work, pool)):
-        for key, part in future.result()[_solved(lab)].items():
-            parts.setdefault(key, []).append(part)
+        solved = _solved(lab)
+        for key, part in future.result()[solved].items():
+            dims.setdefault(key, []).extend(part.block_dims)
+            if solved not in taken:
+                parts.setdefault(key, []).append((part, served[solved]))
+        taken.add(solved)
     for observable in config.observables:
         for pair in config.all_pairs():
-            ens = _joined(config, L, observable, pair, parts.pop((observable, pair, False), []))
-            reduced = parts.pop((observable, pair, True), None)
-            red_ens = None if reduced is None else _joined(config, L, observable, pair, reduced)
+            raw, reduced = ((observable, pair, r) for r in (False, True))
+            ens = _joined(config, L, observable, pair, parts.pop(raw, []), dims.pop(raw, []))
+            red_ens = (_joined(config, L, observable, pair, parts.pop(reduced), dims.pop(reduced))
+                       if reduced in parts else None)
             yield observable, pair, ens, red_ens
 
 
-def _joined(config: RunConfig, L: int, observable: str, pair, parts) -> analysis.OffDiagonalEnsemble:
-    """The windowed parts of a size's blocks as one ensemble, in label order."""
+def _joined(config: RunConfig, L: int, observable: str, pair, parts,
+            dims) -> analysis.OffDiagonalEnsemble:
+    """The windowed (part, weight) pairs of a size's solved sectors as one weighted ensemble."""
     # a pair that no admitted block populates gets the empty ensemble
-    parts = parts or [analysis.build_offdiagonal_ensemble(observable, L, config.lam, pair, [],
-                                                          config.energy_window)]
+    parts = parts or [(analysis.build_offdiagonal_ensemble(observable, L, config.lam, pair, [],
+                                                           config.energy_window), 1)]
+    weights = np.repeat(np.array([w for _, w in parts], dtype=np.uint8), [p.size for p, _ in parts])
     return analysis.OffDiagonalEnsemble(
-        L, np.concatenate([p.omega for p in parts]), np.concatenate([p.abs_sq for p in parts]),
-        sum((p.block_dims for p in parts), ()), parts[0].e_center)
+        L, np.concatenate([p.omega for p, _ in parts]),
+        np.concatenate([p.abs_sq for p, _ in parts]), tuple(dims), parts[0][0].e_center, weights)
 
 
 def _populated(series: analysis.BinnedSeries) -> list[list]:
@@ -750,18 +772,20 @@ def run_offdiag_eth(config: RunConfig) -> dict:
         spec_rows = []
         spec_red_rows = []
         low_rows = []
-        by_pair: dict[tuple[str, tuple[int, int]], list[analysis.OffDiagonalEnsemble]] = {}
+        # per (observable, pair), one (L, L*D, below-cut mean |O|^2) point per size
+        points: dict[tuple[str, tuple[int, int]], list[tuple[int, float, float]]] = {}
 
         for L, labels in plan.items():
             elements = kept = 0  # raw pairs (alpha != beta) offered to the window, and kept
             for observable, pair, ens, red_ens in _offdiag_ensembles(config, root, L, pool):
                 s_a, s_b = pair
                 elements += sum(d_a * (d_b - (s_a == s_b)) for d_a, d_b in ens.block_dims)
-                kept += ens.size
+                kept += ens.weighted_size
                 if ens.size == 0:
                     manifest.record("offdiag", "empty", sector=f"L{L}_{observable}_{s_a}_{s_b}")
                     continue
-                by_pair.setdefault((observable, pair), []).append(ens)
+                points.setdefault((observable, pair), []).append(
+                    analysis.variance_point(ens, omega_cut))
 
                 tag = [repeat(x) for x in (L, s_a, s_b, config.lam, observable)]
                 w, v, c, f = _populated(analysis.gaussianity_ratio(ens, binning))
@@ -781,14 +805,19 @@ def run_offdiag_eth(config: RunConfig) -> dict:
             _journal_blocks(manifest, L, labels, elements=elements, kept=kept)
 
         fits = {}
-        for (observable, pair), group in sorted(by_pair.items()):
-            if len({e.L for e in group}) < 3:
+        for (observable, pair), group in sorted(points.items()):
+            if len(group) < 3:
                 continue
-            result = analysis.variance_scaling(group, omega_cut)
+            name = f"variance[{observable},{pair[0]},{pair[1]}]"
+            try:
+                result = analysis.variance_scaling(group)
+            except ValueError as exc:  # e.g. fewer than 3 sizes with records below omega_cut
+                manifest.record("offdiag", "skipped", sector=name, error=str(exc))
+                continue
             entry = result.as_dict()
-            entry["inputs"] = _inputs_hash(
-                [e.omega for e in group] + [e.abs_sq for e in group])
-            fits[f"variance[{observable},{pair[0]},{pair[1]}]"] = entry
+            _, xs, ys = zip(*group)
+            entry["inputs"] = _inputs_hash([np.asarray(xs), np.asarray(ys)])
+            fits[name] = entry
 
         paths = {
             "gamma": _write_csv(out / "gamma.csv",

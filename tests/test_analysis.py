@@ -21,6 +21,7 @@ from su2eth.analysis import (
     running_mean,
     scaling_fit,
     spectral_function,
+    variance_point,
     variance_scaling,
 )
 from su2eth.oracle import moments
@@ -224,6 +225,99 @@ def test_low_frequency_view_rescales_axes():
     assert np.allclose(plain.values[ok], series.values[ok])
 
 
+def _fsum_windows(ens, binning):
+    """Per window index, (weighted count, mean |O|^2, mean |O|) by math.fsum, same membership rule."""
+    out = {}
+    half = 0.5 * binning.width
+    first = math.floor(ens.omega.min() / binning.spacing)
+    last = math.ceil(ens.omega.max() / binning.spacing)
+    for j in range(first, last + 1):
+        c = j * binning.spacing
+        inside = (ens.omega >= c - half) & (ens.omega <= c + half)
+        w = ens.weights[inside].astype(float)
+        sq = ens.abs_sq[inside]
+        count = int(w.sum())
+        if count:
+            out[j] = (count, math.fsum(w * sq) / count, math.fsum(w * np.sqrt(sq)) / count)
+    return out
+
+
+def test_window_means_keep_precision_across_magnitudes():
+    # |O|^2 falls from 1e4 to 1e-16 from one window to the next; a difference of
+    # running sums over the whole ensemble would lose every small window
+    rng = np.random.RandomState(3)
+    omega, abs_sq = [], []
+    for j, exponent in enumerate(range(4, -17, -1)):
+        omega.append(j + rng.uniform(-0.2, 0.2, size=40))
+        abs_sq.append(10.0 ** exponent * rng.uniform(0.5, 1.5, size=40))
+    omega, abs_sq = np.concatenate(omega), np.concatenate(abs_sq)
+    weights = rng.randint(1, 3, size=omega.size).astype(np.uint8)
+    ens = OffDiagonalEnsemble(12, omega, abs_sq, ((64, 64),), 0.0, weights)
+    binning = Binning(1.0, 0.5, 10)
+    want = _fsum_windows(ens, binning)
+    gamma, spec = gaussianity_ratio(ens, binning), spectral_function(ens, binning)
+    checked = 0
+    for series, value in ((gamma, lambda sq, ab: sq / ab ** 2),
+                          (spec, lambda sq, ab: 12 * 64 * sq)):
+        for center, v, count, flagged in zip(series.centers, series.values, series.counts,
+                                             series.flagged):
+            j = round(center / binning.spacing)
+            assert count == want.get(j, (0,))[0], center
+            if flagged:
+                continue
+            ref = value(*want[j][1:])
+            assert abs(v - ref) <= 1e-13 * abs(ref), (center, v, ref)
+            checked += 1
+    assert checked == 2 * 21
+
+
+def test_weight_two_equals_listing_every_element_twice():
+    rng = np.random.RandomState(5)
+    omega = rng.uniform(-3, 3, size=5000)
+    abs_sq = rng.exponential(1e-3, size=omega.size)
+    twice = _ensemble(np.concatenate([omega, omega]), np.concatenate([abs_sq, abs_sq]))
+    once = OffDiagonalEnsemble(12, omega, abs_sq, ((64, 64),), 0.0,
+                               np.full(omega.size, 2, dtype=np.uint8))
+    assert once.weighted_size == twice.size
+    binning = Binning(0.025, 0.175, 10)
+    # the two lists sum each window in a different order, each sum within 1e-15 relative;
+    # the ratio mean|O|^2 / (mean|O|)^2 takes one sum of |O|^2 and two of |O|
+    for estimator, rtol in ((spectral_function, 1e-15), (gaussianity_ratio, 3e-15)):
+        a, b = estimator(twice, binning), estimator(once, binning)
+        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.flagged, b.flagged)
+        good = a.good
+        assert good.sum() > 100
+        assert np.allclose(b.values[good], a.values[good], rtol=rtol, atol=0.0)
+    assert variance_point(once, 1.0) == pytest.approx(variance_point(twice, 1.0), rel=1e-15)
+
+
+def test_ensemble_weights_default_to_ones_and_must_be_positive_integers():
+    ens = _ensemble([0.1, 0.2], [1.0, 2.0])
+    assert ens.weights.tolist() == [1, 1] and ens.weighted_size == 2
+    for bad in (np.array([1.0, 1.0]), np.array([1, 0]), np.array([1])):
+        with pytest.raises(ValueError):
+            OffDiagonalEnsemble(12, np.array([0.1, 0.2]), np.array([1.0, 2.0]), (), 0.0, bad)
+
+
+def test_variance_point_weights_its_below_cut_mean():
+    ens = OffDiagonalEnsemble(10, np.array([0.5, -1.0, 3.0]), np.array([1.0, 4.0, 100.0]),
+                              ((16, 4),), 0.0, np.array([2, 1, 1], dtype=np.uint8))
+    assert variance_point(ens, 1.0) == (10, 80.0, 2.0)  # (2*1 + 4) / 3
+    L, ld, mean = variance_point(ens, 0.1)
+    assert (L, ld) == (10, 80.0) and math.isnan(mean)
+
+
+def test_variance_scaling_leaves_out_sizes_without_records_below_the_cut():
+    points = [(L, L * 2.0 ** (L / 2), 0.9 / (L * 2.0 ** (L / 2))) for L in (10, 12, 14)]
+    res = variance_scaling(points + [(16, 1e3, math.nan)])
+    assert res.n_used == 3 and res.n_excluded == 0
+    assert res.params[1] == pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="need at least 3 usable points to fit, got 2"):
+        variance_scaling(points[:2] + [(16, 1e3, math.nan)])
+
+
 # ─── fits ───────────────────────────────────────────────────────────────────
 
 
@@ -305,7 +399,7 @@ def test_variance_scaling_recovers_planted_exponent():
         var = 0.9 / (L * D)
         ensembles.append(_ensemble(np.linspace(-1, 1, 50), np.full(50, var),
                                    L=L, dims=((D, D),)))
-    res = variance_scaling(ensembles, omega_cut=10.0)
+    res = variance_scaling([variance_point(ens, 10.0) for ens in ensembles])
     assert res.params[1] == pytest.approx(-1.0, abs=1e-12)
     assert res.params[0] == pytest.approx(0.9, rel=1e-9)
 
@@ -313,7 +407,7 @@ def test_variance_scaling_recovers_planted_exponent():
 def test_variance_scaling_needs_three_sizes():
     ens = [_ensemble([0.1], [1.0], L=10), _ensemble([0.1], [1.0], L=12)]
     with pytest.raises(ValueError, match="need at least 3 system sizes"):
-        variance_scaling(ens, omega_cut=1.0)
+        variance_scaling([variance_point(e, 1.0) for e in ens])
 
 
 # ─── one real spin scan (module-scale data) ─────────────────────────────────

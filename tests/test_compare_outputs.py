@@ -87,3 +87,49 @@ def test_a_missing_file_fails_and_every_differing_file_is_named(tmp_path, capsys
     assert lines[0] == "diag.csv: row 1, column S: 1 against 2"
     assert lines[1] == f"fits.json: only under {a}"
     assert len(lines) == 2
+
+
+_ORACLE = {
+    "rows": [{"L": 10, "S": 1, "moment": "E0", "abs_diff": 0.0, "pass": True}],
+    "block_audits": [{"sector": "L10_M0_k1_zp1_lam3", "eigen_residual": 2.1e-14,
+                      "orthonormality": 1.3e-15, "spin_residual": 4.0e-14}],
+    "failures": [],
+    "pass": True,
+}
+
+
+def _oracle_trees(tmp_path, where, field, value):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    (a / "oracle_check.json").write_text(json.dumps(_ORACLE))
+    changed = json.loads(json.dumps(_ORACLE))
+    changed[where][0][field] = value
+    (b / "oracle_check.json").write_text(json.dumps(changed))
+    return a, b
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("rows", "abs_diff", 2.8e-14),
+    ("rows", "abs_diff", 9e-11),
+    ("block_audits", "eigen_residual", 3.5e-9),
+    ("block_audits", "orthonormality", 5.0e-13),  # below 10 * C(10, 5) * eps = 5.6e-13
+    ("block_audits", "spin_residual", 8e-7),
+], ids=["abs_diff round-off", "abs_diff near bound", "eigen_residual", "orthonormality",
+        "spin_residual"])
+def test_residuals_below_their_oracle_check_bound_agree(tmp_path, capsys, where, field, value):
+    a, b = _oracle_trees(tmp_path, where, field, value)
+    assert compare_outputs.main([str(a), str(b)]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("rows", "abs_diff", 1e-10),
+    ("block_audits", "eigen_residual", 2e-8),
+    ("block_audits", "orthonormality", 6e-13),
+    ("block_audits", "spin_residual", 1e-6),
+    ("block_audits", "spin_residual", float("nan")),
+], ids=["abs_diff", "eigen_residual", "orthonormality", "spin_residual", "nan"])
+def test_a_residual_at_or_above_its_bound_fails_and_is_named(tmp_path, capsys, where, field, value):
+    a, b = _oracle_trees(tmp_path, where, field, value)
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"oracle_check.json: /{where}[0]/{field}: "), out
+    assert "not both below" in out

@@ -21,7 +21,7 @@ import pytest
 from click.testing import CliRunner
 
 from su2eth import cache, pipeline
-from su2eth.analysis import build_offdiagonal_ensemble
+from su2eth.analysis import OffDiagonalEnsemble, build_offdiagonal_ensemble
 from su2eth.basis import SectorLabel, enumerate_sector_basis, sector_labels
 from su2eth.cache import build_fingerprint, spectrum_path
 from su2eth.cli import main
@@ -824,6 +824,32 @@ def _window_all(cfg, L, key, entries):
         cfg.energy_window)
 
 
+def _window_weighted(cfg, root, L, labels):
+    """Per key, each solved sector's record tables windowed whole, weighted by the labels it serves.
+
+    The records follow label order of each solved sector's first admitted
+    label; block_dims has one entry per admitted label, in label order.
+    """
+    served = Counter(map(pipeline._solved, labels))
+    firsts = {}
+    for lab in labels:
+        firsts.setdefault(pipeline._solved(lab), lab)
+    parts = {}
+    for solved, lab in firsts.items():
+        for key, entries in _full_element_records(cfg, root, [lab]).items():
+            parts.setdefault(key, []).append((_window_all(cfg, L, key, entries), served[solved]))
+    out = {}
+    for key, entries in _full_element_records(cfg, root, labels).items():
+        windowed = parts[key]
+        out[key] = OffDiagonalEnsemble(
+            L, np.concatenate([e.omega for e, _ in windowed]),
+            np.concatenate([e.abs_sq for e, _ in windowed]),
+            tuple((d_a, d_b) for _, d_a, d_b in entries), windowed[0][0].e_center,
+            np.repeat(np.array([w for _, w in windowed], dtype=np.uint8),
+                      [e.size for e, _ in windowed]))
+    return out
+
+
 @pytest.mark.parametrize("lam", [3.0, 0.0])
 def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, lam):
     cfg = _analysis_config(tmp_path, L_list=(8, 10), lam=lam, spins=(0, 1, 2),
@@ -832,7 +858,7 @@ def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, lam):
     root = tmp_path / "cache"
     compared = 0
     for L in cfg.L_list:
-        records = _full_element_records(cfg, root, pipeline._admitted_labels(cfg, L))
+        weighted = _window_weighted(cfg, root, L, pipeline._admitted_labels(cfg, L))
         for workers in (1, 2):
             with pipeline._sector_pool(workers) as pool:
                 yielded = list(pipeline._offdiag_ensembles(cfg, root, L, pool))
@@ -841,18 +867,41 @@ def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, lam):
             for observable, pair, ens, red_ens in yielded:
                 for reduced, got in ((False, ens), (True, red_ens)):
                     key = (observable, pair, reduced)
-                    if reduced and key not in records:
+                    if reduced and key not in weighted:
                         assert got is None, key
                         continue
-                    want = _window_all(cfg, L, key, records.get(key, []))
+                    want = weighted.get(key) or _window_all(cfg, L, key, [])
                     assert got.omega.tobytes() == want.omega.tobytes(), key
                     assert got.abs_sq.tobytes() == want.abs_sq.tobytes(), key
+                    assert got.weights.tobytes() == want.weights.tobytes(), key
                     assert got.block_dims == want.block_dims, key
                     assert got.e_center == want.e_center, key
                     compared += got.size
             # B between S = 0 states vanishes and is not offered: empty, as before
             assert dict(((o, p), e.size) for o, p, e, _ in yielded)["B", (0, 0)] == 0
     assert compared > 300
+
+
+def test_a_lone_minus_k_label_weights_its_block_once(tmp_path):
+    # k = 3 is excluded, so the solved k = 3 blocks serve only their -3 labels
+    cfg = _analysis_config(tmp_path, L_list=(8,), spins=(1,), observables=("B",),
+                           exclude_k=(0, 4, 3))
+    run_spectrum(cfg)
+    root = tmp_path / "cache"
+    labels = pipeline._admitted_labels(cfg, 8)
+    assert {lab.k_index for lab in labels} == {-3, -2, -1, 1, 2}
+    [(_, _, ens, _)] = pipeline._offdiag_ensembles(cfg, root, 8)
+    lone = [pipeline._unit_tables(pipeline._element_tables, pipeline._unit(lab), cfg, root)
+            [pipeline._solved(lab)].get(("B", (1, 1), False))
+            for lab in labels if lab.k_index == -3]
+    lone_omega = np.concatenate([part.omega for part in lone if part is not None])
+    assert lone_omega.size > 0
+    assert np.array_equal(np.sort(ens.omega[ens.weights == 1]), np.sort(lone_omega))
+    assert set(ens.weights[ens.weights != 1].tolist()) == {2}
+    assert ens.weighted_size == 2 * ens.size - lone_omega.size
+    # one block_dims entry per admitted label that has S = 1 states
+    assert len(ens.block_dims) == sum(
+        load_cached_spectrum(lab, cfg.lam, root).spin_dims().get(1, 0) > 0 for lab in labels)
 
 
 def test_element_tables_hold_only_the_kept_pairs(tmp_path):
@@ -923,6 +972,23 @@ def test_stale_cache_entry_is_rebuilt_with_warning(tmp_path):
     assert spectrum.dim == 1
     # rebuilt file is now loadable
     assert load_cached_spectrum(lab, 3.0, root).dim == 1
+
+
+def test_spectrum_removes_a_whole_sector_file_left_from_before_the_parity_split(tmp_path):
+    cfg = RunConfig(L_list=(6,), lam=3.0, cache_dir=str(tmp_path / "cache"),
+                    out_dir=str(tmp_path / "out"))
+    run_spectrum(cfg)
+    root = tmp_path / "cache"
+    whole = SectorLabel(6, 0, 0, 1)
+    planted = spectrum_path(root, whole, 3.0)
+    assert planted.name == "L6_M0_k0_zp1_lam3.eig"
+    planted.write_bytes(b"a whole-sector spectrum from an earlier layout")
+    kept = sorted(p.name for p in root.iterdir() if p != planted)
+    run_spectrum(cfg)
+    assert not planted.exists()
+    assert sorted(p.name for p in root.iterdir()) == kept
+    removed = [e for e in _manifest(tmp_path / "out") if e["status"] == "removed"]
+    assert [(e["stage"], e["file"]) for e in removed] == [("cache", "L6_M0_k0_zp1_lam3.eig")]
 
 
 def test_missing_cache_error_names_the_fix(tmp_path):
@@ -1133,6 +1199,22 @@ def test_rank_two_observable_is_not_fitted_between_spin_zero_states(tmp_path, mo
         {f"L{L}_B_0_0" for L in cfg.L_list}
     assert {e["sector"] for e in manifest if e["stage"] == "diag"} == \
         {f"L{L}_S0_B" for L in cfg.L_list}
+
+
+def test_a_variance_fit_without_three_usable_sizes_is_skipped_and_journaled(tmp_path):
+    # no element lies within omega_cut = 1e-12 of omega = 0 at any size
+    cfg = _analysis_config(tmp_path, L_list=(8, 10, 12), spins=(1,), observables=("B",),
+                           omega_cut=1e-12)
+    run_spectrum(cfg)
+    result = run_offdiag_eth(cfg)
+    out = tmp_path / "out"
+    assert result["fits"] == {}
+    assert json.loads((out / "fits.json").read_text())["fits"] == {}
+    assert {r["L"] for r in _records(out / "gamma.csv")} == {"8", "10", "12"}
+    skipped = [e for e in _manifest(out) if e["stage"] == "offdiag"]
+    assert [(e["status"], e["sector"], e["error"]) for e in skipped] == [
+        ("skipped", "variance[B,1,1]", "need at least 3 usable points to fit, got 0")]
+    assert _manifest(out)[-1]["status"] == "done"
 
 
 @pytest.mark.parametrize("run", [run_diag_eth, run_offdiag_eth])

@@ -15,8 +15,18 @@ within bounds:
   or 1e-14 absolute.
 
 JSON files are compared key by key and item by item under the same rules,
-with the run times (`seconds`) masked. Exits 0 when the trees agree and 1
-naming the first difference of every differing file, in path order.
+with the run times (`seconds`) masked. The round-off fields of
+`oracle_check.json` are not held to any value: two of them agree when they
+are equal or both lie below the bound `oracle-check` holds that field to,
+
+- `abs_diff` (closed-form moment against trace) below 1e-10;
+- `spin_residual` below 1e-6;
+- `eigen_residual` below 1e-8, its bound 1e-8 * max(1, max |E|) at scale 1;
+- `orthonormality` below 10 * dim * eps, with dim bounded by C(L, L/2)
+  for the L its row's `sector` names.
+
+Exits 0 when the trees agree and 1 naming the first difference of every
+differing file, in path order.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +43,16 @@ ABSOLUTE_BOUND = 1e-12
 RELATIVE_BOUND = 1e-9
 FLOOR = 1e-14
 MASKED = frozenset({"seconds"})
+RESIDUAL_BOUNDS = {"abs_diff": 1e-10, "spin_residual": 1e-6, "eigen_residual": 1e-8}
+EPS = 2.0 ** -52
+
+
+def residual_bound(key: str, row: dict) -> float | None:
+    """The bound oracle-check holds the round-off field key of row to, None for any other key."""
+    if key == "orthonormality":
+        match = re.match(r"L(\d+)_", str(row.get("sector", "")))
+        return 10 * math.comb(int(match[1]), int(match[1]) // 2) * EPS if match else None
+    return RESIDUAL_BOUNDS.get(key)
 
 
 def close(name: str, x: float, y: float) -> bool:
@@ -94,6 +115,12 @@ def compare_json(a, b, where: str = "", key: str = "") -> str | None:
         if keys_a != keys_b:
             return f"{where or '/'}: keys {sorted(keys_a ^ keys_b)} in one tree only"
         for k in sorted(keys_a):
+            bounds = residual_bound(k, a), residual_bound(k, b)
+            if None not in bounds and _numeric(a[k], b[k]):
+                if not (a[k] == b[k] or (a[k] < bounds[0] and b[k] < bounds[1])):
+                    return (f"{where}/{k}: {a[k]!r} against {b[k]!r}, "
+                            f"not both below {max(bounds):.3g}")
+                continue
             found = compare_json(a[k], b[k], f"{where}/{k}", k)
             if found:
                 return found
@@ -106,12 +133,15 @@ def compare_json(a, b, where: str = "", key: str = "") -> str | None:
             if found:
                 return found
         return None
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-    if numbers and (isinstance(a, float) or isinstance(b, float)):
+    if _numeric(a, b) and (isinstance(a, float) or isinstance(b, float)):
         agree = close(key, float(a), float(b))
     else:
         agree = type(a) is type(b) and a == b
     return None if agree else f"{where}: {a!r} against {b!r}"
+
+
+def _numeric(*values) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
 
 
 def _outputs(root: Path) -> set[str]:
