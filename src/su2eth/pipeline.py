@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import hashlib
 import multiprocessing
+import numbers
 import time
 import warnings
 from collections import Counter
@@ -49,9 +50,9 @@ __all__ = [
     "sector_trace_moments",
 ]
 
-# tensor rank entering the CG reduction; the mixed observable C has no
-# single rank, so reduced series are only emitted for A and B
-_REDUCTION_RANK = {"A": 0, "B": 2}
+# each observable as its q = 0 rank components, O = sum_r c_r O_r with O_0 = A
+# and O_2 = B; only an observable with a single rank gets a CG-reduced series
+_COMPONENTS = {"A": {0: 1.0}, "B": {2: 1.0}, "C": {0: -1.0 / np.sqrt(3.0), 2: np.sqrt(2.0 / 3.0)}}
 
 _FILL_CACHE = "run the spectrum command first to populate the cache"
 
@@ -104,10 +105,16 @@ class RunConfig:
             raise ConfigError(f"every spin pair needs two spins, got {list(self.spin_pairs)}")
         object.__setattr__(self, "spin_pairs", pairs)
         object.__setattr__(self, "observables", tuple(self.observables))
-        object.__setattr__(self, "M", _integers("M", (self.M,))[0])
+        for key in ("M", "half_width", "min_bin_count", "workers"):
+            object.__setattr__(self, key, _integers(key, (getattr(self, key),))[0])
         for key in ("L_list", "spins", "exclude_k"):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, _integers(key, getattr(self, key)))
+        # so that 3, 3.0 and True do not pass as three couplings, nor -0.0 and 0.0 as two
+        for key in ("lam", "central_fraction", "energy_window", "bin_spacing", "bin_width"):
+            object.__setattr__(self, key, _real(key, getattr(self, key)))
+        if self.omega_cut is not None:
+            object.__setattr__(self, "omega_cut", _real("omega_cut", self.omega_cut))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -149,15 +156,22 @@ class RunConfig:
 
 
 def _integers(name: str, values) -> tuple[int, ...]:
-    """values as ints; an entry that is not a whole number is rejected, not truncated."""
+    """values as ints; a bool or an entry that is not a whole number is rejected, not truncated."""
     values = tuple(values)
     try:
         ints = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
         ints = None
-    if ints != values:
+    if ints != values or any(isinstance(v, bool) for v in values):
         raise ConfigError(f"{name} must hold whole numbers, got {list(values)}")
     return ints
+
+
+def _real(name: str, value) -> float:
+    """value as a float, -0.0 as 0.0; a bool, a string or any other non-number is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value) + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def _validate(config: RunConfig, command: str) -> None:
@@ -187,11 +201,11 @@ def _validate(config: RunConfig, command: str) -> None:
         "workers": config.workers,
     }
     for name, value in positive.items():
-        if value <= 0:
+        if not value > 0:  # so nan fails too
             raise ConfigError(f"{name} must be positive, got {value}")
     if not 0.0 < config.central_fraction <= 1.0:
         raise ConfigError(f"central_fraction must lie in (0, 1], got {config.central_fraction}")
-    if config.omega_cut is not None and config.omega_cut <= 0:
+    if config.omega_cut is not None and not config.omega_cut > 0:
         raise ConfigError(f"omega_cut must be positive, got {config.omega_cut}")
     if abs(config.M) > min(config.L_list) // 2:
         raise ConfigError(f"|M| <= L/2 required, got M={config.M}")
@@ -532,10 +546,12 @@ def _admitted_labels(config: RunConfig, L: int) -> list[SectorLabel]:
     return [lab for lab in sector_labels(L, config.M) if lab.k_index not in config.excluded_k(L)]
 
 
-def _vanishes(observable: str, s_a: int, s_b: int) -> bool:
-    """Whether <S_a 0|S_b 0; r 0> = 0 forces every element of observable between the spins to 0."""
-    rank = _REDUCTION_RANK.get(observable)
-    return rank is not None and clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0).is_zero
+@memoized
+def _vanishes(observable: str, s_a: int, s_b: int, lam: float, offdiagonal: bool) -> bool:
+    """Whether each rank r of observable vanishes between spins s_a and s_b: when
+    <S_a 0|S_b 0; r 0> = 0, or r = 0 off the diagonal at lam = 0, where A = H/(sqrt(3) L)."""
+    return all(clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0).is_zero
+               or (rank == 0 and offdiagonal and lam == 0.0) for rank in _COMPONENTS[observable])
 
 
 def _journal_blocks(manifest: RunManifest, L: int, labels, **counts) -> None:
@@ -610,7 +626,8 @@ def run_diag_eth(config: RunConfig) -> dict:
                                      series.values.tolist(), repeat(L), repeat(config.lam),
                                      repeat(observable))
                     try:
-                        if _vanishes(observable, S, S):  # its fluctuations would be round-off
+                        # its fluctuations would be round-off
+                        if _vanishes(observable, S, S, config.lam, offdiagonal=False):
                             raise ValueError(f"{observable} vanishes between S = {S} states")
                         delta = analysis.diagonal_fluctuations(series, config.central_fraction)
                     except ValueError as exc:
@@ -632,16 +649,13 @@ def run_diag_eth(config: RunConfig) -> dict:
                     m = oracle.moments(L, S, config.lam)
                     try:
                         coeffs = oracle.linear_coefficients(L, S, config.lam)
-                        slope_a, slope_b = coeffs.slopeA, coeffs.slopeB
+                        slopes = {0: coeffs.slopeA, 2: coeffs.slopeB}
                     except ValueError:
-                        slope_a = slope_b = float("nan")
-                    slope = slope_a if observable == "A" else slope_b
-                    mean = m.meanA if observable == "A" else m.meanB
-                    if observable == "C":
-                        # C = -A/sqrt(3) + sqrt(2/3) B, scalars fixed by the definitions
-                        mean = -m.meanA / np.sqrt(3.0) + np.sqrt(2.0 / 3.0) * m.meanB
-                        slope = -slope_a / np.sqrt(3.0) + np.sqrt(2.0 / 3.0) * slope_b
-                    pred_rows.append((observable, L, S, config.lam, m.E0, mean, slope))
+                        slopes = dict.fromkeys((0, 2), float("nan"))
+                    # sums from -0.0, the identity of float addition, so a -0 mean stays -0
+                    pred_rows.append((observable, L, S, config.lam, m.E0, *(
+                        sum((c * by_rank[r] for r, c in _COMPONENTS[observable].items()), -0.0)
+                        for by_rank in ({0: m.meanA, 2: m.meanB}, slopes))))
 
         fits = {}
         for (observable, S), points in sorted(fluct_points.items()):
@@ -685,15 +699,15 @@ def _element_tables(spectrum: SpinResolvedSpectrum, blocks: dict[str, BlockOpera
     dims = spectrum.spin_dims()
     parts = {}
     for observable, obs in blocks.items():
-        rank = _REDUCTION_RANK.get(observable)
+        ranks = list(_COMPONENTS[observable])
         for pair in config.all_pairs():
             d_a, d_b = (dims.get(s, 0) for s in pair)
-            if d_a == 0 or d_b == 0 or _vanishes(observable, *pair):
+            if d_a == 0 or d_b == 0 or _vanishes(observable, *pair, config.lam, offdiagonal=True):
                 continue
             # a cross-spin pair has no alpha == beta records to drop
             tables = [matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")]
-            if rank is not None:
-                tables.append(reduce_matrix_elements(tables[0], rank))
+            if len(ranks) == 1:
+                tables.append(reduce_matrix_elements(tables[0], ranks[0]))
             for reduced, recs in zip((False, True), (table.records for table in tables)):
                 if recs.size or not reduced:
                     parts[observable, pair, reduced] = analysis.build_offdiagonal_ensemble(
@@ -919,8 +933,10 @@ def _audit_unit(unit: SectorLabel, config: RunConfig, root: Path) -> dict[Sector
             own = parity_block(h(), basis) if label == sector else build_hamiltonian(
                 enumerate_sector_basis(label), CouplingSpec(config.lam))
             eig_res = eigen_residual(own, spectrum.energies, v)
+            # dim and scale give the bounds below, so a reader can hold the fields to them
             audit = {"sector": _sector_name(label, config.lam), "eigen_residual": eig_res,
-                     "orthonormality": ortho, "spin_residual": spin_res}
+                     "orthonormality": ortho, "spin_residual": spin_res,
+                     "dim": spectrum.dim, "scale": scale}
             audits[label] = audit, (eig_res > 1e-8 * scale or spin_res > 1e-6
                                     or ortho > 10 * spectrum.dim * np.finfo(float).eps)
         cut = {f: parity_block(op, basis) for f, op in moments.items()}

@@ -166,6 +166,31 @@ def test_flipped_payload_bit_fails_the_checksum(tmp_path):
         load_spectrum(tmp_path, lab, 3.0)
 
 
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_every_flipped_header_bit_fails_the_load_and_names_the_file(tmp_path, lam):
+    lab = SectorLabel(6, 0, 1, 1)
+    spec = _make_spectrum(lab, lam)
+    path = save_spectrum(tmp_path, lam, spec)
+    data = path.read_bytes()
+    assert cache._HEADER.size == 56
+    # lambda's f8 sits at bytes 44-51; its sign bit turns 0.0 into -0.0, which
+    # equals 0.0 and is the same coupling, so that one flip loads at lam = 0
+    sign_of_lam = 51 * 8 + 7
+    passed = []
+    for bit in range(8 * cache._HEADER.size):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        try:
+            back = load_spectrum(tmp_path, lab, lam)
+        except CacheMismatch as exc:
+            assert path.name in str(exc), (bit, exc)
+            continue
+        passed.append(bit)
+        assert np.array_equal(back.vectors, spec.vectors)
+    assert passed == ([sign_of_lam] if lam == 0.0 else [])
+
+
 def test_cache_dir_resolution(tmp_path, monkeypatch):
     explicit = cache_dir(tmp_path / "sub")
     assert explicit.is_dir()

@@ -91,8 +91,11 @@ def test_a_missing_file_fails_and_every_differing_file_is_named(tmp_path, capsys
 
 _ORACLE = {
     "rows": [{"L": 10, "S": 1, "moment": "E0", "abs_diff": 0.0, "pass": True}],
+    # oracle-check holds this row's orthonormality to 10 * dim * eps = 3.1e-14 and its
+    # eigen residual to 1e-8 * scale = 1.5e-8
     "block_audits": [{"sector": "L10_M0_k1_zp1_lam3", "eigen_residual": 2.1e-14,
-                      "orthonormality": 1.3e-15, "spin_residual": 4.0e-14}],
+                      "orthonormality": 1.3e-15, "spin_residual": 4.0e-14, "dim": 14,
+                      "scale": 1.5}],
     "failures": [],
     "pass": True,
 }
@@ -111,10 +114,11 @@ def _oracle_trees(tmp_path, where, field, value):
     ("rows", "abs_diff", 2.8e-14),
     ("rows", "abs_diff", 9e-11),
     ("block_audits", "eigen_residual", 3.5e-9),
-    ("block_audits", "orthonormality", 5.0e-13),  # below 10 * C(10, 5) * eps = 5.6e-13
+    ("block_audits", "orthonormality", 3.0e-14),
     ("block_audits", "spin_residual", 8e-7),
+    ("block_audits", "eigen_residual", 1.2e-8),  # above 1e-8, the bound at scale 1
 ], ids=["abs_diff round-off", "abs_diff near bound", "eigen_residual", "orthonormality",
-        "spin_residual"])
+        "spin_residual", "eigen_residual above 1e-8"])
 def test_residuals_below_their_oracle_check_bound_agree(tmp_path, capsys, where, field, value):
     a, b = _oracle_trees(tmp_path, where, field, value)
     assert compare_outputs.main([str(a), str(b)]) == 0, capsys.readouterr().out
@@ -126,7 +130,9 @@ def test_residuals_below_their_oracle_check_bound_agree(tmp_path, capsys, where,
     ("block_audits", "orthonormality", 6e-13),
     ("block_audits", "spin_residual", 1e-6),
     ("block_audits", "spin_residual", float("nan")),
-], ids=["abs_diff", "eigen_residual", "orthonormality", "spin_residual", "nan"])
+    ("block_audits", "orthonormality", 1e-13),  # below 10 * C(10, 5) * eps = 5.6e-13
+], ids=["abs_diff", "eigen_residual", "orthonormality", "spin_residual", "nan",
+        "orthonormality below the largest block's bound"])
 def test_a_residual_at_or_above_its_bound_fails_and_is_named(tmp_path, capsys, where, field, value):
     a, b = _oracle_trees(tmp_path, where, field, value)
     assert compare_outputs.main([str(a), str(b)]) == 1

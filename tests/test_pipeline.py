@@ -25,7 +25,7 @@ from su2eth.analysis import OffDiagonalEnsemble, build_offdiagonal_ensemble
 from su2eth.basis import SectorLabel, enumerate_sector_basis, sector_labels
 from su2eth.cache import build_fingerprint, spectrum_path
 from su2eth.cli import main
-from su2eth.operators import build_observable
+from su2eth.operators import OBSERVABLE_TAGS, CouplingSpec, build_hamiltonian, build_observable
 from su2eth.oracle import diagonal_prediction, linear_coefficients, moments
 from su2eth.pipeline import (
     ConfigError,
@@ -140,10 +140,20 @@ def test_malformed_spin_pair_is_a_config_error():
     {"spin_pairs": [[0, 2], [1, 1.5]]},
     {"exclude_k": [0, 2.5]},
     {"M": 0.5},
+    {"workers": 1.5},
+    {"half_width": 2.5},
+    {"min_bin_count": 10.5},
+    {"workers": True},
+    {"spins": [False]},
+    {"lam": True},
+    {"lam": "3"},
+    {"energy_window": "0.025"},
+    {"omega_cut": False},
 ])
 def test_non_integral_sizes_and_spins_are_config_errors(changes):
-    # int() would truncate these silently; S = 1.5 is no sector at even L
-    with pytest.raises(ConfigError, match="must hold whole numbers"):
+    # int() would truncate these silently; S = 1.5 is no sector at even L, and a
+    # bool or a string is no number even where Python would take it for one
+    with pytest.raises(ConfigError, match="must hold whole numbers|must be a real number"):
         RunConfig(**{"L_list": [10], **changes})
 
 
@@ -153,6 +163,20 @@ def test_whole_numbers_written_as_floats_become_ints():
     assert all(type(v) is int for v in (*cfg.L_list, *cfg.spins, *cfg.spin_pairs[0], cfg.M))
     assert cfg.config_hash() == RunConfig(L_list=[10], spins=[1], spin_pairs=[[0, 2]],
                                           exclude_k=[0]).config_hash()
+    knobs = RunConfig(L_list=[10], workers=2.0, half_width=25.0, min_bin_count=10.0)
+    assert all(type(getattr(knobs, key)) is int
+               for key in ("workers", "half_width", "min_bin_count"))
+    assert knobs.config_hash() == RunConfig(L_list=[10]).config_hash()
+    # and the other way: whole numbers in float fields become floats, -0.0 becomes 0.0
+    floats = dict(lam=3.0, central_fraction=1.0, energy_window=1.0, bin_spacing=1.0,
+                  bin_width=1.0, omega_cut=3.0)
+    whole = RunConfig(L_list=[10], **{key: int(value) for key, value in floats.items()})
+    assert all(type(getattr(whole, key)) is float for key in floats)
+    assert whole == RunConfig(L_list=[10], **floats)
+    assert whole.config_hash() == RunConfig(L_list=[10], **floats).config_hash()
+    negative_zero = RunConfig(L_list=[10], lam=-0.0)
+    assert math.copysign(1.0, negative_zero.lam) == 1.0
+    assert negative_zero.config_hash() == RunConfig(L_list=[10], lam=0.0).config_hash()
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -165,6 +189,9 @@ def test_whole_numbers_written_as_floats_become_ints():
     ({"L_list": [6], "central_fraction": 1.5}, "central_fraction"),
     ({"L_list": [6], "omega_cut": -1.0}, "omega_cut must be positive"),
     ({"L_list": [6], "M": 4}, "\\|M\\| <= L/2"),
+    ({"L_list": [6], "energy_window": math.nan}, "energy_window must be positive"),
+    ({"L_list": [6], "bin_spacing": math.nan}, "bin_spacing must be positive"),
+    ({"L_list": [6], "omega_cut": math.nan}, "omega_cut must be positive"),
 ])
 def test_common_validation_messages(bad, message, tmp_path):
     cfg = RunConfig.from_dict({**bad, "cache_dir": str(tmp_path)})
@@ -380,6 +407,8 @@ def test_mirrored_spectrum_passes_block_audit(tmp_path, M, solved):
         audit, failed = checked["audits"][lab]
         assert audit["sector"] == spectrum_path(root, lab, 3.0).stem and not failed
         scale = max(1.0, float(np.abs(minus.energies).max()))
+        # the row carries the dim and scale of its bounds, for readers of oracle_check.json
+        assert (audit["dim"], audit["scale"]) == (minus.dim, scale), audit
         assert audit["eigen_residual"] <= 1e-8 * scale, audit
         assert audit["orthonormality"] <= 1e-10, audit
         assert audit["spin_residual"] <= 1e-6, audit
@@ -802,7 +831,8 @@ def _full_element_records(cfg, root, labels):
             op = build_observable(basis, observable)
             for pair in cfg.all_pairs():
                 d_a, d_b = (dims.get(s, 0) for s in pair)
-                if d_a == 0 or d_b == 0 or pipeline._vanishes(observable, *pair):
+                if d_a == 0 or d_b == 0 or pipeline._vanishes(observable, *pair, cfg.lam,
+                                                              offdiagonal=True):
                     continue
                 table = matrix_elements(op, spectrum, spin_filter=pair, part="offdiagonal")
                 tables = {False: table}
@@ -1158,45 +1188,74 @@ def _records(path):
     return [dict(zip(header, row)) for row in rows]
 
 
-def test_rank_two_observable_is_not_fitted_between_spin_zero_states(tmp_path, monkeypatch):
-    """<0 0|0 0; 2 0> = 0 makes every B element between S = 0 states vanish.
+def test_rank_components_rebuild_every_observable_block():
+    # each observable is the sum of its components, O_0 = A and O_2 = B, and at
+    # lam = 0 A is H/(sqrt(3) L); both hold to 8.3e-17 at L = 8 and 10
+    for L in (8, 10):
+        for lab in sector_labels(L, 0):
+            basis = enumerate_sector_basis(lab)
+            ranks = {0: build_observable(basis, "A").dense(), 2: build_observable(basis, "B").dense()}
+            for observable, components in pipeline._COMPONENTS.items():
+                summed = sum(c * ranks[r] for r, c in components.items())
+                assert np.abs(summed - build_observable(basis, observable).dense()).max(
+                    initial=0.0) <= 1e-15, (lab, observable)
+            h = build_hamiltonian(basis, CouplingSpec(0.0)).dense()
+            assert np.abs(ranks[0] - h / (math.sqrt(3) * L)).max(initial=0.0) <= 1e-15, lab
+    assert set(pipeline._COMPONENTS) == set(OBSERVABLE_TAGS)
 
-    Statistics of those elements describe round-off only; the run without
-    the rule differs from the run with it by exactly those entries.
+
+# three sizes that fit: L = 6 has no S = 0 pair in the energy window at lam = 3, nor L = 8 at 0
+@pytest.mark.parametrize("lam, sizes, observables, vanishing", [
+    (3.0, (8, 10, 12), ("B", "C"), {("B", 0, 0)}),
+    # A = H/(sqrt(3) L) has no off-diagonal elements, so C (0, 0) loses its rank-0 part
+    (0.0, (10, 12, 14), ("A", "B", "C"), {("A", 0, 0), ("A", 1, 1), ("B", 0, 0), ("C", 0, 0)}),
+], ids=["lam3", "lam0"])
+def test_rank_two_observable_is_not_fitted_between_spin_zero_states(tmp_path, monkeypatch, lam,
+                                                                     sizes, observables,
+                                                                     vanishing):
+    """Every element of an (observable, S_a, S_b) whose rank components all vanish is zero.
+
+    <0 0|0 0; 2 0> = 0 makes every B element between S = 0 states vanish,
+    and at lam = 0 so does every off-diagonal A element. Statistics of those
+    elements describe round-off only; the run without the rule differs from
+    the run with it by exactly those entries. Diagonal elements keep A.
     """
-    # L = 6 has no S = 0 pair in the energy window, so three sizes that fit start at 8
-    cfg = _analysis_config(tmp_path, L_list=(8, 10, 12), spins=(0, 1), observables=("B", "C"),
-                           half_width=2, workers=1)
+    cfg = _analysis_config(tmp_path, L_list=sizes, lam=lam, spins=(0, 1),
+                           observables=observables, half_width=2, workers=1)
     run_spectrum(cfg)
     runs = {}
     for rule in (True, False):
         runs[rule] = out = tmp_path / f"out_{rule}"
         with monkeypatch.context() as m:
             if not rule:
-                m.setattr(pipeline, "_vanishes", lambda *args: False)
+                m.setattr(pipeline, "_vanishes", lambda *args, **kwargs: False)
             run_offdiag_eth(dataclasses.replace(cfg, out_dir=str(out)))
             run_diag_eth(dataclasses.replace(cfg, out_dir=str(out)))
     with_rule, without = runs[True], runs[False]
 
-    def spin_zero(row):
-        return {row.get(key) for key in ("S", "S_a", "S_b")} - {None} == {"0"}
+    def vanishes(row):
+        if "S" in row:  # a diagonal row: only B between S = 0 states
+            return (row["observable"], row["S"]) == ("B", "0")
+        return (row["observable"], int(row["S_a"]), int(row["S_b"])) in vanishing
 
-    for name in ("gamma.csv", "specfun.csv", "lowfreq.csv", "fluct.csv"):
+    for name in ("gamma.csv", "specfun.csv", "lowfreq.csv", "fluct.csv", "specfun_reduced.csv"):
         rows = _records(without / name)
-        noise = [r for r in rows if r["observable"] == "B" and spin_zero(r)]
-        assert noise, name
-        assert any(r["observable"] == "C" and spin_zero(r) for r in rows), name
+        noise = [r for r in rows if vanishes(r)]
+        # B (0, 0) has no reduced elements, as its coefficient is zero
+        assert noise or (name == "specfun_reduced.csv" and "A" not in observables), name
         assert _records(with_rule / name) == [r for r in rows if r not in noise], name
-    for name in ("specfun_reduced.csv", "diag.csv", "spin_means.csv"):
+    for name in ("diag.csv", "spin_means.csv", "predictions.csv"):
         assert _read_csv(with_rule / name) == _read_csv(without / name), name
-    for name, key in (("fits.json", "variance[{},{S},{S}]"), ("diag_fits.json", "fluct[{},S={S}]")):
+    offdiag = {f"variance[{o},{a},{b}]" for o, a, b in vanishing}
+    for name, key, gone in (("fits.json", "variance[{},{S},{S}]", offdiag),
+                            ("diag_fits.json", "fluct[{},S={S}]", {"fluct[B,S=0]"})):
         fits = json.loads((without / name).read_text())["fits"]
-        assert set(fits) == {key.format(o, S=S) for o in "BC" for S in (0, 1)}
-        del fits[key.format("B", S=0)]
-        assert json.loads((with_rule / name).read_text())["fits"] == fits
+        assert set(fits) == {key.format(o, S=S) for o in observables for S in (0, 1)}
+        assert json.loads((with_rule / name).read_text())["fits"] == {
+            k: v for k, v in fits.items() if k not in gone}
     manifest = _manifest(with_rule)
     assert {e["sector"] for e in manifest if e["stage"] == "offdiag"} == \
-        {f"L{L}_B_0_0" for L in cfg.L_list}
+        {f"L{L}_{o}_{a}_{b}" for L in cfg.L_list for o, a, b in vanishing}
     assert {e["sector"] for e in manifest if e["stage"] == "diag"} == \
         {f"L{L}_S0_B" for L in cfg.L_list}
 
@@ -1378,6 +1437,26 @@ def test_cli_non_integral_spin_in_config_exits_2(tmp_path):
     assert result.exit_code == 2
     assert "spins must hold whole numbers" in result.output
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_typed_numbers(tmp_path):
+    # a fractional worker count is a usage error, not a traceback from the pool
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"L_list": [6], "workers": 1.5, "lambda": 3,
+                                    "cache_dir": str(tmp_path / "c")}))
+    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg_path)])
+    assert result.exit_code == 2
+    assert "workers must hold whole numbers" in result.output
+    # -0 is the coupling 0: one config line and one set of cache names
+    lines = set()
+    for flag in ("0", "-0"):
+        out = tmp_path / f"out{flag}"
+        result = CliRunner().invoke(main, ["spectrum", "--L", "6", "--lambda", flag,
+                                           "--cache", str(tmp_path / "c"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines.add(_manifest(out)[0]["config"])
+    assert lines == {RunConfig(L_list=(6,)).config_hash()}
+    assert all("lam0." in path.name for path in (tmp_path / "c").glob("*.eig"))
 
 
 def test_cli_malformed_pair_is_a_usage_error(tmp_path):

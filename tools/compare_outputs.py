@@ -21,9 +21,12 @@ are equal or both lie below the bound `oracle-check` holds that field to,
 
 - `abs_diff` (closed-form moment against trace) below 1e-10;
 - `spin_residual` below 1e-6;
-- `eigen_residual` below 1e-8, its bound 1e-8 * max(1, max |E|) at scale 1;
-- `orthonormality` below 10 * dim * eps, with dim bounded by C(L, L/2)
-  for the L its row's `sector` names.
+- `eigen_residual` below 1e-8 * scale, with its block-audit row's `scale`
+  (max(1, max |E|));
+- `orthonormality` below 10 * dim * eps, with its block-audit row's `dim`.
+
+A block-audit row without `dim` or `scale` (written before they were
+recorded) holds that field to the ordinary bounds.
 
 Exits 0 when the trees agree and 1 naming the first difference of every
 differing file, in path order.
@@ -34,7 +37,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -43,15 +45,16 @@ ABSOLUTE_BOUND = 1e-12
 RELATIVE_BOUND = 1e-9
 FLOOR = 1e-14
 MASKED = frozenset({"seconds"})
-RESIDUAL_BOUNDS = {"abs_diff": 1e-10, "spin_residual": 1e-6, "eigen_residual": 1e-8}
+RESIDUAL_BOUNDS = {"abs_diff": 1e-10, "spin_residual": 1e-6}
 EPS = 2.0 ** -52
 
 
 def residual_bound(key: str, row: dict) -> float | None:
     """The bound oracle-check holds the round-off field key of row to, None for any other key."""
-    if key == "orthonormality":
-        match = re.match(r"L(\d+)_", str(row.get("sector", "")))
-        return 10 * math.comb(int(match[1]), int(match[1]) // 2) * EPS if match else None
+    if key == "orthonormality" and "dim" in row:
+        return 10 * row["dim"] * EPS
+    if key == "eigen_residual" and "scale" in row:
+        return 1e-8 * row["scale"]
     return RESIDUAL_BOUNDS.get(key)
 
 
