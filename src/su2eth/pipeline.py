@@ -16,19 +16,20 @@ import numbers
 import time
 import warnings
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
-from functools import cache as memoized, partial
+from functools import cache as memoized
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, cache, oracle
-from .basis import (MAX_SITES, MIN_SITES, SectorLabel, SymmetryBasis, enumerate_sector_basis,
-                    normalized_k, parity_halves, sector_labels, with_parity)
+from .basis import (MAX_SITES, MIN_SITES, SectorLabel, enumerate_sector_basis, normalized_k,
+                    parity_halves, sector_labels, with_parity)
 from .operators import (OBSERVABLE_TAGS, BlockOperator, CouplingSpec, build_hamiltonian,
                         build_observable, build_operator, build_total_spin_squared,
                         pair_correlator_terms, parity_block, quad_correlator_terms)
@@ -104,6 +105,8 @@ class RunConfig:
         if any(len(pair) != 2 for pair in pairs):
             raise ConfigError(f"every spin pair needs two spins, got {list(self.spin_pairs)}")
         object.__setattr__(self, "spin_pairs", pairs)
+        if isinstance(self.observables, str):  # tuple() would split "BC" into "B" and "C"
+            raise ConfigError(f"observables must be a list of tags, got {self.observables!r}")
         object.__setattr__(self, "observables", tuple(self.observables))
         for key in ("M", "half_width", "min_bin_count", "workers"):
             object.__setattr__(self, key, _integers(key, (getattr(self, key),))[0])
@@ -200,13 +203,13 @@ def _validate(config: RunConfig, command: str) -> None:
         "min_bin_count": config.min_bin_count,
         "workers": config.workers,
     }
+    if config.omega_cut is not None:
+        positive["omega_cut"] = config.omega_cut
     for name, value in positive.items():
-        if not value > 0:  # so nan fails too
-            raise ConfigError(f"{name} must be positive, got {value}")
+        if not 0 < value < np.inf:  # so nan and inf fail too
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
     if not 0.0 < config.central_fraction <= 1.0:
         raise ConfigError(f"central_fraction must lie in (0, 1], got {config.central_fraction}")
-    if config.omega_cut is not None and not config.omega_cut > 0:
-        raise ConfigError(f"omega_cut must be positive, got {config.omega_cut}")
     if abs(config.M) > min(config.L_list) // 2:
         raise ConfigError(f"|M| <= L/2 required, got M={config.M}")
     if command == "spectrum":
@@ -342,18 +345,24 @@ def _submit(pool, work, *args) -> Future:
 
 
 def _per_block(config: RunConfig, root: Path, labels, work, pool) -> list[Future]:
-    """One future of work(_unit(label), config, root) per label, labels of one unit sharing it.
+    """One future of _drive(work, _unit(label), ...) per label, labels of one unit sharing it.
 
-    work returns its results keyed by the unit's solved sectors, so that a
+    The driver keys its results by the unit's solved sectors, so that a
     +-k pair and the two parity halves of a k = 0 or pi sector share one
     future. Each unit is submitted at its first label; in place, it is
     worked before the next one is read, so one unit's spectra are alive at
     a time. A -k block equals its +k mirror's real block bit for bit, so it
     has the mirror's energies, spins, diagonals and elements.
     """
-    futures = {key: _submit(pool, work, key, config, root)
-               for key in dict.fromkeys(map(_unit, labels))}
+    futures = {unit: _submit(pool, _drive, work, unit, config, root)
+               for unit in dict.fromkeys(map(_unit, labels))}
     return [futures[_unit(lab)] for lab in labels]
+
+
+def _drive(work, unit: SectorLabel, config: RunConfig, root: Path) -> dict[SectorLabel, object]:
+    """work(sector, cut, config, root) of each solved sector of one unit, keyed by sector."""
+    return {sector: work(sector, cut, config, root)
+            for sector, cut in _halves(unit, config.lam).items()}
 
 
 # ─── spectra ─────────────────────────────────────────────────────────────────
@@ -374,11 +383,37 @@ def _unit(sector: SectorLabel) -> SectorLabel:
     return replace(_solved(sector), parity=None)
 
 
-def _assembly(unit: SectorLabel, lam: float):
-    """Builders of one whole (k, z) sector's basis, H and S^2, each built once at its first call."""
-    basis = memoized(partial(enumerate_sector_basis, unit))
-    return (basis, memoized(lambda: build_hamiltonian(basis(), CouplingSpec(lam))),
-            memoized(lambda: build_total_spin_squared(basis())))
+# the oracle's correlators, by tag: the builder of their terms and its kind
+_CORRELATORS = {"eps2": (pair_correlator_terms, "dot"), "eps2z": (pair_correlator_terms, "zz"),
+                "eps4": (quad_correlator_terms, "dotdot"),
+                "eps4z": (quad_correlator_terms, "zzdot")}
+
+# the oracle moments that average per-state expectations, by the tag of their operator
+_MOMENT_TAGS = {"meanA": "A", "meanB": "B", **{tag: tag for tag in _CORRELATORS}}
+
+
+def _halves(unit: SectorLabel, lam: float) -> dict[SectorLabel, Callable[[str], BlockOperator]]:
+    """A cut(tag) for each solved sector of one whole (k, z) sector, keyed by sector.
+
+    cut(tag) is the sector's block of operator tag: H, S2, an observable or
+    a correlator. The unit's basis and each whole-sector operator are built
+    once, at first use; a parity half at k = 0 or pi takes its parity_block.
+    """
+    basis = memoized(lambda: enumerate_sector_basis(unit))
+
+    @memoized
+    def whole(tag: str) -> BlockOperator:
+        if tag == "H":
+            return build_hamiltonian(basis(), CouplingSpec(lam))
+        if tag == "S2":
+            return build_total_spin_squared(basis())
+        if tag in OBSERVABLE_TAGS:
+            return build_observable(basis(), tag)
+        terms, kind = _CORRELATORS[tag]
+        return build_operator(basis(), terms(unit.L, kind), tag)
+
+    return {sector: lambda tag, p=sector.parity: parity_block(whole(tag), with_parity(basis(), p))
+            for sector in parity_halves(unit)}
 
 
 def _serve(spectrum: SpinResolvedSpectrum, sector: SectorLabel) -> SpinResolvedSpectrum:
@@ -394,14 +429,14 @@ def _serve(spectrum: SpinResolvedSpectrum, sector: SectorLabel) -> SpinResolvedS
 
 
 def ensure_spectrum(sector: SectorLabel, lam: float, root: Path,
-                    assembly=None) -> tuple[SpinResolvedSpectrum, bool]:
+                    cut=None) -> tuple[SpinResolvedSpectrum, bool]:
     """Load one block spectrum from cache, or build and store it.
 
     Only k >= 0 sectors are solved and cached; a -k sector is served from
     its mirror. A sector is built from H and S^2 of its whole (k, z)
-    sector, cut to its parity half at k = 0 and pi; assembly, when given,
-    holds that sector's builders (see _assembly), so that both halves can
-    share one assembly. Returns (spectrum, cache_hit). A
+    sector, cut to its parity half at k = 0 and pi; cut, when given, is
+    the solved sector's cut (see _halves), so that both halves can share
+    one assembly. Returns (spectrum, cache_hit). A
     present-but-incompatible file triggers a rebuild with a warning rather
     than an error.
     """
@@ -411,10 +446,9 @@ def ensure_spectrum(sector: SectorLabel, lam: float, root: Path,
     except cache.CacheMismatch as exc:
         if cache.spectrum_path(root, solved, lam).exists():
             warnings.warn(f"rebuilding stale cache entry: {exc}")
-    basis, h, s2 = assembly or _assembly(_unit(sector), lam)
-    half = with_parity(basis(), solved.parity)
-    energies, vectors = diagonalize_block(parity_block(h(), half))
-    spectrum = resolve_spins(energies, vectors, parity_block(s2(), half))
+    cut = cut or _halves(_unit(sector), lam)[solved]
+    energies, vectors = diagonalize_block(cut("H"))
+    spectrum = resolve_spins(energies, vectors, cut("S2"))
     cache.save_spectrum(root, lam, spectrum)
     return _serve(spectrum, sector), False
 
@@ -463,26 +497,19 @@ def _write_json(path: Path, payload: dict) -> Path:
 # ─── spectrum command ────────────────────────────────────────────────────────
 
 
-def _sweep_unit(unit: SectorLabel, config: RunConfig,
-                root: Path) -> dict[SectorLabel, tuple | Exception]:
-    """(dim, spin_dims, cache_hit, seconds) of each solved sector of one unit, or its error.
+def _sweep_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> tuple | Exception:
+    """(dim, spin_dims, cache_hit, seconds) of one solved sector, or its error.
 
-    A unit at k = 0 or pi is solved as its two parity halves, which share
-    one assembly of H and S^2, made only if a half is not cached and
-    counted in the seconds of the first half built. A half that fails does
-    not stop the other. No eigenvectors are kept.
+    The parity halves of a unit share one assembly of H and S^2, made only
+    if a half is not cached and counted in the seconds of the first half
+    built. No eigenvectors are kept.
     """
-    assembly = _assembly(unit, config.lam)
-    out = {}
-    for sector in parity_halves(unit):
-        t0 = time.perf_counter()
-        try:
-            spectrum, hit = ensure_spectrum(sector, config.lam, root, assembly)
-        except Exception as exc:  # quarantined on its own by run_spectrum
-            out[sector] = exc
-            continue
-        out[sector] = spectrum.dim, spectrum.spin_dims(), hit, time.perf_counter() - t0
-    return out
+    t0 = time.perf_counter()
+    try:
+        spectrum, hit = ensure_spectrum(sector, config.lam, root, cut)
+    except Exception as exc:  # quarantined on its own by run_spectrum
+        return exc
+    return spectrum.dim, spectrum.spin_dims(), hit, time.perf_counter() - t0
 
 
 def run_spectrum(config: RunConfig) -> dict:
@@ -509,7 +536,7 @@ def run_spectrum(config: RunConfig) -> dict:
                     stale.unlink(missing_ok=True)
                     manifest.record("cache", "removed", file=stale.name)
             results = []
-            for lab, future in zip(labels, _per_block(config, root, labels, _sweep_unit, pool)):
+            for lab, future in zip(labels, _per_block(config, root, labels, _sweep_sector, pool)):
                 name = _sector_name(lab, config.lam)
                 solved = _solved(lab)
                 mirror = {} if solved == lab else {"mirror_of": _sector_name(solved, config.lam)}
@@ -572,31 +599,13 @@ def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> an
 # ─── diagonal command ────────────────────────────────────────────────────────
 
 
-def _unit_tables(work, unit: SectorLabel, config: RunConfig,
-                 root: Path) -> dict[SectorLabel, dict]:
-    """work(spectrum, blocks, config) of each cached solved sector of one unit, keyed by sector.
-
-    blocks maps each observable to its block in that sector. Each observable
-    is assembled once for the whole (k, z) sector, and each parity half at
-    k = 0 or pi takes its cut.
-    """
-    whole = enumerate_sector_basis(unit)
-    assembled = {o: build_observable(whole, o) for o in config.observables}
-    out = {}
-    for sector in parity_halves(unit):
-        half = with_parity(whole, sector.parity)
-        out[sector] = work(load_cached_spectrum(sector, config.lam, root),
-                           {o: parity_block(block, half) for o, block in assembled.items()}, config)
-    return out
-
-
-def _diagonal_tables(spectrum: SpinResolvedSpectrum, blocks: dict[str, BlockOperator],
-                     config: RunConfig) -> dict[str, tuple]:
-    """(energies, diagonal elements, spins) of one cached block, keyed by observable."""
+def _diagonal_tables(sector: SectorLabel, cut, config: RunConfig, root: Path) -> dict[str, tuple]:
+    """(energies, diagonal elements, spins) of one cached solved sector, keyed by observable."""
+    spectrum = load_cached_spectrum(sector, config.lam, root)
     # copies: views would keep the whole cache file's bytes, vectors included, alive
     energies, spins = spectrum.energies.copy(), spectrum.spins.copy()
-    return {observable: (energies, expectations(block, spectrum.vectors), spins)
-            for observable, block in blocks.items()}
+    return {observable: (energies, expectations(cut(observable), spectrum.vectors), spins)
+            for observable in config.observables}
 
 
 def run_diag_eth(config: RunConfig) -> dict:
@@ -610,9 +619,8 @@ def run_diag_eth(config: RunConfig) -> dict:
         fluct_points: dict[tuple[str, int], list[tuple[float, float]]] = {}
 
         for L, labels in plan.items():
-            work = partial(_unit_tables, _diagonal_tables)
-            blocks = [f.result()[_solved(lab)]
-                      for lab, f in zip(labels, _per_block(config, root, labels, work, pool))]
+            futures = _per_block(config, root, labels, _diagonal_tables, pool)
+            blocks = [f.result()[_solved(lab)] for lab, f in zip(labels, futures)]
             _journal_blocks(manifest, L, labels)
             for observable in config.observables:
                 tables = [block[observable] for block in blocks]
@@ -689,21 +697,26 @@ def run_diag_eth(config: RunConfig) -> dict:
 # ─── off-diagonal command ────────────────────────────────────────────────────
 
 
-def _element_tables(spectrum: SpinResolvedSpectrum, blocks: dict[str, BlockOperator],
-                    config: RunConfig) -> dict[tuple, analysis.OffDiagonalEnsemble]:
-    """One cached block's windowed ensembles, keyed by (observable, pair, reduced).
+def _element_tables(sector: SectorLabel, cut, config: RunConfig,
+                    root: Path) -> dict[tuple, analysis.OffDiagonalEnsemble]:
+    """One cached solved sector's windowed ensembles, keyed by (observable, pair, reduced).
 
     Each table's records are windowed as soon as they are computed, so only
-    the kept (omega, |O|^2) pairs outlive the call or leave a worker.
+    the kept (omega, |O|^2) pairs outlive the call or leave a worker. An
+    observable with no live pair in the sector is not built.
     """
+    spectrum = load_cached_spectrum(sector, config.lam, root)
     dims = spectrum.spin_dims()
     parts = {}
-    for observable, obs in blocks.items():
+    for observable in config.observables:
         ranks = list(_COMPONENTS[observable])
-        for pair in config.all_pairs():
-            d_a, d_b = (dims.get(s, 0) for s in pair)
-            if d_a == 0 or d_b == 0 or _vanishes(observable, *pair, config.lam, offdiagonal=True):
-                continue
+        live = [pair for pair in config.all_pairs() if all(dims.get(s, 0) for s in pair)
+                and not _vanishes(observable, *pair, config.lam, offdiagonal=True)]
+        if not live:
+            continue
+        obs = cut(observable)
+        for pair in live:
+            d_a, d_b = (dims[s] for s in pair)
             # a cross-spin pair has no alpha == beta records to drop
             tables = [matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")]
             if len(ranks) == 1:
@@ -733,8 +746,7 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int, pool=None):
     labels = _admitted_labels(config, L)
     served = Counter(map(_solved, labels))
     taken = set()
-    work = partial(_unit_tables, _element_tables)
-    for lab, future in zip(labels, _per_block(config, root, labels, work, pool)):
+    for lab, future in zip(labels, _per_block(config, root, labels, _element_tables, pool)):
         solved = _solved(lab)
         for key, part in future.result()[solved].items():
             dims.setdefault(key, []).extend(part.block_dims)
@@ -859,22 +871,9 @@ def run_offdiag_eth(config: RunConfig) -> dict:
 # ─── oracle check ────────────────────────────────────────────────────────────
 
 
-def _moment_operators(basis: SymmetryBasis) -> dict[str, BlockOperator]:
-    """The blocks whose per-state expectations average to the moments they are keyed by."""
-    L = basis.sector.L
-    ops = {"meanA": build_observable(basis, "A"), "meanB": build_observable(basis, "B")}
-    for tag, terms in (("eps2", pair_correlator_terms(L, "dot")),
-                       ("eps2z", pair_correlator_terms(L, "zz")),
-                       ("eps4", quad_correlator_terms(L, "dotdot")),
-                       ("eps4z", quad_correlator_terms(L, "zzdot"))):
-        ops[tag] = build_operator(basis, terms, tag)
-    return ops
-
-
-def _state_moments(ops: dict[str, BlockOperator],
-                   spectrum: SpinResolvedSpectrum) -> dict[str, np.ndarray]:
-    """Per-state values of one block, from its _moment_operators, whose sector averages are the moments."""
-    per_state = {f: expectations(op, spectrum.vectors) for f, op in ops.items()}
+def _state_moments(cut, spectrum: SpinResolvedSpectrum) -> dict[str, np.ndarray]:
+    """Per-state values of one block, from its cut, whose sector averages are the moments."""
+    per_state = {f: expectations(cut(tag), spectrum.vectors) for f, tag in _MOMENT_TAGS.items()}
     e = spectrum.energies
     per_state.update(E0=e, HH=e * e, AH=per_state["meanA"] * e, BH=per_state["meanB"] * e)
     return per_state
@@ -901,48 +900,37 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
     sector of M = 0. Pooling all of them realizes the (S, M=0) trace.
     """
     return _pooled_moments(
-        (spectrum.spins, _state_moments(_moment_operators(enumerate_sector_basis(lab)), spectrum))
+        (spectrum.spins, _state_moments(_halves(replace(lab, parity=None), lam)[lab], spectrum))
         for lab, spectrum in blocks)
 
 
-def _audit_unit(unit: SectorLabel, config: RunConfig, root: Path) -> dict[SectorLabel, dict]:
-    """Spin counts, per-state moments and per-label (block audit, failed) of each solved sector of one unit.
+def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> dict:
+    """Spin counts, per-state moments and per-label (block audit, failed) of one solved sector.
 
-    H, S^2 and the moment operators are assembled once for the whole
-    (k, z) sector, and each parity half at k = 0 or pi takes its cut; a
-    sector missing from the cache is solved from the same H and S^2. A
-    solved sector's -k mirror shares its vectors, orthonormality and spin
+    A sector missing from the cache is solved from the same cut. A solved
+    sector's -k mirror shares its vectors, orthonormality and spin
     sharpness; the mirror's eigen residual is taken against its own H(-k),
     which checks the mirror rule.
     """
-    assembly = _assembly(unit, config.lam)
-    whole, h, s2 = assembly
-    moments = _moment_operators(whole())
-    out = {}
-    for sector in parity_halves(unit):
-        spectrum, _ = ensure_spectrum(sector, config.lam, root, assembly)
-        basis = with_parity(whole(), sector.parity)
-        v = spectrum.vectors
-        # a parity half may be empty, with every audit 0
-        ortho = float(np.abs(v.T @ v - np.eye(spectrum.dim)).max(initial=0.0))
-        expect = expectations(parity_block(s2(), basis), v)
-        spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max(initial=0.0))
-        scale = max(1.0, float(np.abs(spectrum.energies).max(initial=0.0)))
-        audits = {}
-        for label in dict.fromkeys((sector, _mirror(sector))):
-            own = parity_block(h(), basis) if label == sector else build_hamiltonian(
-                enumerate_sector_basis(label), CouplingSpec(config.lam))
-            eig_res = eigen_residual(own, spectrum.energies, v)
-            # dim and scale give the bounds below, so a reader can hold the fields to them
-            audit = {"sector": _sector_name(label, config.lam), "eigen_residual": eig_res,
-                     "orthonormality": ortho, "spin_residual": spin_res,
-                     "dim": spectrum.dim, "scale": scale}
-            audits[label] = audit, (eig_res > 1e-8 * scale or spin_res > 1e-6
-                                    or ortho > 10 * spectrum.dim * np.finfo(float).eps)
-        cut = {f: parity_block(op, basis) for f, op in moments.items()}
-        out[sector] = {"spin_dims": spectrum.spin_dims(), "audits": audits,
-                       "moments": (spectrum.spins, _state_moments(cut, spectrum))}
-    return out
+    spectrum, _ = ensure_spectrum(sector, config.lam, root, cut)
+    v = spectrum.vectors
+    # a parity half may be empty, with every audit 0
+    ortho = float(np.abs(v.T @ v - np.eye(spectrum.dim)).max(initial=0.0))
+    expect = expectations(cut("S2"), v)
+    spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max(initial=0.0))
+    scale = max(1.0, float(np.abs(spectrum.energies).max(initial=0.0)))
+    audits = {}
+    for label in dict.fromkeys((sector, _mirror(sector))):
+        own = cut if label == sector else _halves(label, config.lam)[label]
+        eig_res = eigen_residual(own("H"), spectrum.energies, v)
+        # dim and scale give the bounds below, so a reader can hold the fields to them
+        audit = {"sector": _sector_name(label, config.lam), "eigen_residual": eig_res,
+                 "orthonormality": ortho, "spin_residual": spin_res,
+                 "dim": spectrum.dim, "scale": scale}
+        audits[label] = audit, (eig_res > 1e-8 * scale or spin_res > 1e-6
+                                or ortho > 10 * spectrum.dim * np.finfo(float).eps)
+    return {"spin_dims": spectrum.spin_dims(), "audits": audits,
+            "moments": (spectrum.spins, _state_moments(cut, spectrum))}
 
 
 def run_oracle_check(config: RunConfig) -> dict:
@@ -960,7 +948,7 @@ def run_oracle_check(config: RunConfig) -> dict:
         report = {"config": manifest.config_hash, "lambda": config.lam, "rows": [],
                   "block_audits": [], "failures": []}
         for L, labels in plan.items():
-            futures = _per_block(config, root, labels, _audit_unit, pool)
+            futures = _per_block(config, root, labels, _audit_sector, pool)
             sectors = [f.result()[_solved(lab)] for lab, f in zip(labels, futures)]
             for lab, checked in zip(labels, sectors):
                 audit, failed = checked["audits"][lab]

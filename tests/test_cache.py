@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from su2eth import cache
 from su2eth.basis import SectorLabel, enumerate_sector_basis
@@ -189,6 +192,62 @@ def test_every_flipped_header_bit_fails_the_load_and_names_the_file(tmp_path, la
         passed.append(bit)
         assert np.array_equal(back.vectors, spec.vectors)
     assert passed == ([sign_of_lam] if lam == 0.0 else [])
+
+
+# the header's fields in order, each with its struct code
+_HEADER_FIELDS = {"magic": "8s", "version": "I", "fingerprint": "Q", "L": "i", "M": "i", "k": "i",
+                  "z": "i", "dim": "i", "crc": "I", "lambda": "d", "parity": "i"}
+# deterministic examples and no example database, so the suite stays repeatable and writes nothing
+_EXAMPLES = settings(derandomize=True, database=None, deadline=None)
+
+
+def _assert_corruption_fails(tmp_path, lab, lam, path, stored, corrupted: bytes) -> None:
+    # a header equal to the stored one field by field (-0.0 == 0.0) is the same key
+    assume(cache._HEADER.unpack_from(corrupted) != stored)
+    path.write_bytes(corrupted)
+    with pytest.raises(CacheMismatch) as exc:
+        load_spectrum(tmp_path, lab, lam)
+    assert path.name in str(exc.value), exc.value
+
+
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_corrupted_headers_fail_the_load_and_name_the_file(tmp_path, lam):
+    # beyond single bits: several flipped bits anywhere, or a whole field
+    # overwritten with any value of its width
+    assert "<" + "".join(_HEADER_FIELDS.values()) == cache._HEADER.format
+    lab = SectorLabel(6, 0, 1, 1)
+    path = save_spectrum(tmp_path, lam, _make_spectrum(lab, lam))
+    data = path.read_bytes()
+    stored = cache._HEADER.unpack_from(data)
+    codes = list(_HEADER_FIELDS.values())
+    spans = {name: (struct.calcsize("<" + "".join(codes[:i])), struct.calcsize("<" + code))
+             for i, (name, code) in enumerate(_HEADER_FIELDS.items())}
+
+    @_EXAMPLES
+    @given(st.sets(st.integers(0, 8 * cache._HEADER.size - 1), min_size=2, max_size=8))
+    def flipped_bits(bits):
+        corrupted = bytearray(data)
+        for bit in bits:
+            corrupted[bit // 8] ^= 1 << (bit % 8)
+        _assert_corruption_fails(tmp_path, lab, lam, path, stored, bytes(corrupted))
+
+    @_EXAMPLES
+    @given(st.sampled_from(sorted(spans)).flatmap(
+        lambda name: st.tuples(st.just(name), st.binary(min_size=spans[name][1],
+                                                        max_size=spans[name][1]))))
+    def overwritten_field(field):
+        name, value = field
+        offset, width = spans[name]
+        corrupted = data[:offset] + value + data[offset + width:]
+        _assert_corruption_fails(tmp_path, lab, lam, path, stored, corrupted)
+
+    # hypothesis caches the constants it reads from local modules in its home directory
+    set_hypothesis_home_dir(tmp_path / "hypothesis")
+    try:
+        flipped_bits()
+        overwritten_field()
+    finally:
+        set_hypothesis_home_dir(None)
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from click.testing import CliRunner
 
 from su2eth import cache, pipeline
 from su2eth.analysis import OffDiagonalEnsemble, build_offdiagonal_ensemble
-from su2eth.basis import SectorLabel, enumerate_sector_basis, sector_labels
+from su2eth.basis import SectorLabel, enumerate_sector_basis, parity_halves, sector_labels
 from su2eth.cache import build_fingerprint, spectrum_path
 from su2eth.cli import main
 from su2eth.operators import OBSERVABLE_TAGS, CouplingSpec, build_hamiltonian, build_observable
@@ -157,6 +157,15 @@ def test_non_integral_sizes_and_spins_are_config_errors(changes):
         RunConfig(**{"L_list": [10], **changes})
 
 
+def test_a_string_of_observables_is_a_config_error():
+    # tuple("BC") would read as ("B", "C")
+    with pytest.raises(ConfigError, match="observables must be a list of tags, got 'BC'"):
+        RunConfig(L_list=[6], observables="BC")
+    with pytest.raises(ConfigError, match="observables must be a list"):
+        RunConfig.from_dict({"L_list": [6], "observables": "B"})
+    assert RunConfig(L_list=[6], observables=["B", "C"]).observables == ("B", "C")
+
+
 def test_whole_numbers_written_as_floats_become_ints():
     cfg = RunConfig(L_list=[10.0], spins=[1.0], spin_pairs=[[0.0, 2]], exclude_k=[0.0], M=0.0)
     assert (cfg.L_list, cfg.spins, cfg.spin_pairs, cfg.exclude_k) == ((10,), (1,), ((0, 2),), (0,))
@@ -192,6 +201,12 @@ def test_whole_numbers_written_as_floats_become_ints():
     ({"L_list": [6], "energy_window": math.nan}, "energy_window must be positive"),
     ({"L_list": [6], "bin_spacing": math.nan}, "bin_spacing must be positive"),
     ({"L_list": [6], "omega_cut": math.nan}, "omega_cut must be positive"),
+    # an infinite knob would window, bin or cut nothing and still exit 0
+    ({"L_list": [6], "energy_window": math.inf}, "energy_window must be positive and finite"),
+    ({"L_list": [6], "bin_spacing": math.inf}, "bin_spacing must be positive and finite"),
+    ({"L_list": [6], "bin_width": math.inf}, "bin_width must be positive and finite"),
+    ({"L_list": [6], "omega_cut": math.inf}, "omega_cut must be positive and finite"),
+    ({"L_list": [6], "bin_width": -math.inf}, "bin_width must be positive and finite"),
 ])
 def test_common_validation_messages(bad, message, tmp_path):
     cfg = RunConfig.from_dict({**bad, "cache_dir": str(tmp_path)})
@@ -321,8 +336,18 @@ def test_analyses_admitting_k_zero_and_pi_read_each_parity_half(tmp_path, worker
     assert len(report["block_audits"]) == 16 + 20
 
 
+def _holds_live_pair(cfg, root, sector, observable) -> bool:
+    """Whether offdiag-eth computes elements of observable in one solved sector: some
+    selected pair has states on both sides and is no structural zero."""
+    dims = load_cached_spectrum(sector, cfg.lam, root).spin_dims()
+    return any(dims.get(s_a, 0) and dims.get(s_b, 0)
+               and not pipeline._vanishes(observable, s_a, s_b, cfg.lam, offdiagonal=True)
+               for s_a, s_b in cfg.all_pairs())
+
+
 def test_analyses_assemble_each_observable_once_per_unit(tmp_path, monkeypatch):
-    # both parity halves of a k = 0 or pi sector cut one assembly of each observable
+    # both parity halves of a k = 0 or pi sector cut one assembly of each
+    # observable; offdiag-eth assembles only the observables a half needs
     built = Counter()
     build = pipeline.build_observable
 
@@ -334,11 +359,17 @@ def test_analyses_assemble_each_observable_once_per_unit(tmp_path, monkeypatch):
     cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(0, 1), observables=("B", "C"),
                            exclude_k=())
     run_spectrum(cfg)
+    root = tmp_path / "cache"
     units = {pipeline._unit(lab) for L in cfg.L_list for lab in sector_labels(L)}
-    for run in (run_diag_eth, run_offdiag_eth):
+    live = {(o, unit) for unit in units for o in cfg.observables
+            if any(_holds_live_pair(cfg, root, half, o) for half in parity_halves(unit))}
+    # S = 0 and 1 only: B vanishes between S = 0 states, so some units need no B
+    assert 0 < len(live) < len(units) * len(cfg.observables)
+    for run, expected in ((run_diag_eth, {(o, unit) for unit in units for o in cfg.observables}),
+                          (run_offdiag_eth, live)):
         built.clear()
         run(cfg)
-        assert built == Counter({(o, unit): 1 for unit in units for o in cfg.observables})
+        assert built == Counter(expected)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -402,7 +433,7 @@ def test_mirrored_spectrum_passes_block_audit(tmp_path, M, solved):
         assert np.array_equal(minus.vectors, np.conjugate(plus.vectors))
         assert load_cached_spectrum(lab, 3.0, root).vectors.tobytes() == minus.vectors.tobytes()
         # oracle-check's bounds; the -k eigen residual is taken against a freshly built H(-k)
-        checked = pipeline._audit_unit(plus.sector, cfg, root)[plus.sector]
+        checked = pipeline._drive(pipeline._audit_sector, plus.sector, cfg, root)[plus.sector]
         assert set(checked["audits"]) == {plus.sector, lab}
         audit, failed = checked["audits"][lab]
         assert audit["sector"] == spectrum_path(root, lab, 3.0).stem and not failed
@@ -750,7 +781,14 @@ def test_analyses_build_one_basis_per_nonempty_admitted_block(tmp_path, monkeypa
 
     monkeypatch.setattr(pipeline, "enumerate_sector_basis", counting_enumerate)
     run(cfg)
-    assert builds == Counter({pipeline._solved(lab) for lab in nonempty})
+    # offdiag-eth builds no basis for a sector that holds no live (observable, pair)
+    expected = {pipeline._solved(lab) for lab in nonempty}
+    if run is run_offdiag_eth:
+        skipped = {sector for sector in expected
+                   if not any(_holds_live_pair(cfg, root, sector, o) for o in cfg.observables)}
+        assert skipped == {SectorLabel(6, 0, 2, -1)}
+        expected -= skipped
+    assert builds == Counter(expected)
 
 
 @pytest.mark.parametrize("run,source", [
@@ -921,7 +959,7 @@ def test_a_lone_minus_k_label_weights_its_block_once(tmp_path):
     labels = pipeline._admitted_labels(cfg, 8)
     assert {lab.k_index for lab in labels} == {-3, -2, -1, 1, 2}
     [(_, _, ens, _)] = pipeline._offdiag_ensembles(cfg, root, 8)
-    lone = [pipeline._unit_tables(pipeline._element_tables, pipeline._unit(lab), cfg, root)
+    lone = [pipeline._drive(pipeline._element_tables, pipeline._unit(lab), cfg, root)
             [pipeline._solved(lab)].get(("B", (1, 1), False))
             for lab in labels if lab.k_index == -3]
     lone_omega = np.concatenate([part.omega for part in lone if part is not None])
@@ -941,7 +979,7 @@ def test_element_tables_hold_only_the_kept_pairs(tmp_path):
     root = tmp_path / "cache"
     offered = kept_total = 0
     for lab in pipeline._admitted_labels(cfg, 10):
-        unit = pipeline._unit_tables(pipeline._element_tables, pipeline._unit(lab), cfg, root)
+        unit = pipeline._drive(pipeline._element_tables, pipeline._unit(lab), cfg, root)
         parts = unit[pipeline._solved(lab)]
         assert parts
         for key, entries in _full_element_records(cfg, root, [lab]).items():
@@ -963,8 +1001,8 @@ def test_diagonal_tables_own_their_arrays(tmp_path):
     cfg = _analysis_config(tmp_path, L_list=(8,), observables=("A", "B", "C"))
     run_spectrum(cfg)
     for lab in pipeline._admitted_labels(cfg, 8):
-        unit = pipeline._unit_tables(pipeline._diagonal_tables, pipeline._unit(lab), cfg,
-                                     tmp_path / "cache")
+        unit = pipeline._drive(pipeline._diagonal_tables, pipeline._unit(lab), cfg,
+                               tmp_path / "cache")
         tables = unit[pipeline._solved(lab)]
         arrays = [a for table in tables.values() for a in table]
         assert len(arrays) == 9
@@ -1320,18 +1358,25 @@ def test_cold_oracle_check_solves_each_k_nonnegative_sector_once(tmp_path, eigen
 
 
 def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch):
-    # cold or warm: one H and one S^2 per k >= 0 (k, z) sector, shared by its
-    # parity halves and by the solve of a missing half, and one H(-k) per mirror
+    # cold or warm: one H, one S^2 and one of each of the six moment operators
+    # per k >= 0 (k, z) sector, shared by its parity halves and by the solve
+    # of a missing half, and one H(-k) per mirror
     built = Counter()
     for name in ("build_hamiltonian", "build_total_spin_squared"):
         def counted(basis, *args, _build=getattr(pipeline, name), _name=name):
             built[_name, basis.sector] += 1
             return _build(basis, *args)
         monkeypatch.setattr(pipeline, name, counted)
+    for name in ("build_observable", "build_operator"):
+        def tagged(basis, *args, _build=getattr(pipeline, name)):
+            built[args[-1], basis.sector] += 1  # the observable, or the correlator's label
+            return _build(basis, *args)
+        monkeypatch.setattr(pipeline, name, tagged)
     cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=())
     labels = [lab for L in cfg.L_list for lab in sector_labels(L)]
     units = {pipeline._unit(lab) for lab in labels}
-    expected = Counter({("build_total_spin_squared", unit): 1 for unit in units})
+    expected = Counter({(name, unit): 1 for unit in units for name in (
+        "build_total_spin_squared", "A", "B", "eps2", "eps2z", "eps4", "eps4z")})
     expected.update(("build_hamiltonian", lab) for lab in units | {lab for lab in labels
                                                                    if lab.k_index < 0})
     for _ in ("cold", "warm"):
@@ -1553,7 +1598,8 @@ def test_cli_bad_lambda_exits_2_before_any_work(tmp_path, command, lam):
 @pytest.mark.parametrize("command,changes,message", [
     ("oracle-check", {"lambda": float("nan")}, "lambda must be a finite nonnegative real, got nan"),
     ("spectrum", {"M": 0.5}, "M must hold whole numbers"),
-], ids=["nan-lambda", "half-M"])
+    ("diag-eth", {"observables": "BC"}, "observables must be a list of tags, got 'BC'"),
+], ids=["nan-lambda", "half-M", "string-observables"])
 def test_cli_bad_config_file_exits_2_before_any_work(tmp_path, command, changes, message):
     cfg_path = tmp_path / "run.json"
     # json writes a float NaN as the bare NaN token, which json.load reads back
