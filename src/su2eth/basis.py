@@ -33,7 +33,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -91,12 +90,11 @@ def magnetization_states(L: int, n_up: int) -> np.ndarray:
     """All L-bit states with n_up set bits, ascending. Cached and read-only."""
     if not 0 <= n_up <= L:
         return np.empty(0, dtype=np.int64)
-    out = np.fromiter(
-        (sum(1 << i for i in pos) for pos in combinations(range(L), n_up)),
-        dtype=np.int64,
-        count=math.comb(L, n_up),
-    )
-    out.sort()
+    # popcounts of 0 .. 2^L - 1: the upper half of each doubling is the lower one plus a bit
+    counts = np.zeros(1, dtype=np.int8)
+    for _ in range(L):
+        counts = np.concatenate((counts, counts + 1))
+    out = np.flatnonzero(counts == n_up).astype(np.int64, copy=False)
     out.setflags(write=False)
     return out
 

@@ -26,6 +26,11 @@ real: an imaginary part above round-off means a broken symmetry, and the
 build raises. A parity half's block (see ``basis``) is the parity-p rows
 and columns of its whole (k, z) block, cut by ``parity_block``, which
 raises on a cross-parity entry above round-off in the same way.
+
+``build_spin_ladder`` assembles the one rectangular block, total S^+ or
+S^- from a sector into the sector of equal k at M +- 1, the same way. It
+labels spins without S^2, whose L(L-1)/2 exchange terms make it the
+densest operator here: <S^2> = |S^+- v|^2 + M(M +- 1).
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from itertools import product as iter_product
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import SectorLabel, SymmetryBasis, magnetization_states, with_parity
+from .basis import (SectorLabel, SymmetryBasis, enumerate_sector_basis, flip_bits,
+                    magnetization_states, with_parity)
 
 __all__ = [
     "CouplingSpec",
@@ -55,11 +61,15 @@ __all__ = [
     "build_hamiltonian",
     "build_total_spin_squared",
     "build_observable",
+    "build_spin_ladder",
     "product_basis_matrix",
     "raising_matrix",
 ]
 
 OBSERVABLE_TAGS = ("A", "B", "C")
+
+# the labels of the spin ladder blocks, by the magnetization step they make
+LADDERS = {"S+": 1, "S-": -1}
 
 # largest imaginary part, or cross-parity entry, a block may drop, relative to its largest entry
 _IMAG_BOUND = 1e-12
@@ -114,7 +124,11 @@ class TermSum:
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """One operator block, stored sparse with a dense view on demand."""
+    """One operator block, stored sparse with a dense view on demand.
+
+    A ladder block (label in LADDERS) maps sector into the sector at M +- 1;
+    every other block is square.
+    """
 
     sector: SectorLabel
     matrix: sp.csr_matrix
@@ -122,7 +136,8 @@ class BlockOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        """The dimension of the sector the block acts on: its number of columns."""
+        return self.matrix.shape[1]
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -264,25 +279,87 @@ def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOpe
     vals = amp[good] * phase * (sqrt_n[src] / sqrt_n[row])
     mat = sp.coo_matrix((vals, (row, src)), shape=(dim, dim), dtype=np.complex128).tocsr()
     mat += sp.diags(diag.astype(np.complex128), format="csr")
-    u = sp.csr_matrix((basis.pk_coeffs.ravel(), basis.pk_columns.ravel(),
-                       np.arange(0, 2 * dim + 1, 2)), shape=(dim, dim))
-    mat = (u.conj().T @ (mat @ u)).tocsr()
+    u = _pk_unitary(basis)
+    return _real_block(sector, (u.conj().T @ (mat @ u)).tocsr(), label)
+
+
+def _pk_unitary(basis: SymmetryBasis) -> sp.csr_matrix:
+    """U, the PK columns of a whole (k, z) sector on its orbit states."""
+    dim = len(basis.reps)
+    return sp.csr_matrix((basis.pk_coeffs.ravel(), basis.pk_columns.ravel(),
+                          np.arange(0, 2 * dim + 1, 2)), shape=(dim, dim))
+
+
+def _real_block(sector: SectorLabel, mat: sp.csr_matrix, label: str) -> BlockOperator:
+    """The real part of a PK-basis block; raises ValueError on an imaginary part above round-off."""
     scale = max(1.0, float(np.abs(mat.data).max(initial=0.0)))
     dropped = float(np.abs(mat.data.imag).max(initial=0.0))
     if dropped > _IMAG_BOUND * scale:
         raise ValueError(f"{label} in {sector} is not real in the PK basis "
                          f"(imaginary part {dropped:.3e}): it breaks reflection symmetry")
-    real = sp.csr_matrix((mat.data.real.copy(), mat.indices, mat.indptr), shape=(dim, dim))
+    real = sp.csr_matrix((mat.data.real.copy(), mat.indices, mat.indptr), shape=mat.shape)
     return BlockOperator(sector, real, label)
+
+
+def build_spin_ladder(basis: SymmetryBasis, step: int) -> BlockOperator:
+    """Total S^+ (step 1) or S^- (step -1) from a sector into the whole k sector at M + step.
+
+    S^+- commutes with T, and X S^+- X = S^-+. So an orbit |r> of the
+    source sector maps to sum_u c e^(-i k t_u) R_r / sqrt(N_r R_u) |u>
+    over its branches: S^+- |r> with c = 1, and, at M = 0, z X S^-+ |r>
+    when X|r> lies outside r's translation orbit. R is the translation
+    period, N the orbit size and t_u the shift of u in the tables at
+    M + step. Rows follow the target's PK columns, every one of them for a
+    parity half, whose block is its columns of the whole sector's; a
+    target beyond |M| = L/2 has no rows. The target must not be M = 0,
+    whose sectors carry a flip parity the ladder does not keep.
+    """
+    label = "S+" if step == 1 else "S-"
+    sector = basis.sector
+    L, M = sector.L, sector.M + step
+    if step not in (1, -1) or M == 0:
+        raise ValueError(f"the ladder from M = {sector.M} takes a step of +-1 away from M = 0, "
+                         f"got {step}")
+    if sector.parity is not None:
+        return parity_block(build_spin_ladder(with_parity(basis, None), step), basis)
+    if abs(M) > L // 2:
+        return BlockOperator(sector, sp.csr_matrix((0, basis.dim), dtype=np.float64), label)
+    target = enumerate_sector_basis(SectorLabel(L, M, sector.k_index))
+    tabs, dest_tabs = basis.tables, target.tables
+    period = tabs.period[np.searchsorted(tabs.states, basis.reps)].astype(np.float64)
+    sites = 1 << np.arange(L, dtype=np.int64)
+    up = (basis.reps[:, None] & sites) != 0
+    # S^+ sets a site that is down, S^- clears one that is up; each flips that bit
+    src, site = np.nonzero(up != (step == 1))
+    dest = basis.reps[src] ^ sites[site]
+    c = np.ones(len(src))
+    if sector.M == 0:
+        lone = basis.orbit_sizes == 2 * period  # the flip maps the orbit to another one
+        fsrc, fsite = np.nonzero(lone[:, None] & (up == (step == 1)))
+        src = np.concatenate((src, fsrc))
+        dest = np.concatenate((dest, flip_bits(basis.reps[fsrc] ^ sites[fsite], L)))
+        c = np.concatenate((c, np.full(len(fsrc), float(sector.z2_parity))))
+    ti = np.searchsorted(dest_tabs.states, dest)
+    row = target.rep_index[ti]
+    good = row >= 0
+    src, ti, row = src[good], ti[good], row[good]
+    vals = (c[good] * np.exp(-1j * sector.k * dest_tabs.shift_t[ti]) * period[src]
+            / np.sqrt(basis.orbit_sizes[src] * dest_tabs.period[ti].astype(np.float64)))
+    mat = sp.coo_matrix((vals, (row, src)), shape=(len(target.reps), basis.dim),
+                        dtype=np.complex128).tocsr()
+    return _real_block(sector, (_pk_unitary(target).conj().T @ (mat @ _pk_unitary(basis))).tocsr(),
+                       label)
 
 
 def parity_block(block: BlockOperator, basis: SymmetryBasis) -> BlockOperator:
     """The rows and columns of a whole (k, z) block that basis spans.
 
     basis spans one parity half of block's sector, or the whole sector, whose
-    block is returned as it is. Raises ValueError when a dropped cross-parity
-    entry exceeds _IMAG_BOUND times max(1, largest entry), i.e. when the
-    operator breaks reflection symmetry.
+    block is returned as it is. A ladder block keeps every row: S^+- commutes
+    with P, so a half's columns map into the target's half of equal parity.
+    Raises ValueError when a dropped cross-parity entry exceeds _IMAG_BOUND
+    times max(1, largest entry), i.e. when the operator breaks reflection
+    symmetry.
     """
     if basis.sector == block.sector:
         return block
@@ -290,6 +367,8 @@ def parity_block(block: BlockOperator, basis: SymmetryBasis) -> BlockOperator:
         raise ValueError(f"{basis.sector} is not a parity half of {block.sector}")
     inside = np.zeros(block.dim, dtype=bool)
     inside[basis.columns] = True
+    if block.label in LADDERS:
+        return BlockOperator(basis.sector, block.matrix[:, inside].tocsr(), block.label)
     rows = block.matrix[inside]
     scale = max(1.0, float(np.abs(block.matrix.data).max(initial=0.0)))
     dropped = float(np.abs(rows[:, ~inside].data).max(initial=0.0))

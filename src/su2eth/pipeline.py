@@ -21,7 +21,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
-from functools import cache as memoized
+from functools import cache as memoized, lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -30,9 +30,10 @@ import numpy as np
 from . import analysis, cache, oracle
 from .basis import (MAX_SITES, MIN_SITES, SectorLabel, enumerate_sector_basis, normalized_k,
                     parity_halves, sector_labels, with_parity)
-from .operators import (OBSERVABLE_TAGS, BlockOperator, CouplingSpec, build_hamiltonian,
-                        build_observable, build_operator, build_total_spin_squared,
-                        pair_correlator_terms, parity_block, quad_correlator_terms)
+from .operators import (LADDERS, OBSERVABLE_TAGS, BlockOperator, CouplingSpec, build_hamiltonian,
+                        build_observable, build_operator, build_spin_ladder,
+                        build_total_spin_squared, pair_correlator_terms, parity_block,
+                        quad_correlator_terms)
 from .spectral import (SpinResolvedSpectrum, diagonalize_block, eigen_residual, expectations,
                        matrix_elements, resolve_spins)
 from .tensors import clebsch_gordan, reduce_matrix_elements
@@ -379,7 +380,7 @@ def _solved(sector: SectorLabel) -> SectorLabel:
 
 
 def _unit(sector: SectorLabel) -> SectorLabel:
-    """The whole (k, z) sector, k >= 0, whose one assembly of H and S^2 solves this one."""
+    """The whole (k, z) sector, k >= 0, whose one assembly of H and S^+- solves this one."""
     return replace(_solved(sector), parity=None)
 
 
@@ -395,9 +396,10 @@ _MOMENT_TAGS = {"meanA": "A", "meanB": "B", **{tag: tag for tag in _CORRELATORS}
 def _halves(unit: SectorLabel, lam: float) -> dict[SectorLabel, Callable[[str], BlockOperator]]:
     """A cut(tag) for each solved sector of one whole (k, z) sector, keyed by sector.
 
-    cut(tag) is the sector's block of operator tag: H, S2, an observable or
-    a correlator. The unit's basis and each whole-sector operator are built
-    once, at first use; a parity half at k = 0 or pi takes its parity_block.
+    cut(tag) is the sector's block of operator tag: H, S2, the ladder S+ or
+    S-, an observable or a correlator. The unit's basis and each
+    whole-sector operator are built once, at first use; a parity half at
+    k = 0 or pi takes its parity_block.
     """
     basis = memoized(lambda: enumerate_sector_basis(unit))
 
@@ -407,6 +409,8 @@ def _halves(unit: SectorLabel, lam: float) -> dict[SectorLabel, Callable[[str], 
             return build_hamiltonian(basis(), CouplingSpec(lam))
         if tag == "S2":
             return build_total_spin_squared(basis())
+        if tag in LADDERS:
+            return build_spin_ladder(basis(), LADDERS[tag])
         if tag in OBSERVABLE_TAGS:
             return build_observable(basis(), tag)
         terms, kind = _CORRELATORS[tag]
@@ -433,8 +437,9 @@ def ensure_spectrum(sector: SectorLabel, lam: float, root: Path,
     """Load one block spectrum from cache, or build and store it.
 
     Only k >= 0 sectors are solved and cached; a -k sector is served from
-    its mirror. A sector is built from H and S^2 of its whole (k, z)
-    sector, cut to its parity half at k = 0 and pi; cut, when given, is
+    its mirror. A sector is built from H and the spin ladder of its whole
+    (k, z) sector, S^+ (S^- at M < 0, so that the ladder never lands on
+    M = 0), cut to its parity half at k = 0 and pi; cut, when given, is
     the solved sector's cut (see _halves), so that both halves can share
     one assembly. Returns (spectrum, cache_hit). A
     present-but-incompatible file triggers a rebuild with a warning rather
@@ -448,7 +453,7 @@ def ensure_spectrum(sector: SectorLabel, lam: float, root: Path,
             warnings.warn(f"rebuilding stale cache entry: {exc}")
     cut = cut or _halves(_unit(sector), lam)[solved]
     energies, vectors = diagonalize_block(cut("H"))
-    spectrum = resolve_spins(energies, vectors, cut("S2"))
+    spectrum = resolve_spins(energies, vectors, cut("S-" if sector.M < 0 else "S+"))
     cache.save_spectrum(root, lam, spectrum)
     return _serve(spectrum, sector), False
 
@@ -500,7 +505,7 @@ def _write_json(path: Path, payload: dict) -> Path:
 def _sweep_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> tuple | Exception:
     """(dim, spin_dims, cache_hit, seconds) of one solved sector, or its error.
 
-    The parity halves of a unit share one assembly of H and S^2, made only
+    The parity halves of a unit share one assembly of H and S^+-, made only
     if a half is not cached and counted in the seconds of the first half
     built. No eigenvectors are kept.
     """
@@ -520,38 +525,44 @@ def run_spectrum(config: RunConfig) -> dict:
     The parity halves of a k = 0 or pi sector are worked as one unit, each
     eigensolved, cached and quarantined on its own; a cache file of the
     whole sector, left from before the split, is removed and journaled.
-    Units go to at most
-    config.workers workers; eigenvectors travel through the cache, never
-    back from a worker.
+    Units go to at most config.workers workers, every unit of the plan
+    before any result is read and the largest sizes first, so that no
+    worker waits at the end of a size; eigenvectors travel through the
+    cache, never back from a worker. The journal and the summary follow
+    the plan. A size's summary seconds are the seconds of its solved
+    sectors summed, the time their loads and solves took on any worker.
     """
     with _begin(config, "spectrum") as (root, out, manifest, plan, pool):
         summary = {"config": manifest.config_hash, "lambda": config.lam, "M": config.M,
                    "sizes": {}, "failures": []}
+        for unit in dict.fromkeys(_unit(lab) for labels in plan.values() for lab in labels
+                                  if lab.parity is not None):
+            # a whole-sector file written before the parity split, which no build reads
+            stale = cache.spectrum_path(root, unit, config.lam)
+            if stale.exists():
+                stale.unlink(missing_ok=True)
+                manifest.record("cache", "removed", file=stale.name)
+        order = [lab for L in sorted(plan, reverse=True) for lab in plan[L]]
+        futures = dict(zip(order, _per_block(config, root, order, _sweep_sector, pool)))
         for L, labels in plan.items():
-            t0 = time.perf_counter()
-            for unit in dict.fromkeys(_unit(lab) for lab in labels if lab.parity is not None):
-                # a whole-sector file written before the parity split, which no build reads
-                stale = cache.spectrum_path(root, unit, config.lam)
-                if stale.exists():
-                    stale.unlink(missing_ok=True)
-                    manifest.record("cache", "removed", file=stale.name)
             results = []
-            for lab, future in zip(labels, _per_block(config, root, labels, _sweep_sector, pool)):
+            worked = {}  # seconds per solved sector
+            for lab in labels:
                 name = _sector_name(lab, config.lam)
                 solved = _solved(lab)
                 mirror = {} if solved == lab else {"mirror_of": _sector_name(solved, config.lam)}
                 try:
-                    outcome = future.result()[solved]
+                    outcome = futures[lab].result()[solved]
                     if isinstance(outcome, Exception):
                         raise outcome
-                    dim, dims, hit, seconds = outcome
+                    dim, dims, hit, worked[solved] = outcome
                 except Exception as exc:  # quarantine the sector, keep sweeping
                     manifest.record("spectrum", "failed", sector=name, error=str(exc), **mirror)
                     summary["failures"].append({"sector": name, "error": str(exc)})
                     continue
                 results.append((dim, dims, hit))
                 manifest.record("spectrum", "hit" if hit else "built", sector=name,
-                                seconds=None if mirror else seconds, dim=dim, **mirror)
+                                seconds=None if mirror else worked[solved], dim=dim, **mirror)
             per_spin = sum((Counter(dims) for _, dims, _ in results), Counter())
             hits = sum(hit for _, _, hit in results)
             summary["sizes"][str(L)] = {
@@ -560,7 +571,7 @@ def run_spectrum(config: RunConfig) -> dict:
                 "per_spin_counts": {str(s): per_spin[s] for s in sorted(per_spin)},
                 "cache_hits": hits,
                 "built": len(results) - hits,
-                "seconds": round(time.perf_counter() - t0, 3),
+                "seconds": round(sum(worked.values()), 3),
             }
         _write_json(out / "spectrum_summary.json", summary)
     return summary
@@ -897,10 +908,14 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
     """Exact per-spin sector traces of all oracle moments from eigendata.
 
     blocks: (SectorLabel, SpinResolvedSpectrum) pairs covering every (k, Z2)
-    sector of M = 0. Pooling all of them realizes the (S, M=0) trace.
+    sector of M = 0. Pooling all of them realizes the (S, M=0) trace. The
+    two parity halves of a k = 0 or pi sector, adjacent in sector_labels'
+    order, share one operator table; a -k label gets its own, built at -k,
+    which checks the mirror rule.
     """
+    tables = lru_cache(maxsize=1)(lambda whole: _halves(whole, lam))
     return _pooled_moments(
-        (spectrum.spins, _state_moments(_halves(replace(lab, parity=None), lam)[lab], spectrum))
+        (spectrum.spins, _state_moments(tables(replace(lab, parity=None))[lab], spectrum))
         for lab, spectrum in blocks)
 
 
@@ -927,8 +942,9 @@ def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> di
         audit = {"sector": _sector_name(label, config.lam), "eigen_residual": eig_res,
                  "orthonormality": ortho, "spin_residual": spin_res,
                  "dim": spectrum.dim, "scale": scale}
-        audits[label] = audit, (eig_res > 1e-8 * scale or spin_res > 1e-6
-                                or ortho > 10 * spectrum.dim * np.finfo(float).eps)
+        # each bound fails on NaN, as a corrupted vector gives
+        audits[label] = audit, not (eig_res <= 1e-8 * scale and spin_res <= 1e-6
+                                    and ortho <= 10 * spectrum.dim * np.finfo(float).eps)
     return {"spin_dims": spectrum.spin_dims(), "audits": audits,
             "moments": (spectrum.spins, _state_moments(cut, spectrum))}
 
@@ -971,9 +987,9 @@ def run_oracle_check(config: RunConfig) -> dict:
                     row = {"L": L, "S": s, "moment": fieldname,
                            "analytic": getattr(m, fieldname),
                            "trace": traces[s][fieldname], "abs_diff": diff,
-                           "pass": bool(diff < tol_moment)}
+                           "pass": bool(diff < tol_moment)}  # False for NaN
                     report["rows"].append(row)
-                    if diff >= tol_moment:
+                    if not row["pass"]:
                         report["failures"].append({"kind": "moment", "L": L, "S": s,
                                                    "moment": fieldname, "abs_diff": diff})
         report["pass"] = not report["failures"]

@@ -3,10 +3,16 @@
 Every symmetry block is real symmetric (see ``operators``) and small enough
 at desk scale (<= ~3000 states) for a full dense eigensolve with LAPACK's
 divide-and-conquer driver. Eigenvectors, expectation values and matrix
-elements are all float64. Total spin is assigned per eigenstate by
-evaluating S^2; inside degenerate energy clusters the eigenvectors are first
-rotated to diagonalize the projected S^2 so each output vector carries a
-sharp spin.
+elements are all float64.
+
+Total spin is assigned per eigenstate from W = S^+- V, the eigenvectors'
+image under the spin ladder block (see ``operators.build_spin_ladder``):
+<S^2> = |w|^2 + M(M +- 1), so no S^2 block is assembled to solve a sector.
+Inside degenerate energy clusters the eigenvectors are first rotated to
+diagonalize the cluster's W^T W, so each output vector carries a sharp
+spin. An S^2 block still labels spins, through V^T S^2 V; ``oracle-check``
+audits the labels with it, independently of the ladder. Every guard fails
+unless its value is finite and within its bound, so NaN passes none.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .basis import SectorLabel
-from .operators import BlockOperator
+from .operators import LADDERS, BlockOperator
 
 __all__ = [
     "EIGH_DRIVER",
@@ -63,11 +69,11 @@ def diagonalize_block(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
     m = block.dense()
     scale = max(1.0, float(np.abs(m).max()))
     defect = float(np.abs(m - m.T).max())
-    if defect > 1e-12 * scale:
+    if not defect <= 1e-12 * scale:
         raise ValueError(f"block {block.label} in {block.sector} is not Hermitian (symmetric defect {defect:.3e})")
     energies, vectors = sla.eigh(m, driver=EIGH_DRIVER)
     residual = eigen_residual(block, energies, vectors)
-    if residual > 1e-9 * max(1.0, float(np.abs(energies).max())):
+    if not residual <= 1e-9 * max(1.0, float(np.abs(energies).max())):
         raise RuntimeError(f"eigensolver residual {residual:.3e} too large for {block.sector}")
     return energies, vectors
 
@@ -99,52 +105,59 @@ class SpinResolvedSpectrum:
 def resolve_spins(
     energies: np.ndarray,
     vectors: np.ndarray,
-    s2: BlockOperator,
+    spin: BlockOperator,
 ) -> SpinResolvedSpectrum:
-    """Assign an integer total spin to every eigenstate.
+    """Assign an integer total spin to every eigenstate, from S^2 or a ladder block.
 
-    Within each energy cluster (consecutive gaps below 1e-9 times the
-    spectral width, or 1e-9 for a width below 1) the projected S^2 is
+    spin is the sector's S^2 block, or its S^+ or S^- block (label in
+    LADDERS), with <S^2> = |S^+- v|^2 + M(M +- 1). Within each energy cluster
+    (consecutive gaps below 1e-9 times the spectral width, or 1e-9 for a
+    width below 1) the projected S^2, V^T S^2 V or W^T W with W = S^+- V, is
     diagonalized and the cluster vectors rotated accordingly, so degenerate
     states come out with sharp spin. Spins follow from rounding the
-    solution of s(s+1) = <S^2>; any residual above 1e-6 is a hard error
-    since it signals a basis or tolerance bug, not statistics.
+    solution of s(s+1) = <S^2>; a residual that is not finite or is above
+    1e-6 is a hard error since it signals a basis or tolerance bug, not
+    statistics.
     """
     energies = np.asarray(energies, dtype=np.float64)
     dim = len(energies)
     if dim == 0:
         empty = np.empty(0)
-        return SpinResolvedSpectrum(s2.sector, energies.copy(), np.asarray(vectors).copy(),
+        return SpinResolvedSpectrum(spin.sector, energies.copy(), np.asarray(vectors).copy(),
                                     empty.astype(np.int16), empty.copy())
-    if s2.dim != dim:
-        raise ValueError("S^2 block does not match the eigenbasis dimension")
+    if spin.dim != dim:
+        raise ValueError(f"{spin.label} block does not match the eigenbasis dimension")
     vectors = np.array(vectors, dtype=np.float64, copy=True)
     spread = float(energies[-1] - energies[0]) if dim > 1 else 0.0
     tol = 1e-9 * max(spread, 1.0)
 
-    s2v = s2.matrix @ vectors
+    image = spin.matrix @ vectors
+    step = LADDERS.get(spin.label)
+    # <v|S^2|v> is the inner product of left and image, plus shift
+    left, shift = (vectors, 0.0) if step is None else (image, spin.sector.M * (spin.sector.M + step))
     boundaries = np.flatnonzero(np.diff(energies) > tol)
     starts = np.concatenate(([0], boundaries + 1))
     stops = np.concatenate((boundaries + 1, [dim]))
     for lo, hi in zip(starts, stops):
         if hi - lo < 2:
             continue
-        sub = vectors[:, lo:hi].T @ s2v[:, lo:hi]
+        sub = left[:, lo:hi].T @ image[:, lo:hi]
         sub = 0.5 * (sub + sub.T)
         _, rot = np.linalg.eigh(sub)
         vectors[:, lo:hi] = vectors[:, lo:hi] @ rot
-        s2v[:, lo:hi] = s2v[:, lo:hi] @ rot
+        image[:, lo:hi] = image[:, lo:hi] @ rot
 
-    expectation = np.einsum("ij,ij->j", vectors, s2v)
-    spins = np.rint((-1.0 + np.sqrt(1.0 + 4.0 * np.maximum(expectation, 0.0))) / 2.0).astype(np.int16)
+    expectation = np.einsum("ij,ij->j", left, image) + shift
+    spins = np.rint((-1.0 + np.sqrt(1.0 + 4.0 * np.maximum(expectation, 0.0))) / 2.0)
     residuals = np.abs(expectation - spins * (spins + 1.0))
-    worst = int(np.argmax(residuals)) if dim else 0
-    if dim and residuals[worst] > 1e-6:
+    worst = int(np.argmax(residuals))  # the first NaN, if there is one
+    if not residuals[worst] <= 1e-6:
         raise RuntimeError(
-            f"spin resolution failed in {s2.sector}: state {worst} has "
+            f"spin resolution failed in {spin.sector}: state {worst} has "
             f"<S^2> = {expectation[worst]:.9f} (residual {residuals[worst]:.3e})"
         )
-    return SpinResolvedSpectrum(s2.sector, energies.copy(), vectors, spins, residuals)
+    return SpinResolvedSpectrum(spin.sector, energies.copy(), vectors, spins.astype(np.int16),
+                                residuals)
 
 
 @dataclass(frozen=True)

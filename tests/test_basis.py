@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def test_magnetization_states_counts_and_order():
             assert len(states) == math.comb(L, n_up)
             assert np.all(np.diff(states) > 0)
             assert all(int(s).bit_count() == n_up for s in states)
+
+
+def test_magnetization_states_match_the_enumeration_of_combinations():
+    for L in range(1, 19):
+        for n_up in range(L + 1):
+            states = magnetization_states(L, n_up)
+            expected = sorted(sum(1 << i for i in pos) for pos in combinations(range(L), n_up))
+            assert states.dtype == np.int64 and states.tolist() == expected
+            assert not states.flags.writeable
 
 
 def test_magnetization_states_out_of_range_is_empty():

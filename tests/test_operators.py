@@ -19,6 +19,7 @@ from su2eth.operators import (
     build_hamiltonian,
     build_observable,
     build_operator,
+    build_spin_ladder,
     build_total_spin_squared,
     hamiltonian_terms,
     observable_terms,
@@ -302,3 +303,64 @@ def test_raising_matrix_commutes_with_hamiltonian():
     H1 = product_basis_matrix(L, 1, terms)
     R = raising_matrix(L, 0)
     assert np.max(np.abs(R @ H0 - H1 @ R)) < 1e-12
+
+
+# ─── spin ladder blocks ─────────────────────────────────────────────────────
+
+
+def _steps(M):
+    # S^+ from M >= 0, S^- from M <= 0: the ladder never lands on M = 0
+    return [step for step in (1, -1) if step * M >= 0]
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_spin_ladder_is_the_raising_map_between_sector_bases(L):
+    # the block is U(M +- 1)^H S^+- U(M); S^- is the transpose of S^+ from M - 1
+    for M in range(-2, 3):
+        for lab in sector_labels(L, M):
+            basis = enumerate_sector_basis(lab)
+            for step in _steps(M):
+                block = build_spin_ladder(basis, step)
+                target = enumerate_sector_basis(SectorLabel(L, M + step, lab.k_index))
+                ladder = raising_matrix(L, M) if step == 1 else raising_matrix(L, M - 1).T
+                expected = expansion_matrix(target).conj().T @ ladder @ expansion_matrix(basis)
+                assert block.label == ("S+" if step == 1 else "S-")
+                assert block.sector == lab and block.dim == basis.dim
+                assert block.matrix.shape == expected.shape
+                assert np.abs(block.dense() - expected).max(initial=0.0) < 1e-12, (lab, step)
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12, 14])
+def test_spin_ladder_gram_matrix_is_the_spin_squared_block(L):
+    # (S^+-)^T S^+- + M(M +- 1) = S^2, with M = +-1 and +-2 at the smaller sizes
+    for M in (0, 1, -1, 2, -2) if L <= 8 else (0,):
+        for basis in _blocks(L, M):
+            s2 = build_total_spin_squared(basis).dense()
+            for step in _steps(M):
+                w = build_spin_ladder(basis, step).dense()
+                gram = w.T @ w + M * (M + step) * np.eye(basis.dim)
+                assert np.abs(gram - s2).max(initial=0.0) < 1e-12, (basis.sector, step)
+
+
+def test_spin_ladder_past_the_largest_magnetization_has_no_rows():
+    for M, step in ((3, 1), (-3, -1)):
+        for basis in _blocks(6, M):
+            block = build_spin_ladder(basis, step)
+            assert block.matrix.shape == (0, basis.dim) and block.dim == basis.dim
+
+
+def test_spin_ladder_refuses_a_step_onto_m_zero():
+    basis = enumerate_sector_basis(SectorLabel(6, 1, 0))
+    with pytest.raises(ValueError, match="away from M = 0"):
+        build_spin_ladder(basis, -1)
+
+
+def test_spin_ladder_of_a_parity_half_is_its_columns_of_the_whole_block():
+    for lab in sector_labels(8, 0):
+        if lab.parity is None:
+            continue
+        half = enumerate_sector_basis(lab)
+        whole = build_spin_ladder(enumerate_sector_basis(replace(lab, parity=None)), 1)
+        block = build_spin_ladder(half, 1)
+        assert block.sector == lab
+        assert np.array_equal(block.dense(), whole.dense()[:, half.columns])

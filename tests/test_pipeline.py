@@ -299,7 +299,7 @@ def test_warm_rerun_hits_cache_with_zero_diagonalizations(tmp_path, eigensolves)
 
 def test_parity_halves_share_one_assembly_and_rerun_warm(tmp_path, monkeypatch, eigensolves):
     assembled = Counter()
-    for name in ("build_hamiltonian", "build_total_spin_squared"):
+    for name in ("build_hamiltonian", "build_spin_ladder", "build_total_spin_squared"):
         def counted(basis, *args, _build=getattr(pipeline, name), _name=name):
             assembled[_name, basis.sector] += 1
             return _build(basis, *args)
@@ -308,9 +308,9 @@ def test_parity_halves_share_one_assembly_and_rerun_warm(tmp_path, monkeypatch, 
     run_spectrum(cfg)
     labels = [lab for L in cfg.L_list for lab in sector_labels(L)]
     units = {dataclasses.replace(lab, k_index=abs(lab.k_index), parity=None) for lab in labels}
-    # one H and one S^2 per whole (k, z) sector; one eigensolve per k >= 0 label
+    # one H and one S^+ per whole (k, z) sector, no S^2; one eigensolve per k >= 0 label
     assert assembled == Counter({(name, unit): 1 for unit in units
-                                 for name in ("build_hamiltonian", "build_total_spin_squared")})
+                                 for name in ("build_hamiltonian", "build_spin_ladder")})
     assert sorted(eigensolves, key=repr) == sorted((lab for lab in labels if lab.k_index >= 0), key=repr)
     names = {path.name for path in (tmp_path / "cache").glob("*.eig")}
     assert names == {spectrum_path(tmp_path, lab, 3.0).name for lab in labels if lab.k_index >= 0}
@@ -508,6 +508,21 @@ def test_spectrum_manifest_rows_carry_dim_seconds_and_mirror(tmp_path):
         else:
             assert "mirror_of" not in row
             assert row["seconds"] >= 0.0
+
+
+def test_spectrum_solves_the_largest_size_first_and_journals_in_plan_order(tmp_path,
+                                                                           eigensolves):
+    summary = run_spectrum(_analysis_config(tmp_path, L_list=(6, 8)))
+    # in place, units are worked in the order they are submitted: the whole plan, L = 8 first
+    assert [sector.L for sector in eigensolves] == [8] * 14 + [6] * 12
+    rows = [e for e in _manifest(tmp_path / "out") if e["stage"] == "spectrum"]
+    assert [r["sector"] for r in rows] == [spectrum_path(tmp_path, lab, 3.0).stem
+                                           for L in (6, 8) for lab in sector_labels(L)]
+    assert list(summary["sizes"]) == ["6", "8"]
+    for L, size in summary["sizes"].items():
+        # the seconds of the size's solved sectors, summed
+        seconds = sum(r.get("seconds", 0.0) for r in rows if r["sector"].startswith(f"L{L}_"))
+        assert size["seconds"] == pytest.approx(seconds, abs=1e-3)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1358,11 +1373,12 @@ def test_cold_oracle_check_solves_each_k_nonnegative_sector_once(tmp_path, eigen
 
 
 def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch):
-    # cold or warm: one H, one S^2 and one of each of the six moment operators
-    # per k >= 0 (k, z) sector, shared by its parity halves and by the solve
-    # of a missing half, and one H(-k) per mirror
+    # cold or warm: one H, one S^2 (the spin audit) and one of each of the six
+    # moment operators per k >= 0 (k, z) sector, shared by its parity halves
+    # and by the solve of a missing half, and one H(-k) per mirror; cold, one
+    # S^+ per unit for the solve too
     built = Counter()
-    for name in ("build_hamiltonian", "build_total_spin_squared"):
+    for name in ("build_hamiltonian", "build_spin_ladder", "build_total_spin_squared"):
         def counted(basis, *args, _build=getattr(pipeline, name), _name=name):
             built[_name, basis.sector] += 1
             return _build(basis, *args)
@@ -1379,9 +1395,10 @@ def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch
         "build_total_spin_squared", "A", "B", "eps2", "eps2z", "eps4", "eps4z")})
     expected.update(("build_hamiltonian", lab) for lab in units | {lab for lab in labels
                                                                    if lab.k_index < 0})
-    for _ in ("cold", "warm"):
+    solves = Counter({("build_spin_ladder", unit): 1 for unit in units})
+    for extra in (solves, Counter()):  # cold, then warm
         assert run_oracle_check(cfg)["pass"] is True
-        assert built == expected
+        assert built == expected + extra
         built.clear()
 
 
@@ -1411,6 +1428,51 @@ def test_oracle_check_catches_corrupted_vectors(tmp_path, L):
     report = run_oracle_check(cfg)
     assert report["pass"] is False
     assert any(f"L{L}_M0_k1_zm1" in f.get("sector", "") for f in report["failures"])
+
+
+def test_oracle_check_fails_on_a_nan_vector_and_names_the_sector(tmp_path):
+    cfg = _analysis_config(tmp_path, L_list=(8,), spins=())
+    run_spectrum(cfg)
+    path = spectrum_path(tmp_path / "cache", SectorLabel(8, 0, 1, 1), 3.0)
+    data = bytearray(path.read_bytes())
+    dim = struct.unpack_from("<i", data, 36)[0]
+    # the first entry of the middle eigenvector, then a matching checksum
+    struct.pack_into("<d", data, 56 + 2 * 8 * dim + (dim // 2) * 8, math.nan)
+    struct.pack_into("<I", data, 40, zlib.crc32(data[56:]))
+    path.write_bytes(bytes(data))
+    report = run_oracle_check(cfg)
+    assert report["pass"] is False
+    audits = {f["sector"] for f in report["failures"] if f["kind"] == "block_audit"}
+    assert audits == {"L8_M0_k1_zp1_lam3", "L8_M0_k-1_zp1_lam3"}  # the mirror shares the vectors
+    failed_rows = [(r["S"], r["moment"]) for r in report["rows"] if not r["pass"]]
+    assert failed_rows and all(math.isnan(r["abs_diff"]) for r in report["rows"] if not r["pass"])
+    assert failed_rows == [(f["S"], f["moment"]) for f in report["failures"]
+                           if f["kind"] == "moment"]
+    result = CliRunner().invoke(main, ["oracle-check", "--L", "8", "--lambda", "3",
+                                       "--cache", str(tmp_path / "cache"),
+                                       "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 1
+    assert "oracle check failed" in result.output and "L8_M0_k1_zp1_lam3" in result.output
+
+
+def test_sector_trace_moments_builds_each_unit_and_mirror_once(tmp_path, monkeypatch):
+    run_spectrum(_analysis_config(tmp_path, L_list=(12,)))
+    blocks = [(lab, load_cached_spectrum(lab, 3.0, tmp_path / "cache"))
+              for lab in sector_labels(12)]
+    # one operator table per label, as each label had before its halves shared one
+    expected = pipeline._pooled_moments(
+        (spectrum.spins, pipeline._state_moments(
+            pipeline._halves(dataclasses.replace(lab, parity=None), 3.0)[lab], spectrum))
+        for lab, spectrum in blocks)
+    built = []
+    enumerate_basis = pipeline.enumerate_sector_basis
+    monkeypatch.setattr(pipeline, "enumerate_sector_basis",
+                        lambda sector: built.append(sector) or enumerate_basis(sector))
+    traces = pipeline.sector_trace_moments(12, 3.0, blocks)
+    # 14 k >= 0 (k, z) sectors and 10 at -k, which check the mirror rule
+    assert len(built) == len(set(built)) == 24
+    assert sum(sector.k_index < 0 for sector in built) == 10
+    assert traces == expected  # bit for bit
 
 
 def test_oracle_check_rejects_small_l(tmp_path):

@@ -16,6 +16,7 @@ from su2eth.operators import (
     CouplingSpec,
     build_hamiltonian,
     build_observable,
+    build_spin_ladder,
     build_total_spin_squared,
 )
 from su2eth.spectral import (
@@ -91,7 +92,67 @@ def test_inaccurate_eigensolver_rejected(monkeypatch):
         diagonalize_block(H)
 
 
+def test_nan_in_a_block_is_rejected_before_the_eigensolve():
+    lab = SectorLabel(8, 0, 1, 1)
+    block = build_hamiltonian(enumerate_sector_basis(lab), CouplingSpec(3.0)).dense()
+    block[0, 1] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        diagonalize_block(BlockOperator(lab, sp.csr_matrix(block), "H"))
+
+
+def test_nan_eigenvector_fails_the_residual_check(monkeypatch):
+    lab = SectorLabel(8, 0, 1, 1)
+    H = build_hamiltonian(enumerate_sector_basis(lab), CouplingSpec(3.0))
+    eigh = spectral.sla.eigh
+
+    def poisoned(m, **kwargs):
+        energies, vectors = eigh(m, **kwargs)
+        vectors[0, 0] = np.nan
+        return energies, vectors
+
+    monkeypatch.setattr(spectral.sla, "eigh", poisoned)
+    with pytest.raises(RuntimeError, match="residual nan too large"):
+        diagonalize_block(H)
+
+
 # ─── spin resolution ────────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+@pytest.mark.parametrize("L", [6, 8, 10, 12, 14])
+def test_ladder_spins_equal_spin_squared_spins(L, lam):
+    # every k >= 0 block; at M = +-1 the ladder is S^+ and S^- respectively
+    labels = [(lab, 1) for lab in sector_labels(L, 0)]
+    if L <= 8:
+        labels += [(lab, M) for M in (1, -1) for lab in sector_labels(L, M)]
+    for lab, step in labels:
+        if lab.k_index < 0:
+            continue
+        basis = enumerate_sector_basis(lab)
+        energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(lam)))
+        s2 = build_total_spin_squared(basis)
+        by_s2 = resolve_spins(energies, vectors, s2)
+        by_ladder = resolve_spins(energies, vectors, build_spin_ladder(basis, step))
+        assert np.array_equal(by_ladder.spins, by_s2.spins), lab
+        assert np.array_equal(by_ladder.energies, by_s2.energies)
+        assert by_ladder.spin_residuals.max(initial=0.0) < 1e-10
+        # the ladder's cluster rotation leaves each vector sharp under S^2 itself
+        spins = by_ladder.spins
+        sharp = expectations(s2, by_ladder.vectors) - spins * (spins + 1.0)
+        assert np.abs(sharp).max(initial=0.0) < 1e-10, lab
+
+
+@pytest.mark.parametrize("label", ["S2", "S+"])
+def test_spin_resolution_rejects_a_nan_block(label):
+    lab = SectorLabel(8, 0, 1, 1)
+    basis = enumerate_sector_basis(lab)
+    energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(3.0)))
+    block = build_total_spin_squared(basis) if label == "S2" else build_spin_ladder(basis, 1)
+    matrix = block.matrix.copy()
+    matrix.data[0] = np.nan
+    with pytest.raises(RuntimeError, match="spin resolution failed"):
+        resolve_spins(energies, vectors, BlockOperator(lab, matrix, label))
+
 
 
 def test_spin_multiplicities_l6():
