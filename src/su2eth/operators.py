@@ -11,9 +11,10 @@ anti-aligned pair) and, for "dot" on anti-aligned pairs, an exchange of 1/2.
 ``raising_matrix`` is written independently of it and, with the closed
 forms in ``oracle``, checks it.
 
-Block assembly follows the representative-orbit calculus: applying a branch
-of a term to a column representative |r> yields a product state u, and the
-canonical data (t, x) with T^t X^x |u> = |rep'> contribute
+Block assembly follows the representative-orbit calculus, in one
+projection rule (``_project``) for every block: applying a branch to a
+column representative |r> yields a product state u, and the canonical
+data (t, x) with T^t X^x |u> = |rep'> contribute
 
     value * exp(-i k t) * z^x * sqrt(N_col / N_row)
 
@@ -27,10 +28,10 @@ build raises. A parity half's block (see ``basis``) is the parity-p rows
 and columns of its whole (k, z) block, cut by ``parity_block``, which
 raises on a cross-parity entry above round-off in the same way.
 
-``build_spin_ladder`` assembles the one rectangular block, total S^+ or
-S^- from a sector into the sector of equal k at M +- 1, the same way. It
-labels spins without S^2, whose L(L-1)/2 exchange terms make it the
-densest operator here: <S^2> = |S^+- v|^2 + M(M +- 1).
+``build_spin_ladder`` feeds the same rule its own branches: total S^+ or
+S^- from a sector into the sector of equal k at M +- 1, a rectangular
+block. It labels spins without S^2, whose L(L-1)/2 exchange terms make it
+the densest operator here: <S^2> = |S^+- v|^2 + M(M +- 1).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import (SectorLabel, SymmetryBasis, enumerate_sector_basis, flip_bits,
-                    magnetization_states, with_parity)
+                    magnetization_states)
 
 __all__ = [
     "CouplingSpec",
@@ -257,62 +258,21 @@ def build_operator(basis: SymmetryBasis, terms: TermSum, label: str) -> BlockOpe
     times the largest entry, i.e. when the operator is not PK-invariant. A
     parity half's block is cut from the block of its whole (k, z) sector.
     """
-    if basis.sector.parity is not None:
-        return parity_block(build_operator(with_parity(basis, None), terms, label), basis)
-    sector = basis.sector
-    dim = basis.dim
-    if dim == 0:
-        return BlockOperator(sector, sp.csr_matrix((0, 0), dtype=np.float64), label)
-
-    tabs = basis.tables
-    sqrt_n = np.sqrt(basis.orbit_sizes.astype(np.float64))
     diag, flip_mask, src, amp = _branches(basis.reps, terms)
-    ti = np.searchsorted(tabs.states, basis.reps[src] ^ flip_mask)
-    row = basis.rep_index[ti]
-    good = row >= 0
-    src = src[good]
-    row = row[good]
-    ti = ti[good]
-    phase = np.exp(-1j * sector.k * tabs.shift_t[ti])
-    if sector.z2_parity == -1:
-        phase = phase * np.where(tabs.shift_x[ti] == 1, -1.0, 1.0)
-    vals = amp[good] * phase * (sqrt_n[src] / sqrt_n[row])
-    mat = sp.coo_matrix((vals, (row, src)), shape=(dim, dim), dtype=np.complex128).tocsr()
-    mat += sp.diags(diag.astype(np.complex128), format="csr")
-    u = _pk_unitary(basis)
-    return _real_block(sector, (u.conj().T @ (mat @ u)).tocsr(), label)
-
-
-def _pk_unitary(basis: SymmetryBasis) -> sp.csr_matrix:
-    """U, the PK columns of a whole (k, z) sector on its orbit states."""
-    dim = len(basis.reps)
-    return sp.csr_matrix((basis.pk_coeffs.ravel(), basis.pk_columns.ravel(),
-                          np.arange(0, 2 * dim + 1, 2)), shape=(dim, dim))
-
-
-def _real_block(sector: SectorLabel, mat: sp.csr_matrix, label: str) -> BlockOperator:
-    """The real part of a PK-basis block; raises ValueError on an imaginary part above round-off."""
-    scale = max(1.0, float(np.abs(mat.data).max(initial=0.0)))
-    dropped = float(np.abs(mat.data.imag).max(initial=0.0))
-    if dropped > _IMAG_BOUND * scale:
-        raise ValueError(f"{label} in {sector} is not real in the PK basis "
-                         f"(imaginary part {dropped:.3e}): it breaks reflection symmetry")
-    real = sp.csr_matrix((mat.data.real.copy(), mat.indices, mat.indptr), shape=mat.shape)
-    return BlockOperator(sector, real, label)
+    return _project(basis, basis, src, basis.reps[src] ^ flip_mask, amp, label, diag)
 
 
 def build_spin_ladder(basis: SymmetryBasis, step: int) -> BlockOperator:
     """Total S^+ (step 1) or S^- (step -1) from a sector into the whole k sector at M + step.
 
-    S^+- commutes with T, and X S^+- X = S^-+. So an orbit |r> of the
-    source sector maps to sum_u c e^(-i k t_u) R_r / sqrt(N_r R_u) |u>
-    over its branches: S^+- |r> with c = 1, and, at M = 0, z X S^-+ |r>
-    when X|r> lies outside r's translation orbit. R is the translation
-    period, N the orbit size and t_u the shift of u in the tables at
-    M + step. Rows follow the target's PK columns, every one of them for a
-    parity half, whose block is its columns of the whole sector's; a
-    target beyond |M| = L/2 has no rows. The target must not be M = 0,
-    whose sectors carry a flip parity the ladder does not keep.
+    S^+- commutes with T, and X S^+- X = S^-+. So the orbit state of r
+    maps, through its R translates, onto the branches S^+- |r> with
+    c = 1 and, at M = 0, z X S^-+ |r> when X|r> lies outside r's
+    translation orbit, each of amplitude c R / N (R the translation period
+    and N the orbit size of r). Rows follow the target's PK columns, every
+    one of them for a parity half, whose block is its columns of the whole
+    sector's; a target beyond |M| = L/2 has no rows. The target must not
+    be M = 0, whose sectors carry a flip parity the ladder does not keep.
     """
     label = "S+" if step == 1 else "S-"
     sector = basis.sector
@@ -320,13 +280,10 @@ def build_spin_ladder(basis: SymmetryBasis, step: int) -> BlockOperator:
     if step not in (1, -1) or M == 0:
         raise ValueError(f"the ladder from M = {sector.M} takes a step of +-1 away from M = 0, "
                          f"got {step}")
-    if sector.parity is not None:
-        return parity_block(build_spin_ladder(with_parity(basis, None), step), basis)
     if abs(M) > L // 2:
         return BlockOperator(sector, sp.csr_matrix((0, basis.dim), dtype=np.float64), label)
-    target = enumerate_sector_basis(SectorLabel(L, M, sector.k_index))
-    tabs, dest_tabs = basis.tables, target.tables
-    period = tabs.period[np.searchsorted(tabs.states, basis.reps)].astype(np.float64)
+    tabs = basis.tables
+    period = tabs.period[np.searchsorted(tabs.states, basis.reps)]
     sites = 1 << np.arange(L, dtype=np.int64)
     up = (basis.reps[:, None] & sites) != 0
     # S^+ sets a site that is down, S^- clears one that is up; each flips that bit
@@ -339,16 +296,54 @@ def build_spin_ladder(basis: SymmetryBasis, step: int) -> BlockOperator:
         src = np.concatenate((src, fsrc))
         dest = np.concatenate((dest, flip_bits(basis.reps[fsrc] ^ sites[fsite], L)))
         c = np.concatenate((c, np.full(len(fsrc), float(sector.z2_parity))))
-    ti = np.searchsorted(dest_tabs.states, dest)
+    target = enumerate_sector_basis(SectorLabel(L, M, sector.k_index))
+    return _project(basis, target, src, dest, c * period[src] / basis.orbit_sizes[src], label)
+
+
+def _project(basis: SymmetryBasis, target: SymmetryBasis, src: np.ndarray, dest: np.ndarray,
+             amp: np.ndarray, label: str, diag: np.ndarray | None = None) -> BlockOperator:
+    """The real PK block of a map from basis's sector into target's, given by its branches.
+
+    Branch j takes the representative of orbit src[j] of basis to the
+    product state dest[j] with amplitude amp[j]; with (t, x) the canonical
+    data of dest[j] in target's tables, it adds
+    amp * exp(-i k t) * z^x * sqrt(N_src / N_row) to the orbit-basis entry
+    (row of dest[j]'s orbit, src[j]), and nothing when that orbit vanishes
+    in target's sector. diag, when given, is added to the diagonal of a
+    map into basis's own sector. The block is U_target^dagger M U_basis,
+    built in the whole (k, z) sector and cut to basis's parity half. Raises
+    ValueError when an entry's imaginary part exceeds _IMAG_BOUND times
+    max(1, largest entry).
+    """
+    tabs = target.tables
+    ti = np.searchsorted(tabs.states, dest)
     row = target.rep_index[ti]
     good = row >= 0
-    src, ti, row = src[good], ti[good], row[good]
-    vals = (c[good] * np.exp(-1j * sector.k * dest_tabs.shift_t[ti]) * period[src]
-            / np.sqrt(basis.orbit_sizes[src] * dest_tabs.period[ti].astype(np.float64)))
-    mat = sp.coo_matrix((vals, (row, src)), shape=(len(target.reps), basis.dim),
+    src, row, ti = src[good], row[good], ti[good]
+    phase = np.exp(-1j * target.sector.k * tabs.shift_t[ti])
+    if target.sector.z2_parity == -1:
+        phase = phase * np.where(tabs.shift_x[ti] == 1, -1.0, 1.0)
+    vals = amp[good] * phase * (np.sqrt(basis.orbit_sizes[src]) / np.sqrt(target.orbit_sizes[row]))
+    mat = sp.coo_matrix((vals, (row, src)), shape=(len(target.reps), len(basis.reps)),
                         dtype=np.complex128).tocsr()
-    return _real_block(sector, (_pk_unitary(target).conj().T @ (mat @ _pk_unitary(basis))).tocsr(),
-                       label)
+    if diag is not None:
+        mat += sp.diags(diag.astype(np.complex128), format="csr")
+    whole = (_pk_unitary(target).conj().T @ (mat @ _pk_unitary(basis))).tocsr()
+    sector = replace(basis.sector, parity=None)
+    scale = max(1.0, float(np.abs(whole.data).max(initial=0.0)))
+    dropped = float(np.abs(whole.data.imag).max(initial=0.0))
+    if dropped > _IMAG_BOUND * scale:
+        raise ValueError(f"{label} in {sector} is not real in the PK basis "
+                         f"(imaginary part {dropped:.3e}): it breaks reflection symmetry")
+    real = sp.csr_matrix((whole.data.real.copy(), whole.indices, whole.indptr), shape=whole.shape)
+    return parity_block(BlockOperator(sector, real, label), basis)
+
+
+def _pk_unitary(basis: SymmetryBasis) -> sp.csr_matrix:
+    """U, the PK columns of a whole (k, z) sector on its orbit states."""
+    dim = len(basis.reps)
+    return sp.csr_matrix((basis.pk_coeffs.ravel(), basis.pk_columns.ravel(),
+                          np.arange(0, 2 * dim + 1, 2)), shape=(dim, dim))
 
 
 def parity_block(block: BlockOperator, basis: SymmetryBasis) -> BlockOperator:

@@ -16,7 +16,7 @@ import numbers
 import time
 import warnings
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sized
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
@@ -32,8 +32,7 @@ from .basis import (MAX_SITES, MIN_SITES, SectorLabel, enumerate_sector_basis, n
                     parity_halves, sector_labels, with_parity)
 from .operators import (LADDERS, OBSERVABLE_TAGS, BlockOperator, CouplingSpec, build_hamiltonian,
                         build_observable, build_operator, build_spin_ladder,
-                        build_total_spin_squared, pair_correlator_terms, parity_block,
-                        quad_correlator_terms)
+                        build_total_spin_squared, parity_block, quad_correlator_terms)
 from .spectral import (SpinResolvedSpectrum, diagonalize_block, eigen_residual, expectations,
                        matrix_elements, resolve_spins)
 from .tensors import clebsch_gordan, reduce_matrix_elements
@@ -102,13 +101,11 @@ class RunConfig:
 
     def __post_init__(self):
         # lists, as JSON and callers write them, become the tuples the rest reads
-        pairs = tuple(_integers("spin_pairs", pair) for pair in self.spin_pairs)
-        if any(len(pair) != 2 for pair in pairs):
-            raise ConfigError(f"every spin pair needs two spins, got {list(self.spin_pairs)}")
-        object.__setattr__(self, "spin_pairs", pairs)
-        if isinstance(self.observables, str):  # tuple() would split "BC" into "B" and "C"
-            raise ConfigError(f"observables must be a list of tags, got {self.observables!r}")
-        object.__setattr__(self, "observables", tuple(self.observables))
+        pairs = _listed("spin_pairs", self.spin_pairs, "[S_a, S_b] pairs")
+        if not all(isinstance(p, Sized) and not isinstance(p, str) and len(p) == 2 for p in pairs):
+            raise ConfigError(f"every spin pair needs two spins: spin_pairs={self.spin_pairs!r}")
+        object.__setattr__(self, "spin_pairs", tuple(_integers("spin_pairs", p) for p in pairs))
+        object.__setattr__(self, "observables", _listed("observables", self.observables, "tags"))
         for key in ("M", "half_width", "min_bin_count", "workers"):
             object.__setattr__(self, key, _integers(key, (getattr(self, key),))[0])
         for key in ("L_list", "spins", "exclude_k"):
@@ -159,9 +156,16 @@ class RunConfig:
         return tuple((s, s) for s in self.spins) + self.spin_pairs
 
 
+def _listed(name: str, values, of: str) -> tuple:
+    """values as a tuple; a single value, or a string tuple() would split, is rejected."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ConfigError(f"{name} must be a list of {of}, got {values!r}")
+    return tuple(values)
+
+
 def _integers(name: str, values) -> tuple[int, ...]:
     """values as ints; a bool or an entry that is not a whole number is rejected, not truncated."""
-    values = tuple(values)
+    values = _listed(name, values, "whole numbers")
     try:
         ints = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
@@ -384,13 +388,12 @@ def _unit(sector: SectorLabel) -> SectorLabel:
     return replace(_solved(sector), parity=None)
 
 
-# the oracle's correlators, by tag: the builder of their terms and its kind
-_CORRELATORS = {"eps2": (pair_correlator_terms, "dot"), "eps2z": (pair_correlator_terms, "zz"),
-                "eps4": (quad_correlator_terms, "dotdot"),
-                "eps4z": (quad_correlator_terms, "zzdot")}
+# the oracle's four-site correlators, by tag: the kind of their terms
+_CORRELATORS = {"eps4": "dotdot", "eps4z": "zzdot"}
 
-# the oracle moments that average per-state expectations, by the tag of their operator
-_MOMENT_TAGS = {"meanA": "A", "meanB": "B", **{tag: tag for tag in _CORRELATORS}}
+# the per-state expectations, by the tag of their operator: S^2 and the oracle
+# moments that average them (eps2 and eps2z follow from S^2, see _state_moments)
+_MOMENT_TAGS = {"S2": "S2", "meanA": "A", "meanB": "B", **{tag: tag for tag in _CORRELATORS}}
 
 
 def _halves(unit: SectorLabel, lam: float) -> dict[SectorLabel, Callable[[str], BlockOperator]]:
@@ -413,8 +416,7 @@ def _halves(unit: SectorLabel, lam: float) -> dict[SectorLabel, Callable[[str], 
             return build_spin_ladder(basis(), LADDERS[tag])
         if tag in OBSERVABLE_TAGS:
             return build_observable(basis(), tag)
-        terms, kind = _CORRELATORS[tag]
-        return build_operator(basis(), terms(unit.L, kind), tag)
+        return build_operator(basis(), quad_correlator_terms(unit.L, _CORRELATORS[tag]), tag)
 
     return {sector: lambda tag, p=sector.parity: parity_block(whole(tag), with_parity(basis(), p))
             for sector in parity_halves(unit)}
@@ -883,10 +885,15 @@ def run_offdiag_eth(config: RunConfig) -> dict:
 
 
 def _state_moments(cut, spectrum: SpinResolvedSpectrum) -> dict[str, np.ndarray]:
-    """Per-state values of one block, from its cut, whose sector averages are the moments."""
+    """Per-state values of one block, from its cut, whose sector averages are the moments.
+
+    S2 is each state's <S^2>. At M = 0, sum_{i != j} S_i.S_j = S^2 - 3L/4 and
+    sum_{i != j} S^z_i S^z_j = -L/4 give eps2 and eps2z without an operator.
+    """
     per_state = {f: expectations(cut(tag), spectrum.vectors) for f, tag in _MOMENT_TAGS.items()}
-    e = spectrum.energies
-    per_state.update(E0=e, HH=e * e, AH=per_state["meanA"] * e, BH=per_state["meanB"] * e)
+    e, L, s2 = spectrum.energies, spectrum.sector.L, per_state["S2"]
+    per_state.update(eps2=(s2 - 0.75 * L) / (L * (L - 1)), eps2z=np.full(len(e), -0.25 / (L - 1)),
+                     E0=e, HH=e * e, AH=per_state["meanA"] * e, BH=per_state["meanB"] * e)
     return per_state
 
 
@@ -928,11 +935,11 @@ def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> di
     which checks the mirror rule.
     """
     spectrum, _ = ensure_spectrum(sector, config.lam, root, cut)
-    v = spectrum.vectors
+    v, spins = spectrum.vectors, spectrum.spins
     # a parity half may be empty, with every audit 0
     ortho = float(np.abs(v.T @ v - np.eye(spectrum.dim)).max(initial=0.0))
-    expect = expectations(cut("S2"), v)
-    spin_res = float(np.abs(expect - spectrum.spins * (spectrum.spins + 1.0)).max(initial=0.0))
+    moments = _state_moments(cut, spectrum)
+    spin_res = float(np.abs(moments["S2"] - spins * (spins + 1.0)).max(initial=0.0))
     scale = max(1.0, float(np.abs(spectrum.energies).max(initial=0.0)))
     audits = {}
     for label in dict.fromkeys((sector, _mirror(sector))):
@@ -946,7 +953,7 @@ def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> di
         audits[label] = audit, not (eig_res <= 1e-8 * scale and spin_res <= 1e-6
                                     and ortho <= 10 * spectrum.dim * np.finfo(float).eps)
     return {"spin_dims": spectrum.spin_dims(), "audits": audits,
-            "moments": (spectrum.spins, _state_moments(cut, spectrum))}
+            "moments": (spins, moments)}
 
 
 def run_oracle_check(config: RunConfig) -> dict:

@@ -10,9 +10,10 @@ image under the spin ladder block (see ``operators.build_spin_ladder``):
 <S^2> = |w|^2 + M(M +- 1), so no S^2 block is assembled to solve a sector.
 Inside degenerate energy clusters the eigenvectors are first rotated to
 diagonalize the cluster's W^T W, so each output vector carries a sharp
-spin. An S^2 block still labels spins, through V^T S^2 V; ``oracle-check``
-audits the labels with it, independently of the ladder. Every guard fails
-unless its value is finite and within its bound, so NaN passes none.
+spin. The ladder is the only way spins are labelled; S^2 stays the
+independent check of those labels, through expectations(S^2, V), which
+``oracle-check`` audits. Every guard fails unless its value is finite and
+within its bound, so NaN passes none.
 """
 
 from __future__ import annotations
@@ -105,58 +106,53 @@ class SpinResolvedSpectrum:
 def resolve_spins(
     energies: np.ndarray,
     vectors: np.ndarray,
-    spin: BlockOperator,
+    ladder: BlockOperator,
 ) -> SpinResolvedSpectrum:
-    """Assign an integer total spin to every eigenstate, from S^2 or a ladder block.
+    """Assign an integer total spin to every eigenstate from the sector's S^+ or S^- block.
 
-    spin is the sector's S^2 block, or its S^+ or S^- block (label in
-    LADDERS), with <S^2> = |S^+- v|^2 + M(M +- 1). Within each energy cluster
-    (consecutive gaps below 1e-9 times the spectral width, or 1e-9 for a
-    width below 1) the projected S^2, V^T S^2 V or W^T W with W = S^+- V, is
-    diagonalized and the cluster vectors rotated accordingly, so degenerate
-    states come out with sharp spin. Spins follow from rounding the
-    solution of s(s+1) = <S^2>; a residual that is not finite or is above
-    1e-6 is a hard error since it signals a basis or tolerance bug, not
-    statistics.
+    With W = S^+- V, <S^2> = |w|^2 + M(M +- 1) per state. Within each
+    energy cluster (consecutive gaps below 1e-9 times the spectral width,
+    or 1e-9 for a width below 1) the cluster's W^T W is diagonalized and
+    the cluster vectors rotated accordingly, so degenerate states come out
+    with sharp spin. Spins follow from rounding the solution of
+    s(s+1) = <S^2>; a residual that is not finite or is above 1e-6 is a
+    hard error since it signals a basis or tolerance bug, not statistics.
+    Raises ValueError for a block that is not a ladder (label in LADDERS).
     """
+    if ladder.label not in LADDERS:
+        raise ValueError(f"spins are resolved from an S+ or S- ladder block, got {ladder.label}")
     energies = np.asarray(energies, dtype=np.float64)
     dim = len(energies)
-    if dim == 0:
-        empty = np.empty(0)
-        return SpinResolvedSpectrum(spin.sector, energies.copy(), np.asarray(vectors).copy(),
-                                    empty.astype(np.int16), empty.copy())
-    if spin.dim != dim:
-        raise ValueError(f"{spin.label} block does not match the eigenbasis dimension")
+    if ladder.dim != dim:
+        raise ValueError(f"{ladder.label} block does not match the eigenbasis dimension")
     vectors = np.array(vectors, dtype=np.float64, copy=True)
     spread = float(energies[-1] - energies[0]) if dim > 1 else 0.0
     tol = 1e-9 * max(spread, 1.0)
 
-    image = spin.matrix @ vectors
-    step = LADDERS.get(spin.label)
-    # <v|S^2|v> is the inner product of left and image, plus shift
-    left, shift = (vectors, 0.0) if step is None else (image, spin.sector.M * (spin.sector.M + step))
+    image = ladder.matrix @ vectors
     boundaries = np.flatnonzero(np.diff(energies) > tol)
     starts = np.concatenate(([0], boundaries + 1))
     stops = np.concatenate((boundaries + 1, [dim]))
     for lo, hi in zip(starts, stops):
         if hi - lo < 2:
             continue
-        sub = left[:, lo:hi].T @ image[:, lo:hi]
+        sub = image[:, lo:hi].T @ image[:, lo:hi]
         sub = 0.5 * (sub + sub.T)
         _, rot = np.linalg.eigh(sub)
         vectors[:, lo:hi] = vectors[:, lo:hi] @ rot
         image[:, lo:hi] = image[:, lo:hi] @ rot
 
-    expectation = np.einsum("ij,ij->j", left, image) + shift
+    M = ladder.sector.M
+    expectation = np.einsum("ij,ij->j", image, image) + M * (M + LADDERS[ladder.label])
     spins = np.rint((-1.0 + np.sqrt(1.0 + 4.0 * np.maximum(expectation, 0.0))) / 2.0)
     residuals = np.abs(expectation - spins * (spins + 1.0))
-    worst = int(np.argmax(residuals))  # the first NaN, if there is one
-    if not residuals[worst] <= 1e-6:
+    if not residuals.max(initial=0.0) <= 1e-6:  # NaN if there is one
+        worst = int(np.argmax(residuals))  # the first NaN, or the largest residual
         raise RuntimeError(
-            f"spin resolution failed in {spin.sector}: state {worst} has "
+            f"spin resolution failed in {ladder.sector}: state {worst} has "
             f"<S^2> = {expectation[worst]:.9f} (residual {residuals[worst]:.3e})"
         )
-    return SpinResolvedSpectrum(spin.sector, energies.copy(), vectors, spins.astype(np.int16),
+    return SpinResolvedSpectrum(ladder.sector, energies.copy(), vectors, spins.astype(np.int16),
                                 residuals)
 
 

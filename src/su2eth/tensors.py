@@ -257,8 +257,8 @@ def hermitian_reduced_relation(value: complex, s_row: int, s_col: int, rank: int
     return pref * np.conjugate(value)
 
 
-def cg_table_rows(max_twice_j: int, twice_ranks=(0, 4), twice_q: int = 0):
-    """Rows of the coupling table <j m | j1 m1; r q> for the CSV emitter.
+def cg_table_rows(max_twice_j: int, twice_ranks=(0, 4)):
+    """Rows of the coupling table <j m | j1 m; r 0> for the CSV emitter.
 
     Yields dicts with the twice-integer labels, the signed numerator and
     denominator of the squared coefficient, and the float view. Zero
@@ -270,19 +270,18 @@ def cg_table_rows(max_twice_j: int, twice_ranks=(0, 4), twice_q: int = 0):
     for tj2 in twice_ranks:
         for tj1 in range(0, max_twice_j + 1):
             for tj in range(abs(tj1 - tj2), min(tj1 + tj2, max_twice_j) + 1, 2):
-                for tm1 in range(-tj1, tj1 + 1, 2):
-                    tm = tm1 + twice_q
+                for tm in range(-tj1, tj1 + 1, 2):  # q = 0, so m = m1
                     if abs(tm) > tj:
                         continue
-                    v = clebsch_gordan(tj, tm, tj1, tm1, tj2, twice_q)
+                    v = clebsch_gordan(tj, tm, tj1, tm, tj2, 0)
                     sq = v.signed_square()
                     yield {
                         "2j": tj,
                         "2m": tm,
                         "2j1": tj1,
-                        "2m1": tm1,
+                        "2m1": tm,
                         "2j2": tj2,
-                        "2m2": twice_q,
+                        "2m2": 0,
                         "numerator": sq.numerator,
                         "denominator-square": sq.denominator,
                         "float": float(v),

@@ -22,7 +22,7 @@ from conftest import record_criterion
 from su2eth import analysis, oracle
 from su2eth.basis import enumerate_sector_basis, expansion_matrix, sector_labels
 from su2eth.operators import (CouplingSpec, build_hamiltonian, build_observable,
-                              build_total_spin_squared, raising_matrix)
+                              build_spin_ladder, raising_matrix)
 from su2eth.pipeline import (RunConfig, _offdiag_ensembles, run_diag_eth, run_offdiag_eth,
                              run_oracle_check, run_spectrum)
 from su2eth.spectral import diagonalize_block, matrix_elements, resolve_spins
@@ -231,7 +231,7 @@ def test_criterion_04_cross_magnetization():
     for k in sorted(m1):
         basis1 = enumerate_sector_basis(m1[k])
         e1, v1 = diagonalize_block(build_hamiltonian(basis1, CouplingSpec(lam)))
-        spec1 = resolve_spins(e1, v1, build_total_spin_squared(basis1))
+        spec1 = resolve_spins(e1, v1, build_spin_ladder(basis1, 1))
         u1 = expansion_matrix(basis1)
         obs1 = build_observable(basis1, "B").dense()
 
@@ -241,7 +241,7 @@ def test_criterion_04_cross_magnetization():
         for z in (1, -1):
             basis0 = enumerate_sector_basis(m0[(*k, z)])
             e0, v0 = diagonalize_block(build_hamiltonian(basis0, CouplingSpec(lam)))
-            spec0 = resolve_spins(e0, v0, build_total_spin_squared(basis0))
+            spec0 = resolve_spins(e0, v0, build_spin_ladder(basis0, 1))
             u0 = expansion_matrix(basis0)
             keep = spec0.spins >= 1
             lifted = u1.conj().T @ (raise_m @ (u0 @ spec0.vectors[:, keep]))
@@ -292,7 +292,7 @@ def _all_element_tables(L, lam):
     for lab in sector_labels(L, 0):
         basis = enumerate_sector_basis(lab)
         e, v = diagonalize_block(build_hamiltonian(basis, CouplingSpec(lam)))
-        spectrum = resolve_spins(e, v, build_total_spin_squared(basis))
+        spectrum = resolve_spins(e, v, build_spin_ladder(basis, 1))
         if spectrum.dim == 0:
             continue
         for tag in ("A", "B"):

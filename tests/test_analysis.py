@@ -418,7 +418,7 @@ def l14_diag_blocks():
     """Diagonal tables of both observables at L = 14, lam = 3."""
     from su2eth.basis import enumerate_sector_basis, sector_labels
     from su2eth.operators import (CouplingSpec, build_hamiltonian,
-                                  build_observable, build_total_spin_squared)
+                                  build_observable, build_spin_ladder)
     from su2eth.spectral import diagonalize_block, expectations, resolve_spins
 
     out = {"A": {}, "B": {}}
@@ -429,7 +429,7 @@ def l14_diag_blocks():
         if basis.dim == 0:
             continue
         spec = resolve_spins(*diagonalize_block(build_hamiltonian(basis, CouplingSpec(3.0))),
-                             build_total_spin_squared(basis))
+                             build_spin_ladder(basis, 1))
         for which in ("A", "B"):
             values = expectations(build_observable(basis, which), spec.vectors)
             for S in np.unique(spec.spins):

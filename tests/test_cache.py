@@ -24,14 +24,14 @@ from su2eth.cache import (
     save_spectrum,
     spectrum_path,
 )
-from su2eth.operators import CouplingSpec, build_hamiltonian, build_total_spin_squared
+from su2eth.operators import CouplingSpec, build_hamiltonian, build_spin_ladder
 from su2eth.spectral import SpinResolvedSpectrum, diagonalize_block, resolve_spins
 
 
 def _make_spectrum(lab, lam):
     basis = enumerate_sector_basis(lab)
     H = build_hamiltonian(basis, CouplingSpec(lam))
-    return resolve_spins(*diagonalize_block(H), build_total_spin_squared(basis))
+    return resolve_spins(*diagonalize_block(H), build_spin_ladder(basis, 1))
 
 
 @pytest.mark.parametrize("lam", [0.0, 3.0, 0.7])

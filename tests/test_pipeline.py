@@ -22,10 +22,12 @@ from click.testing import CliRunner
 
 from su2eth import cache, pipeline
 from su2eth.analysis import OffDiagonalEnsemble, build_offdiagonal_ensemble
-from su2eth.basis import SectorLabel, enumerate_sector_basis, parity_halves, sector_labels
+from su2eth.basis import (SectorLabel, enumerate_sector_basis, parity_halves, sector_labels,
+                          with_parity)
 from su2eth.cache import build_fingerprint, spectrum_path
 from su2eth.cli import main
-from su2eth.operators import OBSERVABLE_TAGS, CouplingSpec, build_hamiltonian, build_observable
+from su2eth.operators import (OBSERVABLE_TAGS, CouplingSpec, build_hamiltonian, build_observable,
+                              build_operator, pair_correlator_terms)
 from su2eth.oracle import diagonal_prediction, linear_coefficients, moments
 from su2eth.pipeline import (
     ConfigError,
@@ -38,7 +40,7 @@ from su2eth.pipeline import (
     run_oracle_check,
     run_spectrum,
 )
-from su2eth.spectral import expectations, matrix_elements
+from su2eth.spectral import diagonalize_block, expectations, matrix_elements, resolve_spins
 from su2eth.tensors import reduce_matrix_elements
 
 # ─── configuration ──────────────────────────────────────────────────────────
@@ -164,6 +166,26 @@ def test_a_string_of_observables_is_a_config_error():
     with pytest.raises(ConfigError, match="observables must be a list"):
         RunConfig.from_dict({"L_list": [6], "observables": "B"})
     assert RunConfig(L_list=[6], observables=["B", "C"]).observables == ("B", "C")
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"spins": 1}, "spins must be a list of whole numbers, got 1"),
+    ({"spin_pairs": [0, 2]}, "every spin pair needs two spins: spin_pairs=[0, 2]"),
+    ({"L_list": 8}, "L_list must be a list of whole numbers, got 8"),
+    ({"observables": 5}, "observables must be a list of tags, got 5"),
+], ids=["spins", "spin_pairs", "L_list", "observables"])
+def test_a_single_value_where_a_list_belongs_is_a_config_error(tmp_path, changes, message):
+    with pytest.raises(ConfigError) as raised:
+        RunConfig(**{"L_list": [6], **changes})
+    assert str(raised.value) == message
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"L_list": [6], "spins": [0], "cache_dir": str(tmp_path / "c"),
+                                    "out_dir": str(tmp_path / "o"), **changes}))
+    for command in ("spectrum", "diag-eth"):
+        result = CliRunner().invoke(main, [command, "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_whole_numbers_written_as_floats_become_ints():
@@ -1373,10 +1395,11 @@ def test_cold_oracle_check_solves_each_k_nonnegative_sector_once(tmp_path, eigen
 
 
 def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch):
-    # cold or warm: one H, one S^2 (the spin audit) and one of each of the six
-    # moment operators per k >= 0 (k, z) sector, shared by its parity halves
-    # and by the solve of a missing half, and one H(-k) per mirror; cold, one
-    # S^+ per unit for the solve too
+    # cold or warm: one H, one S^2 (the spin audit, and eps2 and eps2z with
+    # it) and one of each of the four other moment operators per k >= 0
+    # (k, z) sector, shared by its parity halves and by the solve of a
+    # missing half, and one H(-k) per mirror; cold, one S^+ per unit for the
+    # solve too. No eps2 or eps2z operator is built
     built = Counter()
     for name in ("build_hamiltonian", "build_spin_ladder", "build_total_spin_squared"):
         def counted(basis, *args, _build=getattr(pipeline, name), _name=name):
@@ -1392,7 +1415,7 @@ def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch
     labels = [lab for L in cfg.L_list for lab in sector_labels(L)]
     units = {pipeline._unit(lab) for lab in labels}
     expected = Counter({(name, unit): 1 for unit in units for name in (
-        "build_total_spin_squared", "A", "B", "eps2", "eps2z", "eps4", "eps4z")})
+        "build_total_spin_squared", "A", "B", "eps4", "eps4z")})
     expected.update(("build_hamiltonian", lab) for lab in units | {lab for lab in labels
                                                                    if lab.k_index < 0})
     solves = Counter({("build_spin_ladder", unit): 1 for unit in units})
@@ -1400,6 +1423,23 @@ def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch
         assert run_oracle_check(cfg)["pass"] is True
         assert built == expected + extra
         built.clear()
+
+
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_pair_correlators_from_spin_squared_equal_their_operators(lam):
+    # oracle-check takes eps2 from <S^2> and eps2z as a constant; the
+    # operators of pair_correlator_terms, built on their own, must agree
+    for L in (8, 10, 12):
+        for unit in dict.fromkeys(map(pipeline._unit, sector_labels(L))):
+            basis = enumerate_sector_basis(unit)
+            for sector, cut in pipeline._halves(unit, lam).items():
+                spectrum = resolve_spins(*diagonalize_block(cut("H")), cut("S+"))
+                per_state = pipeline._state_moments(cut, spectrum)
+                for field, kind in (("eps2", "dot"), ("eps2z", "zz")):
+                    op = build_operator(with_parity(basis, sector.parity),
+                                        pair_correlator_terms(L, kind), field)
+                    direct = expectations(op, spectrum.vectors)
+                    assert np.abs(per_state[field] - direct).max(initial=0.0) <= 1e-14, (sector, field)
 
 
 def test_oracle_check_passes_on_healthy_l12_cache(tmp_path):

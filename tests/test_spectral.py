@@ -32,7 +32,7 @@ def _spectrum(lab, lam=3.0):
     basis = enumerate_sector_basis(lab)
     H = build_hamiltonian(basis, CouplingSpec(lam))
     energies, vectors = diagonalize_block(H)
-    return basis, resolve_spins(energies, vectors, build_total_spin_squared(basis))
+    return basis, resolve_spins(energies, vectors, build_spin_ladder(basis, 1))
 
 
 def _all_spectra(L, lam):
@@ -121,7 +121,9 @@ def test_nan_eigenvector_fails_the_residual_check(monkeypatch):
 @pytest.mark.parametrize("lam", [3.0, 0.0])
 @pytest.mark.parametrize("L", [6, 8, 10, 12, 14])
 def test_ladder_spins_equal_spin_squared_spins(L, lam):
-    # every k >= 0 block; at M = +-1 the ladder is S^+ and S^- respectively
+    # every k >= 0 block; at M = +-1 the ladder is S^+ and S^- respectively.
+    # S^2, built independently of the ladder, gives every labelled vector
+    # the ladder's spin, sharply: the cluster rotation leaves no mixture
     labels = [(lab, 1) for lab in sector_labels(L, 0)]
     if L <= 8:
         labels += [(lab, M) for M in (1, -1) for lab in sector_labels(L, M)]
@@ -130,29 +132,34 @@ def test_ladder_spins_equal_spin_squared_spins(L, lam):
             continue
         basis = enumerate_sector_basis(lab)
         energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(lam)))
-        s2 = build_total_spin_squared(basis)
-        by_s2 = resolve_spins(energies, vectors, s2)
-        by_ladder = resolve_spins(energies, vectors, build_spin_ladder(basis, step))
-        assert np.array_equal(by_ladder.spins, by_s2.spins), lab
-        assert np.array_equal(by_ladder.energies, by_s2.energies)
-        assert by_ladder.spin_residuals.max(initial=0.0) < 1e-10
-        # the ladder's cluster rotation leaves each vector sharp under S^2 itself
-        spins = by_ladder.spins
-        sharp = expectations(s2, by_ladder.vectors) - spins * (spins + 1.0)
-        assert np.abs(sharp).max(initial=0.0) < 1e-10, lab
+        spectrum = resolve_spins(energies, vectors, build_spin_ladder(basis, step))
+        assert np.array_equal(spectrum.energies, energies)
+        assert spectrum.spin_residuals.max(initial=0.0) < 1e-10
+        s2 = expectations(build_total_spin_squared(basis), spectrum.vectors)
+        spins = spectrum.spins
+        assert np.array_equal(spins, np.rint((np.sqrt(1.0 + 4.0 * s2) - 1.0) / 2.0)), lab
+        assert np.abs(s2 - spins * (spins + 1.0)).max(initial=0.0) < 1e-10, lab
 
 
-@pytest.mark.parametrize("label", ["S2", "S+"])
+@pytest.mark.parametrize("label", ["S+", "S-"])
 def test_spin_resolution_rejects_a_nan_block(label):
     lab = SectorLabel(8, 0, 1, 1)
     basis = enumerate_sector_basis(lab)
     energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(3.0)))
-    block = build_total_spin_squared(basis) if label == "S2" else build_spin_ladder(basis, 1)
-    matrix = block.matrix.copy()
+    matrix = build_spin_ladder(basis, 1 if label == "S+" else -1).matrix.copy()
     matrix.data[0] = np.nan
     with pytest.raises(RuntimeError, match="spin resolution failed"):
         resolve_spins(energies, vectors, BlockOperator(lab, matrix, label))
 
+
+@pytest.mark.parametrize("build", [build_total_spin_squared,
+                                   lambda basis: build_hamiltonian(basis, CouplingSpec(3.0))])
+def test_spin_resolution_rejects_a_square_block_by_its_label(build):
+    basis = enumerate_sector_basis(SectorLabel(8, 0, 1, 1))
+    square = build(basis)
+    energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(3.0)))
+    with pytest.raises(ValueError, match=f"ladder block, got {re.escape(square.label)}"):
+        resolve_spins(energies, vectors, square)
 
 
 def test_spin_multiplicities_l6():
