@@ -32,6 +32,12 @@ raises on a cross-parity entry above round-off in the same way.
 S^- from a sector into the sector of equal k at M +- 1, a rectangular
 block. It labels spins without S^2, whose L(L-1)/2 exchange terms make it
 the densest operator here: <S^2> = |S^+- v|^2 + M(M +- 1).
+
+The observable C = (1/L) sum_i S^z_i S^z_{i+1} needs no projection: it is
+diagonal in the product basis and invariant under T, X and P, so every PK
+column is its eigenvector and ``build_observable`` builds C's block as that
+diagonal, with exact zeros off it. ``observable_terms(L, "C")`` through
+``build_operator`` stays its independent check.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import (SectorLabel, SymmetryBasis, enumerate_sector_basis, flip_bits,
-                    magnetization_states)
+                    magnetization_states, translate_bits)
 
 __all__ = [
     "CouplingSpec",
@@ -385,8 +391,20 @@ def build_total_spin_squared(basis: SymmetryBasis) -> BlockOperator:
 
 
 def build_observable(basis: SymmetryBasis, which: str) -> BlockOperator:
-    """One of the bond observables A, B, C in the sector basis."""
-    return build_operator(basis, observable_terms(basis.sector.L, which), which)
+    """One of the bond observables A, B, C in the sector basis; C as its exact diagonal.
+
+    Orbit r's states and those of its reflection partner, the orbits of one
+    PK column, each have popcount(r ^ T r) anti-aligned bonds, so that
+    column's diagonal entry of C is (L - 2 popcount(r ^ T r)) / (4L).
+    """
+    if which != "C":
+        return build_operator(basis, observable_terms(basis.sector.L, which), which)
+    L, reps = basis.sector.L, basis.reps
+    flips = reps ^ translate_bits(reps, L)
+    anti = sum((flips >> i) & 1 for i in range(L))
+    diag = np.empty(len(reps))
+    diag[basis.pk_columns] = ((L - 2 * anti) / (4 * L))[:, None]
+    return BlockOperator(basis.sector, sp.diags(diag[basis.columns], format="csr"), which)
 
 
 # ─── product-basis oracles ──────────────────────────────────────────────────

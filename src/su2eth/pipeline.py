@@ -33,8 +33,8 @@ from .basis import (MAX_SITES, MIN_SITES, SectorLabel, enumerate_sector_basis, n
 from .operators import (LADDERS, OBSERVABLE_TAGS, BlockOperator, CouplingSpec, build_hamiltonian,
                         build_observable, build_operator, build_spin_ladder,
                         build_total_spin_squared, parity_block, quad_correlator_terms)
-from .spectral import (SpinResolvedSpectrum, diagonalize_block, eigen_residual, expectations,
-                       matrix_elements, resolve_spins)
+from .spectral import (MatrixElementTable, SpinResolvedSpectrum, diagonalize_block,
+                       eigen_residual, expectations, matrix_elements, resolve_spins)
 from .tensors import clebsch_gordan, reduce_matrix_elements
 
 __all__ = [
@@ -54,6 +54,12 @@ __all__ = [
 # each observable as its q = 0 rank components, O = sum_r c_r O_r with O_0 = A
 # and O_2 = B; only an observable with a single rank gets a CG-reduced series
 _COMPONENTS = {"A": {0: 1.0}, "B": {2: 1.0}, "C": {0: -1.0 / np.sqrt(3.0), 2: np.sqrt(2.0 / 3.0)}}
+
+# each observable as it is computed, O = sum_p c_p p over two primitives: A, one
+# projection per unit and none at lam = 0, where its diagonal is E/(sqrt(3) L),
+# and C, an exact diagonal block. So B = A/sqrt(2) + sqrt(3/2) C and C never
+# needs A; A's part is dropped where rank 0 vanishes (see _terms)
+_ASSEMBLY = {"A": {"A": 1.0}, "B": {"A": 1.0 / np.sqrt(2.0), "C": np.sqrt(1.5)}, "C": {"C": 1.0}}
 
 _FILL_CACHE = "run the spectrum command first to populate the cache"
 
@@ -391,9 +397,9 @@ def _unit(sector: SectorLabel) -> SectorLabel:
 # the oracle's four-site correlators, by tag: the kind of their terms
 _CORRELATORS = {"eps4": "dotdot", "eps4z": "zzdot"}
 
-# the per-state expectations, by the tag of their operator: S^2 and the oracle
-# moments that average them (eps2 and eps2z follow from S^2, see _state_moments)
-_MOMENT_TAGS = {"S2": "S2", "meanA": "A", "meanB": "B", **{tag: tag for tag in _CORRELATORS}}
+# the per-state expectations, by the tag of their operator: S^2 and the correlators
+# (eps2 and eps2z follow from S^2, meanA and meanB from A and C, see _state_moments)
+_MOMENT_TAGS = {"S2": "S2", **{tag: tag for tag in _CORRELATORS}}
 
 
 def _halves(unit: SectorLabel, lam: float) -> dict[SectorLabel, Callable[[str], BlockOperator]]:
@@ -587,11 +593,43 @@ def _admitted_labels(config: RunConfig, L: int) -> list[SectorLabel]:
 
 
 @memoized
-def _vanishes(observable: str, s_a: int, s_b: int, lam: float, offdiagonal: bool) -> bool:
-    """Whether each rank r of observable vanishes between spins s_a and s_b: when
+def _rank_vanishes(rank: int, s_a: int, s_b: int, lam: float, offdiagonal: bool) -> bool:
+    """Whether the rank component vanishes between spins s_a and s_b: when
     <S_a 0|S_b 0; r 0> = 0, or r = 0 off the diagonal at lam = 0, where A = H/(sqrt(3) L)."""
-    return all(clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0).is_zero
-               or (rank == 0 and offdiagonal and lam == 0.0) for rank in _COMPONENTS[observable])
+    return (clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0).is_zero
+            or (rank == 0 and offdiagonal and lam == 0.0))
+
+
+def _vanishes(observable: str, s_a: int, s_b: int, lam: float, offdiagonal: bool) -> bool:
+    """Whether each rank component of observable vanishes between spins s_a and s_b."""
+    return all(_rank_vanishes(rank, s_a, s_b, lam, offdiagonal) for rank in _COMPONENTS[observable])
+
+
+def _terms(observable: str, s_a: int, s_b: int, lam: float,
+           offdiagonal: bool) -> list[tuple[str, float]]:
+    """(primitive, coefficient) of observable between spins s_a and s_b, from _ASSEMBLY:
+    without A where rank 0 vanishes, so no A is built or added there."""
+    return [(p, c) for p, c in _ASSEMBLY[observable].items()
+            if p != "A" or not _rank_vanishes(0, s_a, s_b, lam, offdiagonal)]
+
+
+def _assemble(terms, values: Callable[[str], np.ndarray]) -> np.ndarray:
+    """sum_p c_p values(p) over (p, c) terms, from -0.0, the identity of float addition,
+    so that one term with c = 1 comes out bit for bit."""
+    return sum((c * values(p) for p, c in terms), -0.0)
+
+
+def _diagonals(cut, spectrum: SpinResolvedSpectrum, lam: float) -> Callable[[str], np.ndarray]:
+    """Each state's value of a primitive, A or C, of one block, computed at first use.
+
+    At lam = 0, A = H/(sqrt(3) L) is read off the energies, and no A is built.
+    """
+    @memoized
+    def values(primitive: str) -> np.ndarray:
+        if primitive == "A" and lam == 0.0:
+            return spectrum.energies / (np.sqrt(3.0) * spectrum.sector.L)
+        return expectations(cut(primitive), spectrum.vectors)
+    return values
 
 
 def _journal_blocks(manifest: RunManifest, L: int, labels, **counts) -> None:
@@ -613,11 +651,16 @@ def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> an
 
 
 def _diagonal_tables(sector: SectorLabel, cut, config: RunConfig, root: Path) -> dict[str, tuple]:
-    """(energies, diagonal elements, spins) of one cached solved sector, keyed by observable."""
+    """(energies, diagonal elements, spins) of one cached solved sector, keyed by observable.
+
+    The elements are assembled from the block's A and C values (see
+    _ASSEMBLY); on the diagonal rank 0 never vanishes, so A's part is kept.
+    """
     spectrum = load_cached_spectrum(sector, config.lam, root)
     # copies: views would keep the whole cache file's bytes, vectors included, alive
     energies, spins = spectrum.energies.copy(), spectrum.spins.copy()
-    return {observable: (energies, expectations(cut(observable), spectrum.vectors), spins)
+    values = _diagonals(cut, spectrum, config.lam)
+    return {observable: (energies, _assemble(_ASSEMBLY[observable].items(), values), spins)
             for observable in config.observables}
 
 
@@ -714,31 +757,47 @@ def _element_tables(sector: SectorLabel, cut, config: RunConfig,
                     root: Path) -> dict[tuple, analysis.OffDiagonalEnsemble]:
     """One cached solved sector's windowed ensembles, keyed by (observable, pair, reduced).
 
-    Each table's records are windowed as soon as they are computed, so only
-    the kept (omega, |O|^2) pairs outlive the call or leave a worker. An
-    observable with no live pair in the sector is not built.
+    Per pair, the element table of each primitive, A or C, is computed once,
+    when a live observable's terms first need it, and dropped once no later
+    one does; each observable's records are assembled from them (see
+    _ASSEMBLY) and windowed at once, so only the kept (omega, |O|^2) pairs
+    outlive the call or leave a worker.
     """
     spectrum = load_cached_spectrum(sector, config.lam, root)
     dims = spectrum.spin_dims()
     parts = {}
-    for observable in config.observables:
-        ranks = list(_COMPONENTS[observable])
-        live = [pair for pair in config.all_pairs() if all(dims.get(s, 0) for s in pair)
-                and not _vanishes(observable, *pair, config.lam, offdiagonal=True)]
-        if not live:
+    for pair in config.all_pairs():
+        if not all(dims.get(s, 0) for s in pair):
             continue
-        obs = cut(observable)
-        for pair in live:
-            d_a, d_b = (dims[s] for s in pair)
-            # a cross-spin pair has no alpha == beta records to drop
-            tables = [matrix_elements(obs, spectrum, spin_filter=pair, part="offdiagonal")]
+        d_a, d_b = (dims[s] for s in pair)
+        # fewest primitives first, so that each table is dropped as early as it can be
+        live = sorted(((observable, _terms(observable, *pair, config.lam, offdiagonal=True))
+                       for observable in config.observables
+                       if not _vanishes(observable, *pair, config.lam, offdiagonal=True)),
+                      key=lambda item: len(item[1]))
+        tables = {}
+        for i, (observable, terms) in enumerate(live):
+            for p, _ in terms:
+                if p not in tables:
+                    # a cross-spin pair has no alpha == beta records to drop
+                    tables[p] = matrix_elements(cut(p), spectrum, spin_filter=pair,
+                                                part="offdiagonal").records
+            recs = tables[terms[0][0]]
+            if terms != [(terms[0][0], 1.0)]:  # not one primitive's table as it is
+                recs = recs.copy()
+                recs["value"] = _assemble(terms, lambda p: tables[p]["value"])
+            for p in set(tables) - {p for _, later in live[i + 1:] for p, _ in later}:
+                del tables[p]
+            ranks = list(_COMPONENTS[observable])
+            assembled = [MatrixElementTable(observable, spectrum.sector, recs)]
             if len(ranks) == 1:
-                tables.append(reduce_matrix_elements(tables[0], ranks[0]))
-            for reduced, recs in zip((False, True), (table.records for table in tables)):
-                if recs.size or not reduced:
-                    parts[observable, pair, reduced] = analysis.build_offdiagonal_ensemble(
-                        observable, spectrum.sector.L, config.lam, pair,
-                        [(recs["e_a"], recs["e_b"], recs["value"], d_a, d_b)], config.energy_window)
+                assembled.append(reduce_matrix_elements(assembled[0], ranks[0]))
+            # a comprehension: a loop name would keep the last table alive into the next one
+            parts.update({(observable, pair, reduced): analysis.build_offdiagonal_ensemble(
+                observable, spectrum.sector.L, config.lam, pair,
+                [(kept["e_a"], kept["e_b"], kept["value"], d_a, d_b)], config.energy_window)
+                for reduced, kept in zip((False, True), (table.records for table in assembled))
+                if kept.size or not reduced})
     return parts
 
 
@@ -884,16 +943,20 @@ def run_offdiag_eth(config: RunConfig) -> dict:
 # ─── oracle check ────────────────────────────────────────────────────────────
 
 
-def _state_moments(cut, spectrum: SpinResolvedSpectrum) -> dict[str, np.ndarray]:
+def _state_moments(cut, spectrum: SpinResolvedSpectrum, lam: float) -> dict[str, np.ndarray]:
     """Per-state values of one block, from its cut, whose sector averages are the moments.
 
     S2 is each state's <S^2>. At M = 0, sum_{i != j} S_i.S_j = S^2 - 3L/4 and
     sum_{i != j} S^z_i S^z_j = -L/4 give eps2 and eps2z without an operator.
+    meanA and meanB are the diagonals diag-eth assembles from A and C, so
+    their closed forms audit that assembly.
     """
     per_state = {f: expectations(cut(tag), spectrum.vectors) for f, tag in _MOMENT_TAGS.items()}
+    values = _diagonals(cut, spectrum, lam)
+    mean_a, mean_b = (_assemble(_ASSEMBLY[o].items(), values) for o in ("A", "B"))
     e, L, s2 = spectrum.energies, spectrum.sector.L, per_state["S2"]
     per_state.update(eps2=(s2 - 0.75 * L) / (L * (L - 1)), eps2z=np.full(len(e), -0.25 / (L - 1)),
-                     E0=e, HH=e * e, AH=per_state["meanA"] * e, BH=per_state["meanB"] * e)
+                     E0=e, HH=e * e, meanA=mean_a, meanB=mean_b, AH=mean_a * e, BH=mean_b * e)
     return per_state
 
 
@@ -922,7 +985,7 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
     """
     tables = lru_cache(maxsize=1)(lambda whole: _halves(whole, lam))
     return _pooled_moments(
-        (spectrum.spins, _state_moments(tables(replace(lab, parity=None))[lab], spectrum))
+        (spectrum.spins, _state_moments(tables(replace(lab, parity=None))[lab], spectrum, lam))
         for lab, spectrum in blocks)
 
 
@@ -938,7 +1001,7 @@ def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> di
     v, spins = spectrum.vectors, spectrum.spins
     # a parity half may be empty, with every audit 0
     ortho = float(np.abs(v.T @ v - np.eye(spectrum.dim)).max(initial=0.0))
-    moments = _state_moments(cut, spectrum)
+    moments = _state_moments(cut, spectrum, config.lam)
     spin_res = float(np.abs(moments["S2"] - spins * (spins + 1.0)).max(initial=0.0))
     scale = max(1.0, float(np.abs(spectrum.energies).max(initial=0.0)))
     audits = {}

@@ -242,7 +242,7 @@ def reduce_matrix_elements(table: MatrixElementTable, rank: int) -> MatrixElemen
         cg[sa, sb] = float(clebsch_gordan(2 * int(sa), 0, 2 * int(sb), 0, 2 * rank, 0))
     factor = cg[s_a, s_b]
     keep = factor != 0.0
-    out = recs[keep].copy()
+    out = recs[keep]  # a copy: boolean indexing never returns a view
     out["value"] = out["value"] / factor[keep]
     return MatrixElementTable(table.observable, table.sector, out)
 

@@ -1,4 +1,5 @@
-"""The output comparator in tools/: equal trees pass, and it names each file's first difference."""
+"""The output comparator in tools/: equal trees pass, and it names each file's first difference
+and counts its differing rows or values."""
 
 from __future__ import annotations
 
@@ -84,9 +85,22 @@ def test_a_missing_file_fails_and_every_differing_file_is_named(tmp_path, capsys
     (b / "diag.csv").write_text(_DIAG.replace(",1,", ",2,", 1))
     assert compare_outputs.main([str(a), str(b)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "diag.csv: row 1, column S: 1 against 2"
+    assert lines[0] == "diag.csv: row 1, column S: 1 against 2; 1 of 2 rows differ"
     assert lines[1] == f"fits.json: only under {a}"
     assert len(lines) == 2
+
+
+def test_every_differing_row_and_value_is_counted(tmp_path, capsys):
+    # both diag rows move; the first is named and both are counted, as are both fit parameters
+    diag = _DIAG.replace("0.012345678901234568", "0.0125").replace("-0.023456789012345678", "-0.0235")
+    a = _tree(tmp_path / "a")
+    b = _tree(tmp_path / "b", diag=diag)
+    (b / "fits.json").write_text(json.dumps({"fits": {"variance[B,1,1]": {"params": [0.6, 1.0]}}}))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "diag.csv: row 1, column O_diag: 0.012345678901234568 against 0.0125; 2 of 2 rows differ",
+        "fits.json: /fits/variance[B,1,1]/params[0]: 0.5 against 0.6; 2 values differ",
+    ]
 
 
 _ORACLE = {

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from su2eth.basis import SectorLabel, enumerate_sector_basis, expansion_matrix, sector_labels
+from su2eth.basis import (SectorLabel, enumerate_sector_basis, expansion_matrix, parity_halves,
+                          sector_labels, with_parity)
 from su2eth.operators import (
     BlockOperator,
     CouplingSpec,
@@ -95,6 +96,32 @@ def test_scalar_composition_of_c():
         C = build_observable(basis, "C").dense()
         composed = -A / math.sqrt(3) + math.sqrt(2 / 3) * B
         assert np.allclose(C, composed, atol=1e-13)
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12, 14, 16])
+def test_c_is_built_as_the_diagonal_of_its_projection(L):
+    # in every k >= 0 sector and parity half: C's block is diagonal, the generic
+    # projection of observable_terms(L, "C") agrees with it on the diagonal and
+    # is round-off off it, and A/sqrt(2) + sqrt(3/2) C is the projected B
+    worst = dict.fromkeys(("diagonal", "off-diagonal", "B"), 0.0)
+    units = {replace(lab, parity=None) for lab in sector_labels(L) if lab.k_index >= 0}
+    for unit in units:
+        basis = enumerate_sector_basis(unit)
+        projected = {tag: build_operator(basis, observable_terms(L, tag), tag) for tag in "BC"}
+        a = build_observable(basis, "A")
+        for half in parity_halves(unit):
+            cut = with_parity(basis, half.parity)
+            c = build_observable(cut, "C")
+            assert c.sector == half and c.label == "C"
+            diag = c.matrix.diagonal()
+            assert np.array_equal(c.dense(), np.diag(diag)), half
+            ref_b, ref_c = (parity_block(projected[tag], cut).dense() for tag in "BC")
+            worst["diagonal"] = max(worst["diagonal"], np.abs(diag - ref_c.diagonal()).max(initial=0.0))
+            worst["off-diagonal"] = max(worst["off-diagonal"], np.abs(
+                ref_c - np.diag(ref_c.diagonal())).max(initial=0.0))
+            assembled = parity_block(a, cut).dense() / math.sqrt(2.0) + math.sqrt(1.5) * np.diag(diag)
+            worst["B"] = max(worst["B"], np.abs(assembled - ref_b).max(initial=0.0))
+    assert all(value <= 1e-15 for value in worst.values()), worst
 
 
 def test_a_is_rescaled_nearest_neighbour_hamiltonian():

@@ -40,7 +40,8 @@ from su2eth.pipeline import (
     run_oracle_check,
     run_spectrum,
 )
-from su2eth.spectral import diagonalize_block, expectations, matrix_elements, resolve_spins
+from su2eth.spectral import (MatrixElementTable, diagonalize_block, expectations, matrix_elements,
+                             resolve_spins)
 from su2eth.tensors import reduce_matrix_elements
 
 # ─── configuration ──────────────────────────────────────────────────────────
@@ -369,7 +370,7 @@ def _holds_live_pair(cfg, root, sector, observable) -> bool:
 
 def test_analyses_assemble_each_observable_once_per_unit(tmp_path, monkeypatch):
     # both parity halves of a k = 0 or pi sector cut one assembly of each
-    # observable; offdiag-eth assembles only the observables a half needs
+    # primitive, A and C, that their observables need: B = A/sqrt(2) + sqrt(3/2) C
     built = Counter()
     build = pipeline.build_observable
 
@@ -383,11 +384,15 @@ def test_analyses_assemble_each_observable_once_per_unit(tmp_path, monkeypatch):
     run_spectrum(cfg)
     root = tmp_path / "cache"
     units = {pipeline._unit(lab) for L in cfg.L_list for lab in sector_labels(L)}
-    live = {(o, unit) for unit in units for o in cfg.observables
-            if any(_holds_live_pair(cfg, root, half, o) for half in parity_halves(unit))}
-    # S = 0 and 1 only: B vanishes between S = 0 states, so some units need no B
-    assert 0 < len(live) < len(units) * len(cfg.observables)
-    for run, expected in ((run_diag_eth, {(o, unit) for unit in units for o in cfg.observables}),
+    spins = {unit: {s for half in parity_halves(unit)
+                    for s in load_cached_spectrum(half, cfg.lam, root).spin_dims()}
+             for unit in units}
+    # offdiag-eth: C for the (0, 0) and (1, 1) pairs; B vanishes between S = 0
+    # states, so only a unit with S = 1 states builds A, for B (1, 1)
+    live = {("C", unit) for unit in units if spins[unit] & {0, 1}}
+    live |= {("A", unit) for unit in units if 1 in spins[unit]}
+    assert 0 < len(live) - len(units) < len(units)
+    for run, expected in ((run_diag_eth, {(p, unit) for unit in units for p in ("A", "C")}),
                           (run_offdiag_eth, live)):
         built.clear()
         run(cfg)
@@ -896,27 +901,35 @@ def test_analyses_journal_admitted_and_loaded_blocks_per_size(tmp_path):
 
 
 def _full_element_records(cfg, root, labels):
-    """Per (observable, pair, reduced), each label's whole element records, in label order."""
+    """Per (observable, pair, reduced), each label's whole element records, in label order.
+
+    Each observable's records are assembled from the label's own A and C
+    element tables by pipeline._terms, as offdiag-eth assembles them.
+    """
     records = {}
     for lab in labels:
         spectrum = load_cached_spectrum(lab, cfg.lam, root)
         basis = enumerate_sector_basis(lab)
         dims = spectrum.spin_dims()
         for observable in cfg.observables:
-            op = build_observable(basis, observable)
             for pair in cfg.all_pairs():
                 d_a, d_b = (dims.get(s, 0) for s in pair)
                 if d_a == 0 or d_b == 0 or pipeline._vanishes(observable, *pair, cfg.lam,
                                                               offdiagonal=True):
                     continue
-                table = matrix_elements(op, spectrum, spin_filter=pair, part="offdiagonal")
-                tables = {False: table}
+                terms = pipeline._terms(observable, *pair, cfg.lam, offdiagonal=True)
+                elements = {p: matrix_elements(build_observable(basis, p), spectrum,
+                                               spin_filter=pair, part="offdiagonal").records
+                            for p, _ in terms}
+                recs = elements[terms[0][0]].copy()
+                recs["value"] = pipeline._assemble(terms, lambda p: elements[p]["value"])
+                tables = {False: recs}
                 if observable == "B":
-                    tables[True] = reduce_matrix_elements(table, 2)
+                    tables[True] = reduce_matrix_elements(MatrixElementTable(observable, lab, recs),
+                                                          2).records
                 for reduced, t in tables.items():
-                    if t.records.size or not reduced:
-                        records.setdefault((observable, pair, reduced), []).append(
-                            (t.records, d_a, d_b))
+                    if t.size or not reduced:
+                        records.setdefault((observable, pair, reduced), []).append((t, d_a, d_b))
     return records
 
 
@@ -1279,21 +1292,88 @@ def test_rank_components_rebuild_every_observable_block():
     assert set(pipeline._COMPONENTS) == set(OBSERVABLE_TAGS)
 
 
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_b_without_its_a_part_is_exactly_sqrt_three_halves_c(tmp_path, monkeypatch, lam):
+    # offdiag-eth assembles B = A/sqrt(2) + sqrt(3/2) C from one element table of
+    # each primitive per pair, and drops A's part where rank 0 vanishes: between
+    # different spins, and at lam = 0 for every pair. There B's values are
+    # fl(sqrt(3/2) C) exactly and no A table is computed
+    cfg = _analysis_config(tmp_path, L_list=(8, 10), lam=lam, spins=(0, 1, 2),
+                           spin_pairs=((0, 2),), observables=("B", "C"))
+    run_spectrum(cfg)
+    tables, offered = Counter(), {}
+    primitives = {}
+    elements, ensemble = pipeline.matrix_elements, pipeline.analysis.build_offdiagonal_ensemble
+
+    def recorded_elements(obs, spectrum, spin_filter, part):
+        table = elements(obs, spectrum, spin_filter=spin_filter, part=part)
+        tables[obs.label, spin_filter] += 1
+        primitives[obs.label, spin_filter] = table.records["value"]
+        return table
+
+    def recorded_ensemble(observable, L, lam, pair, blocks, window):
+        offered.setdefault((observable, pair), blocks[0][2])  # raw values before reduced ones
+        return ensemble(observable, L, lam, pair, blocks, window)
+
+    monkeypatch.setattr(pipeline, "matrix_elements", recorded_elements)
+    monkeypatch.setattr(pipeline.analysis, "build_offdiagonal_ensemble", recorded_ensemble)
+    checked = Counter()
+    for L in cfg.L_list:
+        for unit in {pipeline._unit(lab) for lab in pipeline._admitted_labels(cfg, L)}:
+            tables.clear(), offered.clear(), primitives.clear()
+            pipeline._drive(pipeline._element_tables, unit, cfg, tmp_path / "cache")
+            assert set(tables.values()) == {1}, unit  # one table per primitive and pair
+            for (observable, (s_a, s_b)), values in offered.items():
+                c = primitives["C", (s_a, s_b)]
+                if observable == "C":
+                    assert values.tobytes() == c.tobytes()
+                elif s_a != s_b or lam == 0.0:
+                    assert ("A", (s_a, s_b)) not in tables
+                    assert values.tobytes() == (math.sqrt(1.5) * c).tobytes(), (unit, s_a, s_b)
+                    checked["exact"] += 1
+                else:
+                    a = primitives["A", (s_a, s_b)]
+                    assert values.tobytes() == (
+                        (1.0 / math.sqrt(2.0)) * a + math.sqrt(1.5) * c).tobytes(), (unit, s_a)
+                    checked["with A"] += 1
+    assert checked["exact"] > 0 and bool(checked["with A"]) == (lam != 0.0)
+
+
+def test_diag_eth_reads_a_off_the_energies_at_lam_zero(tmp_path, monkeypatch):
+    # A = H/(sqrt(3) L) at lam = 0, so A's diagonal is E/(sqrt(3) L) and no A is built
+    cfg = _analysis_config(tmp_path, L_list=(8,), lam=0.0, observables=("A", "B", "C"))
+    run_spectrum(cfg)
+    built = Counter()
+    build = pipeline.build_observable
+    monkeypatch.setattr(pipeline, "build_observable",
+                        lambda basis, tag: built.update([tag]) or build(basis, tag))
+    for lab in pipeline._admitted_labels(cfg, 8):
+        unit = pipeline._drive(pipeline._diagonal_tables, pipeline._unit(lab), cfg,
+                               tmp_path / "cache")
+        energies, values, _ = unit[pipeline._solved(lab)]["A"]
+        assert values.tobytes() == (energies / (math.sqrt(3.0) * 8)).tobytes(), lab
+    assert set(built) == {"C"}
+
+
 # three sizes that fit: L = 6 has no S = 0 pair in the energy window at lam = 3, nor L = 8 at 0
-@pytest.mark.parametrize("lam, sizes, observables, vanishing", [
-    (3.0, (8, 10, 12), ("B", "C"), {("B", 0, 0)}),
-    # A = H/(sqrt(3) L) has no off-diagonal elements, so C (0, 0) loses its rank-0 part
-    (0.0, (10, 12, 14), ("A", "B", "C"), {("A", 0, 0), ("A", 1, 1), ("B", 0, 0), ("C", 0, 0)}),
+@pytest.mark.parametrize("lam, sizes, observables, vanishing, termless", [
+    (3.0, (8, 10, 12), ("B", "C"), {("B", 0, 0)}, set()),
+    # A = H/(sqrt(3) L) has no off-diagonal elements, so C (0, 0) loses its rank-0
+    # part, and A has no term to compute there, with or without the rule
+    (0.0, (10, 12, 14), ("A", "B", "C"), {("A", 0, 0), ("A", 1, 1), ("B", 0, 0), ("C", 0, 0)},
+     {("A", 0, 0), ("A", 1, 1)}),
 ], ids=["lam3", "lam0"])
 def test_rank_two_observable_is_not_fitted_between_spin_zero_states(tmp_path, monkeypatch, lam,
                                                                      sizes, observables,
-                                                                     vanishing):
+                                                                     vanishing, termless):
     """Every element of an (observable, S_a, S_b) whose rank components all vanish is zero.
 
     <0 0|0 0; 2 0> = 0 makes every B element between S = 0 states vanish,
     and at lam = 0 so does every off-diagonal A element. Statistics of those
     elements describe round-off only; the run without the rule differs from
-    the run with it by exactly those entries. Diagonal elements keep A.
+    the run with it by exactly those entries, but for the termless ones, A
+    off the diagonal at lam = 0, which neither run can compute. Diagonal
+    elements keep A.
     """
     cfg = _analysis_config(tmp_path, L_list=sizes, lam=lam, spins=(0, 1),
                            observables=observables, half_width=2, workers=1)
@@ -1303,7 +1383,9 @@ def test_rank_two_observable_is_not_fitted_between_spin_zero_states(tmp_path, mo
         runs[rule] = out = tmp_path / f"out_{rule}"
         with monkeypatch.context() as m:
             if not rule:
-                m.setattr(pipeline, "_vanishes", lambda *args, **kwargs: False)
+                # every (observable, pair) with a term to compute is offered
+                m.setattr(pipeline, "_vanishes",
+                          lambda *args, **kwargs: not pipeline._terms(*args, **kwargs))
             run_offdiag_eth(dataclasses.replace(cfg, out_dir=str(out)))
             run_diag_eth(dataclasses.replace(cfg, out_dir=str(out)))
     with_rule, without = runs[True], runs[False]
@@ -1316,16 +1398,21 @@ def test_rank_two_observable_is_not_fitted_between_spin_zero_states(tmp_path, mo
     for name in ("gamma.csv", "specfun.csv", "lowfreq.csv", "fluct.csv", "specfun_reduced.csv"):
         rows = _records(without / name)
         noise = [r for r in rows if vanishes(r)]
-        # B (0, 0) has no reduced elements, as its coefficient is zero
-        assert noise or (name == "specfun_reduced.csv" and "A" not in observables), name
+        # B (0, 0) has no reduced elements, as its coefficient is zero, and A
+        # (0, 0) and (1, 1) at lam = 0 none at all
+        assert bool(noise) == (name != "specfun_reduced.csv"), name
+        assert not any("S_a" in r and (r["observable"], int(r["S_a"]), int(r["S_b"])) in termless
+                       for r in rows), name
         assert _records(with_rule / name) == [r for r in rows if r not in noise], name
     for name in ("diag.csv", "spin_means.csv", "predictions.csv"):
         assert _read_csv(with_rule / name) == _read_csv(without / name), name
     offdiag = {f"variance[{o},{a},{b}]" for o, a, b in vanishing}
-    for name, key, gone in (("fits.json", "variance[{},{S},{S}]", offdiag),
-                            ("diag_fits.json", "fluct[{},S={S}]", {"fluct[B,S=0]"})):
+    for name, key, gone, unfitted in (
+            ("fits.json", "variance[{},{S},{S}]", offdiag,
+             {f"variance[{o},{a},{b}]" for o, a, b in termless}),
+            ("diag_fits.json", "fluct[{},S={S}]", {"fluct[B,S=0]"}, set())):
         fits = json.loads((without / name).read_text())["fits"]
-        assert set(fits) == {key.format(o, S=S) for o in observables for S in (0, 1)}
+        assert set(fits) == {key.format(o, S=S) for o in observables for S in (0, 1)} - unfitted
         assert json.loads((with_rule / name).read_text())["fits"] == {
             k: v for k, v in fits.items() if k not in gone}
     manifest = _manifest(with_rule)
@@ -1396,10 +1483,11 @@ def test_cold_oracle_check_solves_each_k_nonnegative_sector_once(tmp_path, eigen
 
 def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch):
     # cold or warm: one H, one S^2 (the spin audit, and eps2 and eps2z with
-    # it) and one of each of the four other moment operators per k >= 0
-    # (k, z) sector, shared by its parity halves and by the solve of a
-    # missing half, and one H(-k) per mirror; cold, one S^+ per unit for the
-    # solve too. No eps2 or eps2z operator is built
+    # it), one A and one C (meanA and meanB, assembled as diag-eth does) and
+    # one of each correlator per k >= 0 (k, z) sector, shared by its parity
+    # halves and by the solve of a missing half, and one H(-k) per mirror;
+    # cold, one S^+ per unit for the solve too. No eps2, eps2z or B operator
+    # is built
     built = Counter()
     for name in ("build_hamiltonian", "build_spin_ladder", "build_total_spin_squared"):
         def counted(basis, *args, _build=getattr(pipeline, name), _name=name):
@@ -1415,7 +1503,7 @@ def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch
     labels = [lab for L in cfg.L_list for lab in sector_labels(L)]
     units = {pipeline._unit(lab) for lab in labels}
     expected = Counter({(name, unit): 1 for unit in units for name in (
-        "build_total_spin_squared", "A", "B", "eps4", "eps4z")})
+        "build_total_spin_squared", "A", "C", "eps4", "eps4z")})
     expected.update(("build_hamiltonian", lab) for lab in units | {lab for lab in labels
                                                                    if lab.k_index < 0})
     solves = Counter({("build_spin_ladder", unit): 1 for unit in units})
@@ -1434,7 +1522,7 @@ def test_pair_correlators_from_spin_squared_equal_their_operators(lam):
             basis = enumerate_sector_basis(unit)
             for sector, cut in pipeline._halves(unit, lam).items():
                 spectrum = resolve_spins(*diagonalize_block(cut("H")), cut("S+"))
-                per_state = pipeline._state_moments(cut, spectrum)
+                per_state = pipeline._state_moments(cut, spectrum, lam)
                 for field, kind in (("eps2", "dot"), ("eps2z", "zz")):
                     op = build_operator(with_parity(basis, sector.parity),
                                         pair_correlator_terms(L, kind), field)
@@ -1502,7 +1590,7 @@ def test_sector_trace_moments_builds_each_unit_and_mirror_once(tmp_path, monkeyp
     # one operator table per label, as each label had before its halves shared one
     expected = pipeline._pooled_moments(
         (spectrum.spins, pipeline._state_moments(
-            pipeline._halves(dataclasses.replace(lab, parity=None), 3.0)[lab], spectrum))
+            pipeline._halves(dataclasses.replace(lab, parity=None), 3.0)[lab], spectrum, 3.0))
         for lab, spectrum in blocks)
     built = []
     enumerate_basis = pipeline.enumerate_sector_basis

@@ -162,6 +162,26 @@ def test_spin_resolution_rejects_a_square_block_by_its_label(build):
         resolve_spins(energies, vectors, square)
 
 
+@pytest.mark.parametrize("chunk", [2, 3, 5])
+def test_ladder_image_in_chunks_gives_the_same_bits(monkeypatch, chunk):
+    # resolve_spins forms W = S^+ V a few columns at a time, each chunk
+    # stretched to the end of the lam = 0 degenerate cluster it cuts, and
+    # every output equals that of one chunk over all columns
+    clustered = 0
+    for lab in sector_labels(10, 0):
+        basis = enumerate_sector_basis(lab)
+        energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(0.0)))
+        ladder = build_spin_ladder(basis, 1)
+        monkeypatch.setattr(spectral, "_IMAGE_CHUNK", basis.dim + 1)
+        whole = resolve_spins(energies, vectors, ladder)
+        monkeypatch.setattr(spectral, "_IMAGE_CHUNK", chunk)
+        chunked = resolve_spins(energies, vectors, ladder)
+        for name in ("energies", "vectors", "spins", "spin_residuals"):
+            assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes(), (lab, name)
+        clustered += bool(np.any(np.diff(energies) < 1e-9))
+    assert clustered > 0
+
+
 def test_spin_multiplicities_l6():
     # the L = 6, M = 0 block holds 20 states: 5 + 9 + 5 + 1 across S = 0..3
     counts = collections.Counter()

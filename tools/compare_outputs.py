@@ -28,8 +28,13 @@ are equal or both lie below the bound `oracle-check` holds that field to,
 A block-audit row without `dim` or `scale` (written before they were
 recorded) holds that field to the ordinary bounds.
 
-Exits 0 when the trees agree and 1 naming the first difference of every
-differing file, in path order.
+Exits 0 when the trees agree and 1 naming, for every differing file in
+path order, its first difference and how many rows (CSV) or values (JSON)
+differ, as in
+
+    diag.csv: row 3, column O_diag: 0.25 against 0.26; 2 of 120 rows differ
+
+A CSV whose config line, header or row count differs is named by that alone.
 """
 
 from __future__ import annotations
@@ -94,53 +99,63 @@ def _cells_agree(name: str, a: str, b: str) -> bool:
 
 
 def compare_csv(a: Path, b: Path) -> str | None:
-    """The first difference between two CSV files, or None."""
+    """The first difference between two CSV files and the count of differing rows, or None."""
     rows_a, rows_b = a.read_text().splitlines(), b.read_text().splitlines()
     if rows_a[:2] != rows_b[:2]:
         return f"config line or header differs: {rows_a[:2]} against {rows_b[:2]}"
     if len(rows_a) != len(rows_b):
         return f"{len(rows_a) - 2} rows against {len(rows_b) - 2}"
     columns = rows_a[1].split(",") if len(rows_a) > 1 else []
-    for i, (row_a, row_b) in enumerate(zip(rows_a[2:], rows_b[2:]), 1):
-        cells_a, cells_b = row_a.split(","), row_b.split(",")
-        if len(cells_a) != len(cells_b):
-            return f"row {i} has {len(cells_a)} cells against {len(cells_b)}"
-        for name, x, y in zip(columns, cells_a, cells_b):
-            if not _cells_agree(name, x, y):
-                return f"row {i}, column {name}: {x} against {y}"
+    found = [f"row {i}, {diff}" for i, (row_a, row_b) in enumerate(zip(rows_a[2:], rows_b[2:]), 1)
+             if (diff := _row_difference(columns, row_a.split(","), row_b.split(",")))]
+    return f"{found[0]}; {len(found)} of {len(rows_a) - 2} rows differ" if found else None
+
+
+def _row_difference(columns, cells_a, cells_b) -> str | None:
+    if len(cells_a) != len(cells_b):
+        return f"{len(cells_a)} cells against {len(cells_b)}"
+    for name, x, y in zip(columns, cells_a, cells_b):
+        if not _cells_agree(name, x, y):
+            return f"column {name}: {x} against {y}"
     return None
 
 
-def compare_json(a, b, where: str = "", key: str = "") -> str | None:
-    """The first difference between two parsed JSON values, or None."""
+def compare_json(a, b) -> str | None:
+    """The first difference between two parsed JSON values and the count of differing ones, or None."""
+    found = list(_json_differences(a, b))
+    if not found:
+        return None
+    return f"{found[0]}; {len(found)} value{'s differ' if len(found) > 1 else ' differs'}"
+
+
+def _json_differences(a, b, where: str = "", key: str = ""):
+    """Every difference between two parsed JSON values, in key and item order."""
     if isinstance(a, dict) and isinstance(b, dict):
         keys_a, keys_b = set(a) - MASKED, set(b) - MASKED
         if keys_a != keys_b:
-            return f"{where or '/'}: keys {sorted(keys_a ^ keys_b)} in one tree only"
-        for k in sorted(keys_a):
+            yield f"{where or '/'}: keys {sorted(keys_a ^ keys_b)} in one tree only"
+        for k in sorted(keys_a & keys_b):
             bounds = residual_bound(k, a), residual_bound(k, b)
             if None not in bounds and _numeric(a[k], b[k]):
                 if not (a[k] == b[k] or (a[k] < bounds[0] and b[k] < bounds[1])):
-                    return (f"{where}/{k}: {a[k]!r} against {b[k]!r}, "
-                            f"not both below {max(bounds):.3g}")
+                    yield (f"{where}/{k}: {a[k]!r} against {b[k]!r}, "
+                           f"not both below {max(bounds):.3g}")
                 continue
-            found = compare_json(a[k], b[k], f"{where}/{k}", k)
-            if found:
-                return found
-        return None
+            yield from _json_differences(a[k], b[k], f"{where}/{k}", k)
+        return
     if isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return f"{where}: {len(a)} items against {len(b)}"
+            yield f"{where}: {len(a)} items against {len(b)}"
+            return
         for i, (x, y) in enumerate(zip(a, b)):
-            found = compare_json(x, y, f"{where}[{i}]", key)
-            if found:
-                return found
-        return None
+            yield from _json_differences(x, y, f"{where}[{i}]", key)
+        return
     if _numeric(a, b) and (isinstance(a, float) or isinstance(b, float)):
         agree = close(key, float(a), float(b))
     else:
         agree = type(a) is type(b) and a == b
-    return None if agree else f"{where}: {a!r} against {b!r}"
+    if not agree:
+        yield f"{where}: {a!r} against {b!r}"
 
 
 def _numeric(*values) -> bool:
@@ -153,7 +168,8 @@ def _outputs(root: Path) -> set[str]:
 
 
 def compare_trees(a: Path, b: Path) -> list[str]:
-    """The first difference of every differing file, in path order."""
+    """The first difference and the count of differing rows or values of every differing file,
+    in path order."""
     found = []
     names_a, names_b = _outputs(a), _outputs(b)
     for name in sorted(names_a | names_b):
