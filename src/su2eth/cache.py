@@ -1,10 +1,10 @@
 """On-disk cache for spin-resolved block spectra.
 
-Flat little-endian binary per sector (format v2): a fixed header carrying a
+Flat little-endian binary per sector (format v3): a fixed header carrying a
 build fingerprint, the sector key (L, M, k, z and, in its last four bytes,
 the reflection parity of a k = 0 or pi parity half, 0 for a whole sector)
-and a zlib.crc32 of the payload, followed by energies (f8), spin residuals
-(f8), real eigenvectors (f8, row-major) and spin labels (i2). A parity
+and a zlib.crc32 of the payload, followed by energies (f8), real
+eigenvectors (f8, row-major) and spin labels (i2). A parity
 half's file name carries its parity after the z tag, as in
 L16_M0_k0_zp1_Pm1_lam3.eig. The fingerprint covers the numerical core's
 source, the numpy, scipy and BLAS/LAPACK versions and the LAPACK eigh
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SU2ETHEV"
-_VERSION = 2
+_VERSION = 3
 # magic, version, build id, L, M, k_index, z2 flag, dim, payload crc32, lambda,
 # reflection parity flag (0 for a whole sector)
 _HEADER = struct.Struct("<8sIQiiiiiIdi")
@@ -115,7 +115,6 @@ def save_spectrum(root: Path, lam: float, spectrum: SpinResolvedSpectrum) -> Pat
     path = spectrum_path(root, sector, lam)
     L, M, k, z2, parity = _key(sector)
     payload = [np.ascontiguousarray(spectrum.energies, dtype="<f8"),
-               np.ascontiguousarray(spectrum.spin_residuals, dtype="<f8"),
                np.ascontiguousarray(spectrum.vectors, dtype="<f8"),
                np.ascontiguousarray(spectrum.spins, dtype="<i2")]
     crc = 0
@@ -156,14 +155,13 @@ def load_spectrum(root: Path, sector: SectorLabel, lam: float) -> SpinResolvedSp
         raise CacheMismatch(f"{path} was written by a different build")
     if (L, M, k, z2, parity) != _key(sector) or file_lam != lam:
         raise CacheMismatch(f"{path} holds a different sector or coupling")
-    expect = _HEADER.size + dim * (8 + 8 + 8 * dim + 2)
+    expect = _HEADER.size + dim * (8 + 8 * dim + 2)
     if len(raw) != expect:
         raise CacheMismatch(f"{path} has {len(raw)} bytes, expected {expect}")
     if zlib.crc32(memoryview(raw)[_HEADER.size:]) != crc:
         raise CacheMismatch(f"{path} fails its payload checksum")
     off = _HEADER.size
     energies = np.frombuffer(raw, dtype="<f8", count=dim, offset=off)
-    residuals = np.frombuffer(raw, dtype="<f8", count=dim, offset=off + 8 * dim)
-    vectors = np.frombuffer(raw, dtype="<f8", count=dim * dim, offset=off + 16 * dim)
-    spins = np.frombuffer(raw, dtype="<i2", count=dim, offset=off + (16 + 8 * dim) * dim)
-    return SpinResolvedSpectrum(sector, energies, vectors.reshape(dim, dim), spins, residuals)
+    vectors = np.frombuffer(raw, dtype="<f8", count=dim * dim, offset=off + 8 * dim)
+    spins = np.frombuffer(raw, dtype="<i2", count=dim, offset=off + (8 + 8 * dim) * dim)
+    return SpinResolvedSpectrum(sector, energies, vectors.reshape(dim, dim), spins)

@@ -247,15 +247,11 @@ def _validate(config: RunConfig, command: str) -> None:
         for s in (s_a, s_b):
             if not 0 <= s <= bound:
                 raise ConfigError(f"S={s} exceeds the bound S <= L/2 = {bound} for the smallest L")
-        delta = abs(s_a - s_b)
-        if "A" in config.observables and delta != 0:
-            raise ConfigError(f"pair ({s_a},{s_b}): A is spin-diagonal, cross-spin elements vanish")
-        if delta == 1:
-            raise ConfigError(
-                f"pair ({s_a},{s_b}): spin inversion at M=0 forbids |S_a - S_b| = 1 for B")
-        if delta > 2:
-            raise ConfigError(
-                f"pair ({s_a},{s_b}): rank-2 tensors cannot connect |S_a - S_b| > 2")
+        # the selection rule of _vanishes: every rank component's <S_a 0|S_b 0; r 0> is 0
+        for observable in config.observables:
+            if s_a != s_b and _vanishes(observable, s_a, s_b, config.lam, offdiagonal=True):
+                raise ConfigError(f"pair ({s_a},{s_b}): every element of {observable} "
+                                  f"vanishes between these spins at M = 0")
 
 
 def _reject_repeats(name: str, values: tuple) -> None:
@@ -434,10 +430,7 @@ def _serve(spectrum: SpinResolvedSpectrum, sector: SectorLabel) -> SpinResolvedS
     The PK basis at -k is the conjugate of the one at +k, so both real
     blocks are equal bit for bit and share every array (read-only).
     """
-    if spectrum.sector == sector:
-        return spectrum
-    return SpinResolvedSpectrum(sector, spectrum.energies, spectrum.vectors,
-                                spectrum.spins, spectrum.spin_residuals)
+    return replace(spectrum, sector=sector)
 
 
 def ensure_spectrum(sector: SectorLabel, lam: float, root: Path,
@@ -531,8 +524,7 @@ def run_spectrum(config: RunConfig) -> dict:
     A -k sector shares its mirror's energies and spins, so it is counted
     in the summary with its mirror's result and never solved or cached.
     The parity halves of a k = 0 or pi sector are worked as one unit, each
-    eigensolved, cached and quarantined on its own; a cache file of the
-    whole sector, left from before the split, is removed and journaled.
+    eigensolved, cached and quarantined on its own.
     Units go to at most config.workers workers, every unit of the plan
     before any result is read and the largest sizes first, so that no
     worker waits at the end of a size; eigenvectors travel through the
@@ -543,13 +535,6 @@ def run_spectrum(config: RunConfig) -> dict:
     with _begin(config, "spectrum") as (root, out, manifest, plan, pool):
         summary = {"config": manifest.config_hash, "lambda": config.lam, "M": config.M,
                    "sizes": {}, "failures": []}
-        for unit in dict.fromkeys(_unit(lab) for labels in plan.values() for lab in labels
-                                  if lab.parity is not None):
-            # a whole-sector file written before the parity split, which no build reads
-            stale = cache.spectrum_path(root, unit, config.lam)
-            if stale.exists():
-                stale.unlink(missing_ok=True)
-                manifest.record("cache", "removed", file=stale.name)
         order = [lab for L in sorted(plan, reverse=True) for lab in plan[L]]
         futures = dict(zip(order, _per_block(config, root, order, _sweep_sector, pool)))
         for L, labels in plan.items():
@@ -801,11 +786,12 @@ def _element_tables(sector: SectorLabel, cut, config: RunConfig,
     return parts
 
 
-def _offdiag_ensembles(config: RunConfig, root: Path, L: int, pool=None):
+def _offdiag_ensembles(config: RunConfig, root: Path, L: int, labels, pool=None):
     """Yield (observable, pair, ens, red_ens) for size L, observables outermost.
 
-    Each admitted block is windowed where its elements are computed, in place
-    or in pool's workers when one is given. ens joins the kept pairs of each
+    labels are the size's admitted labels, from the plan. Each admitted
+    block is windowed where its elements are computed, in place or in
+    pool's workers when one is given. ens joins the kept pairs of each
     solved sector once, in label order of its first admitted label, weighted
     by the number of admitted labels it serves (2 for a +-k pair, 1 for a
     lone -k or +k label or a parity half); its block_dims has one entry per
@@ -815,7 +801,6 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int, pool=None):
     """
     parts = {}  # per key, (part, weight) of each solved sector; popped once its ensemble is joined
     dims = {}  # per key, the block dims of every admitted label
-    labels = _admitted_labels(config, L)
     served = Counter(map(_solved, labels))
     taken = set()
     for lab, future in zip(labels, _per_block(config, root, labels, _element_tables, pool)):
@@ -875,7 +860,7 @@ def run_offdiag_eth(config: RunConfig) -> dict:
 
         for L, labels in plan.items():
             elements = kept = 0  # raw pairs (alpha != beta) offered to the window, and kept
-            for observable, pair, ens, red_ens in _offdiag_ensembles(config, root, L, pool):
+            for observable, pair, ens, red_ens in _offdiag_ensembles(config, root, L, labels, pool):
                 s_a, s_b = pair
                 elements += sum(d_a * (d_b - (s_a == s_b)) for d_a, d_b in ens.block_dims)
                 kept += ens.weighted_size

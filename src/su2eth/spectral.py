@@ -18,7 +18,7 @@ within its bound, so NaN passes none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -90,10 +90,9 @@ class SpinResolvedSpectrum:
     energies: np.ndarray
     vectors: np.ndarray
     spins: np.ndarray
-    spin_residuals: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.energies, self.vectors, self.spins, self.spin_residuals):
+        for arr in (self.energies, self.vectors, self.spins):
             arr.setflags(write=False)
 
     @property
@@ -165,8 +164,7 @@ def resolve_spins(
             f"spin resolution failed in {ladder.sector}: state {worst} has "
             f"<S^2> = {expectation[worst]:.9f} (residual {residuals[worst]:.3e})"
         )
-    return SpinResolvedSpectrum(ladder.sector, energies.copy(), vectors, spins.astype(np.int16),
-                                residuals)
+    return SpinResolvedSpectrum(ladder.sector, energies.copy(), vectors, spins.astype(np.int16))
 
 
 @dataclass(frozen=True)

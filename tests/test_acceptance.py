@@ -23,8 +23,8 @@ from su2eth import analysis, oracle
 from su2eth.basis import enumerate_sector_basis, expansion_matrix, sector_labels
 from su2eth.operators import (CouplingSpec, build_hamiltonian, build_observable,
                               build_spin_ladder, raising_matrix)
-from su2eth.pipeline import (RunConfig, _offdiag_ensembles, run_diag_eth, run_offdiag_eth,
-                             run_oracle_check, run_spectrum)
+from su2eth.pipeline import (RunConfig, _admitted_labels, _offdiag_ensembles, run_diag_eth,
+                             run_offdiag_eth, run_oracle_check, run_spectrum)
 from su2eth.spectral import diagonalize_block, matrix_elements, resolve_spins
 from su2eth.tensors import (cg_asymptotic_r_even, cg_column_sum, clebsch_gordan,
                             hermitian_reduced_relation, reduce_matrix_elements)
@@ -105,7 +105,7 @@ def _ensemble(cache, lam, L, observable, pair):
                        spins=(pair[0],) if diagonal else (),
                        spin_pairs=() if diagonal else (pair,),
                        observables=(observable,), cache_dir=str(cache))
-    [(_, _, ens, _)] = _offdiag_ensembles(config, Path(cache), L)
+    [(_, _, ens, _)] = _offdiag_ensembles(config, Path(cache), L, _admitted_labels(config, L))
     return ens
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import struct
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from su2eth.cache import (
     spectrum_path,
 )
 from su2eth.operators import CouplingSpec, build_hamiltonian, build_spin_ladder
+from su2eth.pipeline import ensure_spectrum
 from su2eth.spectral import SpinResolvedSpectrum, diagonalize_block, resolve_spins
 
 
@@ -45,7 +47,6 @@ def test_roundtrip_preserves_everything(tmp_path, lam):
     assert np.array_equal(back.energies, spec.energies)
     assert np.array_equal(back.vectors, spec.vectors)
     assert np.array_equal(back.spins, spec.spins)
-    assert np.array_equal(back.spin_residuals, spec.spin_residuals)
 
 
 def test_path_naming_scheme(tmp_path):
@@ -84,14 +85,33 @@ def test_header_only_file_rejected(tmp_path):
         load_spectrum(tmp_path, lab, 3.0)
 
 
+def _as_v2(data: bytes, dim: int) -> bytes:
+    # the layout before v3: version 2, and a spin residual (f8) per state after the energies
+    head = cache._HEADER.size + 8 * dim
+    old = bytearray(data[:head] + bytes(8 * dim) + data[head:])
+    struct.pack_into("<I", old, 8, 2)
+    struct.pack_into("<I", old, 40, zlib.crc32(old[cache._HEADER.size:]))
+    return bytes(old)
+
+
 def test_foreign_magic_rejected(tmp_path):
-    lab = SectorLabel(6, 0, 1, 1)
-    path = save_spectrum(tmp_path, 3.0, _make_spectrum(lab, 3.0))
-    data = bytearray(path.read_bytes())
+    lab = SectorLabel(8, 0, 1, -1)
+    spec = _make_spectrum(lab, 3.0)
+    path = save_spectrum(tmp_path, 3.0, spec)
+    good = path.read_bytes()
+    data = bytearray(good)
     data[:8] = b"NOTMINE!"
     path.write_bytes(bytes(data))
     with pytest.raises(CacheMismatch, match="magic or version"):
         load_spectrum(tmp_path, lab, 3.0)
+    # a file of the v2 layout, with this build's fingerprint and a valid checksum
+    path.write_bytes(_as_v2(good, spec.dim))
+    with pytest.raises(CacheMismatch, match=f"{path.name} has wrong magic or version"):
+        load_spectrum(tmp_path, lab, 3.0)
+    with pytest.warns(UserWarning, match=f"rebuilding stale cache entry: {path}"):
+        _, hit = ensure_spectrum(lab, 3.0, tmp_path)
+    assert not hit
+    assert path.read_bytes() == good
 
 
 def test_stale_build_fingerprint_rejected(tmp_path):
@@ -154,7 +174,7 @@ def test_vectors_are_stored_as_float64(tmp_path):
     lab = SectorLabel(8, 0, 1, -1)
     spec = _make_spectrum(lab, 3.0)
     path = save_spectrum(tmp_path, 3.0, spec)
-    assert path.stat().st_size == 56 + spec.dim * (8 + 8 + 8 * spec.dim + 2)
+    assert path.stat().st_size == 56 + spec.dim * (8 + 8 * spec.dim + 2)
     back = load_spectrum(tmp_path, lab, 3.0)
     assert back.vectors.dtype == np.float64 and back.spins.dtype == np.int16
 
@@ -264,8 +284,7 @@ def _synthetic_spectrum():
     # built directly: the writers race on the file, not on the eigensolver
     dim = 256
     return SpinResolvedSpectrum(SectorLabel(8, 0, 1, 1), np.arange(dim, dtype=np.float64),
-                                np.eye(dim),
-                                np.zeros(dim, dtype=np.int16), np.zeros(dim))
+                                np.eye(dim), np.zeros(dim, dtype=np.int16))
 
 
 def _save_repeatedly(root, start, times):

@@ -250,12 +250,12 @@ def test_spin_selection_validation(tmp_path):
         run_diag_eth(_analysis_config(tmp_path, spins=()))
     with pytest.raises(ConfigError, match="S=4 exceeds the bound S <= L/2 = 3"):
         run_diag_eth(_analysis_config(tmp_path, spins=(4,)))
-    with pytest.raises(ConfigError, match="A is spin-diagonal"):
+    with pytest.raises(ConfigError, match=r"pair \(0,2\): every element of A vanishes"):
         run_offdiag_eth(_analysis_config(tmp_path, spins=(), spin_pairs=((0, 2),)))
-    with pytest.raises(ConfigError, match="spin inversion at M=0 forbids"):
+    with pytest.raises(ConfigError, match=r"pair \(0,1\): every element of B vanishes"):
         run_offdiag_eth(_analysis_config(
             tmp_path, spins=(), spin_pairs=((0, 1),), observables=("B",)))
-    with pytest.raises(ConfigError, match="rank-2 tensors cannot connect"):
+    with pytest.raises(ConfigError, match=r"pair \(0,3\): every element of B vanishes"):
         run_offdiag_eth(_analysis_config(
             tmp_path, spins=(), spin_pairs=((0, 3),), observables=("B",)))
     with pytest.raises(ConfigError, match="M = 0 sector only"):
@@ -283,7 +283,7 @@ def test_diag_eth_ignores_the_spin_pair_rules(tmp_path):
     run_spectrum(cfg)
     run_diag_eth(cfg)
     assert (tmp_path / "out" / "diag.csv").exists()
-    with pytest.raises(ConfigError, match="A is spin-diagonal"):
+    with pytest.raises(ConfigError, match=r"pair \(0,2\): every element of A vanishes"):
         run_offdiag_eth(cfg)
 
 
@@ -455,7 +455,7 @@ def test_mirrored_spectrum_passes_block_audit(tmp_path, M, solved):
         minus, hit = ensure_spectrum(lab, 3.0, root)
         plus, _ = ensure_spectrum(pipeline._mirror(lab), 3.0, root)
         assert hit and minus.sector == lab and minus.dim
-        for name in ("energies", "spins", "spin_residuals"):
+        for name in ("energies", "spins"):
             assert np.array_equal(getattr(minus, name), getattr(plus, name)), name
         assert np.array_equal(minus.vectors, np.conjugate(plus.vectors))
         assert load_cached_spectrum(lab, 3.0, root).vectors.tobytes() == minus.vectors.tobytes()
@@ -976,10 +976,11 @@ def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, lam):
     root = tmp_path / "cache"
     compared = 0
     for L in cfg.L_list:
-        weighted = _window_weighted(cfg, root, L, pipeline._admitted_labels(cfg, L))
+        labels = pipeline._admitted_labels(cfg, L)
+        weighted = _window_weighted(cfg, root, L, labels)
         for workers in (1, 2):
             with pipeline._sector_pool(workers) as pool:
-                yielded = list(pipeline._offdiag_ensembles(cfg, root, L, pool))
+                yielded = list(pipeline._offdiag_ensembles(cfg, root, L, labels, pool))
             assert [(o, p) for o, p, _, _ in yielded] == [
                 (o, p) for o in cfg.observables for p in cfg.all_pairs()]
             for observable, pair, ens, red_ens in yielded:
@@ -1008,7 +1009,7 @@ def test_a_lone_minus_k_label_weights_its_block_once(tmp_path):
     root = tmp_path / "cache"
     labels = pipeline._admitted_labels(cfg, 8)
     assert {lab.k_index for lab in labels} == {-3, -2, -1, 1, 2}
-    [(_, _, ens, _)] = pipeline._offdiag_ensembles(cfg, root, 8)
+    [(_, _, ens, _)] = pipeline._offdiag_ensembles(cfg, root, 8, labels)
     lone = [pipeline._drive(pipeline._element_tables, pipeline._unit(lab), cfg, root)
             [pipeline._solved(lab)].get(("B", (1, 1), False))
             for lab in labels if lab.k_index == -3]
@@ -1090,23 +1091,6 @@ def test_stale_cache_entry_is_rebuilt_with_warning(tmp_path):
     assert spectrum.dim == 1
     # rebuilt file is now loadable
     assert load_cached_spectrum(lab, 3.0, root).dim == 1
-
-
-def test_spectrum_removes_a_whole_sector_file_left_from_before_the_parity_split(tmp_path):
-    cfg = RunConfig(L_list=(6,), lam=3.0, cache_dir=str(tmp_path / "cache"),
-                    out_dir=str(tmp_path / "out"))
-    run_spectrum(cfg)
-    root = tmp_path / "cache"
-    whole = SectorLabel(6, 0, 0, 1)
-    planted = spectrum_path(root, whole, 3.0)
-    assert planted.name == "L6_M0_k0_zp1_lam3.eig"
-    planted.write_bytes(b"a whole-sector spectrum from an earlier layout")
-    kept = sorted(p.name for p in root.iterdir() if p != planted)
-    run_spectrum(cfg)
-    assert not planted.exists()
-    assert sorted(p.name for p in root.iterdir()) == kept
-    removed = [e for e in _manifest(tmp_path / "out") if e["status"] == "removed"]
-    assert [(e["stage"], e["file"]) for e in removed] == [("cache", "L6_M0_k0_zp1_lam3.eig")]
 
 
 def test_missing_cache_error_names_the_fix(tmp_path):
@@ -1549,7 +1533,7 @@ def test_oracle_check_catches_corrupted_vectors(tmp_path, L):
     dim = struct.unpack_from("<i", data, 36)[0]
     # a high byte of the middle eigenvector entry, then a matching checksum,
     # so the file loads and only the per-block audit can catch it
-    offset = 56 + 2 * 8 * dim + (dim * dim // 2) * 8 + 6
+    offset = 56 + 8 * dim + (dim * dim // 2) * 8 + 6
     data[offset] ^= 0xFF
     struct.pack_into("<I", data, 40, zlib.crc32(data[56:]))
     path.write_bytes(bytes(data))
@@ -1565,7 +1549,7 @@ def test_oracle_check_fails_on_a_nan_vector_and_names_the_sector(tmp_path):
     data = bytearray(path.read_bytes())
     dim = struct.unpack_from("<i", data, 36)[0]
     # the first entry of the middle eigenvector, then a matching checksum
-    struct.pack_into("<d", data, 56 + 2 * 8 * dim + (dim // 2) * 8, math.nan)
+    struct.pack_into("<d", data, 56 + 8 * dim + (dim // 2) * 8, math.nan)
     struct.pack_into("<I", data, 40, zlib.crc32(data[56:]))
     path.write_bytes(bytes(data))
     report = run_oracle_check(cfg)
@@ -1631,7 +1615,7 @@ def test_cli_spectrum_and_exit_codes(tmp_path):
                                   "-O", "B", "--cache", str(tmp_path / "c"),
                                   "--out", str(tmp_path / "o")])
     assert result.exit_code == 2
-    assert "spin inversion" in result.output
+    assert "pair (0,1): every element of B vanishes" in result.output
 
     # runtime errors exit 1
     result = runner.invoke(main, ["diag-eth", "--L", "8", "-S", "0",
@@ -1731,7 +1715,7 @@ def _spin_one_vector_bit_flipped(path, spectrum):
     # one mantissa bit of the first entry of the first S = 1 eigenvector
     data = bytearray(path.read_bytes())
     column = int(np.flatnonzero(spectrum.spins == 1)[0])
-    data[56 + 16 * spectrum.dim + 8 * column] ^= 0x01
+    data[56 + 8 * spectrum.dim + 8 * column] ^= 0x01
     return bytes(data)
 
 

@@ -35,6 +35,14 @@ def _spectrum(lab, lam=3.0):
     return basis, resolve_spins(energies, vectors, build_spin_ladder(basis, 1))
 
 
+def _ladder_residuals(basis, step, spectrum):
+    # |<S^2> - S(S+1)| per labelled state, with <S^2> = |S^+- v|^2 + M(M +- 1)
+    # taken through the ladder block, as resolve_spins guards it
+    image = build_spin_ladder(basis, step).matrix @ spectrum.vectors
+    M, spins = basis.sector.M, spectrum.spins
+    return np.abs(np.einsum("ij,ij->j", image, image) + M * (M + step) - spins * (spins + 1.0))
+
+
 def _all_spectra(L, lam):
     out = []
     for lab in sector_labels(L, 0):
@@ -134,7 +142,7 @@ def test_ladder_spins_equal_spin_squared_spins(L, lam):
         energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(lam)))
         spectrum = resolve_spins(energies, vectors, build_spin_ladder(basis, step))
         assert np.array_equal(spectrum.energies, energies)
-        assert spectrum.spin_residuals.max(initial=0.0) < 1e-10
+        assert _ladder_residuals(basis, step, spectrum).max(initial=0.0) < 1e-10, lab
         s2 = expectations(build_total_spin_squared(basis), spectrum.vectors)
         spins = spectrum.spins
         assert np.array_equal(spins, np.rint((np.sqrt(1.0 + 4.0 * s2) - 1.0) / 2.0)), lab
@@ -176,7 +184,7 @@ def test_ladder_image_in_chunks_gives_the_same_bits(monkeypatch, chunk):
         whole = resolve_spins(energies, vectors, ladder)
         monkeypatch.setattr(spectral, "_IMAGE_CHUNK", chunk)
         chunked = resolve_spins(energies, vectors, ladder)
-        for name in ("energies", "vectors", "spins", "spin_residuals"):
+        for name in ("energies", "vectors", "spins"):
             assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes(), (lab, name)
         clustered += bool(np.any(np.diff(energies) < 1e-9))
     assert clustered > 0
@@ -192,8 +200,8 @@ def test_spin_multiplicities_l6():
 
 def test_spin_residuals_small_even_at_integrable_point():
     """lambda = 0 has extra degeneracies; spin labels must stay sharp."""
-    for _, spec in _all_spectra(8, 0.0):
-        assert np.max(spec.spin_residuals) < 1e-8
+    for basis, spec in _all_spectra(8, 0.0):
+        assert np.max(_ladder_residuals(basis, 1, spec)) < 1e-8
         assert np.issubdtype(spec.spins.dtype, np.integer)
         assert np.all(spec.spins >= 0)
         assert np.all(spec.spins <= 4)
