@@ -22,7 +22,6 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import cache as memoized, lru_cache
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -474,23 +473,38 @@ def _sector_name(sector: SectorLabel, lam: float) -> str:
 # ─── output helpers ──────────────────────────────────────────────────────────
 
 
-def _csv_format(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return "%.17g"
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return "%d"
-    return "%s"
+def _write_csv(path: Path, columns: tuple[str, ...], groups: list[tuple], config_hash: str) -> Path:
+    """One table from row groups, each column formatted by the type of its first value.
 
-
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple], config_hash: str) -> Path:
-    """One row template per table, each column formatted by the type of its first value."""
+    Each entry of a group is one value for all of its rows or a 1-D array
+    with one value per row; a group without arrays is one row.
+    """
+    sizes = [next((len(v) for v in group if isinstance(v, np.ndarray)), 1) for group in groups]
+    table = [""] * (sum(sizes) * len(columns))
+    first = next((group for group, n in zip(groups, sizes) if n), ())
+    for j, (entries, value) in enumerate(zip(zip(*groups), first)):
+        end = "\n" if j == len(columns) - 1 else ","
+        table[j::len(columns)] = _cells(entries, sizes, np.ravel(value)[0], end)
     with open(path, "w", newline="") as fh:
         fh.write(f"# config {config_hash}\n")
         fh.write(",".join(columns) + "\n")
-        if rows:
-            template = ",".join(map(_csv_format, rows[0])) + "\n"
-            fh.writelines(template % row for row in rows)
+        fh.write("".join(table))
     return path
+
+
+def _cells(entries, sizes: list[int], first, end: str) -> list[str]:
+    """One column's cells, each distinct value formatted once: %.17g for floats, keyed by
+    their bits so that -0.0 and 0.0 stay -0 and 0, %d for integers and flags, else %s."""
+    floats = isinstance(first, np.floating)
+    fmt = ("%.17g" if floats else "%d" if isinstance(first, (np.integer, np.bool_)) else "%s") + end
+    # a scalar entry is one value standing for each of its group's rows
+    parts = [(v, 1) if isinstance(v, np.ndarray) else ([v], n) for v, n in zip(entries, sizes)]
+    flat = np.concatenate([v for v, _ in parts])
+    keys, inverse = np.unique(flat.astype(np.float64).view(np.int64) if floats else flat,
+                              return_inverse=True)
+    text = [fmt % v for v in (keys.view(np.float64) if floats else keys).tolist()]
+    return np.array(text, dtype=object)[np.repeat(inverse, np.repeat(
+        [r for _, r in parts], [len(v) for v, _ in parts]))].tolist()
 
 
 def _write_json(path: Path, payload: dict) -> Path:
@@ -671,9 +685,8 @@ def run_diag_eth(config: RunConfig) -> dict:
 
                 for S in config.spins:
                     series = pooled[S]
-                    diag_rows += zip((series.energies / L).tolist(), repeat(S),
-                                     series.values.tolist(), repeat(L), repeat(config.lam),
-                                     repeat(observable))
+                    diag_rows.append((series.energies / L, S, series.values, L, config.lam,
+                                      observable))
                     try:
                         # its fluctuations would be round-off
                         if _vanishes(observable, S, S, config.lam, offdiagonal=False):
@@ -831,10 +844,10 @@ def _joined(config: RunConfig, L: int, observable: str, pair, parts,
         np.concatenate([p.abs_sq for p, _ in parts]), tuple(dims), parts[0][0].e_center, weights)
 
 
-def _populated(series: analysis.BinnedSeries) -> list[list]:
-    """Centers, values, counts and flags of the populated bins, as Python lists."""
+def _populated(series: analysis.BinnedSeries) -> list[np.ndarray]:
+    """Centers, values, counts and flags of the populated bins, as arrays."""
     keep = series.counts != 0
-    return [a[keep].tolist() for a in (series.centers, series.values, series.counts, series.flagged)]
+    return [a[keep] for a in (series.centers, series.values, series.counts, series.flagged)]
 
 
 def _inputs_hash(arrays) -> str:
@@ -870,21 +883,21 @@ def run_offdiag_eth(config: RunConfig) -> dict:
                 points.setdefault((observable, pair), []).append(
                     analysis.variance_point(ens, omega_cut))
 
-                tag = [repeat(x) for x in (L, s_a, s_b, config.lam, observable)]
+                tag = (L, s_a, s_b, config.lam, observable)
                 w, v, c, f = _populated(analysis.gaussianity_ratio(ens, binning))
-                gamma_rows += zip(w, v, c, *tag, f)
+                gamma_rows.append((w, v, c, *tag, f))
 
                 spectral = analysis.spectral_function(ens, binning)
                 w, v, c, f = _populated(spectral)
-                spec_rows += zip(w, v, *tag, c, f)
+                spec_rows.append((w, v, *tag, c, f))
 
                 low = analysis.low_frequency_view(spectral, L, divide_by_L=(observable == "A"))
                 w, v, c, f = _populated(low)
-                low_rows += zip(w, v, *tag, c, f)
+                low_rows.append((w, v, *tag, c, f))
 
                 if red_ens is not None and red_ens.size:
                     w, v, c, f = _populated(analysis.spectral_function(red_ens, binning))
-                    spec_red_rows += zip(w, v, *tag, c, f)
+                    spec_red_rows.append((w, v, *tag, c, f))
             _journal_blocks(manifest, L, labels, elements=elements, kept=kept)
 
         fits = {}

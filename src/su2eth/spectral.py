@@ -120,6 +120,8 @@ def resolve_spins(
     clusters in each, and never held whole. Spins follow from rounding the solution of
     s(s+1) = <S^2>; a residual that is not finite or is above 1e-6 is a
     hard error since it signals a basis or tolerance bug, not statistics.
+    So is, at M = 0, a spin whose flip parity (-1)^(S + L/2) is not the
+    sector's z.
     Raises ValueError for a block that is not a ladder (label in LADDERS).
     """
     if ladder.label not in LADDERS:
@@ -164,6 +166,13 @@ def resolve_spins(
             f"spin resolution failed in {ladder.sector}: state {worst} has "
             f"<S^2> = {expectation[worst]:.9f} (residual {residuals[worst]:.3e})"
         )
+    # at M = 0 the spin flip acts on a spin-S state as (-1)^(S + L/2), so this catches a
+    # label off by an odd number, which the residual cannot see
+    z = ladder.sector.z2_parity
+    odd = np.flatnonzero((spins + ladder.sector.L // 2) % 2 != (z == -1))
+    if z is not None and odd.size:
+        raise RuntimeError(f"spin resolution failed in {ladder.sector}: state {odd[0]} has "
+                           f"S = {spins[odd[0]]:.0f}, but (-1)^(S + L/2) is not z = {z}")
     return SpinResolvedSpectrum(ladder.sector, energies.copy(), vectors, spins.astype(np.int16))
 
 

@@ -44,15 +44,20 @@ def _run(tmp_path, capsys, **changes):
 
 
 def test_identical_trees_agree(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys)
+    assert code == 0 and out == "4 files agree, 4 byte for byte\n"
+
+
+def test_masked_run_times_agree_but_not_byte_for_byte(tmp_path, capsys):
     code, out = _run(tmp_path, capsys, seconds=9.75)  # run times and the manifest are masked
-    assert code == 0 and out == "4 files agree\n"
+    assert code == 0 and out == "4 files agree, 3 byte for byte\n"
 
 
 def test_numbers_within_their_bounds_agree(tmp_path, capsys):
     diag = _DIAG.replace("0.012345678901234568", "0.012345678901235")  # 4e-16 absolute
     gamma = _GAMMA.replace("0.63661977236758138", "0.6366197723680")  # 4e-13 relative
     code, out = _run(tmp_path, capsys, diag=diag, gamma=gamma, slope=-1.2345678901234)
-    assert code == 0, out
+    assert code == 0 and out == "4 files agree, 1 byte for byte\n", out
 
 
 @pytest.mark.parametrize("changes, named", [

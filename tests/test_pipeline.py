@@ -1203,6 +1203,47 @@ def test_csv_template_writes_the_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def _per_value_csv(columns, rows) -> bytes:
+    """The table of rows as written value by value, each value formatted by its own type."""
+    def per_value(value):
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        return str(value)
+
+    return ("# config h\n" + ",".join(columns) + "\n"
+            + "".join(",".join(map(per_value, row)) + "\n" for row in rows)).encode()
+
+
+def test_csv_groups_write_the_rows_they_stand_for(tmp_path):
+    """Groups write the rows they stand for as if value by value: formatting each distinct
+    value of a column once merges neither -0.0 with 0.0 nor any other two values."""
+    floats = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0, 1 / 3])
+    wide = np.array([7, -3, 2 ** 40, -(2 ** 62), 0, 7, 12, -3, 1], dtype=np.int64)
+    narrow = np.array([4, -1, 300, 0, -32768, 5, 4, 2, 9], dtype=np.int16)
+    flags = np.array([True, False, True, True, False, False, True, False, True])
+    groups = [
+        (floats[:0], 2.5, wide[:0], 1, flags[:0], "B"),  # zero-length: no row, no format
+        (floats, -0.0, wide, np.int8(3), flags, "A"),
+        (-0.0, 0.0, np.uint8(200), 5, np.bool_(True), "zz"),  # scalars only: one row
+        (floats[::-1], 0.0, narrow, narrow, ~flags, "A"),
+        (math.nan, -0.0, -12, np.int16(4), False, "A"),
+    ]
+    # the rows the groups stand for, the scalars repeated
+    rows = [*zip(floats, [-0.0] * 9, wide, [np.int8(3)] * 9, flags, ["A"] * 9), groups[2],
+            *zip(floats[::-1], [0.0] * 9, narrow, narrow, ~flags, ["A"] * 9), groups[4]]
+    columns = tuple(f"c{i}" for i in range(len(groups[0])))
+    path = pipeline._write_csv(tmp_path / "t.csv", columns, groups, "h")
+    assert path.read_bytes() == _per_value_csv(columns, rows)
+
+
+@pytest.mark.parametrize("groups", [[], [(np.empty(0), 1.0, "A")]], ids=["no groups", "no rows"])
+def test_csv_without_rows_is_its_header(tmp_path, groups):
+    path = pipeline._write_csv(tmp_path / "t.csv", ("a", "b", "c"), groups, "h")
+    assert path.read_bytes() == _per_value_csv(("a", "b", "c"), [])
+
+
 def test_diag_csv_reruns_are_byte_identical(warm):
     cfg, _, out = warm
     run_diag_eth(cfg)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import re
 
 import numpy as np
@@ -158,6 +159,23 @@ def test_spin_resolution_rejects_a_nan_block(label):
     matrix.data[0] = np.nan
     with pytest.raises(RuntimeError, match="spin resolution failed"):
         resolve_spins(energies, vectors, BlockOperator(lab, matrix, label))
+
+
+@pytest.mark.parametrize("L, k", [(8, 1), (10, 0)])
+def test_spin_resolution_rejects_spins_of_the_other_flip_parity(L, k):
+    # the ladder block of the z = +1 sector, labelled z = -1: every residual is
+    # as small as before, and every spin is off by an odd number for that label
+    lab = next(lab for lab in sector_labels(L, 0) if lab.k_index == k and lab.z2_parity == 1)
+    basis = enumerate_sector_basis(lab)
+    energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(3.0)))
+    ladder = build_spin_ladder(basis, 1)
+    spins = resolve_spins(energies, vectors, ladder).spins
+    assert np.all((-1) ** (spins + L // 2) == 1)
+    relabelled = dataclasses.replace(ladder, sector=dataclasses.replace(lab, z2_parity=-1))
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"spin resolution failed in {relabelled.sector}: state 0 has S = {spins[0]}, "
+            f"but (-1)^(S + L/2) is not z = -1")):
+        resolve_spins(energies, vectors, relabelled)
 
 
 @pytest.mark.parametrize("build", [build_total_spin_squared,

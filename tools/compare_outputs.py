@@ -28,9 +28,13 @@ are equal or both lie below the bound `oracle-check` holds that field to,
 A block-audit row without `dim` or `scale` (written before they were
 recorded) holds that field to the ordinary bounds.
 
-Exits 0 when the trees agree and 1 naming, for every differing file in
-path order, its first difference and how many rows (CSV) or values (JSON)
-differ, as in
+Exits 0 when the trees agree, saying how many files agree and how many of
+those byte for byte, as in
+
+    34 files agree, 32 byte for byte
+
+and 1 naming, for every differing file in path order, its first difference
+and how many rows (CSV) or values (JSON) differ, as in
 
     diag.csv: row 3, column O_diag: 0.25 against 0.26; 2 of 120 rows differ
 
@@ -198,7 +202,10 @@ def main(argv=None) -> int:
     for line in found:
         print(line)
     if not found:
-        print(f"{len(_outputs(args.reference))} files agree")
+        names = _outputs(args.reference)
+        same = sum((args.reference / n).read_bytes() == (args.candidate / n).read_bytes()
+                   for n in names)
+        print(f"{len(names)} files agree, {same} byte for byte")
     return 1 if found else 0
 
 
