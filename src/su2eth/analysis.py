@@ -210,7 +210,6 @@ class OffDiagonalEnsemble:
     omega: np.ndarray
     abs_sq: np.ndarray
     block_dims: tuple[tuple[int, int], ...]
-    e_center: float
     weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -271,7 +270,7 @@ def build_offdiagonal_ensemble(
         abs_sq = np.concatenate(sq_parts)
     else:
         omega = abs_sq = np.empty(0)
-    return OffDiagonalEnsemble(L, omega, abs_sq, tuple(dims), e_center)
+    return OffDiagonalEnsemble(L, omega, abs_sq, tuple(dims))
 
 
 @dataclass(frozen=True)

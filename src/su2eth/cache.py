@@ -1,16 +1,16 @@
 """On-disk cache for spin-resolved block spectra.
 
 Flat little-endian binary per sector (format v3): a fixed header carrying a
-build fingerprint, the sector key (L, M, k, z and, in its last four bytes,
-the reflection parity of a k = 0 or pi parity half, 0 for a whole sector)
-and a zlib.crc32 of the payload, followed by energies (f8), real
-eigenvectors (f8, row-major) and spin labels (i2). A parity
-half's file name carries its parity after the z tag, as in
-L16_M0_k0_zp1_Pm1_lam3.eig. The fingerprint covers the numerical core's
-source, the numpy, scipy and BLAS/LAPACK versions and the LAPACK eigh
-driver, since eigenvector signs depend on the library. A missing, stale, truncated or
-corrupted file raises CacheMismatch naming the file, and so the sector:
-spectrum rebuilds it, the analyses stop. Each writer writes its own
+build fingerprint, the sector key (L, M, k, z and, in its last four bytes, the
+reflection parity of a k = 0 or pi parity half, 0 for a whole sector) and a
+zlib.crc32 of the payload, followed by energies (f8), real eigenvectors (f8,
+row-major) and spin labels (i2). A parity half's file name carries its parity
+after the z tag, as in L16_M0_k0_zp1_Pm1_lam3.eig. The fingerprint covers the
+numerical core's source, the numpy, scipy and BLAS/LAPACK versions and the
+LAPACK eigh driver, since eigenvector signs depend on the library. A missing,
+stale, truncated or corrupted file raises CacheMismatch naming the file, and
+so the sector: spectrum rebuilds it, the analyses stop. A load copies energies
+and spins and views vectors in the file's bytes. Each writer writes its own
 temporary file and renames it over the entry, so concurrent writers of one
 sector do not collide.
 """
@@ -139,8 +139,8 @@ def save_spectrum(root: Path, lam: float, spectrum: SpinResolvedSpectrum) -> Pat
 def load_spectrum(root: Path, sector: SectorLabel, lam: float) -> SpinResolvedSpectrum:
     """Read one cached spectrum; CacheMismatch if absent, incompatible or corrupted.
 
-    The arrays are read-only views of the file's bytes, checked against the
-    header's crc32 first.
+    Checked against the header's crc32 first. energies and spins are copies,
+    vectors a read-only view of the file's bytes, so only vectors keep it alive.
     """
     path = spectrum_path(root, sector, lam)
     if not path.exists():
@@ -161,7 +161,7 @@ def load_spectrum(root: Path, sector: SectorLabel, lam: float) -> SpinResolvedSp
     if zlib.crc32(memoryview(raw)[_HEADER.size:]) != crc:
         raise CacheMismatch(f"{path} fails its payload checksum")
     off = _HEADER.size
-    energies = np.frombuffer(raw, dtype="<f8", count=dim, offset=off)
+    energies = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
     vectors = np.frombuffer(raw, dtype="<f8", count=dim * dim, offset=off + 8 * dim)
-    spins = np.frombuffer(raw, dtype="<i2", count=dim, offset=off + (8 + 8 * dim) * dim)
+    spins = np.frombuffer(raw, dtype="<i2", count=dim, offset=off + (8 + 8 * dim) * dim).copy()
     return SpinResolvedSpectrum(sector, energies, vectors.reshape(dim, dim), spins)

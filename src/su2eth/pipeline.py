@@ -233,6 +233,9 @@ def _validate(config: RunConfig, command: str) -> None:
             raise ConfigError(f"{command} covers 6 <= L <= {MAX_SITES}, got {L}")
     if command == "oracle-check":
         return
+    for L in config.L_list:
+        if not _admitted_labels(config, L):
+            raise ConfigError(f"exclude_k={list(config.exclude_k)} admits no sector at L = {L}")
 
     if command == "diag-eth" and not config.spins:
         raise ConfigError("empty spin selection: diag-eth needs at least one S in spins")
@@ -656,11 +659,9 @@ def _diagonal_tables(sector: SectorLabel, cut, config: RunConfig, root: Path) ->
     _ASSEMBLY); on the diagonal rank 0 never vanishes, so A's part is kept.
     """
     spectrum = load_cached_spectrum(sector, config.lam, root)
-    # copies: views would keep the whole cache file's bytes, vectors included, alive
-    energies, spins = spectrum.energies.copy(), spectrum.spins.copy()
     values = _diagonals(cut, spectrum, config.lam)
-    return {observable: (energies, _assemble(_ASSEMBLY[observable].items(), values), spins)
-            for observable in config.observables}
+    return {observable: (spectrum.energies, _assemble(_ASSEMBLY[observable].items(), values),
+                         spectrum.spins) for observable in config.observables}
 
 
 def run_diag_eth(config: RunConfig) -> dict:
@@ -787,7 +788,7 @@ def _element_tables(sector: SectorLabel, cut, config: RunConfig,
             for p in set(tables) - {p for _, later in live[i + 1:] for p, _ in later}:
                 del tables[p]
             ranks = list(_COMPONENTS[observable])
-            assembled = [MatrixElementTable(observable, spectrum.sector, recs)]
+            assembled = [MatrixElementTable(recs)]
             if len(ranks) == 1:
                 assembled.append(reduce_matrix_elements(assembled[0], ranks[0]))
             # a comprehension: a loop name would keep the last table alive into the next one
@@ -826,22 +827,19 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int, labels, pool=None)
     for observable in config.observables:
         for pair in config.all_pairs():
             raw, reduced = ((observable, pair, r) for r in (False, True))
-            ens = _joined(config, L, observable, pair, parts.pop(raw, []), dims.pop(raw, []))
-            red_ens = (_joined(config, L, observable, pair, parts.pop(reduced), dims.pop(reduced))
-                       if reduced in parts else None)
+            ens = _joined(L, parts.pop(raw, []), dims.pop(raw, []))
+            red_ens = _joined(L, parts.pop(reduced), dims.pop(reduced)) if reduced in parts else None
             yield observable, pair, ens, red_ens
 
 
-def _joined(config: RunConfig, L: int, observable: str, pair, parts,
-            dims) -> analysis.OffDiagonalEnsemble:
+def _joined(L: int, parts, dims) -> analysis.OffDiagonalEnsemble:
     """The windowed (part, weight) pairs of a size's solved sectors as one weighted ensemble."""
-    # a pair that no admitted block populates gets the empty ensemble
-    parts = parts or [(analysis.build_offdiagonal_ensemble(observable, L, config.lam, pair, [],
-                                                           config.energy_window), 1)]
+    if not parts:  # a pair that no admitted block populates
+        return analysis.OffDiagonalEnsemble(L, np.empty(0), np.empty(0), tuple(dims))
     weights = np.repeat(np.array([w for _, w in parts], dtype=np.uint8), [p.size for p, _ in parts])
     return analysis.OffDiagonalEnsemble(
         L, np.concatenate([p.omega for p, _ in parts]),
-        np.concatenate([p.abs_sq for p, _ in parts]), tuple(dims), parts[0][0].e_center, weights)
+        np.concatenate([p.abs_sq for p, _ in parts]), tuple(dims), weights)
 
 
 def _populated(series: analysis.BinnedSeries) -> list[np.ndarray]:
@@ -1040,15 +1038,16 @@ def run_oracle_check(config: RunConfig) -> dict:
                 if failed:
                     report["failures"].append({"kind": "block_audit", **audit})
 
+            # every spin the oracle expects and every label present; none is expected past L/2
             spin_counts = sum((Counter(checked["spin_dims"]) for checked in sectors), Counter())
-            for s, c in sorted(spin_counts.items()):
-                expected = oracle.spin_sector_dimension(L, s)
-                if c != expected:
+            for s in sorted({*spin_counts, *range(L // 2 + 1)}):
+                expected = oracle.spin_sector_dimension(L, s) if 0 <= s <= L // 2 else 0
+                if spin_counts[s] != expected:
                     report["failures"].append({"kind": "spin_count", "L": L, "S": s,
-                                               "got": c, "expected": expected})
+                                               "got": spin_counts[s], "expected": expected})
 
             traces = _pooled_moments(checked["moments"] for checked in sectors)
-            for s in sorted(traces):
+            for s in sorted(s for s in traces if 0 <= s <= L // 2):
                 m = oracle.moments(L, s, config.lam)
                 for fieldname in _MOMENT_FIELDS:
                     diff = abs(traces[s][fieldname] - getattr(m, fieldname))

@@ -180,12 +180,10 @@ def resolve_spins(
 class MatrixElementTable:
     """Matrix elements of one observable between spin-resolved eigenstates.
 
-    records is a RECORD_DTYPE structured array; alpha/beta are state indices
-    within the block spectrum.
+    records is a read-only RECORD_DTYPE structured array; alpha/beta are
+    state indices within the block spectrum.
     """
 
-    observable: str
-    sector: SectorLabel
     records: np.ndarray
 
     def __post_init__(self):
@@ -237,4 +235,4 @@ def matrix_elements(
     records["s_a"] = spectrum.spins[alpha]
     records["s_b"] = spectrum.spins[beta]
     records["value"] = values
-    return MatrixElementTable(obs.label, obs.sector, records)
+    return MatrixElementTable(records)

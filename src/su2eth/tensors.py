@@ -223,10 +223,10 @@ def cg_asymptotic_r_even(r: int) -> float:
 def reduce_matrix_elements(table: MatrixElementTable, rank: int) -> MatrixElementTable:
     """Divide each record's value by <S_a 0 | S_b 0; rank 0>.
 
-    The result keeps the table's observable and sector; its values are the
-    reduced elements. Records whose CG coefficient vanishes carry no
-    information about the reduced element and are dropped. Only M = 0 and
-    the q = 0 tensor component enter, the one case the pipeline analyses.
+    The result's values are the reduced elements. Records whose CG
+    coefficient vanishes carry no information about the reduced element
+    and are dropped. Only M = 0 and the q = 0 tensor component enter, the
+    one case the pipeline analyses.
     """
     recs = table.records
     if recs.size == 0:
@@ -244,7 +244,7 @@ def reduce_matrix_elements(table: MatrixElementTable, rank: int) -> MatrixElemen
     keep = factor != 0.0
     out = recs[keep]  # a copy: boolean indexing never returns a view
     out["value"] = out["value"] / factor[keep]
-    return MatrixElementTable(table.observable, table.sector, out)
+    return MatrixElementTable(out)
 
 
 def hermitian_reduced_relation(value: complex, s_row: int, s_col: int, rank: int) -> complex:

@@ -395,7 +395,7 @@ def test_criterion_09_gaussianity(eth_data):
     rng = np.random.RandomState(7)
     n = 100_000
     planted = analysis.OffDiagonalEnsemble(
-        10, np.zeros(n), np.abs(rng.normal(0.0, 1.0, n)) ** 2, np.array([[10, 10]]), 0.0)
+        10, np.zeros(n), np.abs(rng.normal(0.0, 1.0, n)) ** 2, np.array([[10, 10]]))
     series = analysis.gaussianity_ratio(planted, analysis.Binning(10.0, 30.0, 10))
     planted_dev = abs(series.values[np.argmin(np.abs(series.centers))] - target)
 

@@ -139,24 +139,21 @@ def test_spin_scan_block_mean_convention():
 
 def _ensemble(omega, abs_sq, L=12, dims=((64, 64),)):
     omega = np.asarray(omega, dtype=float)
-    return OffDiagonalEnsemble(L, omega, np.asarray(abs_sq, dtype=float), dims, 0.0)
+    return OffDiagonalEnsemble(L, omega, np.asarray(abs_sq, dtype=float), dims)
 
 
 def test_build_ensemble_window_and_sign():
-    L, lam, pair = 10, 3.0, (0, 2)
+    L, lam, pair, window = 10, 3.0, (0, 2), 0.025
     center = moments(L, 1, lam).E0
-    # one pair at the window center, one far outside
-    blocks = [(
-        np.array([center + 0.1, center + 50.0]),
-        np.array([center - 0.1, center + 49.0]),
-        np.array([0.5 + 0.0j, 9.9]),
-        3, 4,
-    )]
-    ens = build_offdiagonal_ensemble("B", L, lam, pair, blocks)
-    assert ens.size == 1
-    assert ens.omega[0] == pytest.approx(0.2)
-    assert ens.abs_sq[0] == pytest.approx(0.25)
-    assert ens.e_center == center
+    # one pair at the window center and one far outside; then, on each side of the
+    # center, one pair inside the window's edge and one outside it, which pins the center
+    mids = center + window * L * np.array([0.0, 200.0, 0.9, -0.9, 1.1, -1.1])
+    omega = np.array([0.2, 1.0, 0.3, 0.4, 0.5, 0.6])
+    blocks = [(mids + omega / 2, mids - omega / 2, np.array([0.5 + 0.0j, 9.9, 1, 2, 3, 4]), 3, 4)]
+    ens = build_offdiagonal_ensemble("B", L, lam, pair, blocks, window)
+    assert ens.size == 3
+    assert ens.omega == pytest.approx([0.2, 0.3, 0.4])
+    assert ens.abs_sq == pytest.approx([0.25, 1.0, 4.0])
     assert ens.effective_dimension == pytest.approx(math.sqrt(12))
 
 
@@ -252,7 +249,7 @@ def test_window_means_keep_precision_across_magnitudes():
         abs_sq.append(10.0 ** exponent * rng.uniform(0.5, 1.5, size=40))
     omega, abs_sq = np.concatenate(omega), np.concatenate(abs_sq)
     weights = rng.randint(1, 3, size=omega.size).astype(np.uint8)
-    ens = OffDiagonalEnsemble(12, omega, abs_sq, ((64, 64),), 0.0, weights)
+    ens = OffDiagonalEnsemble(12, omega, abs_sq, ((64, 64),), weights)
     binning = Binning(1.0, 0.5, 10)
     want = _fsum_windows(ens, binning)
     gamma, spec = gaussianity_ratio(ens, binning), spectral_function(ens, binning)
@@ -276,7 +273,7 @@ def test_weight_two_equals_listing_every_element_twice():
     omega = rng.uniform(-3, 3, size=5000)
     abs_sq = rng.exponential(1e-3, size=omega.size)
     twice = _ensemble(np.concatenate([omega, omega]), np.concatenate([abs_sq, abs_sq]))
-    once = OffDiagonalEnsemble(12, omega, abs_sq, ((64, 64),), 0.0,
+    once = OffDiagonalEnsemble(12, omega, abs_sq, ((64, 64),),
                                np.full(omega.size, 2, dtype=np.uint8))
     assert once.weighted_size == twice.size
     binning = Binning(0.025, 0.175, 10)
@@ -298,12 +295,12 @@ def test_ensemble_weights_default_to_ones_and_must_be_positive_integers():
     assert ens.weights.tolist() == [1, 1] and ens.weighted_size == 2
     for bad in (np.array([1.0, 1.0]), np.array([1, 0]), np.array([1])):
         with pytest.raises(ValueError):
-            OffDiagonalEnsemble(12, np.array([0.1, 0.2]), np.array([1.0, 2.0]), (), 0.0, bad)
+            OffDiagonalEnsemble(12, np.array([0.1, 0.2]), np.array([1.0, 2.0]), (), bad)
 
 
 def test_variance_point_weights_its_below_cut_mean():
     ens = OffDiagonalEnsemble(10, np.array([0.5, -1.0, 3.0]), np.array([1.0, 4.0, 100.0]),
-                              ((16, 4),), 0.0, np.array([2, 1, 1], dtype=np.uint8))
+                              ((16, 4),), np.array([2, 1, 1], dtype=np.uint8))
     assert variance_point(ens, 1.0) == (10, 80.0, 2.0)  # (2*1 + 4) / 3
     L, ld, mean = variance_point(ens, 0.1)
     assert (L, ld) == (10, 80.0) and math.isnan(mean)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -243,6 +244,23 @@ def _analysis_config(tmp_path, **kw):
                 half_width=3, central_fraction=0.8)
     base.update(kw)
     return RunConfig(**base)
+
+
+@pytest.mark.parametrize("command", ["diag-eth", "offdiag-eth"])
+def test_an_exclude_k_that_admits_no_sector_is_a_config_error(tmp_path, command):
+    # at L = 6 the momenta are k = -2..3, all excluded; L = 8 keeps k = -3 and 4
+    fields = {"L_list": [8, 6], "lambda": 3.0, "spins": [1], "exclude_k": [-2, -1, 0, 1, 2, 3],
+              "cache_dir": str(tmp_path / "c"), "out_dir": str(tmp_path / "o")}
+    run = {"diag-eth": run_diag_eth, "offdiag-eth": run_offdiag_eth}[command]
+    message = "exclude_k=[-2, -1, 0, 1, 2, 3] admits no sector at L = 6"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run(RunConfig.from_dict(fields))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(fields))
+    result = CliRunner().invoke(main, [command, "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_spin_selection_validation(tmp_path):
@@ -925,8 +943,7 @@ def _full_element_records(cfg, root, labels):
                 recs["value"] = pipeline._assemble(terms, lambda p: elements[p]["value"])
                 tables = {False: recs}
                 if observable == "B":
-                    tables[True] = reduce_matrix_elements(MatrixElementTable(observable, lab, recs),
-                                                          2).records
+                    tables[True] = reduce_matrix_elements(MatrixElementTable(recs), 2).records
                 for reduced, t in tables.items():
                     if t.size or not reduced:
                         records.setdefault((observable, pair, reduced), []).append((t, d_a, d_b))
@@ -962,7 +979,7 @@ def _window_weighted(cfg, root, L, labels):
         out[key] = OffDiagonalEnsemble(
             L, np.concatenate([e.omega for e, _ in windowed]),
             np.concatenate([e.abs_sq for e, _ in windowed]),
-            tuple((d_a, d_b) for _, d_a, d_b in entries), windowed[0][0].e_center,
+            tuple((d_a, d_b) for _, d_a, d_b in entries),
             np.repeat(np.array([w for _, w in windowed], dtype=np.uint8),
                       [e.size for e, _ in windowed]))
     return out
@@ -994,7 +1011,6 @@ def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, lam):
                     assert got.abs_sq.tobytes() == want.abs_sq.tobytes(), key
                     assert got.weights.tobytes() == want.weights.tobytes(), key
                     assert got.block_dims == want.block_dims, key
-                    assert got.e_center == want.e_center, key
                     compared += got.size
             # B between S = 0 states vanishes and is not offered: empty, as before
             assert dict(((o, p), e.size) for o, p, e, _ in yielded)["B", (0, 0)] == 0
@@ -1051,13 +1067,24 @@ def test_diagonal_tables_own_their_arrays(tmp_path):
     # a view into a cache file's bytes would keep the whole file alive
     cfg = _analysis_config(tmp_path, L_list=(8,), observables=("A", "B", "C"))
     run_spectrum(cfg)
+    root = tmp_path / "cache"
     for lab in pipeline._admitted_labels(cfg, 8):
-        unit = pipeline._drive(pipeline._diagonal_tables, pipeline._unit(lab), cfg,
-                               tmp_path / "cache")
+        unit = pipeline._drive(pipeline._diagonal_tables, pipeline._unit(lab), cfg, root)
         tables = unit[pipeline._solved(lab)]
         arrays = [a for table in tables.values() for a in table]
         assert len(arrays) == 9
         assert all(a.base is None and a.flags.owndata for a in arrays), lab
+    # so do oracle-check's per-sector results and the energies and spins of a load
+    audited = 0
+    for unit in dict.fromkeys(map(pipeline._unit, sector_labels(8))):
+        for sector, checked in pipeline._drive(pipeline._audit_sector, unit, cfg, root).items():
+            spins, per_state = checked["moments"]
+            spectrum = cache.load_spectrum(root, sector, cfg.lam)
+            arrays = [spins, *per_state.values(), spectrum.energies, spectrum.spins]
+            assert len(arrays) == 14
+            assert all(a.base is None and a.flags.owndata for a in arrays), sector
+            audited += 1
+    assert audited == 14
 
 
 def test_offdiag_blocks_row_counts_offered_and_kept_pairs(tmp_path):
@@ -1606,6 +1633,53 @@ def test_oracle_check_fails_on_a_nan_vector_and_names_the_sector(tmp_path):
                                        "--out", str(tmp_path / "cli")])
     assert result.exit_code == 1
     assert "oracle check failed" in result.output and "L8_M0_k1_zp1_lam3" in result.output
+
+
+def _relabel(path, old: int, new: int) -> None:
+    """Give the one state of spin old in a cached file spin new, with a matching checksum."""
+    data = bytearray(path.read_bytes())
+    dim = struct.unpack_from("<i", data, 36)[0]
+    start = 56 + (8 + 8 * dim) * dim
+    spins = np.frombuffer(data, dtype="<i2", count=dim, offset=start)
+    [state] = np.flatnonzero(spins == old)
+    struct.pack_into("<h", data, start + 2 * int(state), new)
+    struct.pack_into("<I", data, 40, zlib.crc32(data[56:]))
+    path.write_bytes(bytes(data))
+
+
+def test_oracle_check_counts_every_spin_and_reports_a_label_past_l_over_2(tmp_path):
+    cfg = _analysis_config(tmp_path, spins=())
+    run_spectrum(cfg)
+    # the block's one state has S = 1
+    _relabel(spectrum_path(tmp_path / "cache", SectorLabel(6, 0, 1, 1), 3.0), 1, 7)
+    report = run_oracle_check(cfg)
+    assert report["pass"] is False
+    kinds = Counter(f["kind"] for f in report["failures"])
+    assert kinds == {"spin_count": 2, "block_audit": 2, "moment": 8}
+    # the mirror at k = -1 shares the label, so S = 1 misses two states
+    assert [(f["S"], f["got"], f["expected"]) for f in report["failures"]
+            if f["kind"] == "spin_count"] == [(1, 7, 9), (7, 2, 0)]
+    assert {f["sector"] for f in report["failures"] if f["kind"] == "block_audit"} == {
+        "L6_M0_k1_zp1_lam3", "L6_M0_k-1_zp1_lam3"}
+    # moments only for the spins the closed forms cover
+    assert sorted({r["S"] for r in report["rows"]}) == [0, 1, 2, 3]
+    assert json.loads((tmp_path / "out" / "oracle_check.json").read_text()) == report
+    result = CliRunner().invoke(main, ["oracle-check", "--L", "6", "--lambda", "3",
+                                       "--cache", str(tmp_path / "cache"),
+                                       "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 1
+    assert "oracle check failed" in result.output and "L6_M0_k1_zp1_lam3" in result.output
+
+
+def test_oracle_check_reports_a_spin_that_no_block_holds(tmp_path):
+    cfg = _analysis_config(tmp_path, spins=())
+    run_spectrum(cfg)
+    # L = 6 has one S = 3 state at M = 0, in this parity half
+    _relabel(spectrum_path(tmp_path / "cache", SectorLabel(6, 0, 0, 1, 1), 3.0), 3, 1)
+    report = run_oracle_check(cfg)
+    assert report["pass"] is False
+    assert [(f["S"], f["got"], f["expected"]) for f in report["failures"]
+            if f["kind"] == "spin_count"] == [(1, 10, 9), (3, 0, 1)]
 
 
 def test_sector_trace_moments_builds_each_unit_and_mirror_once(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ import pytest
 import sympy
 from sympy.physics.quantum.cg import CG
 
-from su2eth.basis import SectorLabel
 from su2eth.spectral import RECORD_DTYPE, MatrixElementTable
 from su2eth.tensors import (
     ONE,
@@ -234,7 +233,7 @@ def _table(rows):
     records = np.zeros(len(rows), dtype=RECORD_DTYPE)
     for i, (sa, sb, v) in enumerate(rows):
         records[i] = (i, i, 0.0, 0.0, sa, sb, v)
-    return MatrixElementTable("B", SectorLabel(6, 0, 1, 1), records)
+    return MatrixElementTable(records)
 
 
 def _dropped(table, red):
@@ -247,8 +246,6 @@ def test_reduce_divides_by_cg():
     red = reduce_matrix_elements(table, rank=2)
     assert isinstance(red, MatrixElementTable)
     assert _dropped(table, red) == 0
-    assert red.observable == "B"
-    assert red.sector == table.sector
     assert red.records["value"][0] == pytest.approx(3.5)
 
     # two spin pairs, each record divided by its own pair's coefficient
