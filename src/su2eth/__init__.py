@@ -1,27 +1,8 @@
 """Symmetry-resolved exact diagonalization and eigenstate-statistics toolkit
 for the extended spin-1/2 Heisenberg chain.
 
-Submodules load lazily so the command-line entry point can pin BLAS thread
-counts before the numerical stack comes up.
+The package imports none of its submodules, so the command-line entry point
+can pin BLAS thread counts before the numerical stack comes up.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = ("analysis", "basis", "cache", "cli", "operators", "oracle",
-               "pipeline", "spectral", "tensors")
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        module = importlib.import_module("." + name, __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

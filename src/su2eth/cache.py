@@ -32,6 +32,7 @@ from .spectral import EIGH_DRIVER, SpinResolvedSpectrum
 
 __all__ = [
     "CacheMismatch",
+    "HEADER_SIZE",
     "build_fingerprint",
     "cache_dir",
     "spectrum_path",
@@ -44,6 +45,7 @@ _VERSION = 3
 # magic, version, build id, L, M, k_index, z2 flag, dim, payload crc32, lambda,
 # reflection parity flag (0 for a whole sector)
 _HEADER = struct.Struct("<8sIQiiiiiIdi")
+HEADER_SIZE = _HEADER.size
 
 _ENV_VAR = "SU2ETH_CACHE_DIR"
 

@@ -988,12 +988,16 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
 def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> dict:
     """Spin counts, per-state moments and per-label (block audit, failed) of one solved sector.
 
-    A sector missing from the cache is solved from the same cut. A solved
+    A sector missing from the cache is solved from the same cut; a file
+    that fails to load stops the run, named by MissingCacheError. A solved
     sector's -k mirror shares its vectors, orthonormality and spin
     sharpness; the mirror's eigen residual is taken against its own H(-k),
     which checks the mirror rule.
     """
-    spectrum, _ = ensure_spectrum(sector, config.lam, root, cut)
+    if cache.spectrum_path(root, sector, config.lam).exists():
+        spectrum = load_cached_spectrum(sector, config.lam, root)
+    else:
+        spectrum, _ = ensure_spectrum(sector, config.lam, root, cut)
     v, spins = spectrum.vectors, spectrum.spins
     # a parity half may be empty, with every audit 0
     ortho = float(np.abs(v.T @ v - np.eye(spectrum.dim)).max(initial=0.0))

@@ -52,9 +52,6 @@ RECORD_DTYPE = np.dtype([
 # the LAPACK driver of every eigensolve; part of the cache fingerprint
 EIGH_DRIVER = "evd"
 
-# columns of the ladder image W = S^+- V that resolve_spins holds at a time
-_IMAGE_CHUNK = 256
-
 
 def eigen_residual(block: BlockOperator, energies: np.ndarray, vectors: np.ndarray) -> float:
     """max|H v - v E| over every eigenpair, through the sparse block matrix."""
@@ -116,10 +113,10 @@ def resolve_spins(
     energy cluster (consecutive gaps below 1e-9 times the spectral width,
     or 1e-9 for a width below 1) the cluster's W^T W is diagonalized and
     the cluster vectors rotated accordingly, so degenerate states come out
-    with sharp spin. W is formed about _IMAGE_CHUNK columns at a time, whole
-    clusters in each, and never held whole. Spins follow from rounding the solution of
-    s(s+1) = <S^2>; a residual that is not finite or is above 1e-6 is a
-    hard error since it signals a basis or tolerance bug, not statistics.
+    with sharp spin. W is formed whole, in one sparse product. Spins follow
+    from rounding the solution of s(s+1) = <S^2>; a residual that is not
+    finite or is above 1e-6 is a hard error since it signals a basis or
+    tolerance bug, not statistics.
     So is, at M = 0, a spin whose flip parity (-1)^(S + L/2) is not the
     sector's z.
     Raises ValueError for a block that is not a ladder (label in LADDERS).
@@ -137,27 +134,17 @@ def resolve_spins(
     boundaries = np.flatnonzero(np.diff(energies) > tol)
     starts = np.concatenate(([0], boundaries + 1))
     stops = np.concatenate((boundaries + 1, [dim]))
-    clusters = [(a, b) for a, b in zip(starts, stops) if b - a > 1]
-    norms = np.empty(dim)
-    lo = 0
-    while lo < dim:
-        # chunks end on cluster edges, and never leave a last chunk of one
-        # column, which einsum would sum in another order than a wider one
-        hi = int(stops[min(np.searchsorted(stops, lo + _IMAGE_CHUNK), len(stops) - 1)])
-        hi = dim if dim - hi == 1 else hi
-        image = ladder.matrix @ vectors[:, lo:hi]
-        for a, b in clusters:
-            if lo <= a < hi:
-                w = image[:, a - lo:b - lo]
-                sub = w.T @ w
-                _, rot = np.linalg.eigh(0.5 * (sub + sub.T))
-                vectors[:, a:b] = vectors[:, a:b] @ rot
-                image[:, a - lo:b - lo] = w @ rot
-        norms[lo:hi] = np.einsum("ij,ij->j", image, image)
-        lo = hi
+    image = ladder.matrix @ vectors
+    for a, b in zip(starts, stops):
+        if b - a > 1:
+            w = image[:, a:b]
+            sub = w.T @ w
+            _, rot = np.linalg.eigh(0.5 * (sub + sub.T))
+            vectors[:, a:b] = vectors[:, a:b] @ rot
+            image[:, a:b] = w @ rot
 
     M = ladder.sector.M
-    expectation = norms + M * (M + LADDERS[ladder.label])
+    expectation = np.einsum("ij,ij->j", image, image) + M * (M + LADDERS[ladder.label])
     spins = np.rint((-1.0 + np.sqrt(1.0 + 4.0 * np.maximum(expectation, 0.0))) / 2.0)
     residuals = np.abs(expectation - spins * (spins + 1.0))
     if not residuals.max(initial=0.0) <= 1e-6:  # NaN if there is one

@@ -158,3 +158,34 @@ def test_a_residual_at_or_above_its_bound_fails_and_is_named(tmp_path, capsys, w
     out = capsys.readouterr().out
     assert out.startswith(f"oracle_check.json: /{where}[0]/{field}: "), out
     assert "not both below" in out
+
+
+def _cache_trees(tmp_path):
+    # one cache file per tree under cache/: a header of HEADER_SIZE bytes, then the payload
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    for root in (a, b):
+        (root / "cache").mkdir()
+        (root / "cache" / "L6_M0_k1_zp1_lam3.eig").write_bytes(
+            bytes(compare_outputs.HEADER_SIZE) + bytes(range(64)))
+    return a, b
+
+
+def test_cache_payloads_agree_whatever_their_fingerprints(tmp_path, capsys):
+    a, b = _cache_trees(tmp_path)
+    path = b / "cache" / "L6_M0_k1_zp1_lam3.eig"
+    data = bytearray(path.read_bytes())
+    data[12] ^= 0x01  # a byte of the build fingerprint
+    path.write_bytes(bytes(data))
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "4 files agree, 4 byte for byte\n1 cache payloads agree\n"
+
+
+def test_a_flipped_payload_byte_fails_and_names_the_file(tmp_path, capsys):
+    a, b = _cache_trees(tmp_path)
+    path = b / "cache" / "L6_M0_k1_zp1_lam3.eig"
+    data = bytearray(path.read_bytes())
+    data[compare_outputs.HEADER_SIZE + 10] ^= 0x01
+    path.write_bytes(bytes(data))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "cache/L6_M0_k1_zp1_lam3.eig: cache payload differs; 1 of 1 differ\n")

@@ -855,7 +855,7 @@ def test_analyses_build_one_basis_per_nonempty_admitted_block(tmp_path, monkeypa
     (run_spectrum, "ensure_spectrum"),
     (run_diag_eth, "load_cached_spectrum"),
     (run_offdiag_eth, "load_cached_spectrum"),
-    (run_oracle_check, "ensure_spectrum"),
+    (run_oracle_check, "load_cached_spectrum"),
 ])
 def test_commands_hold_at_most_one_earlier_spectrum(tmp_path, monkeypatch, run, source):
     cfg = _analysis_config(tmp_path, L_list=(6, 8), observables=("B",), workers=1)
@@ -874,7 +874,7 @@ def test_commands_hold_at_most_one_earlier_spectrum(tmp_path, monkeypatch, run, 
     run(cfg)
     # the spectrum sweep and oracle-check fetch every k >= 0 sector, the
     # analyses the solved sectors of the admitted labels (k = 0 and pi excluded)
-    assert len(refs) == (26 if source == "ensure_spectrum" else 10)
+    assert len(refs) == (10 if run in (run_diag_eth, run_offdiag_eth) else 26)
     assert max(alive) <= 1
 
 
@@ -1633,6 +1633,29 @@ def test_oracle_check_fails_on_a_nan_vector_and_names_the_sector(tmp_path):
                                        "--out", str(tmp_path / "cli")])
     assert result.exit_code == 1
     assert "oracle check failed" in result.output and "L8_M0_k1_zp1_lam3" in result.output
+
+
+def test_oracle_check_stops_on_a_file_it_cannot_read_and_leaves_it(tmp_path, eigensolves):
+    # a flipped vector byte fails the checksum; the audit names the file
+    # instead of solving the sector again and writing over what it found
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=())
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
+    path = spectrum_path(tmp_path / "cache", SectorLabel(8, 0, 1, 1), 3.0)
+    data = bytearray(path.read_bytes())
+    data[56 + 8 * struct.unpack_from("<i", data, 36)[0]] ^= 0x01
+    path.write_bytes(bytes(data))
+    eigensolves.clear()
+    with pytest.raises(MissingCacheError, match=re.escape(f"{path} fails its payload checksum")):
+        run_oracle_check(cfg)
+    result = CliRunner().invoke(main, ["oracle-check", "--L", "6", "--L", "8", "--lambda", "3",
+                                       "--workers", "1", "--cache", str(tmp_path / "cache"),
+                                       "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 1, result.output
+    assert f"{path} fails its payload checksum" in result.output
+    last = json.loads((tmp_path / "cli" / "manifest.jsonl").read_text().splitlines()[-1])
+    assert (last["stage"], last["status"], last["command"]) == ("run", "failed", "oracle-check")
+    assert path.read_bytes() == bytes(data)
+    assert eigensolves == []
 
 
 def _relabel(path, old: int, new: int) -> None:

@@ -150,6 +150,36 @@ def test_ladder_spins_equal_spin_squared_spins(L, lam):
         assert np.abs(s2 - spins * (spins + 1.0)).max(initial=0.0) < 1e-10, lab
 
 
+def _same_spin_pairs(spectrum):
+    # neighbours of one spin whose energies lie within resolve_spins' cluster
+    # tolerance: a rotation among them is left to LAPACK
+    energies = spectrum.energies
+    if not energies.size:  # an empty parity half
+        return 0
+    tol = 1e-9 * max(1.0, float(energies[-1] - energies[0]))
+    return sum(int(np.sum(np.diff(energies[spectrum.spins == s]) <= tol))
+               for s in np.unique(spectrum.spins))
+
+
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+@pytest.mark.parametrize("L", [12, 14])
+def test_admitted_blocks_hold_no_degenerate_same_spin_pair(L, lam):
+    # the default exclude_k drops k = 0 and pi, so no default output depends
+    # on a rotation inside a same-spin cluster; at lam = 0 the dropped halves
+    # hold such pairs, which shows the count can see one
+    admitted = reflective = 0
+    for lab in sector_labels(L, 0):
+        if lab.k_index >= 0:
+            pairs = _same_spin_pairs(_spectrum(lab, lam)[1])
+            if lab.reflective:
+                reflective += pairs
+            else:
+                admitted += pairs
+    assert admitted == 0
+    if lam == 0.0:
+        assert reflective > 0
+
+
 @pytest.mark.parametrize("label", ["S+", "S-"])
 def test_spin_resolution_rejects_a_nan_block(label):
     lab = SectorLabel(8, 0, 1, 1)
@@ -186,26 +216,6 @@ def test_spin_resolution_rejects_a_square_block_by_its_label(build):
     energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(3.0)))
     with pytest.raises(ValueError, match=f"ladder block, got {re.escape(square.label)}"):
         resolve_spins(energies, vectors, square)
-
-
-@pytest.mark.parametrize("chunk", [2, 3, 5])
-def test_ladder_image_in_chunks_gives_the_same_bits(monkeypatch, chunk):
-    # resolve_spins forms W = S^+ V a few columns at a time, each chunk
-    # stretched to the end of the lam = 0 degenerate cluster it cuts, and
-    # every output equals that of one chunk over all columns
-    clustered = 0
-    for lab in sector_labels(10, 0):
-        basis = enumerate_sector_basis(lab)
-        energies, vectors = diagonalize_block(build_hamiltonian(basis, CouplingSpec(0.0)))
-        ladder = build_spin_ladder(basis, 1)
-        monkeypatch.setattr(spectral, "_IMAGE_CHUNK", basis.dim + 1)
-        whole = resolve_spins(energies, vectors, ladder)
-        monkeypatch.setattr(spectral, "_IMAGE_CHUNK", chunk)
-        chunked = resolve_spins(energies, vectors, ladder)
-        for name in ("energies", "vectors", "spins"):
-            assert getattr(whole, name).tobytes() == getattr(chunked, name).tobytes(), (lab, name)
-        clustered += bool(np.any(np.diff(energies) < 1e-9))
-    assert clustered > 0
 
 
 def test_spin_multiplicities_l6():

@@ -28,17 +28,24 @@ are equal or both lie below the bound `oracle-check` holds that field to,
 A block-audit row without `dim` or `scale` (written before they were
 recorded) holds that field to the ordinary bounds.
 
+A cache file (*.eig) that both trees hold at the same relative path is
+compared by its payload, the bytes after its header: the header carries the
+build fingerprint, which changes with any edit to the fingerprinted sources.
+
 Exits 0 when the trees agree, saying how many files agree and how many of
-those byte for byte, as in
+those byte for byte, and, when the trees share cache files, how many
+payloads agree, as in
 
     34 files agree, 32 byte for byte
+    160 cache payloads agree
 
 and 1 naming, for every differing file in path order, its first difference
 and how many rows (CSV) or values (JSON) differ, as in
 
     diag.csv: row 3, column O_diag: 0.25 against 0.26; 2 of 120 rows differ
 
-A CSV whose config line, header or row count differs is named by that alone.
+A CSV whose config line, header or row count differs is named by that alone,
+and the cache files by the first whose payload differs.
 """
 
 from __future__ import annotations
@@ -48,6 +55,10 @@ import json
 import math
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from su2eth.cache import HEADER_SIZE  # noqa: E402
 
 ABSOLUTE = frozenset({"E_over_L", "O_diag", "E0"})
 ABSOLUTE_BOUND = 1e-12
@@ -171,6 +182,19 @@ def _outputs(root: Path) -> set[str]:
             if p.suffix in (".csv", ".json") and p.is_file()}
 
 
+def _caches(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*.eig") if p.is_file()}
+
+
+def differing_payloads(a: Path, b: Path) -> tuple[list[str], int]:
+    """The cache files under both trees whose payloads differ, in path order, and how many
+    cache files both trees hold."""
+    shared = sorted(_caches(a) & _caches(b))
+    differ = [name for name in shared
+              if (a / name).read_bytes()[HEADER_SIZE:] != (b / name).read_bytes()[HEADER_SIZE:]]
+    return differ, len(shared)
+
+
 def compare_trees(a: Path, b: Path) -> list[str]:
     """The first difference and the count of differing rows or values of every differing file,
     in path order."""
@@ -187,6 +211,9 @@ def compare_trees(a: Path, b: Path) -> list[str]:
                                 json.loads((b / name).read_text()))
         if diff:
             found.append(f"{name}: {diff}")
+    differ, shared = differing_payloads(a, b)
+    if differ:
+        found.append(f"{differ[0]}: cache payload differs; {len(differ)} of {shared} differ")
     return found
 
 
@@ -206,6 +233,9 @@ def main(argv=None) -> int:
         same = sum((args.reference / n).read_bytes() == (args.candidate / n).read_bytes()
                    for n in names)
         print(f"{len(names)} files agree, {same} byte for byte")
+        shared = len(_caches(args.reference) & _caches(args.candidate))
+        if shared:
+            print(f"{shared} cache payloads agree")
     return 1 if found else 0
 
 
