@@ -32,9 +32,10 @@ from .basis import (MAX_SITES, MIN_SITES, SectorLabel, enumerate_sector_basis, n
 from .operators import (LADDERS, OBSERVABLE_TAGS, BlockOperator, CouplingSpec, build_hamiltonian,
                         build_observable, build_operator, build_spin_ladder,
                         build_total_spin_squared, parity_block, quad_correlator_terms)
-from .spectral import (MatrixElementTable, SpinResolvedSpectrum, diagonalize_block,
-                       eigen_residual, expectations, matrix_elements, resolve_spins)
-from .tensors import clebsch_gordan, reduce_matrix_elements
+from .spectral import (SpinResolvedSpectrum, diagonalize_block, eigen_residual, expectations,
+                       matrix_elements, resolve_spins)
+# reduce_matrix_elements is the record-level reference that perfbench/tracing.py patches here
+from .tensors import clebsch_gordan, reduce_matrix_elements  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -61,6 +62,7 @@ _COMPONENTS = {"A": {0: 1.0}, "B": {2: 1.0}, "C": {0: -1.0 / np.sqrt(3.0), 2: np
 _ASSEMBLY = {"A": {"A": 1.0}, "B": {"A": 1.0 / np.sqrt(2.0), "C": np.sqrt(1.5)}, "C": {"C": 1.0}}
 
 _FILL_CACHE = "run the spectrum command first to populate the cache"
+_REBUILD = "run the spectrum command to rebuild it"
 
 _MOMENT_FIELDS = tuple(f.name for f in fields(oracle.MomentSet) if f.name not in ("L", "S", "lam"))
 
@@ -465,8 +467,9 @@ def load_cached_spectrum(sector: SectorLabel, lam: float, root: Path) -> SpinRes
     """One block spectrum from the cache; a -k sector is served from its mirror."""
     try:
         return _serve(cache.load_spectrum(root, _solved(sector), lam), sector)
-    except cache.CacheMismatch as exc:
-        raise MissingCacheError(f"{exc}; {_FILL_CACHE}") from exc
+    except cache.CacheMismatch as exc:  # a file that is there but cannot be read, spectrum rebuilds
+        there = cache.spectrum_path(root, _solved(sector), lam).exists()
+        raise MissingCacheError(f"{exc}; {_REBUILD if there else _FILL_CACHE}") from exc
 
 
 def _sector_name(sector: SectorLabel, lam: float) -> str:
@@ -595,11 +598,15 @@ def _admitted_labels(config: RunConfig, L: int) -> list[SectorLabel]:
 
 
 @memoized
+def _cg(rank: int, s_a: int, s_b: int) -> float:
+    """<S_a 0|S_b 0; r 0>, which reduces a rank-r element between spins s_a and s_b."""
+    return float(clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0))
+
+
 def _rank_vanishes(rank: int, s_a: int, s_b: int, lam: float, offdiagonal: bool) -> bool:
     """Whether the rank component vanishes between spins s_a and s_b: when
     <S_a 0|S_b 0; r 0> = 0, or r = 0 off the diagonal at lam = 0, where A = H/(sqrt(3) L)."""
-    return (clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0).is_zero
-            or (rank == 0 and offdiagonal and lam == 0.0))
+    return _cg(rank, s_a, s_b) == 0.0 or (rank == 0 and offdiagonal and lam == 0.0)
 
 
 def _vanishes(observable: str, s_a: int, s_b: int, lam: float, offdiagonal: bool) -> bool:
@@ -756,11 +763,14 @@ def _element_tables(sector: SectorLabel, cut, config: RunConfig,
                     root: Path) -> dict[tuple, analysis.OffDiagonalEnsemble]:
     """One cached solved sector's windowed ensembles, keyed by (observable, pair, reduced).
 
-    Per pair, the element table of each primitive, A or C, is computed once,
-    when a live observable's terms first need it, and dropped once no later
-    one does; each observable's records are assembled from them (see
-    _ASSEMBLY) and windowed at once, so only the kept (omega, |O|^2) pairs
-    outlive the call or leave a worker.
+    Per pair, the row and column energies are laid out once, as flat arrays
+    with one entry per element, shared by every observable. The element
+    block of each primitive, A or C, is computed once, when a live
+    observable's terms first need it, flattened alike, and dropped once no
+    later one does. Each observable's values are assembled from them (see
+    _ASSEMBLY), divided by the pair's CG coefficient for the reduced series
+    and windowed at once, so only the kept (omega, |O|^2) pairs outlive the
+    call or leave a worker. No element records are laid out.
     """
     spectrum = load_cached_spectrum(sector, config.lam, root)
     dims = spectrum.spin_dims()
@@ -774,29 +784,28 @@ def _element_tables(sector: SectorLabel, cut, config: RunConfig,
                        for observable in config.observables
                        if not _vanishes(observable, *pair, config.lam, offdiagonal=True)),
                       key=lambda item: len(item[1]))
+        # row-major; alpha == beta only on a same-spin pair's diagonal, which "offdiagonal" drops
+        keep = ~np.eye(d_a, dtype=bool).reshape(-1) if pair[0] == pair[1] else slice(None)
+        e_a, e_b = (f(spectrum.energies[spectrum.spins == s], n)[keep]
+                    for f, s, n in ((np.repeat, pair[0], d_b), (np.tile, pair[1], d_a)))
         tables = {}
         for i, (observable, terms) in enumerate(live):
             for p, _ in terms:
                 if p not in tables:
-                    # a cross-spin pair has no alpha == beta records to drop
                     tables[p] = matrix_elements(cut(p), spectrum, spin_filter=pair,
-                                                part="offdiagonal").records
-            recs = tables[terms[0][0]]
-            if terms != [(terms[0][0], 1.0)]:  # not one primitive's table as it is
-                recs = recs.copy()
-                recs["value"] = _assemble(terms, lambda p: tables[p]["value"])
+                                                part="offdiagonal").block.reshape(-1)[keep]
+            values = tables[terms[0][0]]
+            if terms != [(terms[0][0], 1.0)]:  # not one primitive's values as they are
+                values = _assemble(terms, tables.__getitem__)
             for p in set(tables) - {p for _, later in live[i + 1:] for p, _ in later}:
                 del tables[p]
             ranks = list(_COMPONENTS[observable])
-            assembled = [MatrixElementTable(recs)]
-            if len(ranks) == 1:
-                assembled.append(reduce_matrix_elements(assembled[0], ranks[0]))
-            # a comprehension: a loop name would keep the last table alive into the next one
+            series = {False: values}
+            if len(ranks) == 1 and values.size and _cg(ranks[0], *pair):  # else nothing to reduce
+                series[True] = values / _cg(ranks[0], *pair)
             parts.update({(observable, pair, reduced): analysis.build_offdiagonal_ensemble(
                 observable, spectrum.sector.L, config.lam, pair,
-                [(kept["e_a"], kept["e_b"], kept["value"], d_a, d_b)], config.energy_window)
-                for reduced, kept in zip((False, True), (table.records for table in assembled))
-                if kept.size or not reduced})
+                [(e_a, e_b, v, d_a, d_b)], config.energy_window) for reduced, v in series.items()})
     return parts
 
 

@@ -163,18 +163,36 @@ def resolve_spins(
     return SpinResolvedSpectrum(ladder.sector, energies.copy(), vectors, spins.astype(np.int16))
 
 
-@dataclass(frozen=True)
 class MatrixElementTable:
     """Matrix elements of one observable between spin-resolved eigenstates.
 
-    records is a read-only RECORD_DTYPE structured array; alpha/beta are
-    state indices within the block spectrum.
+    From matrix_elements, block is the 2-D array of <rows[i]| O |cols[j]>,
+    rows and cols state indices within spectrum, and records, a read-only
+    RECORD_DTYPE array in row-major order without alpha == beta when
+    offdiagonal, is laid out from them at first read and kept. A table made
+    from records (CG reduction, synthetic tables) holds only those.
     """
 
-    records: np.ndarray
+    def __init__(self, records: np.ndarray | None = None, block=None, rows=None, cols=None,
+                 spectrum: SpinResolvedSpectrum | None = None, offdiagonal: bool = False):
+        self.block, self.rows, self.cols, self.spectrum = block, rows, cols, spectrum
+        self.offdiagonal, self._records = offdiagonal, records
+        for arr in (records, block):
+            if arr is not None:
+                arr.setflags(write=False)
 
-    def __post_init__(self):
-        self.records.setflags(write=False)
+    @property
+    def records(self) -> np.ndarray:
+        if self._records is None:
+            alpha, beta = np.repeat(self.rows, len(self.cols)), np.tile(self.cols, len(self.rows))
+            keep = alpha != beta if self.offdiagonal else slice(None)
+            alpha, beta, e, s = alpha[keep], beta[keep], self.spectrum.energies, self.spectrum.spins
+            self._records = np.empty(len(alpha), dtype=RECORD_DTYPE)
+            for name, column in zip(RECORD_DTYPE.names, (alpha, beta, e[alpha], e[beta], s[alpha],
+                                                         s[beta], self.block.reshape(-1)[keep])):
+                self._records[name] = column
+            self._records.setflags(write=False)
+        return self._records
 
 
 def expectations(op: BlockOperator, vectors: np.ndarray) -> np.ndarray:
@@ -188,12 +206,13 @@ def matrix_elements(
     spin_filter: tuple[int, int] | None = None,
     part: str = "all",
 ) -> MatrixElementTable:
-    """<alpha| O |beta> for eigenstates of one block.
+    """<alpha| O |beta> for eigenstates of one block, as one 2-D (bra x ket) block.
 
     spin_filter (S_a, S_b) restricts bra and ket spins before the matrix
     products, which is what keeps large sweeps cheap. part selects 'all'
-    or 'offdiagonal' (alpha != beta) pairs; diagonal elements come from
-    expectations().
+    or 'offdiagonal' (alpha != beta) pairs of the table's records, which
+    are laid out only when read; the block always holds every pair.
+    Diagonal elements come from expectations().
     """
     if obs.sector != spectrum.sector:
         raise ValueError("observable block does not match the spectrum")
@@ -208,18 +227,5 @@ def matrix_elements(
         cols = np.flatnonzero(spectrum.spins == s_b)
 
     block = spectrum.vectors[:, rows].T @ (obs.matrix @ spectrum.vectors[:, cols])
-    alpha = np.repeat(rows, len(cols))
-    beta = np.tile(cols, len(rows))
-    values = block.reshape(-1)
-    if part == "offdiagonal":
-        keep = alpha != beta
-        alpha, beta, values = alpha[keep], beta[keep], values[keep]
-    records = np.empty(len(alpha), dtype=RECORD_DTYPE)
-    records["alpha"] = alpha
-    records["beta"] = beta
-    records["e_a"] = spectrum.energies[alpha]
-    records["e_b"] = spectrum.energies[beta]
-    records["s_a"] = spectrum.spins[alpha]
-    records["s_b"] = spectrum.spins[beta]
-    records["value"] = values
-    return MatrixElementTable(records)
+    return MatrixElementTable(block=block, rows=rows, cols=cols, spectrum=spectrum,
+                              offdiagonal=part == "offdiagonal")

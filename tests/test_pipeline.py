@@ -1017,6 +1017,29 @@ def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, lam):
     assert compared > 300
 
 
+def test_offdiag_eth_lays_out_no_element_records(tmp_path, monkeypatch):
+    # the elements reach the window as flat per-pair arrays; records are laid out only when read
+    reads = []
+    layout = MatrixElementTable.records
+    monkeypatch.setattr(MatrixElementTable, "records",
+                        property(lambda table: reads.append(table) or layout.fget(table)))
+    kept = 0
+    for lam in (3.0, 0.0):
+        cfg = _analysis_config(tmp_path, L_list=(8,), lam=lam, spins=(0, 1, 2),
+                               spin_pairs=((0, 2),), observables=("B", "C"), exclude_k=(),
+                               out_dir=str(tmp_path / f"out{lam}"))
+        run_spectrum(cfg)
+        run_offdiag_eth(cfg)
+        manifest = (tmp_path / f"out{lam}" / "manifest.jsonl").read_text().splitlines()
+        kept += sum(row["kept"] for row in map(json.loads, manifest) if row["stage"] == "blocks")
+    assert kept > 0 and reads == []
+    # the wrapper counts a read where there is one
+    basis = enumerate_sector_basis(SectorLabel(8, 0, 1, 1))
+    spectrum = load_cached_spectrum(SectorLabel(8, 0, 1, 1), 0.0, tmp_path / "cache")
+    assert len(matrix_elements(build_observable(basis, "C"), spectrum).records) == spectrum.dim ** 2
+    assert len(reads) == 1
+
+
 def test_a_lone_minus_k_label_weights_its_block_once(tmp_path):
     # k = 3 is excluded, so the solved k = 3 blocks serve only their -3 labels
     cfg = _analysis_config(tmp_path, L_list=(8,), spins=(1,), observables=("B",),
@@ -1645,13 +1668,14 @@ def test_oracle_check_stops_on_a_file_it_cannot_read_and_leaves_it(tmp_path, eig
     data[56 + 8 * struct.unpack_from("<i", data, 36)[0]] ^= 0x01
     path.write_bytes(bytes(data))
     eigensolves.clear()
-    with pytest.raises(MissingCacheError, match=re.escape(f"{path} fails its payload checksum")):
+    message = f"{path} fails its payload checksum; run the spectrum command to rebuild it"
+    with pytest.raises(MissingCacheError, match=re.escape(message)):
         run_oracle_check(cfg)
     result = CliRunner().invoke(main, ["oracle-check", "--L", "6", "--L", "8", "--lambda", "3",
                                        "--workers", "1", "--cache", str(tmp_path / "cache"),
                                        "--out", str(tmp_path / "cli")])
     assert result.exit_code == 1, result.output
-    assert f"{path} fails its payload checksum" in result.output
+    assert message in result.output
     last = json.loads((tmp_path / "cli" / "manifest.jsonl").read_text().splitlines()[-1])
     assert (last["stage"], last["status"], last["command"]) == ("run", "failed", "oracle-check")
     assert path.read_bytes() == bytes(data)
@@ -1872,6 +1896,37 @@ def test_faulty_cache_file_stops_the_analysis_and_is_rebuilt_by_spectrum(tmp_pat
 
 def test_flipped_vector_bit_at_l14_stops_the_analysis_and_is_rebuilt(tmp_path):
     _fault_stops_the_analysis_and_is_rebuilt(tmp_path, 14, "bit flip")
+
+
+# oracle-check solves a missing sector, so only the analyses name a missing file
+@pytest.mark.parametrize("command,fault", [
+    ("diag-eth", "bit flip"), ("diag-eth", "foreign fingerprint"), ("diag-eth", "missing"),
+    ("oracle-check", "bit flip"), ("oracle-check", "foreign fingerprint")])
+def test_an_unreadable_cache_file_is_named_with_its_fix(tmp_path, command, fault):
+    # a file that is there but cannot be read is rebuilt by spectrum; a missing one is filled
+    cfg = _analysis_config(tmp_path, spins=(1,))
+    run_spectrum(cfg)
+    lab = SectorLabel(6, 0, 1, 1)
+    path = spectrum_path(tmp_path / "cache", lab, 3.0)
+    if fault == "missing":
+        path.unlink()
+        message = f"no cached spectrum at {path}; run the spectrum command first to populate the cache"
+    else:
+        path.write_bytes(_FAULTS[fault](path, cache.load_spectrum(tmp_path / "cache", lab, 3.0)))
+        reason = {"bit flip": "fails its payload checksum",
+                  "foreign fingerprint": "was written by a different build"}[fault]
+        message = f"{path} {reason}; run the spectrum command to rebuild it"
+    run = {"diag-eth": run_diag_eth, "oracle-check": run_oracle_check}[command]
+    with pytest.raises(MissingCacheError, match=re.escape(message)):
+        run(cfg)
+    result = CliRunner().invoke(main, [command, "--L", "6", "--lambda", "3", "-S", "1",
+                                       "--workers", "1", "--cache", str(tmp_path / "cache"),
+                                       "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    last = json.loads((tmp_path / "cli" / "manifest.jsonl").read_text().splitlines()[-1])
+    assert (last["stage"], last["status"], last["command"]) == ("run", "failed", command)
+    assert last["error"] == f"MissingCacheError: {message}"
 
 
 def _fault_stops_the_analysis_and_is_rebuilt(tmp_path, L, fault):

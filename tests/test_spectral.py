@@ -268,12 +268,48 @@ def test_diagonal_part_matches_direct_sandwich():
     assert np.abs(direct.imag).max() < 1e-12
 
 
+def _laid_out(obs, spec, spin_filter, part):
+    # the records as laid out from scratch: the outer product of bra and ket
+    # states in row-major order, then every field gathered per pair
+    if spin_filter is None:
+        rows = cols = np.arange(spec.dim)
+    else:
+        rows, cols = (np.flatnonzero(spec.spins == s) for s in spin_filter)
+    block = spec.vectors[:, rows].T @ (obs.matrix @ spec.vectors[:, cols])
+    alpha, beta, values = np.repeat(rows, len(cols)), np.tile(cols, len(rows)), block.reshape(-1)
+    if part == "offdiagonal":
+        keep = alpha != beta
+        alpha, beta, values = alpha[keep], beta[keep], values[keep]
+    ref = np.empty(len(alpha), dtype=spectral.RECORD_DTYPE)
+    ref["alpha"], ref["beta"] = alpha, beta
+    ref["e_a"], ref["e_b"] = spec.energies[alpha], spec.energies[beta]
+    ref["s_a"], ref["s_b"] = spec.spins[alpha], spec.spins[beta]
+    ref["value"] = values
+    return ref
+
+
+def _checked_records(obs, spec, spin_filter, part):
+    """The table's records, held field by field, bit for bit, to the reference layout."""
+    table = matrix_elements(obs, spec, spin_filter=spin_filter, part=part)
+    recs = table.records
+    assert recs is table.records  # laid out once, then kept
+    assert recs.dtype == spectral.RECORD_DTYPE
+    with pytest.raises(ValueError, match="read-only"):
+        recs["value"][:1] = 0.0
+    ref = _laid_out(obs, spec, spin_filter, part)
+    for name in spectral.RECORD_DTYPE.names:
+        assert recs[name].tobytes() == ref[name].tobytes(), (spec.sector, spin_filter, part, name)
+    return recs
+
+
 def test_offdiagonal_part_excludes_diagonal():
-    basis, spec = _spectrum(SectorLabel(8, 0, 1, 1))
-    B = build_observable(basis, "B")
-    table = matrix_elements(B, spec, part="offdiagonal")
-    assert len(table.records) == spec.dim * (spec.dim - 1)
-    assert np.all(table.records["alpha"] != table.records["beta"])
+    for basis, spec in _all_spectra(8, 3.0):
+        B = build_observable(basis, "B")
+        for spin_filter in (None, *((s, s) for s in spec.spin_dims())):
+            recs = _checked_records(B, spec, spin_filter, "offdiagonal")
+            n = spec.dim if spin_filter is None else spec.spin_dims()[spin_filter[0]]
+            assert len(recs) == n * (n - 1)
+            assert np.all(recs["alpha"] != recs["beta"])
 
 
 def test_all_part_is_full_outer_product():
@@ -281,6 +317,9 @@ def test_all_part_is_full_outer_product():
     A = build_observable(basis, "A")
     table = matrix_elements(A, spec, part="all")
     assert len(table.records) == spec.dim ** 2
+    for basis, spec in _all_spectra(8, 3.0):
+        recs = _checked_records(build_observable(basis, "A"), spec, None, "all")
+        assert len(recs) == spec.dim ** 2
 
 
 def test_spin_filter_restricts_both_sides():
@@ -292,6 +331,15 @@ def test_spin_filter_restricts_both_sides():
     n0 = int(np.sum(spec.spins == 0))
     n2 = int(np.sum(spec.spins == 2))
     assert len(table.records) == n0 * n2
+    for basis, spec in _all_spectra(8, 3.0):
+        B = build_observable(basis, "B")
+        dims = spec.spin_dims()
+        for pair in ((a, b) for a in dims for b in dims):
+            for part in ("all", "offdiagonal"):
+                recs = _checked_records(B, spec, pair, part)
+                assert np.all(recs["s_a"] == pair[0]) and np.all(recs["s_b"] == pair[1])
+                assert len(recs) == dims[pair[0]] * (dims[pair[1]] - (part == "offdiagonal"
+                                                                      and pair[0] == pair[1]))
 
 
 def test_part_validation():
