@@ -64,6 +64,8 @@ def _build_config(config_path, **flags) -> RunConfig:
                 data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise click.UsageError(f"config {config_path} is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise click.UsageError(f"config {config_path} is not a JSON object of fields")
     if flags["lam"] is not None:
         data.pop("lambda", None)  # the flag beats the file's alias key
     # unset flags arrive as None, or as () when repeatable

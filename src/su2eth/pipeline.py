@@ -34,8 +34,8 @@ from .operators import (LADDERS, OBSERVABLE_TAGS, BlockOperator, CouplingSpec, b
                         build_total_spin_squared, parity_block, quad_correlator_terms)
 from .spectral import (SpinResolvedSpectrum, diagonalize_block, eigen_residual, expectations,
                        matrix_elements, resolve_spins)
-# reduce_matrix_elements is the record-level reference that perfbench/tracing.py patches here
-from .tensors import clebsch_gordan, reduce_matrix_elements  # noqa: F401
+# reduce_matrix_elements is not called here; perfbench/tracing.py patches it on this module
+from .tensors import reduce_matrix_elements, reduction_coefficient  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -127,6 +127,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """A config from a JSON object, whose "lambda" names the lam field."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config is a JSON object of fields, not {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__) - {"lambda"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -597,16 +599,11 @@ def _admitted_labels(config: RunConfig, L: int) -> list[SectorLabel]:
     return [lab for lab in sector_labels(L, config.M) if lab.k_index not in config.excluded_k(L)]
 
 
-@memoized
-def _cg(rank: int, s_a: int, s_b: int) -> float:
-    """<S_a 0|S_b 0; r 0>, which reduces a rank-r element between spins s_a and s_b."""
-    return float(clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0))
-
-
 def _rank_vanishes(rank: int, s_a: int, s_b: int, lam: float, offdiagonal: bool) -> bool:
     """Whether the rank component vanishes between spins s_a and s_b: when
     <S_a 0|S_b 0; r 0> = 0, or r = 0 off the diagonal at lam = 0, where A = H/(sqrt(3) L)."""
-    return _cg(rank, s_a, s_b) == 0.0 or (rank == 0 and offdiagonal and lam == 0.0)
+    return (reduction_coefficient(rank, s_a, s_b) == 0.0
+            or (rank == 0 and offdiagonal and lam == 0.0))
 
 
 def _vanishes(observable: str, s_a: int, s_b: int, lam: float, offdiagonal: bool) -> bool:
@@ -784,7 +781,7 @@ def _element_tables(sector: SectorLabel, cut, config: RunConfig,
                        for observable in config.observables
                        if not _vanishes(observable, *pair, config.lam, offdiagonal=True)),
                       key=lambda item: len(item[1]))
-        # row-major; alpha == beta only on a same-spin pair's diagonal, which "offdiagonal" drops
+        # row-major; alpha == beta only on a same-spin pair's diagonal, which the ensembles drop
         keep = ~np.eye(d_a, dtype=bool).reshape(-1) if pair[0] == pair[1] else slice(None)
         e_a, e_b = (f(spectrum.energies[spectrum.spins == s], n)[keep]
                     for f, s, n in ((np.repeat, pair[0], d_b), (np.tile, pair[1], d_a)))
@@ -792,17 +789,17 @@ def _element_tables(sector: SectorLabel, cut, config: RunConfig,
         for i, (observable, terms) in enumerate(live):
             for p, _ in terms:
                 if p not in tables:
-                    tables[p] = matrix_elements(cut(p), spectrum, spin_filter=pair,
-                                                part="offdiagonal").block.reshape(-1)[keep]
+                    tables[p] = matrix_elements(cut(p), spectrum, pair).block.reshape(-1)[keep]
             values = tables[terms[0][0]]
             if terms != [(terms[0][0], 1.0)]:  # not one primitive's values as they are
                 values = _assemble(terms, tables.__getitem__)
             for p in set(tables) - {p for _, later in live[i + 1:] for p, _ in later}:
                 del tables[p]
             ranks = list(_COMPONENTS[observable])
+            cg = reduction_coefficient(ranks[0], *pair) if len(ranks) == 1 else 0.0
             series = {False: values}
-            if len(ranks) == 1 and values.size and _cg(ranks[0], *pair):  # else nothing to reduce
-                series[True] = values / _cg(ranks[0], *pair)
+            if cg and values.size:  # else nothing to reduce
+                series[True] = values / cg
             parts.update({(observable, pair, reduced): analysis.build_offdiagonal_ensemble(
                 observable, spectrum.sector.L, config.lam, pair,
                 [(e_a, e_b, v, d_a, d_b)], config.energy_window) for reduced, v in series.items()})

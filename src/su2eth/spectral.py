@@ -164,32 +164,28 @@ def resolve_spins(
 
 
 class MatrixElementTable:
-    """Matrix elements of one observable between spin-resolved eigenstates.
+    """Matrix elements of one observable between the eigenstates of one spin pair.
 
-    From matrix_elements, block is the 2-D array of <rows[i]| O |cols[j]>,
-    rows and cols state indices within spectrum, and records, a read-only
-    RECORD_DTYPE array in row-major order without alpha == beta when
-    offdiagonal, is laid out from them at first read and kept. A table made
-    from records (CG reduction, synthetic tables) holds only those.
+    block is the 2-D array of <rows[i]| O |cols[j]>, with rows and cols the
+    state indices within spectrum of the pair's bra and ket spins. records,
+    a read-only RECORD_DTYPE array of every (row, col) in row-major order,
+    alpha == beta included, is laid out from them at first read and kept.
     """
 
-    def __init__(self, records: np.ndarray | None = None, block=None, rows=None, cols=None,
-                 spectrum: SpinResolvedSpectrum | None = None, offdiagonal: bool = False):
+    def __init__(self, block: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 spectrum: SpinResolvedSpectrum):
         self.block, self.rows, self.cols, self.spectrum = block, rows, cols, spectrum
-        self.offdiagonal, self._records = offdiagonal, records
-        for arr in (records, block):
-            if arr is not None:
-                arr.setflags(write=False)
+        self._records = None
+        block.setflags(write=False)
 
     @property
     def records(self) -> np.ndarray:
         if self._records is None:
             alpha, beta = np.repeat(self.rows, len(self.cols)), np.tile(self.cols, len(self.rows))
-            keep = alpha != beta if self.offdiagonal else slice(None)
-            alpha, beta, e, s = alpha[keep], beta[keep], self.spectrum.energies, self.spectrum.spins
+            e, s = self.spectrum.energies, self.spectrum.spins
             self._records = np.empty(len(alpha), dtype=RECORD_DTYPE)
             for name, column in zip(RECORD_DTYPE.names, (alpha, beta, e[alpha], e[beta], s[alpha],
-                                                         s[beta], self.block.reshape(-1)[keep])):
+                                                         s[beta], self.block.reshape(-1))):
                 self._records[name] = column
             self._records.setflags(write=False)
         return self._records
@@ -200,32 +196,16 @@ def expectations(op: BlockOperator, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", vectors, op.matrix @ vectors)
 
 
-def matrix_elements(
-    obs: BlockOperator,
-    spectrum: SpinResolvedSpectrum,
-    spin_filter: tuple[int, int] | None = None,
-    part: str = "all",
-) -> MatrixElementTable:
-    """<alpha| O |beta> for eigenstates of one block, as one 2-D (bra x ket) block.
+def matrix_elements(obs: BlockOperator, spectrum: SpinResolvedSpectrum,
+                    spin_pair: tuple[int, int]) -> MatrixElementTable:
+    """<alpha| O |beta> for bra spin S_a and ket spin S_b of one block, as one 2-D block.
 
-    spin_filter (S_a, S_b) restricts bra and ket spins before the matrix
-    products, which is what keeps large sweeps cheap. part selects 'all'
-    or 'offdiagonal' (alpha != beta) pairs of the table's records, which
-    are laid out only when read; the block always holds every pair.
-    Diagonal elements come from expectations().
+    spin_pair (S_a, S_b) restricts bra and ket states before the matrix
+    products, which is what keeps large sweeps cheap. Diagonal elements
+    come from expectations().
     """
     if obs.sector != spectrum.sector:
         raise ValueError("observable block does not match the spectrum")
-    if part not in ("all", "offdiagonal"):
-        raise ValueError(f"unknown part {part!r}")
-
-    if spin_filter is None:
-        rows = cols = np.arange(spectrum.dim)
-    else:
-        s_a, s_b = spin_filter
-        rows = np.flatnonzero(spectrum.spins == s_a)
-        cols = np.flatnonzero(spectrum.spins == s_b)
-
+    rows, cols = (np.flatnonzero(spectrum.spins == s) for s in spin_pair)
     block = spectrum.vectors[:, rows].T @ (obs.matrix @ spectrum.vectors[:, cols])
-    return MatrixElementTable(block=block, rows=rows, cols=cols, spectrum=spectrum,
-                              offdiagonal=part == "offdiagonal")
+    return MatrixElementTable(block, rows, cols, spectrum)

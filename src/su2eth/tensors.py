@@ -2,10 +2,11 @@
 
 Angular momenta are passed around as twice their physical value (``tj = 2j``)
 so half-integer spins stay exact integers. Coefficient values are kept in the
-closed field ``coeff * sqrt(radicand)`` with a rational ``coeff`` and a
+exact form ``coeff * sqrt(radicand)`` with a rational ``coeff`` and a
 squarefree integer ``radicand``; sums that vanish algebraically therefore
 come out as exact zeros rather than 1e-16 float residue. Floats appear only
-at the boundary, when a value is handed to the numerical tables.
+at the boundary, when a value is handed to the numerical tables, and in
+reduction_coefficient, the one rule that reduces an element table.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -21,8 +23,8 @@ from .spectral import MatrixElementTable
 __all__ = [
     "SqrtRational",
     "ZERO",
-    "ONE",
     "clebsch_gordan",
+    "reduction_coefficient",
     "cg_column_sum",
     "cg_asymptotic_r_even",
     "reduce_matrix_elements",
@@ -40,8 +42,8 @@ class SqrtRational:
 
     ``coeff`` is a signed Fraction, ``radicand`` a squarefree positive
     integer. Zero is canonically stored as (0, 1) so structural equality
-    works. Addition is only defined between values sharing a radicand;
-    heterogeneous sums are accumulated externally in radicand buckets.
+    works. The one operation is the product of two values; sums are
+    accumulated by their callers in radicand buckets.
     """
 
     coeff: Fraction = Fraction(0)
@@ -52,10 +54,6 @@ class SqrtRational:
             raise ValueError("radicand must be a positive integer")
         if self.coeff == 0 and self.radicand != 1:
             object.__setattr__(self, "radicand", 1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
 
     def signed_square(self) -> Fraction:
         """coeff**2 * radicand, carrying the sign of coeff."""
@@ -72,35 +70,14 @@ class SqrtRational:
         return -mag if self.coeff < 0 else mag
 
     def __mul__(self, other):
-        if isinstance(other, SqrtRational):
-            g = math.gcd(self.radicand, other.radicand)
-            return SqrtRational(
-                self.coeff * other.coeff * g,
-                (self.radicand // g) * (other.radicand // g),
-            )
-        if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.coeff * other, self.radicand)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SqrtRational(-self.coeff, self.radicand)
-
-    def __add__(self, other):
         if not isinstance(other, SqrtRational):
             return NotImplemented
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.radicand != other.radicand:
-            raise ArithmeticError("cannot add sqrt values with different radicands")
-        return SqrtRational(self.coeff + other.coeff, self.radicand)
+        g = math.gcd(self.radicand, other.radicand)
+        return SqrtRational(self.coeff * other.coeff * g,
+                            (self.radicand // g) * (other.radicand // g))
 
 
 ZERO = SqrtRational()
-ONE = SqrtRational(Fraction(1))
 
 
 def _split_square(n: int, bound: int) -> tuple[int, int]:
@@ -220,31 +197,28 @@ def cg_asymptotic_r_even(r: int) -> float:
 # ─── Wigner-Eckart reduction ────────────────────────────────────────────────
 
 
-def reduce_matrix_elements(table: MatrixElementTable, rank: int) -> MatrixElementTable:
-    """Divide each record's value by <S_a 0 | S_b 0; rank 0>.
+@cache
+def reduction_coefficient(rank: int, s_a: int, s_b: int) -> float:
+    """<S_a 0 | S_b 0; r 0>, which reduces a rank-r element between spins s_a and s_b."""
+    return float(clebsch_gordan(2 * s_a, 0, 2 * s_b, 0, 2 * rank, 0))
 
-    The result's values are the reduced elements. Records whose CG
-    coefficient vanishes carry no information about the reduced element
-    and are dropped. Only M = 0 and the q = 0 tensor component enter, the
-    one case the pipeline analyses.
+
+def reduce_matrix_elements(table: MatrixElementTable, rank: int) -> MatrixElementTable:
+    """The table's block divided by its spin pair's <S_a 0 | S_b 0; rank 0>.
+
+    The result's values are the reduced elements. A pair whose coefficient
+    vanishes carries no information about the reduced element and gives a
+    table with no elements; an empty table is returned as it is. Only
+    M = 0 and the q = 0 tensor component enter, the one case the pipeline
+    analyses.
     """
-    recs = table.records
-    if recs.size == 0:
+    if table.block.size == 0:
         return table
-    s_a = recs["s_a"].astype(np.intp)
-    s_b = recs["s_b"].astype(np.intp)
-    if min(s_a.min(), s_b.min()) < 0:
-        raise ValueError("angular momenta must be nonnegative")
-    # one coefficient per (S_a, S_b) pair present, gathered per record
-    cg = np.zeros((s_a.max() + 1, s_b.max() + 1))
-    cg[s_a, s_b] = 1.0
-    for sa, sb in zip(*np.nonzero(cg)):
-        cg[sa, sb] = float(clebsch_gordan(2 * int(sa), 0, 2 * int(sb), 0, 2 * rank, 0))
-    factor = cg[s_a, s_b]
-    keep = factor != 0.0
-    out = recs[keep]  # a copy: boolean indexing never returns a view
-    out["value"] = out["value"] / factor[keep]
-    return MatrixElementTable(out)
+    spins = table.spectrum.spins
+    cg = reduction_coefficient(rank, int(spins[table.rows[0]]), int(spins[table.cols[0]]))
+    if cg == 0.0:
+        return MatrixElementTable(table.block[:0], table.rows[:0], table.cols, table.spectrum)
+    return MatrixElementTable(table.block / cg, table.rows, table.cols, table.spectrum)
 
 
 def hermitian_reduced_relation(value: complex, s_row: int, s_col: int, rank: int) -> complex:

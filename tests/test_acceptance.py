@@ -295,9 +295,11 @@ def _all_element_tables(L, lam):
         spectrum = resolve_spins(e, v, build_spin_ladder(basis, 1))
         if spectrum.dim == 0:
             continue
+        # every ordered pair of spins present: together, the tables hold the whole block
+        pairs = [(s_a, s_b) for s_a in spectrum.spin_dims() for s_b in spectrum.spin_dims()]
         for tag in ("A", "B"):
             obs = build_observable(basis, tag)
-            yield tag, matrix_elements(obs, spectrum, part="all")
+            yield tag, [matrix_elements(obs, spectrum, pair) for pair in pairs]
 
 
 def test_criterion_05_hermitian_reduction():
@@ -305,10 +307,10 @@ def test_criterion_05_hermitian_reduction():
     n_pairs = 0
     missing = 0
     for L in (6, 8):
-        for tag, table in _all_element_tables(L, 3.0):
+        for tag, tables in _all_element_tables(L, 3.0):
             if tag != "B":
                 continue
-            records = reduce_matrix_elements(table, 2).records
+            records = np.concatenate([reduce_matrix_elements(t, 2).records for t in tables])
             lookup = {(int(a), int(b)): i
                       for i, (a, b) in enumerate(zip(records["alpha"], records["beta"]))}
             for i in range(records.size):
@@ -331,8 +333,8 @@ def test_criterion_06_selection_rules():
     worst = {"A": 0.0, "B": 0.0}
     populated = set()
     for L in (6, 8):
-        for tag, table in _all_element_tables(L, 3.0):
-            records = table.records
+        for tag, tables in _all_element_tables(L, 3.0):
+            records = np.concatenate([t.records for t in tables])
             ds = np.abs(records["s_a"] - records["s_b"])
             allowed = (ds == 0) if tag == "A" else (ds == 0) | (ds == 2)
             if (~allowed).any():

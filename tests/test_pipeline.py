@@ -65,6 +65,24 @@ def test_from_dict_rejects_unknown_keys():
         RunConfig.from_dict({"L_list": [6], "coupling": 3.0})
 
 
+NOT_OBJECTS = pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "3"])
+
+
+@NOT_OBJECTS
+def test_from_dict_rejects_json_that_is_not_an_object(text):
+    with pytest.raises(ConfigError, match="a config is a JSON object of fields"):
+        RunConfig.from_dict(json.loads(text))
+
+
+@NOT_OBJECTS
+def test_cli_config_that_is_not_an_object_exits_2(tmp_path, text):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    result = CliRunner().invoke(main, ["spectrum", "--L", "6", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert "is not a JSON object of fields" in result.output
+
+
 def test_from_dict_of_parsed_json():
     text = json.dumps({"L_list": [6, 8], "lambda": 3.0, "spins": [0, 1]})
     cfg = RunConfig.from_dict(json.loads(text))
@@ -515,7 +533,7 @@ def test_mirror_blocks_give_bitwise_equal_analysis_inputs(tmp_path, lam):
             diag = [expectations(op, spectrum.vectors) for op, (spectrum, _) in zip(ops, blocks)]
             assert _bits(diag[0]) == _bits(diag[1]), (minus, observable)
             for pair in ((0, 0), (1, 1), (0, 2)):
-                tables = [matrix_elements(op, spectrum, spin_filter=pair, part="offdiagonal")
+                tables = [matrix_elements(op, spectrum, pair)
                           for op, (spectrum, _) in zip(ops, blocks)]
                 if observable in ("A", "B"):
                     rank = 0 if observable == "A" else 2
@@ -921,8 +939,10 @@ def test_analyses_journal_admitted_and_loaded_blocks_per_size(tmp_path):
 def _full_element_records(cfg, root, labels):
     """Per (observable, pair, reduced), each label's whole element records, in label order.
 
-    Each observable's records are assembled from the label's own A and C
-    element tables by pipeline._terms, as offdiag-eth assembles them.
+    Each observable's block is assembled from the label's own A and C
+    element blocks by pipeline._terms, as offdiag-eth assembles them, and
+    B's is reduced by reduce_matrix_elements. The alpha == beta records of a
+    same-spin pair are dropped here, as offdiag-eth drops them.
     """
     records = {}
     for lab in labels:
@@ -936,17 +956,18 @@ def _full_element_records(cfg, root, labels):
                                                               offdiagonal=True):
                     continue
                 terms = pipeline._terms(observable, *pair, cfg.lam, offdiagonal=True)
-                elements = {p: matrix_elements(build_observable(basis, p), spectrum,
-                                               spin_filter=pair, part="offdiagonal").records
+                elements = {p: matrix_elements(build_observable(basis, p), spectrum, pair)
                             for p, _ in terms}
-                recs = elements[terms[0][0]].copy()
-                recs["value"] = pipeline._assemble(terms, lambda p: elements[p]["value"])
-                tables = {False: recs}
+                first = elements[terms[0][0]]
+                table = MatrixElementTable(pipeline._assemble(terms, lambda p: elements[p].block),
+                                           first.rows, first.cols, spectrum)
+                tables = {False: table}
                 if observable == "B":
-                    tables[True] = reduce_matrix_elements(MatrixElementTable(recs), 2).records
+                    tables[True] = reduce_matrix_elements(table, 2)
                 for reduced, t in tables.items():
-                    if t.size or not reduced:
-                        records.setdefault((observable, pair, reduced), []).append((t, d_a, d_b))
+                    recs = t.records[t.records["alpha"] != t.records["beta"]]
+                    if recs.size or not reduced:
+                        records.setdefault((observable, pair, reduced), []).append((recs, d_a, d_b))
     return records
 
 
@@ -1036,7 +1057,9 @@ def test_offdiag_eth_lays_out_no_element_records(tmp_path, monkeypatch):
     # the wrapper counts a read where there is one
     basis = enumerate_sector_basis(SectorLabel(8, 0, 1, 1))
     spectrum = load_cached_spectrum(SectorLabel(8, 0, 1, 1), 0.0, tmp_path / "cache")
-    assert len(matrix_elements(build_observable(basis, "C"), spectrum).records) == spectrum.dim ** 2
+    s = int(spectrum.spins[0])
+    table = matrix_elements(build_observable(basis, "C"), spectrum, (s, s))
+    assert len(table.records) == spectrum.spin_dims()[s] ** 2
     assert len(reads) == 1
 
 
@@ -1380,10 +1403,11 @@ def test_b_without_its_a_part_is_exactly_sqrt_three_halves_c(tmp_path, monkeypat
     primitives = {}
     elements, ensemble = pipeline.matrix_elements, pipeline.analysis.build_offdiagonal_ensemble
 
-    def recorded_elements(obs, spectrum, spin_filter, part):
-        table = elements(obs, spectrum, spin_filter=spin_filter, part=part)
-        tables[obs.label, spin_filter] += 1
-        primitives[obs.label, spin_filter] = table.records["value"]
+    def recorded_elements(obs, spectrum, spin_pair):
+        table = elements(obs, spectrum, spin_pair)
+        tables[obs.label, spin_pair] += 1
+        recs = table.records  # alpha == beta is not offered to the window
+        primitives[obs.label, spin_pair] = recs["value"][recs["alpha"] != recs["beta"]]
         return table
 
     def recorded_ensemble(observable, L, lam, pair, blocks, window):

@@ -268,85 +268,55 @@ def test_diagonal_part_matches_direct_sandwich():
     assert np.abs(direct.imag).max() < 1e-12
 
 
-def _laid_out(obs, spec, spin_filter, part):
+def _laid_out(obs, spec, pair):
     # the records as laid out from scratch: the outer product of bra and ket
     # states in row-major order, then every field gathered per pair
-    if spin_filter is None:
-        rows = cols = np.arange(spec.dim)
-    else:
-        rows, cols = (np.flatnonzero(spec.spins == s) for s in spin_filter)
+    rows, cols = (np.flatnonzero(spec.spins == s) for s in pair)
     block = spec.vectors[:, rows].T @ (obs.matrix @ spec.vectors[:, cols])
-    alpha, beta, values = np.repeat(rows, len(cols)), np.tile(cols, len(rows)), block.reshape(-1)
-    if part == "offdiagonal":
-        keep = alpha != beta
-        alpha, beta, values = alpha[keep], beta[keep], values[keep]
+    alpha, beta = np.repeat(rows, len(cols)), np.tile(cols, len(rows))
     ref = np.empty(len(alpha), dtype=spectral.RECORD_DTYPE)
     ref["alpha"], ref["beta"] = alpha, beta
     ref["e_a"], ref["e_b"] = spec.energies[alpha], spec.energies[beta]
     ref["s_a"], ref["s_b"] = spec.spins[alpha], spec.spins[beta]
-    ref["value"] = values
+    ref["value"] = block.reshape(-1)
     return ref
 
 
-def _checked_records(obs, spec, spin_filter, part):
+def _checked_records(obs, spec, pair):
     """The table's records, held field by field, bit for bit, to the reference layout."""
-    table = matrix_elements(obs, spec, spin_filter=spin_filter, part=part)
+    table = matrix_elements(obs, spec, pair)
     recs = table.records
     assert recs is table.records  # laid out once, then kept
     assert recs.dtype == spectral.RECORD_DTYPE
     with pytest.raises(ValueError, match="read-only"):
         recs["value"][:1] = 0.0
-    ref = _laid_out(obs, spec, spin_filter, part)
+    ref = _laid_out(obs, spec, pair)
     for name in spectral.RECORD_DTYPE.names:
-        assert recs[name].tobytes() == ref[name].tobytes(), (spec.sector, spin_filter, part, name)
+        assert recs[name].tobytes() == ref[name].tobytes(), (spec.sector, pair, name)
     return recs
-
-
-def test_offdiagonal_part_excludes_diagonal():
-    for basis, spec in _all_spectra(8, 3.0):
-        B = build_observable(basis, "B")
-        for spin_filter in (None, *((s, s) for s in spec.spin_dims())):
-            recs = _checked_records(B, spec, spin_filter, "offdiagonal")
-            n = spec.dim if spin_filter is None else spec.spin_dims()[spin_filter[0]]
-            assert len(recs) == n * (n - 1)
-            assert np.all(recs["alpha"] != recs["beta"])
-
-
-def test_all_part_is_full_outer_product():
-    basis, spec = _spectrum(SectorLabel(6, 0, 1, -1))
-    A = build_observable(basis, "A")
-    table = matrix_elements(A, spec, part="all")
-    assert len(table.records) == spec.dim ** 2
-    for basis, spec in _all_spectra(8, 3.0):
-        recs = _checked_records(build_observable(basis, "A"), spec, None, "all")
-        assert len(recs) == spec.dim ** 2
 
 
 def test_spin_filter_restricts_both_sides():
     basis, spec = _spectrum(SectorLabel(8, 0, 1, 1))
     B = build_observable(basis, "B")
-    table = matrix_elements(B, spec, spin_filter=(0, 2), part="all")
+    table = matrix_elements(B, spec, (0, 2))
     assert np.all(table.records["s_a"] == 0)
     assert np.all(table.records["s_b"] == 2)
     n0 = int(np.sum(spec.spins == 0))
     n2 = int(np.sum(spec.spins == 2))
+    assert table.block.shape == (n0, n2)
     assert len(table.records) == n0 * n2
     for basis, spec in _all_spectra(8, 3.0):
-        B = build_observable(basis, "B")
-        dims = spec.spin_dims()
-        for pair in ((a, b) for a in dims for b in dims):
-            for part in ("all", "offdiagonal"):
-                recs = _checked_records(B, spec, pair, part)
+        for tag in ("A", "B"):
+            obs = build_observable(basis, tag)
+            dims = spec.spin_dims()
+            for pair in ((a, b) for a in dims for b in dims):
+                recs = _checked_records(obs, spec, pair)
                 assert np.all(recs["s_a"] == pair[0]) and np.all(recs["s_b"] == pair[1])
-                assert len(recs) == dims[pair[0]] * (dims[pair[1]] - (part == "offdiagonal"
-                                                                      and pair[0] == pair[1]))
-
-
-def test_part_validation():
-    basis, spec = _spectrum(SectorLabel(6, 0, 1, 1))
-    A = build_observable(basis, "A")
-    with pytest.raises(ValueError, match="unknown part"):
-        matrix_elements(A, spec, part="upper")
+                # every (row, col), alpha == beta included on a same-spin pair
+                assert len(recs) == dims[pair[0]] * dims[pair[1]]
+                assert np.sum(recs["alpha"] == recs["beta"]) == (dims[pair[0]]
+                                                                 if pair[0] == pair[1] else 0)
 
 
 def test_mismatched_sectors_rejected():
@@ -354,14 +324,15 @@ def test_mismatched_sectors_rejected():
     other, _ = _spectrum(SectorLabel(6, 0, 2, 1))
     A = build_observable(other, "A")
     with pytest.raises(ValueError, match="does not match the spectrum"):
-        matrix_elements(A, spec)
+        matrix_elements(A, spec, (0, 0))
 
 
 def test_hermiticity_of_element_table():
     basis, spec = _spectrum(SectorLabel(8, 0, 2, -1))
     B = build_observable(basis, "B")
-    table = matrix_elements(B, spec, part="all")
-    recs = table.records
+    dims = spec.spin_dims()
+    recs = np.concatenate([matrix_elements(B, spec, (a, b)).records for a in dims for b in dims])
+    assert len(recs) == spec.dim ** 2
     lookup = {(a, b): v for a, b, v in zip(recs["alpha"], recs["beta"], recs["value"])}
     for (a, b), v in lookup.items():
         assert lookup[(b, a)] == pytest.approx(np.conjugate(v), abs=1e-12)
