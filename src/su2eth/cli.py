@@ -1,7 +1,8 @@
 """Command-line front end: thin argument handling over the pipeline functions.
 
-Exit codes: 0 on success, 2 on configuration/validation errors, 1 on
-runtime failures (missing cache, failed checks, I/O).
+Exit codes: 0 on success, 2 on configuration/validation errors (including
+a --config file that cannot be read or parsed), 1 on runtime failures
+(missing cache, failed checks, I/O).
 """
 
 import os
@@ -52,39 +53,35 @@ def _config_options(fn):
     return fn
 
 
-def _build_config(config_path, **flags) -> RunConfig:
-    """The config file's fields, overridden by every flag that was set.
+def _run(command, flags: dict, shown=()) -> dict:
+    """Run command on the config that flags build and echo its result, or its shown keys, as JSON.
 
-    Each flag's destination is the RunConfig field it sets.
+    The --config file is RunConfig.from_dict's object and the flags that were
+    set are its fields, each named by its destination. A file that cannot be
+    read or parsed and a rejected config exit 2; a failed command exits 1.
     """
+    path = flags.pop("config_path")
     data = {}
-    if config_path:
+    if path:
         try:
-            with open(config_path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise click.UsageError(f"config {config_path} is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise click.UsageError(f"config {config_path} is not a JSON object of fields")
-    if flags["lam"] is not None:
-        data.pop("lambda", None)  # the flag beats the file's alias key
+            data = json.loads(Path(path).read_bytes())
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8/16/32 text, or not JSON
+            raise click.UsageError(f"config {path} cannot be read as JSON: {exc}")
     # unset flags arrive as None, or as () when repeatable
-    data.update({key: value for key, value in flags.items() if value not in (None, ())})
-    if not data.get("L_list"):
-        raise click.UsageError("no system sizes given: set L_list in the config or pass --L")
+    fields = {key: value for key, value in flags.items() if value not in (None, ())}
     try:
-        return RunConfig.from_dict(data)
+        config = RunConfig.from_dict(data, **fields)
     except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         raise click.UsageError(str(exc))
-
-
-def _run(command, config: RunConfig):
     try:
-        return command(config)
+        result = command(config)
     except ConfigError as exc:
         raise click.UsageError(str(exc))
     except (MissingCacheError, RuntimeError, ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
+    click.echo(json.dumps({k: result[k] for k in shown} if shown else result,
+                          indent=2, sort_keys=True))
+    return result
 
 
 @click.group()
@@ -96,15 +93,13 @@ def main():
 
 @main.command()
 @_config_options
-def spectrum(**kwargs):
+def spectrum(**flags):
     """Diagonalize every k >= 0 sector in the plan and fill the eigendata cache.
 
     Each -k sector has the same real block as its +k mirror and is counted
     with it, never solved or cached on its own.
     """
-    config = _build_config(**kwargs)
-    summary = _run(run_spectrum, config)
-    click.echo(json.dumps(summary, indent=2, sort_keys=True))
+    summary = _run(run_spectrum, flags)
     if summary["failures"]:
         raise click.ClickException(
             f"{len(summary['failures'])} sector(s) failed; see manifest")
@@ -112,30 +107,23 @@ def spectrum(**kwargs):
 
 @main.command("diag-eth")
 @_config_options
-def diag_eth(**kwargs):
+def diag_eth(**flags):
     """Diagonal-element series, spin scans, fluctuation scalings, oracle lines."""
-    config = _build_config(**kwargs)
-    result = _run(run_diag_eth, config)
-    click.echo(json.dumps(result, indent=2, sort_keys=True))
+    _run(run_diag_eth, flags)
 
 
 @main.command("offdiag-eth")
 @_config_options
-def offdiag_eth(**kwargs):
+def offdiag_eth(**flags):
     """Off-diagonal ensembles: Gaussianity, spectral functions, scalings."""
-    config = _build_config(**kwargs)
-    result = _run(run_offdiag_eth, config)
-    click.echo(json.dumps(result, indent=2, sort_keys=True))
+    _run(run_offdiag_eth, flags)
 
 
 @main.command("oracle-check")
 @_config_options
-def oracle_check(**kwargs):
+def oracle_check(**flags):
     """Audit eigendata and compare sector traces to the closed forms."""
-    config = _build_config(**kwargs)
-    report = _run(run_oracle_check, config)
-    click.echo(json.dumps({k: report[k] for k in ("config", "lambda", "pass", "failures")},
-                          indent=2, sort_keys=True))
+    report = _run(run_oracle_check, flags, shown=("config", "lambda", "pass", "failures"))
     if not report["pass"]:
         names = sorted({f.get("sector", f.get("kind", "?")) for f in report["failures"]})
         raise click.ClickException("oracle check failed: " + ", ".join(names))

@@ -125,18 +125,22 @@ class RunConfig:
             object.__setattr__(self, "omega_cut", _real("omega_cut", self.omega_cut))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """A config from a JSON object, whose "lambda" names the lam field."""
+    def from_dict(cls, data: dict, **fields) -> "RunConfig":
+        """A config from a JSON object, whose "lambda" names the lam field, and fields, such
+        as the set CLI flags, which win over its entries: a lam field over "lambda" too."""
         if not isinstance(data, dict):
             raise ConfigError(f"a config is a JSON object of fields, not {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__) - {"lambda"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        if "lambda" in data and "lam" in data:
+        if "lambda" in data and "lam" in data and "lam" not in fields:
             raise ConfigError("set the coupling once: the config has both 'lambda' and 'lam'")
         if "lambda" in data:
             data["lam"] = data.pop("lambda")
+        data.update(fields)
+        if data.get("L_list") is None:
+            raise ConfigError("no system sizes given: set L_list in the config or pass --L")
         return cls(**data)
 
     def canonical(self) -> dict:
@@ -209,18 +213,11 @@ def _validate(config: RunConfig, command: str) -> None:
             raise ConfigError(f"unknown observable {tag!r}, expected subset of {OBSERVABLE_TAGS}")
     for name in ("L_list", "observables"):
         _reject_repeats(name, getattr(config, name))
-    positive = {
-        "half_width": config.half_width,
-        "energy_window": config.energy_window,
-        "bin_spacing": config.bin_spacing,
-        "bin_width": config.bin_width,
-        "min_bin_count": config.min_bin_count,
-        "workers": config.workers,
-    }
-    if config.omega_cut is not None:
-        positive["omega_cut"] = config.omega_cut
-    for name, value in positive.items():
-        if not 0 < value < np.inf:  # so nan and inf fail too
+    for name in ("half_width", "energy_window", "bin_spacing", "bin_width", "min_bin_count",
+                 "workers", "omega_cut"):
+        value = getattr(config, name)
+        # a None omega_cut resolves automatically; the bounds fail nan and inf too
+        if value is not None and not 0 < value < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {value}")
     if not 0.0 < config.central_fraction <= 1.0:
         raise ConfigError(f"central_fraction must lie in (0, 1], got {config.central_fraction}")
@@ -399,18 +396,18 @@ def _unit(sector: SectorLabel) -> SectorLabel:
 # the oracle's four-site correlators, by tag: the kind of their terms
 _CORRELATORS = {"eps4": "dotdot", "eps4z": "zzdot"}
 
-# the per-state expectations, by the tag of their operator: S^2 and the correlators
-# (eps2 and eps2z follow from S^2, meanA and meanB from A and C, see _state_moments)
-_MOMENT_TAGS = {"S2": "S2", **{tag: tag for tag in _CORRELATORS}}
+# the operators of the per-state expectations, each named by its tag: S^2 and the
+# correlators (eps2 and eps2z follow from S^2, meanA and meanB from A and C, see _state_moments)
+_MOMENT_TAGS = ("S2", *_CORRELATORS)
 
 
 def _halves(unit: SectorLabel, lam: float) -> dict[SectorLabel, Callable[[str], BlockOperator]]:
     """A cut(tag) for each solved sector of one whole (k, z) sector, keyed by sector.
 
     cut(tag) is the sector's block of operator tag: H, S2, the ladder S+ or
-    S-, an observable or a correlator. The unit's basis and each
-    whole-sector operator are built once, at first use; a parity half at
-    k = 0 or pi takes its parity_block.
+    S-, an observable or a correlator. The unit's basis, each whole-sector
+    operator and each sector's block are built once, at first use; a parity
+    half at k = 0 or pi takes its parity_block.
     """
     basis = memoized(lambda: enumerate_sector_basis(unit))
 
@@ -426,7 +423,8 @@ def _halves(unit: SectorLabel, lam: float) -> dict[SectorLabel, Callable[[str], 
             return build_observable(basis(), tag)
         return build_operator(basis(), quad_correlator_terms(unit.L, _CORRELATORS[tag]), tag)
 
-    return {sector: lambda tag, p=sector.parity: parity_block(whole(tag), with_parity(basis(), p))
+    return {sector: memoized(lambda tag, p=sector.parity: parity_block(whole(tag),
+                                                                      with_parity(basis(), p)))
             for sector in parity_halves(unit)}
 
 
@@ -644,6 +642,24 @@ def _journal_blocks(manifest: RunManifest, L: int, labels, **counts) -> None:
                     loaded=len({_solved(lab) for lab in labels}), **counts)
 
 
+def _fits(manifest: RunManifest, stage: str, named_points, fit) -> dict[str, dict]:
+    """fit(points) of each named list of at least 3 points, its inputs the hash of their last
+    two columns, x then y; a fit that raises ValueError is named in a stage/skipped row."""
+    fits = {}
+    for name, points in named_points:
+        if len(points) < 3:
+            continue
+        try:
+            entry = fit(points).as_dict()
+        except ValueError as exc:
+            manifest.record(stage, "skipped", sector=name, error=str(exc))
+            continue
+        entry["inputs"] = hashlib.sha256(b"".join(
+            np.asarray(column).tobytes() for column in list(zip(*points))[-2:])).hexdigest()[:16]
+        fits[name] = entry
+    return fits
+
+
 def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> analysis.DiagonalSeries:
     blocks = []
     for energies, values, spins in tables:
@@ -707,10 +723,9 @@ def run_diag_eth(config: RunConfig) -> dict:
 
                 scan = analysis.diagonal_vs_spin([pooled[S] for S in all_spins],
                                                  config.energy_window)
-                for i, S in enumerate(scan.spins):
-                    spin_rows.append((observable, L, config.lam, int(S), S / L,
-                                      scan.means[i], scan.stds[i], scan.block_means[i],
-                                      int(scan.counts[i]), bool(scan.flagged[i])))
+                spin_rows.append((observable, L, config.lam, scan.spins, scan.spins / L,
+                                  scan.means, scan.stds, scan.block_means, scan.counts,
+                                  scan.flagged))
 
                 for S in config.spins:
                     m = oracle.moments(L, S, config.lam)
@@ -719,20 +734,14 @@ def run_diag_eth(config: RunConfig) -> dict:
                         slopes = {0: coeffs.slopeA, 2: coeffs.slopeB}
                     except ValueError:
                         slopes = dict.fromkeys((0, 2), float("nan"))
-                    # sums from -0.0, the identity of float addition, so a -0 mean stays -0
                     pred_rows.append((observable, L, S, config.lam, m.E0, *(
-                        sum((c * by_rank[r] for r, c in _COMPONENTS[observable].items()), -0.0)
+                        _assemble(_COMPONENTS[observable].items(), by_rank.__getitem__)
                         for by_rank in ({0: m.meanA, 2: m.meanB}, slopes))))
 
-        fits = {}
-        for (observable, S), points in sorted(fluct_points.items()):
-            if len(points) < 3:
-                continue
-            xs, ys = zip(*points)
-            result = analysis.scaling_fit(xs, ys)
-            entry = result.as_dict()
-            entry["inputs"] = _inputs_hash([np.asarray(xs), np.asarray(ys)])
-            fits[f"fluct[{observable},S={S}]"] = entry
+        fits = _fits(manifest, "diag",
+                     [(f"fluct[{observable},S={S}]", points)
+                      for (observable, S), points in sorted(fluct_points.items())],
+                     lambda points: analysis.scaling_fit(*zip(*points)))
 
         paths = {
             "diag": _write_csv(out / "diag.csv",
@@ -854,13 +863,6 @@ def _populated(series: analysis.BinnedSeries) -> list[np.ndarray]:
     return [a[keep] for a in (series.centers, series.values, series.counts, series.flagged)]
 
 
-def _inputs_hash(arrays) -> str:
-    digest = hashlib.sha256()
-    for a in arrays:
-        digest.update(np.ascontiguousarray(a).tobytes())
-    return digest.hexdigest()[:16]
-
-
 def run_offdiag_eth(config: RunConfig) -> dict:
     """Gaussianity ratios, spectral functions, variance scalings, low-freq views."""
     with _begin(config, "offdiag-eth") as (root, out, manifest, plan, pool):
@@ -904,20 +906,10 @@ def run_offdiag_eth(config: RunConfig) -> dict:
                     spec_red_rows.append((w, v, *tag, c, f))
             _journal_blocks(manifest, L, labels, elements=elements, kept=kept)
 
-        fits = {}
-        for (observable, pair), group in sorted(points.items()):
-            if len(group) < 3:
-                continue
-            name = f"variance[{observable},{pair[0]},{pair[1]}]"
-            try:
-                result = analysis.variance_scaling(group)
-            except ValueError as exc:  # e.g. fewer than 3 sizes with records below omega_cut
-                manifest.record("offdiag", "skipped", sector=name, error=str(exc))
-                continue
-            entry = result.as_dict()
-            _, xs, ys = zip(*group)
-            entry["inputs"] = _inputs_hash([np.asarray(xs), np.asarray(ys)])
-            fits[name] = entry
+        fits = _fits(manifest, "offdiag",
+                     [(f"variance[{observable},{s_a},{s_b}]", group)
+                      for (observable, (s_a, s_b)), group in sorted(points.items())],
+                     analysis.variance_scaling)
 
         paths = {
             "gamma": _write_csv(out / "gamma.csv",
@@ -953,7 +945,7 @@ def _state_moments(cut, spectrum: SpinResolvedSpectrum, lam: float) -> dict[str,
     meanA and meanB are the diagonals diag-eth assembles from A and C, so
     their closed forms audit that assembly.
     """
-    per_state = {f: expectations(cut(tag), spectrum.vectors) for f, tag in _MOMENT_TAGS.items()}
+    per_state = {tag: expectations(cut(tag), spectrum.vectors) for tag in _MOMENT_TAGS}
     values = _diagonals(cut, spectrum, lam)
     mean_a, mean_b = (_assemble(_ASSEMBLY[o].items(), values) for o in ("A", "B"))
     e, L, s2 = spectrum.energies, spectrum.sector.L, per_state["S2"]

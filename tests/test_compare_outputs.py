@@ -189,3 +189,40 @@ def test_a_flipped_payload_byte_fails_and_names_the_file(tmp_path, capsys):
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out == (
         "cache/L6_M0_k1_zp1_lam3.eig: cache payload differs; 1 of 1 differ\n")
+
+
+def _journal_trees(tmp_path, **changes):
+    # one run's journal rows; b's last row carries the changes
+    rows = [{"ts": "2026-01-01T00:00:00", "config": "0123456789abcdef", "stage": "run",
+             "status": "start", "command": "offdiag-eth", "fingerprint": "00000000000000aa"},
+            {"ts": "2026-01-01T00:00:01", "config": "0123456789abcdef", "stage": "blocks",
+             "status": "done", "L": 10, "admitted": 18, "loaded": 10, "elements": 5000,
+             "kept": 420, "seconds": 0.25}]
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    for root, last in ((a, rows[-1]), (b, {**rows[-1], **changes})):
+        (root / "manifest.jsonl").write_text(
+            "".join(json.dumps(row) + "\n" for row in (*rows[:-1], last)))
+    return a, b
+
+
+@pytest.mark.parametrize("changes", [
+    {"ts": "2026-06-30T12:00:00"}, {"seconds": 9.5}, {"fingerprint": "00000000000000bb"}],
+    ids=["ts", "seconds", "fingerprint"])
+def test_journal_rows_agree_with_their_times_and_fingerprint_masked(tmp_path, capsys, changes):
+    a, b = _journal_trees(tmp_path, **changes)
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "4 files agree, 4 byte for byte\n"
+
+
+def test_a_changed_journal_count_fails_and_names_the_row(tmp_path, capsys):
+    a, b = _journal_trees(tmp_path, kept=421)
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "manifest.jsonl: row 2/kept: 420 against 421; 1 of 2 rows differ\n")
+
+
+def test_a_missing_journal_row_fails(tmp_path, capsys):
+    a, b = _journal_trees(tmp_path)
+    (b / "manifest.jsonl").write_text((b / "manifest.jsonl").read_text().splitlines()[0] + "\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "manifest.jsonl: 2 rows against 1\n"

@@ -80,7 +80,54 @@ def test_cli_config_that_is_not_an_object_exits_2(tmp_path, text):
     cfg_path.write_text(text)
     result = CliRunner().invoke(main, ["spectrum", "--L", "6", "--config", str(cfg_path)])
     assert result.exit_code == 2, result.output
-    assert "is not a JSON object of fields" in result.output
+    assert "a config is a JSON object of fields" in result.output
+
+
+def test_from_dict_without_sizes_is_a_config_error():
+    with pytest.raises(ConfigError, match="no system sizes given"):
+        RunConfig.from_dict({})
+    with pytest.raises(ConfigError, match="no system sizes given"):
+        RunConfig.from_dict({"L_list": None, "lambda": 3.0})
+
+
+def test_from_dict_fields_win_over_the_object():
+    # the fields are the set CLI flags; a lam field wins over "lambda" and settles both keys
+    assert RunConfig.from_dict({}, L_list=(8,)).L_list == (8,)
+    cfg = RunConfig.from_dict({"L_list": [6], "lambda": 0.0, "spins": [0]}, lam=3.0, spins=(1,))
+    assert (cfg.L_list, cfg.lam, cfg.spins) == ((6,), 3.0, (1,))
+    assert RunConfig.from_dict({"L_list": [6], "lam": 1.0, "lambda": 0.5}, lam=3.0).lam == 3.0
+    with pytest.raises(ConfigError, match="both 'lambda' and 'lam'"):
+        RunConfig.from_dict({"L_list": [6], "lam": 1.0, "lambda": 0.5}, L_list=(8,))
+
+
+def test_cli_config_file_that_is_not_utf8_exits_2_and_names_it(tmp_path):
+    cfg_path = tmp_path / "f"
+    cfg_path.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x7B]))
+    result = CliRunner().invoke(main, ["spectrum", "--L", "6", "--config", str(cfg_path),
+                                       "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert f"config {cfg_path} cannot be read as JSON" in result.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_config_file_that_cannot_be_read_exits_2_and_names_it(tmp_path, monkeypatch):
+    # file modes do not stop every user, so the read itself fails
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"L_list": [6]}))
+    read = type(cfg_path).read_bytes
+
+    def refuse(path):
+        if path == cfg_path:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read(path)
+
+    monkeypatch.setattr(type(cfg_path), "read_bytes", refuse)
+    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg_path),
+                                       "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert f"config {cfg_path} cannot be read as JSON" in result.output
+    assert "Permission denied" in result.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_from_dict_of_parsed_json():
@@ -1537,6 +1584,52 @@ def test_a_variance_fit_without_three_usable_sizes_is_skipped_and_journaled(tmp_
     assert _manifest(out)[-1]["status"] == "done"
 
 
+def test_a_fluctuation_fit_that_cannot_be_made_is_skipped_and_journaled(tmp_path, monkeypatch):
+    cfg = _analysis_config(tmp_path, L_list=(6, 8, 10), spins=(1,), observables=("B",))
+    run_spectrum(cfg)
+
+    def refuse(xs, ys):
+        raise ValueError("no usable points")
+
+    monkeypatch.setattr(pipeline.analysis, "scaling_fit", refuse)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**dataclasses.asdict(cfg), "out_dir": str(tmp_path / "cli")}))
+    result = CliRunner().invoke(main, ["diag-eth", "--config", str(cfg_path)])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "cli"
+    assert json.loads((out / "diag_fits.json").read_text())["fits"] == {}
+    assert {r["L"] for r in _records(out / "fluct.csv")} == {"6", "8", "10"}
+    skipped = [e for e in _manifest(out) if e["stage"] == "diag"]
+    assert [(e["status"], e["sector"], e["error"]) for e in skipped] == [
+        ("skipped", "fluct[B,S=1]", "no usable points")]
+    assert _manifest(out)[-1]["status"] == "done"
+
+
+def _cuts(monkeypatch) -> Counter:
+    """Counts each (sector, operator) block that pipeline.parity_block cuts from here on."""
+    cuts = Counter()
+    cut = pipeline.parity_block
+    monkeypatch.setattr(pipeline, "parity_block", lambda block, basis: cuts.update(
+        [(basis.sector, block.label)]) or cut(block, basis))
+    return cuts
+
+
+def test_each_block_is_cut_once_per_command(tmp_path, monkeypatch):
+    cfg = _analysis_config(tmp_path, L_list=(8,), spins=(0, 1, 2), spin_pairs=((0, 2),),
+                           observables=("B", "C"), exclude_k=(), workers=1)
+    run_spectrum(cfg)
+    for run in (run_offdiag_eth, run_oracle_check):
+        cuts = _cuts(monkeypatch)
+        run(cfg)
+        assert any(sector.parity is not None for sector, _ in cuts), run
+        assert max(cuts.values()) == 1, (run, cuts.most_common(3))
+    # a sector that oracle-check solves itself is cut once too, for its solve and its audit
+    spectrum_path(tmp_path / "cache", SectorLabel(8, 0, 0, 1, 1), 3.0).unlink()
+    cuts = _cuts(monkeypatch)
+    assert run_oracle_check(cfg)["pass"]
+    assert cuts[(SectorLabel(8, 0, 0, 1, 1), "H(lam=3)")] == 1
+
+
 @pytest.mark.parametrize("run", [run_diag_eth, run_offdiag_eth])
 def test_analysis_names_a_missing_file_before_reading_any(tmp_path, monkeypatch, run):
     cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(1,), observables=("B",), workers=1)
@@ -2012,7 +2105,7 @@ def test_cli_oracle_check_without_cache_root_exits_2(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["spectrum", "diag-eth", "offdiag-eth", "oracle-check"])
 def test_cli_flags_are_named_after_config_fields(command):
-    # _build_config merges the set flags into the config by destination name
+    # cli._run hands the set flags to RunConfig.from_dict by destination name
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     names = {param.name for param in main.commands[command].params} - {"config_path"}
     assert names
@@ -2059,6 +2152,28 @@ def test_cli_config_file_with_both_coupling_keys_exits_2(tmp_path):
     assert result.exit_code == 2
     assert "both 'lambda' and 'lam'" in result.output
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_config_file_with_both_coupling_keys_takes_the_flag(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"L_list": [6], "lam": 1.0, "lambda": 0.5,
+                                    "cache_dir": str(tmp_path / "c"),
+                                    "out_dir": str(tmp_path / "o")}))
+    result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg_path), "--lambda", "3"])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "o" / "spectrum_summary.json").read_text())["lambda"] == 3.0
+
+
+def test_cli_type_error_inside_a_command_is_no_config_error(tmp_path, monkeypatch):
+    # only building the config maps a TypeError to exit 2
+    def broken(config):
+        raise TypeError("a bug in the command")
+
+    monkeypatch.setattr("su2eth.cli.run_spectrum", broken)
+    result = CliRunner().invoke(main, ["spectrum", "--L", "6", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, TypeError)
+    assert "Usage" not in result.output
 
 
 def test_cli_oracle_command():

@@ -19,6 +19,10 @@ _RUNS = {
                        "diag_fits.json"},
     "offdiag-eth": {"gamma.csv", "specfun.csv", "specfun_reduced.csv", "lowfreq.csv",
                     "fits.json"},
+    "offdiag-eth-abc": {"gamma.csv", "specfun.csv", "specfun_reduced.csv", "lowfreq.csv",
+                        "fits.json"},
+    "offdiag-eth-all-k": {"gamma.csv", "specfun.csv", "specfun_reduced.csv", "lowfreq.csv",
+                          "fits.json"},
     "oracle-check": {"oracle_check.json"},
 }
 
@@ -32,7 +36,7 @@ def test_two_sweeps_write_every_command_at_both_couplings_and_agree(tmp_path):
     for tree in ("a", "b"):  # each fills its own cache, so the summaries count the same builds
         done = _sweep(tmp_path / tree)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "10 runs written" in done.stdout
+        assert "14 runs written" in done.stdout
         assert list((tmp_path / tree / "cache").glob("L8_*_lam3.eig"))
     for lam in ("lam3", "lam0"):
         for run, files in _RUNS.items():

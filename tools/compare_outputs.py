@@ -2,12 +2,11 @@
 
     python tools/compare_outputs.py <reference dir> <candidate dir>
 
-Every *.csv and *.json file under either directory is compared with the one
-at the same relative path under the other (manifest.jsonl, which holds
-timestamps, is not compared). A CSV's `# config` line and header must be
-equal and its rows are compared in order, so a missing or extra row is a
-difference. Two cells agree when their text is equal or both are numbers
-within bounds:
+Every *.csv, *.json and manifest.jsonl file under either directory is
+compared with the one at the same relative path under the other. A CSV's
+`# config` line and header must be equal and its rows are compared in
+order, so a missing or extra row is a difference. Two cells agree when
+their text is equal or both are numbers within bounds:
 
 - whole numbers (integer columns) and text (flags, names) only when equal;
 - energies and diagonal elements (the columns in ABSOLUTE) within 1e-12;
@@ -15,9 +14,13 @@ within bounds:
   or 1e-14 absolute.
 
 JSON files are compared key by key and item by item under the same rules,
-with the run times (`seconds`) masked. The round-off fields of
-`oracle_check.json` are not held to any value: two of them agree when they
-are equal or both lie below the bound `oracle-check` holds that field to,
+with the run times (`seconds`) masked. Each manifest.jsonl journal is
+compared row by row as JSON, with the row times (`ts`), the run times and
+the build fingerprint masked too, so its skipped fits, empty pairs and
+`elements`/`kept` counts are outputs as well; the journals are not counted
+among the files that agree. The round-off fields of `oracle_check.json`
+are not held to any value: two of them agree when they are equal or both
+lie below the bound `oracle-check` holds that field to,
 
 - `abs_diff` (closed-form moment against trace) below 1e-10;
 - `spin_residual` below 1e-6;
@@ -44,8 +47,8 @@ and how many rows (CSV) or values (JSON) differ, as in
 
     diag.csv: row 3, column O_diag: 0.25 against 0.26; 2 of 120 rows differ
 
-A CSV whose config line, header or row count differs is named by that alone,
-and the cache files by the first whose payload differs.
+A CSV or journal whose config line, header or row count differs is named by
+that alone, and the cache files by the first whose payload differs.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ ABSOLUTE = frozenset({"E_over_L", "O_diag", "E0"})
 ABSOLUTE_BOUND = 1e-12
 RELATIVE_BOUND = 1e-9
 FLOOR = 1e-14
-MASKED = frozenset({"seconds"})
+MASKED = frozenset({"seconds", "ts", "fingerprint"})
 RESIDUAL_BOUNDS = {"abs_diff": 1e-10, "spin_residual": 1e-6}
 EPS = 2.0 ** -52
 
@@ -177,9 +180,24 @@ def _numeric(*values) -> bool:
     return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
 
 
+def compare_journal(a: Path, b: Path) -> str | None:
+    """The first difference between two manifest.jsonl journals and the count of differing rows,
+    or None."""
+    rows_a, rows_b = ([json.loads(line) for line in p.read_text().splitlines()] for p in (a, b))
+    if len(rows_a) != len(rows_b):
+        return f"{len(rows_a)} rows against {len(rows_b)}"
+    found = [f"row {i}{diff}" for i, (x, y) in enumerate(zip(rows_a, rows_b), 1)
+             if (diff := next(_json_differences(x, y), None))]
+    return f"{found[0]}; {len(found)} of {len(rows_a)} rows differ" if found else None
+
+
 def _outputs(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*")
             if p.suffix in (".csv", ".json") and p.is_file()}
+
+
+def _journals(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("manifest.jsonl") if p.is_file()}
 
 
 def _caches(root: Path) -> set[str]:
@@ -199,13 +217,15 @@ def compare_trees(a: Path, b: Path) -> list[str]:
     """The first difference and the count of differing rows or values of every differing file,
     in path order."""
     found = []
-    names_a, names_b = _outputs(a), _outputs(b)
+    names_a, names_b = _outputs(a) | _journals(a), _outputs(b) | _journals(b)
     for name in sorted(names_a | names_b):
         if name not in names_a or name not in names_b:
             found.append(f"{name}: only under {a if name in names_a else b}")
             continue
         if name.endswith(".csv"):
             diff = compare_csv(a / name, b / name)
+        elif name.endswith(".jsonl"):
+            diff = compare_journal(a / name, b / name)
         else:
             diff = compare_json(json.loads((a / name).read_text()),
                                 json.loads((b / name).read_text()))

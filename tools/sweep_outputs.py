@@ -8,6 +8,11 @@ For each coupling, lambda = 3 and 0, it runs under <out>/lam<lambda>/:
 - diag-eth/        diag-eth, S = 0, 1, 2 and A, B, C, default exclude_k;
 - diag-eth-all-k/  the same with exclude_k = [], so k = 0 and pi are admitted;
 - offdiag-eth/     offdiag-eth, S = 0, 1, 2 and the pair (0, 2), B and C;
+- offdiag-eth-abc/ offdiag-eth, S = 0, 1, 2 and A, B, C, so A's elements and
+                   the values of a single primitive (A alone, C alone) too;
+- offdiag-eth-all-k/
+                   offdiag-eth as offdiag-eth/ with exclude_k = [], so the
+                   parity halves at k = 0 and pi give elements too;
 - oracle-check/    oracle-check.
 
 The cache defaults to <out>/cache. Sweep two builds into two directories
@@ -45,6 +50,9 @@ RUNS = (
      {"spins": [0, 1, 2], "observables": ["A", "B", "C"], "exclude_k": []}),
     ("offdiag-eth", run_offdiag_eth,
      {"spins": [0, 1, 2], "spin_pairs": [[0, 2]], "observables": ["B", "C"]}),
+    ("offdiag-eth-abc", run_offdiag_eth, {"spins": [0, 1, 2], "observables": ["A", "B", "C"]}),
+    ("offdiag-eth-all-k", run_offdiag_eth,
+     {"spins": [0, 1, 2], "spin_pairs": [[0, 2]], "observables": ["B", "C"], "exclude_k": []}),
     ("oracle-check", run_oracle_check, {}),
 )
 
