@@ -42,6 +42,7 @@ __all__ = [
     "MissingCacheError",
     "RunConfig",
     "RunManifest",
+    "audit_bound",
     "ensure_spectrum",
     "load_cached_spectrum",
     "run_spectrum",
@@ -63,6 +64,20 @@ _ASSEMBLY = {"A": {"A": 1.0}, "B": {"A": 1.0 / np.sqrt(2.0), "C": np.sqrt(1.5)},
 
 _FILL_CACHE = "run the spectrum command first to populate the cache"
 _REBUILD = "run the spectrum command to rebuild it"
+
+# each analysis table's columns, by CSV name
+_COLUMNS = {
+    "diag": ("E_over_L", "S", "O_diag", "L", "lambda", "observable"),
+    "spin_means": ("observable", "L", "lambda", "S", "S_over_L", "mean", "std", "block_mean",
+                   "count", "flagged"),
+    "fluct": ("observable", "L", "S", "lambda", "LD", "delta"),
+    "predictions": ("observable", "L", "S", "lambda", "E0", "mean", "slope"),
+    "gamma": ("omega", "Gamma", "count", "L", "S_a", "S_b", "lambda", "observable", "flagged"),
+    **dict.fromkeys(("specfun", "specfun_reduced"), ("omega", "LD_var", "L", "S_a", "S_b", "lambda",
+                                                      "observable", "count", "flagged")),
+    "lowfreq": ("omega_L2", "value", "L", "S_a", "S_b", "lambda", "observable", "count",
+                "flagged"),
+}
 
 _MOMENT_FIELDS = tuple(f.name for f in fields(oracle.MomentSet) if f.name not in ("L", "S", "lam"))
 
@@ -349,30 +364,46 @@ def _submit(pool, work, *args) -> Future:
         if pool is not None:
             return pool.submit(work, *args)
         future.set_result(work(*args))
-    except Exception as exc:  # the sector's own error, or the broken pool's after a worker died
+    except Exception as exc:  # a broken pool's, after a worker died: each of the unit's labels'
         future.set_exception(exc)
     return future
 
 
-def _per_block(config: RunConfig, root: Path, labels, work, pool) -> list[Future]:
-    """One future of _drive(work, _unit(label), ...) per label, labels of one unit sharing it.
+def _per_block(config: RunConfig, root: Path, labels, work,
+               pool) -> Callable[[SectorLabel], object]:
+    """result(label): work's result for the label's solved sector, or that sector's own error.
 
-    The driver keys its results by the unit's solved sectors, so that a
-    +-k pair and the two parity halves of a k = 0 or pi sector share one
-    future. Each unit is submitted at its first label; in place, it is
-    worked before the next one is read, so one unit's spectra are alive at
-    a time. A -k block equals its +k mirror's real block bit for bit, so it
-    has the mirror's energies, spins, diagonals and elements.
+    Each unit, _drive(work, _unit(label), ...), is submitted once, at its
+    first label, so that a +-k pair and the two parity halves of a k = 0 or
+    pi sector share one submission; in place, it is worked before the next
+    one is read, so one unit's spectra are alive at a time. A -k block
+    equals its +k mirror's real block bit for bit, so it has the mirror's
+    energies, spins, diagonals and elements.
     """
     futures = {unit: _submit(pool, _drive, work, unit, config, root)
                for unit in dict.fromkeys(map(_unit, labels))}
-    return [futures[_unit(lab)] for lab in labels]
+
+    def result(label: SectorLabel):
+        outcome = futures[_unit(label)].result()[_solved(label)]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    return result
 
 
 def _drive(work, unit: SectorLabel, config: RunConfig, root: Path) -> dict[SectorLabel, object]:
-    """work(sector, cut, config, root) of each solved sector of one unit, keyed by sector."""
-    return {sector: work(sector, cut, config, root)
-            for sector, cut in _halves(unit, config.lam).items()}
+    """work(sector, cut, config, root) of each solved sector of one unit, keyed by sector.
+
+    A sector whose work raises has its error as its result, so the other
+    parity half keeps its own.
+    """
+    results = {}
+    for sector, cut in _halves(unit, config.lam).items():
+        try:
+            results[sector] = work(sector, cut, config, root)
+        except Exception as exc:
+            results[sector] = exc
+    return results
 
 
 # ─── spectra ─────────────────────────────────────────────────────────────────
@@ -523,18 +554,15 @@ def _write_json(path: Path, payload: dict) -> Path:
 # ─── spectrum command ────────────────────────────────────────────────────────
 
 
-def _sweep_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> tuple | Exception:
-    """(dim, spin_dims, cache_hit, seconds) of one solved sector, or its error.
+def _sweep_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> tuple:
+    """(dim, spin_dims, cache_hit, seconds) of one solved sector.
 
     The parity halves of a unit share one assembly of H and S^+-, made only
     if a half is not cached and counted in the seconds of the first half
     built. No eigenvectors are kept.
     """
     t0 = time.perf_counter()
-    try:
-        spectrum, hit = ensure_spectrum(sector, config.lam, root, cut)
-    except Exception as exc:  # quarantined on its own by run_spectrum
-        return exc
+    spectrum, hit = ensure_spectrum(sector, config.lam, root, cut)
     return spectrum.dim, spectrum.spin_dims(), hit, time.perf_counter() - t0
 
 
@@ -544,7 +572,7 @@ def run_spectrum(config: RunConfig) -> dict:
     A -k sector shares its mirror's energies and spins, so it is counted
     in the summary with its mirror's result and never solved or cached.
     The parity halves of a k = 0 or pi sector are worked as one unit, each
-    eigensolved, cached and quarantined on its own.
+    eigensolved and cached on its own; a sector that fails is quarantined.
     Units go to at most config.workers workers, every unit of the plan
     before any result is read and the largest sizes first, so that no
     worker waits at the end of a size; eigenvectors travel through the
@@ -556,7 +584,7 @@ def run_spectrum(config: RunConfig) -> dict:
         summary = {"config": manifest.config_hash, "lambda": config.lam, "M": config.M,
                    "sizes": {}, "failures": []}
         order = [lab for L in sorted(plan, reverse=True) for lab in plan[L]]
-        futures = dict(zip(order, _per_block(config, root, order, _sweep_sector, pool)))
+        result = _per_block(config, root, order, _sweep_sector, pool)
         for L, labels in plan.items():
             results = []
             worked = {}  # seconds per solved sector
@@ -565,10 +593,7 @@ def run_spectrum(config: RunConfig) -> dict:
                 solved = _solved(lab)
                 mirror = {} if solved == lab else {"mirror_of": _sector_name(solved, config.lam)}
                 try:
-                    outcome = futures[lab].result()[solved]
-                    if isinstance(outcome, Exception):
-                        raise outcome
-                    dim, dims, hit, worked[solved] = outcome
+                    dim, dims, hit, worked[solved] = result(lab)
                 except Exception as exc:  # quarantine the sector, keep sweeping
                     manifest.record("spectrum", "failed", sector=name, error=str(exc), **mirror)
                     summary["failures"].append({"sector": name, "error": str(exc)})
@@ -688,15 +713,11 @@ def run_diag_eth(config: RunConfig) -> dict:
     """Diagonal-element series, per-spin means, fluctuation scaling, oracle lines."""
     with _begin(config, "diag-eth") as (root, out, manifest, plan, pool):
         chash = manifest.config_hash
-        diag_rows = []
-        spin_rows = []
-        fluct_rows = []
-        pred_rows = []
+        rows = {name: [] for name in ("diag", "spin_means", "fluct", "predictions")}
         fluct_points: dict[tuple[str, int], list[tuple[float, float]]] = {}
 
         for L, labels in plan.items():
-            futures = _per_block(config, root, labels, _diagonal_tables, pool)
-            blocks = [f.result()[_solved(lab)] for lab, f in zip(labels, futures)]
+            blocks = list(map(_per_block(config, root, labels, _diagonal_tables, pool), labels))
             _journal_blocks(manifest, L, labels)
             for observable in config.observables:
                 tables = [block[observable] for block in blocks]
@@ -706,8 +727,8 @@ def run_diag_eth(config: RunConfig) -> dict:
 
                 for S in config.spins:
                     series = pooled[S]
-                    diag_rows.append((series.energies / L, S, series.values, L, config.lam,
-                                      observable))
+                    rows["diag"].append((series.energies / L, S, series.values, L, config.lam,
+                                         observable))
                     try:
                         # its fluctuations would be round-off
                         if _vanishes(observable, S, S, config.lam, offdiagonal=False):
@@ -718,14 +739,14 @@ def run_diag_eth(config: RunConfig) -> dict:
                                         error=str(exc))
                         continue
                     ld = L * series.mean_block_dim
-                    fluct_rows.append((observable, L, S, config.lam, ld, delta))
+                    rows["fluct"].append((observable, L, S, config.lam, ld, delta))
                     fluct_points.setdefault((observable, S), []).append((ld, delta))
 
                 scan = analysis.diagonal_vs_spin([pooled[S] for S in all_spins],
                                                  config.energy_window)
-                spin_rows.append((observable, L, config.lam, scan.spins, scan.spins / L,
-                                  scan.means, scan.stds, scan.block_means, scan.counts,
-                                  scan.flagged))
+                rows["spin_means"].append((observable, L, config.lam, scan.spins, scan.spins / L,
+                                           scan.means, scan.stds, scan.block_means, scan.counts,
+                                           scan.flagged))
 
                 for S in config.spins:
                     m = oracle.moments(L, S, config.lam)
@@ -734,7 +755,7 @@ def run_diag_eth(config: RunConfig) -> dict:
                         slopes = {0: coeffs.slopeA, 2: coeffs.slopeB}
                     except ValueError:
                         slopes = dict.fromkeys((0, 2), float("nan"))
-                    pred_rows.append((observable, L, S, config.lam, m.E0, *(
+                    rows["predictions"].append((observable, L, S, config.lam, m.E0, *(
                         _assemble(_COMPONENTS[observable].items(), by_rank.__getitem__)
                         for by_rank in ({0: m.meanA, 2: m.meanB}, slopes))))
 
@@ -743,22 +764,9 @@ def run_diag_eth(config: RunConfig) -> dict:
                       for (observable, S), points in sorted(fluct_points.items())],
                      lambda points: analysis.scaling_fit(*zip(*points)))
 
-        paths = {
-            "diag": _write_csv(out / "diag.csv",
-                               ("E_over_L", "S", "O_diag", "L", "lambda", "observable"),
-                               diag_rows, chash),
-            "spin_means": _write_csv(out / "spin_means.csv",
-                                     ("observable", "L", "lambda", "S", "S_over_L", "mean",
-                                      "std", "block_mean", "count", "flagged"),
-                                     spin_rows, chash),
-            "fluct": _write_csv(out / "fluct.csv",
-                                ("observable", "L", "S", "lambda", "LD", "delta"),
-                                fluct_rows, chash),
-            "predictions": _write_csv(out / "predictions.csv",
-                                      ("observable", "L", "S", "lambda", "E0", "mean", "slope"),
-                                      pred_rows, chash),
-            "fits": _write_json(out / "diag_fits.json", {"config": chash, "fits": fits}),
-        }
+        paths = {name: _write_csv(out / f"{name}.csv", _COLUMNS[name], groups, chash)
+                 for name, groups in rows.items()}
+        paths["fits"] = _write_json(out / "diag_fits.json", {"config": chash, "fits": fits})
     return {"config": chash, "paths": {k: str(p) for k, p in paths.items()}, "fits": fits}
 
 
@@ -832,13 +840,15 @@ def _offdiag_ensembles(config: RunConfig, root: Path, L: int, labels, pool=None)
     dims = {}  # per key, the block dims of every admitted label
     served = Counter(map(_solved, labels))
     taken = set()
-    for lab, future in zip(labels, _per_block(config, root, labels, _element_tables, pool)):
+    result = _per_block(config, root, labels, _element_tables, pool)
+    for lab in labels:
         solved = _solved(lab)
-        for key, part in future.result()[solved].items():
+        for key, part in result(lab).items():
             dims.setdefault(key, []).extend(part.block_dims)
             if solved not in taken:
                 parts.setdefault(key, []).append((part, served[solved]))
         taken.add(solved)
+    del result  # its futures hold every part: drop them, so each part is freed once joined
     for observable in config.observables:
         for pair in config.all_pairs():
             raw, reduced = ((observable, pair, r) for r in (False, True))
@@ -870,10 +880,7 @@ def run_offdiag_eth(config: RunConfig) -> dict:
         binning = analysis.Binning(config.bin_spacing, config.bin_width, config.min_bin_count)
         omega_cut = config.resolved_omega_cut()
 
-        gamma_rows = []
-        spec_rows = []
-        spec_red_rows = []
-        low_rows = []
+        rows = {name: [] for name in ("gamma", "specfun", "specfun_reduced", "lowfreq")}
         # per (observable, pair), one (L, L*D, below-cut mean |O|^2) point per size
         points: dict[tuple[str, tuple[int, int]], list[tuple[int, float, float]]] = {}
 
@@ -891,19 +898,16 @@ def run_offdiag_eth(config: RunConfig) -> dict:
 
                 tag = (L, s_a, s_b, config.lam, observable)
                 w, v, c, f = _populated(analysis.gaussianity_ratio(ens, binning))
-                gamma_rows.append((w, v, c, *tag, f))
+                rows["gamma"].append((w, v, c, *tag, f))
 
                 spectral = analysis.spectral_function(ens, binning)
-                w, v, c, f = _populated(spectral)
-                spec_rows.append((w, v, *tag, c, f))
-
-                low = analysis.low_frequency_view(spectral, L, divide_by_L=(observable == "A"))
-                w, v, c, f = _populated(low)
-                low_rows.append((w, v, *tag, c, f))
-
+                series = {"specfun": spectral, "lowfreq": analysis.low_frequency_view(
+                    spectral, L, divide_by_L=(observable == "A"))}
                 if red_ens is not None and red_ens.size:
-                    w, v, c, f = _populated(analysis.spectral_function(red_ens, binning))
-                    spec_red_rows.append((w, v, *tag, c, f))
+                    series["specfun_reduced"] = analysis.spectral_function(red_ens, binning)
+                for name, binned in series.items():
+                    w, v, c, f = _populated(binned)
+                    rows[name].append((w, v, *tag, c, f))
             _journal_blocks(manifest, L, labels, elements=elements, kept=kept)
 
         fits = _fits(manifest, "offdiag",
@@ -911,26 +915,10 @@ def run_offdiag_eth(config: RunConfig) -> dict:
                       for (observable, (s_a, s_b)), group in sorted(points.items())],
                      analysis.variance_scaling)
 
-        paths = {
-            "gamma": _write_csv(out / "gamma.csv",
-                                ("omega", "Gamma", "count", "L", "S_a", "S_b", "lambda",
-                                 "observable", "flagged"),
-                                gamma_rows, chash),
-            "specfun": _write_csv(out / "specfun.csv",
-                                  ("omega", "LD_var", "L", "S_a", "S_b", "lambda", "observable",
-                                   "count", "flagged"),
-                                  spec_rows, chash),
-            "specfun_reduced": _write_csv(out / "specfun_reduced.csv",
-                                          ("omega", "LD_var", "L", "S_a", "S_b", "lambda",
-                                           "observable", "count", "flagged"),
-                                          spec_red_rows, chash),
-            "lowfreq": _write_csv(out / "lowfreq.csv",
-                                  ("omega_L2", "value", "L", "S_a", "S_b", "lambda", "observable",
-                                   "count", "flagged"),
-                                  low_rows, chash),
-            "fits": _write_json(out / "fits.json",
-                                {"config": chash, "omega_cut": omega_cut, "fits": fits}),
-        }
+        paths = {name: _write_csv(out / f"{name}.csv", _COLUMNS[name], groups, chash)
+                 for name, groups in rows.items()}
+        paths["fits"] = _write_json(out / "fits.json",
+                                    {"config": chash, "omega_cut": omega_cut, "fits": fits})
     return {"config": chash, "paths": {k: str(p) for k, p in paths.items()}, "fits": fits}
 
 
@@ -983,6 +971,21 @@ def sector_trace_moments(L: int, lam: float, blocks) -> dict[int, dict[str, floa
         for lab, spectrum in blocks)
 
 
+def audit_bound(field: str, row: dict) -> float | None:
+    """The bound oracle-check holds a round-off field of a report row to, None for other fields.
+
+    A moment's abs_diff from its closed form is held to 1e-10 and a block's
+    spin_residual to 1e-6; its eigen_residual to 1e-8 * its scale, max(1,
+    max |E|), and its orthonormality to 10 * dim * eps. A row without scale
+    or dim, written before they were recorded, gives those two no bound.
+    """
+    if field == "orthonormality" and "dim" in row:
+        return 10 * row["dim"] * np.finfo(float).eps
+    if field == "eigen_residual" and "scale" in row:
+        return 1e-8 * row["scale"]
+    return {"abs_diff": 1e-10, "spin_residual": 1e-6}.get(field)
+
+
 def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> dict:
     """Spin counts, per-state moments and per-label (block audit, failed) of one solved sector.
 
@@ -1006,13 +1009,13 @@ def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> di
     for label in dict.fromkeys((sector, _mirror(sector))):
         own = cut if label == sector else _halves(label, config.lam)[label]
         eig_res = eigen_residual(own("H"), spectrum.energies, v)
-        # dim and scale give the bounds below, so a reader can hold the fields to them
+        # dim and scale give audit_bound's bounds, so a reader can hold the fields to them
         audit = {"sector": _sector_name(label, config.lam), "eigen_residual": eig_res,
                  "orthonormality": ortho, "spin_residual": spin_res,
                  "dim": spectrum.dim, "scale": scale}
         # each bound fails on NaN, as a corrupted vector gives
-        audits[label] = audit, not (eig_res <= 1e-8 * scale and spin_res <= 1e-6
-                                    and ortho <= 10 * spectrum.dim * np.finfo(float).eps)
+        audits[label] = audit, not all(audit[f] <= audit_bound(f, audit) for f in
+                                       ("eigen_residual", "orthonormality", "spin_residual"))
     return {"spin_dims": spectrum.spin_dims(), "audits": audits,
             "moments": (spins, moments)}
 
@@ -1020,20 +1023,18 @@ def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> di
 def run_oracle_check(config: RunConfig) -> dict:
     """Audit cached eigendata and compare sector traces to the closed forms.
 
-    Per-block checks (eigen residual, orthonormality within 10 * dim * eps,
-    spin sharpness) catch corrupted or stale cache entries and name the
-    sector; the pooled moment table then validates every closed form to
-    1e-10. Each solved sector is read and worked once for itself and its -k
+    Per-block checks (eigen residual, orthonormality, spin sharpness) catch
+    corrupted or stale cache entries and name the sector; the pooled moment
+    table then validates every closed form. audit_bound holds the bounds of
+    both. Each solved sector is read and worked once for itself and its -k
     mirror; the two parity halves of a k = 0 or pi sector are worked as one
     unit, with one assembly of each operator.
     """
     with _begin(config, "oracle-check") as (root, out, manifest, plan, pool):
-        tol_moment = 1e-10
         report = {"config": manifest.config_hash, "lambda": config.lam, "rows": [],
                   "block_audits": [], "failures": []}
         for L, labels in plan.items():
-            futures = _per_block(config, root, labels, _audit_sector, pool)
-            sectors = [f.result()[_solved(lab)] for lab, f in zip(labels, futures)]
+            sectors = list(map(_per_block(config, root, labels, _audit_sector, pool), labels))
             for lab, checked in zip(labels, sectors):
                 audit, failed = checked["audits"][lab]
                 report["block_audits"].append(audit)
@@ -1056,7 +1057,7 @@ def run_oracle_check(config: RunConfig) -> dict:
                     row = {"L": L, "S": s, "moment": fieldname,
                            "analytic": getattr(m, fieldname),
                            "trace": traces[s][fieldname], "abs_diff": diff,
-                           "pass": bool(diff < tol_moment)}  # False for NaN
+                           "pass": bool(diff < audit_bound("abs_diff", {}))}  # False for NaN
                     report["rows"].append(row)
                     if not row["pass"]:
                         report["failures"].append({"kind": "moment", "L": L, "S": s,

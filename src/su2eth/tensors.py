@@ -237,10 +237,17 @@ def cg_table_rows(max_twice_j: int, twice_ranks=(0, 4)):
     Yields dicts with the twice-integer labels, the signed numerator and
     denominator of the squared coefficient, and the float view. Zero
     coefficients inside the allowed ranges are emitted too (their exactness
-    is the point of the table).
+    is the point of the table). Each twice-rank is even and nonnegative,
+    as only those ranks have a q = 0 component, and given once.
     """
     if max_twice_j < 0:
         raise ValueError("max_twice_j must be nonnegative")
+    twice_ranks = tuple(twice_ranks)
+    for i, tj2 in enumerate(twice_ranks):
+        if tj2 < 0 or tj2 % 2:
+            raise ValueError(f"twice-rank {tj2} has no q = 0 column: it must be even and >= 0")
+        if tj2 in twice_ranks[:i]:
+            raise ValueError(f"twice-rank {tj2} is given twice")
     for tj2 in twice_ranks:
         for tj1 in range(0, max_twice_j + 1):
             for tj in range(abs(tj1 - tj2), min(tj1 + tj2, max_twice_j) + 1, 2):

@@ -508,6 +508,28 @@ def test_a_failing_parity_half_is_quarantined_alone(tmp_path, monkeypatch, worke
     assert summary["sizes"]["10"]["built"] == len(bad)
 
 
+def _fail_one_half(sector, cut, config, root):
+    """The sector itself, except that the work of L = 8, k = 0, z = +1, P = -1 fails."""
+    if (sector.k_index, sector.z2_parity, sector.parity) == (0, 1, -1):
+        raise ValueError(f"no work for {sector}")
+    return sector
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sector_error_is_the_result_of_its_own_labels_alone(tmp_path, workers):
+    cfg = _analysis_config(tmp_path, L_list=(8,), exclude_k=[])
+    labels = pipeline._admitted_labels(cfg, 8)
+    plus, minus = (SectorLabel(L=8, M=0, k_index=0, z2_parity=1, parity=p) for p in (1, -1))
+    assert plus in labels and minus in labels
+    with pipeline._sector_pool(workers) as pool:
+        result = pipeline._per_block(cfg, tmp_path / "cache", labels, _fail_one_half, pool)
+        # the other half of the unit keeps its result, and so does every other label
+        assert result(plus) == plus
+        assert all(result(lab) == pipeline._solved(lab) for lab in labels if lab != minus)
+        with pytest.raises(ValueError, match=re.escape(f"no work for {minus}")):
+            result(minus)
+
+
 def test_one_worker_solves_in_the_calling_thread(tmp_path, monkeypatch):
     solve = pipeline.diagonalize_block
     on_main = []
@@ -2198,6 +2220,19 @@ def test_cli_cg_table(tmp_path):
                                    "numerator", "denominator-square", "float"]
     from su2eth.tensors import cg_table_rows
     assert len(lines) - 1 == sum(1 for _ in cg_table_rows(20))
+
+
+@pytest.mark.parametrize("ranks, named", [
+    (["--rank", "-2"], "twice-rank -2"),
+    (["--rank", "3"], "twice-rank 3"),
+    (["--rank", "4", "--rank", "4"], "twice-rank 4"),
+])
+def test_cli_cg_table_rejects_a_bad_rank(tmp_path, ranks, named):
+    out = tmp_path / "table.csv"
+    result = CliRunner().invoke(main, ["cg-table", *ranks, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert named in result.output
+    assert not out.exists()
 
 
 def test_cli_default_cg_table_is_pinned(tmp_path):

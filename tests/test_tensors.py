@@ -312,3 +312,14 @@ def test_cg_table_rows_rank_zero_is_identity_coupling():
 def test_cg_table_rows_rejects_negative_bound():
     with pytest.raises(ValueError):
         list(cg_table_rows(-1))
+
+
+@pytest.mark.parametrize("twice_ranks, message", [
+    ((-2,), "twice-rank -2 has no q = 0 column"),
+    ((0, 3), "twice-rank 3 has no q = 0 column"),
+    ((4, 4), "twice-rank 4 is given twice"),
+])
+def test_cg_table_rows_rejects_a_rank_without_a_q0_column_or_repeated(twice_ranks, message):
+    # a half-integer rank has no q = 0 component, and a repeated one would write its rows twice
+    with pytest.raises(ValueError, match=message):
+        list(cg_table_rows(8, twice_ranks))

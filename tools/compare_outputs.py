@@ -20,7 +20,8 @@ the build fingerprint masked too, so its skipped fits, empty pairs and
 `elements`/`kept` counts are outputs as well; the journals are not counted
 among the files that agree. The round-off fields of `oracle_check.json`
 are not held to any value: two of them agree when they are equal or both
-lie below the bound `oracle-check` holds that field to,
+lie below the bound `oracle-check` holds that field to, read from
+`su2eth.pipeline.audit_bound`:
 
 - `abs_diff` (closed-form moment against trace) below 1e-10;
 - `spin_residual` below 1e-6;
@@ -62,23 +63,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from su2eth.cache import HEADER_SIZE  # noqa: E402
+from su2eth.pipeline import audit_bound  # noqa: E402
 
 ABSOLUTE = frozenset({"E_over_L", "O_diag", "E0"})
 ABSOLUTE_BOUND = 1e-12
 RELATIVE_BOUND = 1e-9
 FLOOR = 1e-14
 MASKED = frozenset({"seconds", "ts", "fingerprint"})
-RESIDUAL_BOUNDS = {"abs_diff": 1e-10, "spin_residual": 1e-6}
-EPS = 2.0 ** -52
-
-
-def residual_bound(key: str, row: dict) -> float | None:
-    """The bound oracle-check holds the round-off field key of row to, None for any other key."""
-    if key == "orthonormality" and "dim" in row:
-        return 10 * row["dim"] * EPS
-    if key == "eigen_residual" and "scale" in row:
-        return 1e-8 * row["scale"]
-    return RESIDUAL_BOUNDS.get(key)
 
 
 def close(name: str, x: float, y: float) -> bool:
@@ -153,7 +144,7 @@ def _json_differences(a, b, where: str = "", key: str = ""):
         if keys_a != keys_b:
             yield f"{where or '/'}: keys {sorted(keys_a ^ keys_b)} in one tree only"
         for k in sorted(keys_a & keys_b):
-            bounds = residual_bound(k, a), residual_bound(k, b)
+            bounds = audit_bound(k, a), audit_bound(k, b)
             if None not in bounds and _numeric(a[k], b[k]):
                 if not (a[k] == b[k] or (a[k] < bounds[0] and b[k] < bounds[1])):
                     yield (f"{where}/{k}: {a[k]!r} against {b[k]!r}, "
