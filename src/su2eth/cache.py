@@ -7,12 +7,13 @@ zlib.crc32 of the payload, followed by energies (f8), real eigenvectors (f8,
 row-major) and spin labels (i2). A parity half's file name carries its parity
 after the z tag, as in L16_M0_k0_zp1_Pm1_lam3.eig. The fingerprint covers the
 numerical core's source, the numpy, scipy and BLAS/LAPACK versions and the
-LAPACK eigh driver, since eigenvector signs depend on the library. A missing,
-stale, truncated or corrupted file raises CacheMismatch naming the file, and
-so the sector: spectrum rebuilds it, the analyses stop. A load copies energies
-and spins and views vectors in the file's bytes. Each writer writes its own
-temporary file and renames it over the entry, so concurrent writers of one
-sector do not collide.
+LAPACK eigh driver, since eigenvector signs depend on the library: eigh is
+numpy.linalg.eigh, ?syevd on numpy's OpenBLAS, and scipy serves only
+scipy.sparse. A missing, stale, truncated or corrupted file raises
+CacheMismatch naming the file, and so the sector: spectrum rebuilds it, the
+analyses stop. A load copies energies and spins and views vectors in the
+file's bytes. Each writer writes its own temporary file and renames it over
+the entry, so concurrent writers of one sector do not collide.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Block diagonalization, total-spin resolution, matrix-element tables.
 
 Every symmetry block is real symmetric (see ``operators``) and small enough
-at desk scale (<= ~3000 states) for a full dense eigensolve with LAPACK's
-divide-and-conquer driver. Eigenvectors, expectation values and matrix
+at desk scale (<= ~3000 states) for a full dense eigensolve: numpy.linalg.eigh
+on the lower triangle, which runs LAPACK's divide-and-conquer driver ?syevd
+on numpy's OpenBLAS. scipy's own LAPACK module is never imported, so no
+process loads a second BLAS. Eigenvectors, expectation values and matrix
 elements are all float64.
 
 Total spin is assigned per eigenstate from W = S^+- V, the eigenvectors'
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .basis import SectorLabel
 from .operators import LADDERS, BlockOperator
@@ -49,7 +50,7 @@ RECORD_DTYPE = np.dtype([
     ("value", np.float64),
 ])
 
-# the LAPACK driver of every eigensolve; part of the cache fingerprint
+# the LAPACK driver numpy.linalg.eigh runs (?syevd); part of the cache fingerprint
 EIGH_DRIVER = "evd"
 
 
@@ -61,18 +62,19 @@ def eigen_residual(block: BlockOperator, energies: np.ndarray, vectors: np.ndarr
 def diagonalize_block(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of one real symmetric block.
 
-    Rejects non-symmetric input and audits the reconstruction residual
+    Rejects non-symmetric or non-finite input before the eigensolve, and
+    audits the reconstruction residual
     eigen_residual < 1e-9 * max(1, max|E|).
     """
     dim = block.dim
     if dim == 0:
         return np.empty(0), np.empty((0, 0))
     m = block.dense()
-    scale = max(1.0, float(np.abs(m).max()))
-    defect = float(np.abs(m - m.T).max())
-    if not defect <= 1e-12 * scale:
+    scale = float(np.abs(m).max())  # NaN or inf if any entry is
+    defect = float(np.abs(m - m.T).max()) if scale < np.inf else np.nan
+    if not defect <= 1e-12 * max(1.0, scale):
         raise ValueError(f"block {block.label} in {block.sector} is not Hermitian (symmetric defect {defect:.3e})")
-    energies, vectors = sla.eigh(m, driver=EIGH_DRIVER)
+    energies, vectors = np.linalg.eigh(m)
     residual = eigen_residual(block, energies, vectors)
     if not residual <= 1e-9 * max(1.0, float(np.abs(energies).max())):
         raise RuntimeError(f"eigensolver residual {residual:.3e} too large for {block.sector}")

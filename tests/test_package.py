@@ -1,5 +1,6 @@
-"""Package surface: every name a module exports exists, and the bare package
-loads no numerical stack, so the CLI can pin BLAS threads first."""
+"""Package surface: every name a module exports exists, the bare package
+loads no numerical stack, so the CLI can pin BLAS threads first, and the
+pipeline loads one BLAS: numpy's, not scipy.linalg's second copy."""
 
 from __future__ import annotations
 
@@ -41,3 +42,16 @@ def test_package_loads_no_numpy_and_the_cli_pins_blas_threads():
     bare, pinned = json.loads(done.stdout)
     assert not bare, "import su2eth loaded numpy"
     assert pinned == ["1"] * len(BLAS_THREAD_VARS)
+
+
+def test_the_pipeline_loads_no_scipy_linalg():
+    # scipy.linalg maps scipy's own OpenBLAS next to numpy's; eigh is numpy's
+    script = (
+        "import json, sys\n"
+        "import su2eth.pipeline, su2eth.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'linalg'])))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(su2eth.__path__[0]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout) == [], "importing su2eth.pipeline or su2eth.cli loaded scipy.linalg"

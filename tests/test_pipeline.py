@@ -442,6 +442,28 @@ def test_analyses_admitting_k_zero_and_pi_read_each_parity_half(tmp_path, worker
     assert len(report["block_audits"]) == 16 + 20
 
 
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+@pytest.mark.parametrize("L", [8, 10, 12, 14])
+def test_top_two_spin_multiplets_match_their_closed_forms(tmp_path, L, lam):
+    # the expected levels share no code with the assembly: by SU(2) the S = L/2
+    # multiplet is the ferromagnet E_F = -L(1 + lam)/4 at k = 0, and S = L/2 - 1
+    # its one-magnon band, one level at each k != 0; every label is read, each
+    # -k mirror (served from its +k file) and each parity half included
+    e_f = -L * (1.0 + lam) / 4.0
+    levels = []  # (S, k index, energy, closed form)
+    for label in sector_labels(L):
+        spectrum, _ = ensure_spectrum(label, lam, tmp_path)
+        k = label.k
+        band = e_f + (1.0 - math.cos(k)) + lam * (1.0 - math.cos(2.0 * k))
+        levels += [(int(s), label.k_index, float(e), e_f if s == L // 2 else band)
+                   for s, e in zip(spectrum.spins, spectrum.energies) if s >= L // 2 - 1]
+    assert len(levels) == L
+    assert sorted((s, n) for s, n, _, _ in levels) == (
+        [(L // 2 - 1, n) for n in range(-L // 2 + 1, L // 2 + 1) if n != 0] + [(L // 2, 0)])
+    for s, n, energy, exact in levels:
+        assert abs(energy - exact) <= 1e-12 * max(1.0, abs(exact)), (s, n, energy, exact)
+
+
 def _holds_live_pair(cfg, root, sector, observable) -> bool:
     """Whether offdiag-eth computes elements of observable in one solved sector: some
     selected pair has states on both sides and is no structural zero."""

@@ -89,14 +89,14 @@ def test_non_hermitian_block_rejected():
 def test_inaccurate_eigensolver_rejected(monkeypatch):
     lab = SectorLabel(8, 0, 1, 1)
     H = build_hamiltonian(enumerate_sector_basis(lab), CouplingSpec(3.0))
-    eigh = spectral.sla.eigh
+    eigh = np.linalg.eigh
 
     def perturbed(m, **kwargs):
         energies, vectors = eigh(m, **kwargs)
         vectors[:, 0] += 1e-6 * vectors[:, 1]
         return energies, vectors
 
-    monkeypatch.setattr(spectral.sla, "eigh", perturbed)
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(RuntimeError, match=f"too large for {re.escape(str(lab))}"):
         diagonalize_block(H)
 
@@ -109,17 +109,36 @@ def test_nan_in_a_block_is_rejected_before_the_eigensolve():
         diagonalize_block(BlockOperator(lab, sp.csr_matrix(block), "H"))
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "upper-triangle"])
+def test_inf_in_a_block_is_rejected_before_the_eigensolve(monkeypatch, entry):
+    # the symmetric-defect check stands in for a finiteness check: inf on the
+    # diagonal or in one triangle only must not reach eigh either
+    lab = SectorLabel(8, 0, 1, 1)
+    block = build_hamiltonian(enumerate_sector_basis(lab), CouplingSpec(3.0)).dense()
+    block[entry] = np.inf
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(m, **kwargs):
+        calls.append(m.shape)
+        return eigh(m, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        diagonalize_block(BlockOperator(lab, sp.csr_matrix(block), "H"))
+    assert calls == []
+
+
 def test_nan_eigenvector_fails_the_residual_check(monkeypatch):
     lab = SectorLabel(8, 0, 1, 1)
     H = build_hamiltonian(enumerate_sector_basis(lab), CouplingSpec(3.0))
-    eigh = spectral.sla.eigh
+    eigh = np.linalg.eigh
 
     def poisoned(m, **kwargs):
         energies, vectors = eigh(m, **kwargs)
         vectors[0, 0] = np.nan
         return energies, vectors
 
-    monkeypatch.setattr(spectral.sla, "eigh", poisoned)
+    monkeypatch.setattr(np.linalg, "eigh", poisoned)
     with pytest.raises(RuntimeError, match="residual nan too large"):
         diagonalize_block(H)
 
