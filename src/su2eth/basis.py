@@ -174,6 +174,7 @@ class _SectorTables:
     period: np.ndarray      # smallest t >= 1 with T^t |state> = |state>
     flip_shift: np.ndarray  # smallest g >= 0 with T^g X |state> = |state>, else -1
     rep_positions: np.ndarray  # indices where canon == state
+    canon_positions: np.ndarray  # index of each state's canon in states
 
 
 @lru_cache(maxsize=64)
@@ -207,10 +208,11 @@ def _sector_tables(L: int, M: int) -> _SectorTables:
             shift_t[better] = t
             shift_x[better] = 1
 
-    for arr in (states, canon, shift_t, shift_x, period, flip_shift):
+    canon_positions = np.searchsorted(states, canon)
+    for arr in (states, canon, shift_t, shift_x, period, flip_shift, canon_positions):
         arr.setflags(write=False)
     return _SectorTables(states, canon, shift_t, shift_x, period, flip_shift,
-                         np.flatnonzero(canon == states))
+                         np.flatnonzero(canon == states), canon_positions)
 
 
 @dataclass(frozen=True)
@@ -281,8 +283,7 @@ def enumerate_sector_basis(sector: SectorLabel) -> SymmetryBasis:
     rep_rows = np.full(len(tabs.states), -1, dtype=np.int64)
     rep_rows[pos[kept]] = np.arange(len(kept))
     # propagate to every state through its canonical representative
-    canon_pos = np.searchsorted(tabs.states, tabs.canon)
-    rep_index = rep_rows[canon_pos]
+    rep_index = rep_rows[tabs.canon_positions]
 
     reps = tabs.states[pos[kept]]
     out = SymmetryBasis(sector, reps, sizes[kept], tabs, rep_index,

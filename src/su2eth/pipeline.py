@@ -477,9 +477,12 @@ def ensure_spectrum(sector: SectorLabel, lam: float, root: Path,
     (k, z) sector, S^+ (S^- at M < 0, so that the ladder never lands on
     M = 0), cut to its parity half at k = 0 and pi; cut, when given, is
     the solved sector's cut (see _halves), so that both halves can share
-    one assembly. Returns (spectrum, cache_hit). A
-    present-but-incompatible file triggers a rebuild with a warning rather
-    than an error.
+    one assembly. A built spectrum's vectors are made C-ordered, as the file
+    holds them, and each state's <A> and <C> are taken from them with the
+    same cut (see _diagonals) and stored in the file's head, so that
+    diag-eth reads them instead of the vectors. Returns (spectrum,
+    cache_hit). A present-but-incompatible file triggers a rebuild with a
+    warning rather than an error.
     """
     solved = _solved(sector)
     try:
@@ -490,14 +493,19 @@ def ensure_spectrum(sector: SectorLabel, lam: float, root: Path,
     cut = cut or _halves(_unit(sector), lam)[solved]
     energies, vectors = diagonalize_block(cut("H"))
     spectrum = resolve_spins(energies, vectors, cut("S-" if sector.M < 0 else "S+"))
+    spectrum = replace(spectrum, vectors=np.ascontiguousarray(spectrum.vectors))
+    spectrum = replace(spectrum, diagonals=_diagonals(cut, spectrum, lam))
     cache.save_spectrum(root, lam, spectrum)
     return _serve(spectrum, sector), False
 
 
-def load_cached_spectrum(sector: SectorLabel, lam: float, root: Path) -> SpinResolvedSpectrum:
-    """One block spectrum from the cache; a -k sector is served from its mirror."""
+def load_cached_spectrum(sector: SectorLabel, lam: float, root: Path,
+                         vectors: bool = True) -> SpinResolvedSpectrum:
+    """One block spectrum from the cache, without its vectors (cache.load_head) when vectors
+    is False; a -k sector is served from its mirror."""
+    read = cache.load_spectrum if vectors else cache.load_head
     try:
-        return _serve(cache.load_spectrum(root, _solved(sector), lam), sector)
+        return _serve(read(root, _solved(sector), lam), sector)
     except cache.CacheMismatch as exc:  # a file that is there but cannot be read, spectrum rebuilds
         there = cache.spectrum_path(root, _solved(sector), lam).exists()
         raise MissingCacheError(f"{exc}; {_REBUILD if there else _FILL_CACHE}") from exc
@@ -648,17 +656,14 @@ def _assemble(terms, values: Callable[[str], np.ndarray]) -> np.ndarray:
     return sum((c * values(p) for p, c in terms), -0.0)
 
 
-def _diagonals(cut, spectrum: SpinResolvedSpectrum, lam: float) -> Callable[[str], np.ndarray]:
-    """Each state's value of a primitive, A or C, of one block, computed at first use.
+def _diagonals(cut, spectrum: SpinResolvedSpectrum, lam: float) -> dict[str, np.ndarray]:
+    """Each state's value of each primitive, A and C, of one block, from its vectors.
 
     At lam = 0, A = H/(sqrt(3) L) is read off the energies, and no A is built.
     """
-    @memoized
-    def values(primitive: str) -> np.ndarray:
-        if primitive == "A" and lam == 0.0:
-            return spectrum.energies / (np.sqrt(3.0) * spectrum.sector.L)
-        return expectations(cut(primitive), spectrum.vectors)
-    return values
+    a = (spectrum.energies / (np.sqrt(3.0) * spectrum.sector.L) if lam == 0.0
+         else expectations(cut("A"), spectrum.vectors))
+    return {"A": a, "C": expectations(cut("C"), spectrum.vectors)}
 
 
 def _journal_blocks(manifest: RunManifest, L: int, labels, **counts) -> None:
@@ -700,13 +705,15 @@ def _pool_spin(config: RunConfig, observable: str, L: int, tables, S: int) -> an
 def _diagonal_tables(sector: SectorLabel, cut, config: RunConfig, root: Path) -> dict[str, tuple]:
     """(energies, diagonal elements, spins) of one cached solved sector, keyed by observable.
 
-    The elements are assembled from the block's A and C values (see
-    _ASSEMBLY); on the diagonal rank 0 never vanishes, so A's part is kept.
+    Read from the file's head alone, so no vector, basis or operator is
+    touched: the elements are assembled from the A and C diagonals stored
+    at solve time (see _ASSEMBLY); on the diagonal rank 0 never vanishes,
+    so A's part is kept.
     """
-    spectrum = load_cached_spectrum(sector, config.lam, root)
-    values = _diagonals(cut, spectrum, config.lam)
-    return {observable: (spectrum.energies, _assemble(_ASSEMBLY[observable].items(), values),
-                         spectrum.spins) for observable in config.observables}
+    head = load_cached_spectrum(sector, config.lam, root, vectors=False)
+    return {observable: (head.energies,
+                         _assemble(_ASSEMBLY[observable].items(), head.diagonals.__getitem__),
+                         head.spins) for observable in config.observables}
 
 
 def run_diag_eth(config: RunConfig) -> dict:
@@ -930,12 +937,13 @@ def _state_moments(cut, spectrum: SpinResolvedSpectrum, lam: float) -> dict[str,
 
     S2 is each state's <S^2>. At M = 0, sum_{i != j} S_i.S_j = S^2 - 3L/4 and
     sum_{i != j} S^z_i S^z_j = -L/4 give eps2 and eps2z without an operator.
-    meanA and meanB are the diagonals diag-eth assembles from A and C, so
-    their closed forms audit that assembly.
+    meanA and meanB are assembled from A and C as diag-eth assembles its
+    diagonals, so their closed forms audit that assembly; A and C, taken
+    from the vectors, are in the result too.
     """
     per_state = {tag: expectations(cut(tag), spectrum.vectors) for tag in _MOMENT_TAGS}
-    values = _diagonals(cut, spectrum, lam)
-    mean_a, mean_b = (_assemble(_ASSEMBLY[o].items(), values) for o in ("A", "B"))
+    per_state.update(_diagonals(cut, spectrum, lam))
+    mean_a, mean_b = (_assemble(_ASSEMBLY[o].items(), per_state.__getitem__) for o in ("A", "B"))
     e, L, s2 = spectrum.energies, spectrum.sector.L, per_state["S2"]
     per_state.update(eps2=(s2 - 0.75 * L) / (L * (L - 1)), eps2z=np.full(len(e), -0.25 / (L - 1)),
                      E0=e, HH=e * e, meanA=mean_a, meanB=mean_b, AH=mean_a * e, BH=mean_b * e)
@@ -987,10 +995,13 @@ def audit_bound(field: str, row: dict) -> float | None:
 
 
 def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> dict:
-    """Spin counts, per-state moments and per-label (block audit, failed) of one solved sector.
+    """Spin counts, per-state moments, per-label (block audit, failed) and the stale primitives
+    of one solved sector.
 
     A sector missing from the cache is solved from the same cut; a file
-    that fails to load stops the run, named by MissingCacheError. A solved
+    that fails to load stops the run, named by MissingCacheError. The A and
+    C diagonals in the file's head are stale when their bits are not those
+    recomputed from its vectors, as diag-eth reads them instead. A solved
     sector's -k mirror shares its vectors, orthonormality and spin
     sharpness; the mirror's eigen residual is taken against its own H(-k),
     which checks the mirror rule.
@@ -1003,6 +1014,7 @@ def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> di
     # a parity half may be empty, with every audit 0
     ortho = float(np.abs(v.T @ v - np.eye(spectrum.dim)).max(initial=0.0))
     moments = _state_moments(cut, spectrum, config.lam)
+    stale = [p for p in ("A", "C") if moments.pop(p).tobytes() != spectrum.diagonals[p].tobytes()]
     spin_res = float(np.abs(moments["S2"] - spins * (spins + 1.0)).max(initial=0.0))
     scale = max(1.0, float(np.abs(spectrum.energies).max(initial=0.0)))
     audits = {}
@@ -1016,14 +1028,15 @@ def _audit_sector(sector: SectorLabel, cut, config: RunConfig, root: Path) -> di
         # each bound fails on NaN, as a corrupted vector gives
         audits[label] = audit, not all(audit[f] <= audit_bound(f, audit) for f in
                                        ("eigen_residual", "orthonormality", "spin_residual"))
-    return {"spin_dims": spectrum.spin_dims(), "audits": audits,
+    return {"spin_dims": spectrum.spin_dims(), "audits": audits, "stale": stale,
             "moments": (spins, moments)}
 
 
 def run_oracle_check(config: RunConfig) -> dict:
     """Audit cached eigendata and compare sector traces to the closed forms.
 
-    Per-block checks (eigen residual, orthonormality, spin sharpness) catch
+    Per-block checks (eigen residual, orthonormality, spin sharpness, and
+    the stored A and C diagonals against the vectors, bit for bit) catch
     corrupted or stale cache entries and name the sector; the pooled moment
     table then validates every closed form. audit_bound holds the bounds of
     both. Each solved sector is read and worked once for itself and its -k
@@ -1040,6 +1053,9 @@ def run_oracle_check(config: RunConfig) -> dict:
                 report["block_audits"].append(audit)
                 if failed:
                     report["failures"].append({"kind": "block_audit", **audit})
+                if lab == _solved(lab) and checked["stale"]:
+                    report["failures"].append({"kind": "stored_diagonals", "sector": audit["sector"],
+                                               "primitives": checked["stale"]})
 
             # every spin the oracle expects and every label present; none is expected past L/2
             spin_counts = sum((Counter(checked["spin_dims"]) for checked in sectors), Counter())

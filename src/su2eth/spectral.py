@@ -83,16 +83,23 @@ def diagonalize_block(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SpinResolvedSpectrum:
-    """Eigenpairs of one block with an integer total-spin label per state."""
+    """Eigenpairs of one block with an integer total-spin label per state.
+
+    diagonals holds each state's <A> and <C>, keyed by "A" and "C", once
+    they are computed or read; vectors is None for a spectrum read without
+    them (see cache.load_head).
+    """
 
     sector: SectorLabel
     energies: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     spins: np.ndarray
+    diagonals: dict[str, np.ndarray] | None = None
 
     def __post_init__(self):
-        for arr in (self.energies, self.vectors, self.spins):
-            arr.setflags(write=False)
+        for arr in (self.energies, self.vectors, self.spins, *(self.diagonals or {}).values()):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def dim(self) -> int:

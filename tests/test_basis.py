@@ -217,6 +217,22 @@ def test_representatives_are_orbit_minima():
             assert shifted[0] >= rep
 
 
+@pytest.mark.parametrize("L,M", [(8, 0), (10, 1), (12, 0)])
+def test_each_state_maps_to_its_orbits_representative(L, M):
+    # the shared tables hold each state's canonical position once, for every (k, z) basis
+    basis = enumerate_sector_basis(sector_labels(L, M)[0])
+    tabs = basis.tables
+    assert np.array_equal(tabs.states[tabs.canon_positions], tabs.canon)
+    assert not tabs.canon_positions.flags.writeable
+    for lab in sector_labels(L, M):
+        basis = enumerate_sector_basis(lab)
+        assert basis.tables is tabs
+        # a state's row is its representative's row, -1 for an orbit the sector does not admit
+        rows = np.full(len(tabs.states), -1)
+        rows[np.searchsorted(tabs.states, basis.reps)] = np.arange(len(basis.reps))
+        assert np.array_equal(basis.rep_index, rows[np.searchsorted(tabs.states, tabs.canon)])
+
+
 def test_parity_split_dimensions_l6():
     # k = 1 at L = 6, M = 0: three states split 1 even + 2 odd under the flip
     even = enumerate_sector_basis(SectorLabel(6, 0, 1, 1)).dim

@@ -18,22 +18,31 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from su2eth import cache
 from su2eth.basis import SectorLabel, enumerate_sector_basis
 from su2eth.cache import (
+    HEADER_SIZE,
     CacheMismatch,
     build_fingerprint,
     cache_dir,
+    load_head,
     load_spectrum,
     save_spectrum,
     spectrum_path,
 )
-from su2eth.operators import CouplingSpec, build_hamiltonian, build_spin_ladder
+from su2eth.operators import CouplingSpec, build_hamiltonian, build_observable, build_spin_ladder
 from su2eth.pipeline import ensure_spectrum
-from su2eth.spectral import SpinResolvedSpectrum, diagonalize_block, resolve_spins
+from su2eth.spectral import SpinResolvedSpectrum, diagonalize_block, expectations, resolve_spins
 
 
 def _make_spectrum(lab, lam):
     basis = enumerate_sector_basis(lab)
     H = build_hamiltonian(basis, CouplingSpec(lam))
-    return resolve_spins(*diagonalize_block(H), build_spin_ladder(basis, 1))
+    spec = resolve_spins(*diagonalize_block(H), build_spin_ladder(basis, 1))
+    return replace(spec, diagonals={tag: expectations(build_observable(basis, tag), spec.vectors)
+                                    for tag in ("A", "C")})
+
+
+def _head_size(dim: int) -> int:
+    # energies, A and C (f8) and spins (i2), zero-padded to a multiple of 8 bytes
+    return (26 * dim + 7) // 8 * 8
 
 
 @pytest.mark.parametrize("lam", [0.0, 3.0, 0.7])
@@ -47,6 +56,21 @@ def test_roundtrip_preserves_everything(tmp_path, lam):
     assert np.array_equal(back.energies, spec.energies)
     assert np.array_equal(back.vectors, spec.vectors)
     assert np.array_equal(back.spins, spec.spins)
+    head = load_head(tmp_path, lab, lam)
+    assert head.vectors is None
+    for read in (back, head):
+        assert list(read.diagonals) == ["A", "C"]
+        for tag in ("A", "C"):
+            assert read.diagonals[tag].tobytes() == spec.diagonals[tag].tobytes()
+        assert read.energies.tobytes() == spec.energies.tobytes()
+        assert read.spins.tobytes() == spec.spins.tobytes()
+
+
+def test_a_spectrum_without_its_diagonals_is_not_saved(tmp_path):
+    lab = SectorLabel(6, 0, 1, 1)
+    with pytest.raises(ValueError, match="saved with its A and C diagonals"):
+        save_spectrum(tmp_path, 3.0, replace(_make_spectrum(lab, 3.0), diagonals=None))
+    assert not list(tmp_path.iterdir())
 
 
 def test_path_naming_scheme(tmp_path):
@@ -75,6 +99,11 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(CacheMismatch, match="bytes|truncated"):
         load_spectrum(tmp_path, lab, 3.0)
+    # the head reader checks the file's size too, though it reads no vector byte
+    path.write_bytes(data[:-8])
+    for read in (load_spectrum, load_head):
+        with pytest.raises(CacheMismatch, match="bytes, expected"):
+            read(tmp_path, lab, 3.0)
 
 
 def test_header_only_file_rejected(tmp_path):
@@ -85,13 +114,15 @@ def test_header_only_file_rejected(tmp_path):
         load_spectrum(tmp_path, lab, 3.0)
 
 
-def _as_v2(data: bytes, dim: int) -> bytes:
-    # the layout before v3: version 2, and a spin residual (f8) per state after the energies
-    head = cache._HEADER.size + 8 * dim
-    old = bytearray(data[:head] + bytes(8 * dim) + data[head:])
-    struct.pack_into("<I", old, 8, 2)
-    struct.pack_into("<I", old, 40, zlib.crc32(old[cache._HEADER.size:]))
-    return bytes(old)
+def _as_v3(data: bytes, dim: int) -> bytes:
+    # the layout before v4: version 3, one crc32 over energies, vectors and spins, no diagonals
+    energies = data[HEADER_SIZE:HEADER_SIZE + 8 * dim]
+    spins = data[HEADER_SIZE + 24 * dim:HEADER_SIZE + 26 * dim]
+    payload = energies + data[HEADER_SIZE + _head_size(dim):] + spins
+    header = bytearray(data[:44] + data[48:HEADER_SIZE])
+    struct.pack_into("<I", header, 8, 3)
+    struct.pack_into("<I", header, 40, zlib.crc32(payload))
+    return bytes(header) + payload
 
 
 def test_foreign_magic_rejected(tmp_path):
@@ -104,8 +135,8 @@ def test_foreign_magic_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CacheMismatch, match="magic or version"):
         load_spectrum(tmp_path, lab, 3.0)
-    # a file of the v2 layout, with this build's fingerprint and a valid checksum
-    path.write_bytes(_as_v2(good, spec.dim))
+    # a file of the v3 layout, with this build's fingerprint and a valid checksum
+    path.write_bytes(_as_v3(good, spec.dim))
     with pytest.raises(CacheMismatch, match=f"{path.name} has wrong magic or version"):
         load_spectrum(tmp_path, lab, 3.0)
     with pytest.warns(UserWarning, match=f"rebuilding stale cache entry: {path}"):
@@ -145,7 +176,7 @@ def test_parity_halves_are_named_and_keyed_apart(tmp_path):
     for lab, flag in ((SectorLabel(10, 0, 0, 1, -1), -1), (SectorLabel(10, 0, 5, -1, 1), 1),
                       (SectorLabel(10, 0, 0, 1), 0), (SectorLabel(10, 0, 2, 1), 0)):
         path = save_spectrum(tmp_path, 3.0, _make_spectrum(lab, 3.0))
-        assert struct.unpack_from("<i", path.read_bytes(), 52)[0] == flag, lab
+        assert struct.unpack_from("<i", path.read_bytes(), HEADER_SIZE - 4)[0] == flag, lab
         assert load_spectrum(tmp_path, lab, 3.0).sector == lab
 
 
@@ -174,19 +205,35 @@ def test_vectors_are_stored_as_float64(tmp_path):
     lab = SectorLabel(8, 0, 1, -1)
     spec = _make_spectrum(lab, 3.0)
     path = save_spectrum(tmp_path, 3.0, spec)
-    assert path.stat().st_size == 56 + spec.dim * (8 + 8 * spec.dim + 2)
+    assert path.stat().st_size == HEADER_SIZE + _head_size(spec.dim) + 8 * spec.dim ** 2
     back = load_spectrum(tmp_path, lab, 3.0)
     assert back.vectors.dtype == np.float64 and back.spins.dtype == np.int16
+    assert all(d.dtype == np.float64 for d in back.diagonals.values())
+    # the vectors view starts 8-byte aligned, so GEMMs take it as it is
+    assert back.vectors.flags.aligned and back.vectors.flags.c_contiguous
 
 
 def test_flipped_payload_bit_fails_the_checksum(tmp_path):
+    # each section has its own checksum; the head reader sees no fault in the vectors
     lab = SectorLabel(8, 0, 1, -1)
-    path = save_spectrum(tmp_path, 3.0, _make_spectrum(lab, 3.0))
-    data = bytearray(path.read_bytes())
-    data[-1] ^= 0x01  # the last spin label
-    path.write_bytes(bytes(data))
-    with pytest.raises(CacheMismatch, match=f"{path.name} fails its payload checksum"):
-        load_spectrum(tmp_path, lab, 3.0)
+    spec = _make_spectrum(lab, 3.0)
+    path = save_spectrum(tmp_path, 3.0, spec)
+    good = path.read_bytes()
+    dim = spec.dim
+    head = {"energy": HEADER_SIZE, "A": HEADER_SIZE + 8 * dim, "C": HEADER_SIZE + 16 * dim,
+            "spin": HEADER_SIZE + 24 * dim, "padding": HEADER_SIZE + _head_size(dim) - 1}
+    assert _head_size(dim) > 26 * dim  # this block's head is padded
+    for where, offset in {**head, "vector": len(good) - 1}.items():
+        data = bytearray(good)
+        data[offset] ^= 0x01
+        path.write_bytes(bytes(data))
+        section = "vectors" if where == "vector" else "head"
+        with pytest.raises(CacheMismatch, match=f"{path.name} fails its {section} checksum"):
+            load_spectrum(tmp_path, lab, 3.0)
+        if where != "vector":
+            with pytest.raises(CacheMismatch, match=f"{path.name} fails its head checksum"):
+                load_head(tmp_path, lab, 3.0)
+    assert load_head(tmp_path, lab, 3.0).spins.tobytes() == spec.spins.tobytes()
 
 
 @pytest.mark.parametrize("lam", [3.0, 0.0])
@@ -195,39 +242,51 @@ def test_every_flipped_header_bit_fails_the_load_and_names_the_file(tmp_path, la
     spec = _make_spectrum(lab, lam)
     path = save_spectrum(tmp_path, lam, spec)
     data = path.read_bytes()
-    assert cache._HEADER.size == 56
-    # lambda's f8 sits at bytes 44-51; its sign bit turns 0.0 into -0.0, which
+    assert HEADER_SIZE == 60
+    # lambda's f8 sits at bytes 48-55; its sign bit turns 0.0 into -0.0, which
     # equals 0.0 and is the same coupling, so that one flip loads at lam = 0
-    sign_of_lam = 51 * 8 + 7
-    passed = []
-    for bit in range(8 * cache._HEADER.size):
-        flipped = bytearray(data)
-        flipped[bit // 8] ^= 1 << (bit % 8)
-        path.write_bytes(bytes(flipped))
-        try:
-            back = load_spectrum(tmp_path, lab, lam)
-        except CacheMismatch as exc:
-            assert path.name in str(exc), (bit, exc)
-            continue
-        passed.append(bit)
-        assert np.array_equal(back.vectors, spec.vectors)
-    assert passed == ([sign_of_lam] if lam == 0.0 else [])
+    sign_of_lam = 55 * 8 + 7
+    # the head reader checks no vector byte, so neither does it check their crc32, at bytes 44-47
+    vectors_crc = list(range(44 * 8, 48 * 8))
+    for read in (load_spectrum, load_head):
+        passed = []
+        for bit in range(8 * HEADER_SIZE):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                back = read(tmp_path, lab, lam)
+            except CacheMismatch as exc:
+                assert path.name in str(exc), (bit, exc)
+                continue
+            passed.append(bit)
+            assert np.array_equal(back.vectors if read is load_spectrum else back.spins,
+                                  spec.vectors if read is load_spectrum else spec.spins)
+        unread = vectors_crc if read is load_head else []
+        assert passed == unread + ([sign_of_lam] if lam == 0.0 else []), read
 
 
 # the header's fields in order, each with its struct code
 _HEADER_FIELDS = {"magic": "8s", "version": "I", "fingerprint": "Q", "L": "i", "M": "i", "k": "i",
-                  "z": "i", "dim": "i", "crc": "I", "lambda": "d", "parity": "i"}
+                  "z": "i", "dim": "i", "head_crc": "I", "vectors_crc": "I", "lambda": "d",
+                  "parity": "i"}
 # deterministic examples and no example database, so the suite stays repeatable and writes nothing
 _EXAMPLES = settings(derandomize=True, database=None, deadline=None)
 
 
 def _assert_corruption_fails(tmp_path, lab, lam, path, stored, corrupted: bytes) -> None:
     # a header equal to the stored one field by field (-0.0 == 0.0) is the same key
-    assume(cache._HEADER.unpack_from(corrupted) != stored)
+    fields = cache._HEADER.unpack_from(corrupted)
+    assume(fields != stored)
     path.write_bytes(corrupted)
-    with pytest.raises(CacheMismatch) as exc:
-        load_spectrum(tmp_path, lab, lam)
-    assert path.name in str(exc.value), exc.value
+    # the head reader checks every field but the vectors' crc32
+    unread = list(_HEADER_FIELDS).index("vectors_crc")
+    seen = [i for i in range(len(fields)) if i != unread]
+    head_read = [fields[i] for i in seen] != [stored[i] for i in seen]
+    for read in (load_spectrum, load_head) if head_read else (load_spectrum,):
+        with pytest.raises(CacheMismatch) as exc:
+            read(tmp_path, lab, lam)
+        assert path.name in str(exc.value), exc.value
 
 
 @pytest.mark.parametrize("lam", [3.0, 0.0])
@@ -284,7 +343,8 @@ def _synthetic_spectrum():
     # built directly: the writers race on the file, not on the eigensolver
     dim = 256
     return SpinResolvedSpectrum(SectorLabel(8, 0, 1, 1), np.arange(dim, dtype=np.float64),
-                                np.eye(dim), np.zeros(dim, dtype=np.int16))
+                                np.eye(dim), np.zeros(dim, dtype=np.int16),
+                                {"A": np.ones(dim), "C": np.zeros(dim)})
 
 
 def _save_repeatedly(root, start, times):

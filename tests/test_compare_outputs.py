@@ -6,9 +6,12 @@ from __future__ import annotations
 import importlib.util
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
+
+from su2eth import cache
 
 _SPEC = importlib.util.spec_from_file_location(
     "compare_outputs", Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py")
@@ -161,12 +164,14 @@ def test_a_residual_at_or_above_its_bound_fails_and_is_named(tmp_path, capsys, w
 
 
 def _cache_trees(tmp_path):
-    # one cache file per tree under cache/: a header of HEADER_SIZE bytes, then the payload
+    # one cache file per tree under cache/: a header whose dim is 2, then the payload, a
+    # 56-byte head (26 bytes per state, zero-padded to a multiple of 8) and 32 bytes of vectors
+    header = bytearray(cache.HEADER_SIZE)
+    struct.pack_into("<i", header, 36, 2)
     a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
     for root in (a, b):
         (root / "cache").mkdir()
-        (root / "cache" / "L6_M0_k1_zp1_lam3.eig").write_bytes(
-            bytes(compare_outputs.HEADER_SIZE) + bytes(range(64)))
+        (root / "cache" / "L6_M0_k1_zp1_lam3.eig").write_bytes(bytes(header) + bytes(range(88)))
     return a, b
 
 
@@ -181,14 +186,20 @@ def test_cache_payloads_agree_whatever_their_fingerprints(tmp_path, capsys):
 
 
 def test_a_flipped_payload_byte_fails_and_names_the_file(tmp_path, capsys):
+    # and names the first section that differs: the head, then the vectors
     a, b = _cache_trees(tmp_path)
     path = b / "cache" / "L6_M0_k1_zp1_lam3.eig"
-    data = bytearray(path.read_bytes())
-    data[compare_outputs.HEADER_SIZE + 10] ^= 0x01
-    path.write_bytes(bytes(data))
-    assert compare_outputs.main([str(a), str(b)]) == 1
-    assert capsys.readouterr().out == (
-        "cache/L6_M0_k1_zp1_lam3.eig: cache payload differs; 1 of 1 differ\n")
+    good = path.read_bytes()
+    # payload offsets: in the head, its last (padding) byte, the vectors' first, one in each
+    for offsets, section in (((10,), "head"), ((55,), "head"), ((56,), "vectors"),
+                             ((87, 20), "head")):
+        data = bytearray(good)
+        for offset in offsets:
+            data[cache.HEADER_SIZE + offset] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert compare_outputs.main([str(a), str(b)]) == 1
+        assert capsys.readouterr().out == (
+            f"cache/L6_M0_k1_zp1_lam3.eig: cache payload differs in its {section}; 1 of 1 differ\n")
 
 
 def _journal_trees(tmp_path, **changes):

@@ -475,7 +475,8 @@ def _holds_live_pair(cfg, root, sector, observable) -> bool:
 
 def test_analyses_assemble_each_observable_once_per_unit(tmp_path, monkeypatch):
     # both parity halves of a k = 0 or pi sector cut one assembly of each
-    # primitive, A and C, that their observables need: B = A/sqrt(2) + sqrt(3/2) C
+    # primitive, A and C, that their observables need: B = A/sqrt(2) + sqrt(3/2) C.
+    # spectrum takes both diagonals at solve time, so diag-eth builds none
     built = Counter()
     build = pipeline.build_observable
 
@@ -489,6 +490,7 @@ def test_analyses_assemble_each_observable_once_per_unit(tmp_path, monkeypatch):
     run_spectrum(cfg)
     root = tmp_path / "cache"
     units = {pipeline._unit(lab) for L in cfg.L_list for lab in sector_labels(L)}
+    assert built == Counter({(p, unit) for unit in units for p in ("A", "C")})
     spins = {unit: {s for half in parity_halves(unit)
                     for s in load_cached_spectrum(half, cfg.lam, root).spin_dims()}
              for unit in units}
@@ -497,8 +499,7 @@ def test_analyses_assemble_each_observable_once_per_unit(tmp_path, monkeypatch):
     live = {("C", unit) for unit in units if spins[unit] & {0, 1}}
     live |= {("A", unit) for unit in units if 1 in spins[unit]}
     assert 0 < len(live) - len(units) < len(units)
-    for run, expected in ((run_diag_eth, {(p, unit) for unit in units for p in ("A", "C")}),
-                          (run_offdiag_eth, live)):
+    for run, expected in ((run_diag_eth, set()), (run_offdiag_eth, live)):
         built.clear()
         run(cfg)
         assert built == Counter(expected)
@@ -950,9 +951,12 @@ def test_analyses_build_one_basis_per_nonempty_admitted_block(tmp_path, monkeypa
 
     monkeypatch.setattr(pipeline, "enumerate_sector_basis", counting_enumerate)
     run(cfg)
-    # offdiag-eth builds no basis for a sector that holds no live (observable, pair)
+    # offdiag-eth builds no basis for a sector that holds no live (observable, pair), and
+    # diag-eth, which reads each block's stored diagonals, builds none at all
     expected = {pipeline._solved(lab) for lab in nonempty}
-    if run is run_offdiag_eth:
+    if run is run_diag_eth:
+        expected = set()
+    else:
         skipped = {sector for sector in expected
                    if not any(_holds_live_pair(cfg, root, sector, o) for o in cfg.observables)}
         assert skipped == {SectorLabel(6, 0, 2, -1)}
@@ -973,9 +977,9 @@ def test_commands_hold_at_most_one_earlier_spectrum(tmp_path, monkeypatch, run, 
     refs = []
     alive = []
 
-    def tracking_fetch(*args):
+    def tracking_fetch(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in refs))
-        result = fetch(*args)
+        result = fetch(*args, **kwargs)
         refs.append(weakref.ref(result[0] if source == "ensure_spectrum" else result))
         return result
 
@@ -993,13 +997,13 @@ def test_split_mirror_pair_is_served_from_the_solved_file(tmp_path, monkeypatch)
     cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(0, 1, 2), observables=("A", "B", "C"))
     run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
     loads = Counter()
-    load = cache.load_spectrum
 
-    def counting_load(root, sector, lam):
-        loads[sector] += 1
-        return load(root, sector, lam)
+    def counting(load):
+        return lambda root, sector, lam: loads.update([sector]) or load(root, sector, lam)
 
-    monkeypatch.setattr(cache, "load_spectrum", counting_load)
+    # diag-eth reads the files' heads, offdiag-eth the whole files
+    for name in ("load_spectrum", "load_head"):
+        monkeypatch.setattr(cache, name, counting(getattr(cache, name)))
     plus_one = [lab for L in cfg.L_list for lab in sector_labels(L) if lab.k_index == 1]
     outputs = {}
     for k in (1, -1):
@@ -1530,19 +1534,22 @@ def test_b_without_its_a_part_is_exactly_sqrt_three_halves_c(tmp_path, monkeypat
 
 
 def test_diag_eth_reads_a_off_the_energies_at_lam_zero(tmp_path, monkeypatch):
-    # A = H/(sqrt(3) L) at lam = 0, so A's diagonal is E/(sqrt(3) L) and no A is built
+    # A = H/(sqrt(3) L) at lam = 0, so A's diagonal is E/(sqrt(3) L) and spectrum builds no
+    # A to store it; diag-eth reads the stored diagonals and builds nothing
     cfg = _analysis_config(tmp_path, L_list=(8,), lam=0.0, observables=("A", "B", "C"))
-    run_spectrum(cfg)
     built = Counter()
     build = pipeline.build_observable
     monkeypatch.setattr(pipeline, "build_observable",
                         lambda basis, tag: built.update([tag]) or build(basis, tag))
+    run_spectrum(cfg)
+    assert set(built) == {"C"}
+    built.clear()
     for lab in pipeline._admitted_labels(cfg, 8):
         unit = pipeline._drive(pipeline._diagonal_tables, pipeline._unit(lab), cfg,
                                tmp_path / "cache")
         energies, values, _ = unit[pipeline._solved(lab)]["A"]
         assert values.tobytes() == (energies / (math.sqrt(3.0) * 8)).tobytes(), lab
-    assert set(built) == {"C"}
+    assert not built
 
 
 # three sizes that fit: L = 6 has no S = 0 pair in the energy window at lam = 3, nor L = 8 at 0
@@ -1775,6 +1782,56 @@ def test_oracle_check_passes_on_healthy_l12_cache(tmp_path):
     assert len(report["rows"]) == 7 * 10  # S = 0..6, ten moments each
 
 
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_oracle_check_fails_on_a_stored_diagonal_its_vectors_do_not_give(tmp_path, lam):
+    # one stored A diagonal moved by one ulp, under a matching head checksum: the file loads,
+    # every residual and moment holds, and only the bit-for-bit recomputation catches it
+    cfg = _analysis_config(tmp_path, L_list=(8,), lam=lam, spins=())
+    run_spectrum(cfg)
+    assert run_oracle_check(dataclasses.replace(cfg, out_dir=str(tmp_path / "clean")))["pass"]
+    lab = SectorLabel(8, 0, 1, 1)
+    path = spectrum_path(tmp_path / "cache", lab, lam)
+    data = bytearray(path.read_bytes())
+    at = _offsets(data)
+    state = at["dim"] // 2
+    value = struct.unpack_from("<d", data, at["A"] + 8 * state)[0]
+    struct.pack_into("<d", data, at["A"] + 8 * state, np.nextafter(value, np.inf))
+    path.write_bytes(_restamped(data))
+    name = pipeline._sector_name(lab, lam)
+    report = run_oracle_check(cfg)
+    assert report["pass"] is False
+    assert report["failures"] == [{"kind": "stored_diagonals", "sector": name, "primitives": ["A"]}]
+    result = CliRunner().invoke(main, ["oracle-check", "--L", "8", "--lambda", f"{lam:g}",
+                                       "--cache", str(tmp_path / "cache"),
+                                       "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 1, result.output
+    assert f"oracle check failed: {name}" in result.output
+
+
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_diag_eth_reads_no_vector_and_builds_nothing(tmp_path, monkeypatch, lam):
+    cfg = _analysis_config(tmp_path, L_list=(8, 10, 12), lam=lam, spins=(0, 1, 2),
+                           observables=("A", "B", "C"), exclude_k=(), workers=1)
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
+    calls = Counter()
+    for module, name in ((pipeline, "enumerate_sector_basis"), (pipeline, "build_observable"),
+                         (pipeline, "expectations"), (cache, "load_spectrum")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    run_diag_eth(cfg)
+    assert calls == Counter()
+    monkeypatch.undo()
+    # the diagonals stored at solve time are those the loaded vectors give, bit for bit
+    compared = 0
+    for unit in dict.fromkeys(pipeline._unit(lab) for L in cfg.L_list for lab in sector_labels(L)):
+        for sector, cut in pipeline._halves(unit, lam).items():
+            spectrum = load_cached_spectrum(sector, lam, tmp_path / "cache")
+            for tag, values in pipeline._diagonals(cut, spectrum, lam).items():
+                assert values.tobytes() == spectrum.diagonals[tag].tobytes(), (sector, tag)
+                compared += 1
+    assert compared == 2 * 48  # A and C of the 48 solved sectors
+
+
 @pytest.mark.parametrize("L", [6, 12])
 def test_oracle_check_catches_corrupted_vectors(tmp_path, L):
     cfg = _analysis_config(tmp_path, L_list=(L,), spins=())
@@ -1782,13 +1839,11 @@ def test_oracle_check_catches_corrupted_vectors(tmp_path, L):
     lab = SectorLabel(L, 0, 1, -1)
     path = spectrum_path(tmp_path / "cache", lab, 3.0)
     data = bytearray(path.read_bytes())
-    dim = struct.unpack_from("<i", data, 36)[0]
+    at = _offsets(data)
     # a high byte of the middle eigenvector entry, then a matching checksum,
     # so the file loads and only the per-block audit can catch it
-    offset = 56 + 8 * dim + (dim * dim // 2) * 8 + 6
-    data[offset] ^= 0xFF
-    struct.pack_into("<I", data, 40, zlib.crc32(data[56:]))
-    path.write_bytes(bytes(data))
+    data[at["vectors"] + (at["dim"] ** 2 // 2) * 8 + 6] ^= 0xFF
+    path.write_bytes(_restamped(data))
     report = run_oracle_check(cfg)
     assert report["pass"] is False
     assert any(f"L{L}_M0_k1_zm1" in f.get("sector", "") for f in report["failures"])
@@ -1799,11 +1854,10 @@ def test_oracle_check_fails_on_a_nan_vector_and_names_the_sector(tmp_path):
     run_spectrum(cfg)
     path = spectrum_path(tmp_path / "cache", SectorLabel(8, 0, 1, 1), 3.0)
     data = bytearray(path.read_bytes())
-    dim = struct.unpack_from("<i", data, 36)[0]
+    at = _offsets(data)
     # the first entry of the middle eigenvector, then a matching checksum
-    struct.pack_into("<d", data, 56 + 8 * dim + (dim // 2) * 8, math.nan)
-    struct.pack_into("<I", data, 40, zlib.crc32(data[56:]))
-    path.write_bytes(bytes(data))
+    struct.pack_into("<d", data, at["vectors"] + (at["dim"] // 2) * 8, math.nan)
+    path.write_bytes(_restamped(data))
     report = run_oracle_check(cfg)
     assert report["pass"] is False
     audits = {f["sector"] for f in report["failures"] if f["kind"] == "block_audit"}
@@ -1826,10 +1880,10 @@ def test_oracle_check_stops_on_a_file_it_cannot_read_and_leaves_it(tmp_path, eig
     run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
     path = spectrum_path(tmp_path / "cache", SectorLabel(8, 0, 1, 1), 3.0)
     data = bytearray(path.read_bytes())
-    data[56 + 8 * struct.unpack_from("<i", data, 36)[0]] ^= 0x01
+    data[_offsets(data)["vectors"]] ^= 0x01
     path.write_bytes(bytes(data))
     eigensolves.clear()
-    message = f"{path} fails its payload checksum; run the spectrum command to rebuild it"
+    message = f"{path} fails its vectors checksum; run the spectrum command to rebuild it"
     with pytest.raises(MissingCacheError, match=re.escape(message)):
         run_oracle_check(cfg)
     result = CliRunner().invoke(main, ["oracle-check", "--L", "6", "--L", "8", "--lambda", "3",
@@ -1843,16 +1897,31 @@ def test_oracle_check_stops_on_a_file_it_cannot_read_and_leaves_it(tmp_path, eig
     assert eigensolves == []
 
 
+def _offsets(data) -> dict[str, int]:
+    """The dim of a cache v4 file and where each of its arrays starts: the head's energies, A
+    and C diagonals (f8) and spins (i2), then, after the head's zero padding to a multiple of
+    8 bytes, the vectors."""
+    dim = struct.unpack_from("<i", data, 36)[0]
+    head = cache.HEADER_SIZE
+    return {"dim": dim, "energies": head, "A": head + 8 * dim, "C": head + 16 * dim,
+            "spins": head + 24 * dim, "vectors": head + (26 * dim + 7) // 8 * 8}
+
+
+def _restamped(data: bytearray) -> bytes:
+    """data with the header's crc32 of the head and of the vectors made to match again."""
+    parts = cache.sections(bytes(data))
+    struct.pack_into("<II", data, 40, zlib.crc32(parts["head"]), zlib.crc32(parts["vectors"]))
+    return bytes(data)
+
+
 def _relabel(path, old: int, new: int) -> None:
     """Give the one state of spin old in a cached file spin new, with a matching checksum."""
     data = bytearray(path.read_bytes())
-    dim = struct.unpack_from("<i", data, 36)[0]
-    start = 56 + (8 + 8 * dim) * dim
-    spins = np.frombuffer(data, dtype="<i2", count=dim, offset=start)
+    at = _offsets(data)
+    spins = np.frombuffer(data, dtype="<i2", count=at["dim"], offset=at["spins"])
     [state] = np.flatnonzero(spins == old)
-    struct.pack_into("<h", data, start + 2 * int(state), new)
-    struct.pack_into("<I", data, 40, zlib.crc32(data[56:]))
-    path.write_bytes(bytes(data))
+    struct.pack_into("<h", data, at["spins"] + 2 * int(state), new)
+    path.write_bytes(_restamped(data))
 
 
 def test_oracle_check_counts_every_spin_and_reports_a_label_past_l_over_2(tmp_path):
@@ -2038,12 +2107,25 @@ def _spin_one_vector_bit_flipped(path, spectrum):
     # one mantissa bit of the first entry of the first S = 1 eigenvector
     data = bytearray(path.read_bytes())
     column = int(np.flatnonzero(spectrum.spins == 1)[0])
-    data[56 + 8 * spectrum.dim + 8 * column] ^= 0x01
+    data[_offsets(data)["vectors"] + 8 * column] ^= 0x01
     return bytes(data)
 
 
+def _spin_one_head_bit_flipped(array: str, width: int):
+    """The fault that flips the lowest bit of the first S = 1 state's entry of a head array."""
+    def flipped(path, spectrum):
+        data = bytearray(path.read_bytes())
+        state = int(np.flatnonzero(spectrum.spins == 1)[0])
+        data[_offsets(data)[array] + width * state] ^= 0x01
+        return bytes(data)
+    return flipped
+
+
+# "bit flip" hits a vector, which diag-eth never reads; every command reads the rest
 _FAULTS = {
     "bit flip": _spin_one_vector_bit_flipped,
+    "spin bit flip": _spin_one_head_bit_flipped("spins", 2),
+    "diagonal bit flip": _spin_one_head_bit_flipped("A", 8),
     "truncation": lambda path, spectrum: path.read_bytes()[:-8],
     "foreign fingerprint": lambda path, spectrum: (
         path.read_bytes()[:12] + struct.pack("<Q", build_fingerprint() ^ 1) + path.read_bytes()[20:]),
@@ -2059,10 +2141,15 @@ def test_flipped_vector_bit_at_l14_stops_the_analysis_and_is_rebuilt(tmp_path):
     _fault_stops_the_analysis_and_is_rebuilt(tmp_path, 14, "bit flip")
 
 
-# oracle-check solves a missing sector, so only the analyses name a missing file
+# oracle-check solves a missing sector, so only the analyses name a missing file;
+# diag-eth reads no vector byte, so a flipped one does not stop it
 @pytest.mark.parametrize("command,fault", [
-    ("diag-eth", "bit flip"), ("diag-eth", "foreign fingerprint"), ("diag-eth", "missing"),
-    ("oracle-check", "bit flip"), ("oracle-check", "foreign fingerprint")])
+    ("diag-eth", "spin bit flip"), ("diag-eth", "diagonal bit flip"),
+    ("diag-eth", "foreign fingerprint"), ("diag-eth", "missing"),
+    ("offdiag-eth", "bit flip"), ("offdiag-eth", "spin bit flip"),
+    ("offdiag-eth", "diagonal bit flip"),
+    ("oracle-check", "bit flip"), ("oracle-check", "spin bit flip"),
+    ("oracle-check", "diagonal bit flip"), ("oracle-check", "foreign fingerprint")])
 def test_an_unreadable_cache_file_is_named_with_its_fix(tmp_path, command, fault):
     # a file that is there but cannot be read is rebuilt by spectrum; a missing one is filled
     cfg = _analysis_config(tmp_path, spins=(1,))
@@ -2074,10 +2161,12 @@ def test_an_unreadable_cache_file_is_named_with_its_fix(tmp_path, command, fault
         message = f"no cached spectrum at {path}; run the spectrum command first to populate the cache"
     else:
         path.write_bytes(_FAULTS[fault](path, cache.load_spectrum(tmp_path / "cache", lab, 3.0)))
-        reason = {"bit flip": "fails its payload checksum",
-                  "foreign fingerprint": "was written by a different build"}[fault]
+        reason = {"bit flip": "fails its vectors checksum",
+                  "foreign fingerprint": "was written by a different build"}.get(
+                      fault, "fails its head checksum")
         message = f"{path} {reason}; run the spectrum command to rebuild it"
-    run = {"diag-eth": run_diag_eth, "oracle-check": run_oracle_check}[command]
+    run = {"diag-eth": run_diag_eth, "offdiag-eth": run_offdiag_eth,
+           "oracle-check": run_oracle_check}[command]
     with pytest.raises(MissingCacheError, match=re.escape(message)):
         run(cfg)
     result = CliRunner().invoke(main, [command, "--L", "6", "--lambda", "3", "-S", "1",
@@ -2090,26 +2179,41 @@ def test_an_unreadable_cache_file_is_named_with_its_fix(tmp_path, command, fault
     assert last["error"] == f"MissingCacheError: {message}"
 
 
+def _outputs(out) -> dict[str, bytes]:
+    """Every file a command wrote under out but its journal, by name."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.jsonl"}
+
+
 def _fault_stops_the_analysis_and_is_rebuilt(tmp_path, L, fault):
     cfg = _analysis_config(tmp_path, L_list=(L,), spins=(1,))
     run_spectrum(cfg)
     lab = SectorLabel(L, 0, 1, 1)
     path = spectrum_path(tmp_path / "cache", lab, 3.0)
     good = path.read_bytes()
+    args = ["-S", "1", "--L", str(L), "--lambda", "3", "--cache", str(tmp_path / "cache")]
+    assert CliRunner().invoke(main, ["diag-eth", *args, "--out", str(tmp_path / "clean")]).exit_code == 0
     path.write_bytes(_FAULTS[fault](path, cache.load_spectrum(tmp_path / "cache", lab, 3.0)))
 
-    args = ["--L", str(L), "--lambda", "3", "--cache", str(tmp_path / "cache"),
-            "--out", str(tmp_path / "o")]
-    result = CliRunner().invoke(main, ["diag-eth", "-S", "1", *args])
-    assert result.exit_code == 1, result.output
-    assert str(path) in result.output
+    # every command that reads the faulty bytes stops, naming the file
+    readers = ("offdiag-eth", "oracle-check") if fault == "bit flip" else (
+        "diag-eth", "offdiag-eth", "oracle-check")
+    for command in readers:
+        result = CliRunner().invoke(main, [command, *args, "--out", str(tmp_path / command)])
+        assert result.exit_code == 1, (command, result.output)
+        assert str(path) in result.output, command
+    if fault == "bit flip":  # diag-eth reads the head alone and writes the clean run's bytes
+        result = CliRunner().invoke(main, ["diag-eth", *args, "--out", str(tmp_path / "faulty")])
+        assert result.exit_code == 0, result.output
+        assert _outputs(tmp_path / "faulty") == _outputs(tmp_path / "clean")
 
     with pytest.warns(UserWarning, match=f"rebuilding stale cache entry: {path}"):
         summary = run_spectrum(cfg)
     # the sector and its -k mirror, served from it
     assert summary["sizes"][str(L)]["built"] == 2 and not summary["failures"]
     assert path.read_bytes() == good
-    assert CliRunner().invoke(main, ["diag-eth", "-S", "1", *args]).exit_code == 0
+    for command in readers:
+        result = CliRunner().invoke(main, [command, *args, "--out", str(tmp_path / "rebuilt")])
+        assert result.exit_code == 0, (command, result.output)
 
 
 @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])

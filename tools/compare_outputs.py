@@ -35,6 +35,9 @@ recorded) holds that field to the ordinary bounds.
 A cache file (*.eig) that both trees hold at the same relative path is
 compared by its payload, the bytes after its header: the header carries the
 build fingerprint, which changes with any edit to the fingerprinted sources.
+The payload's two sections, the head (energies, A and C diagonals, spins)
+and the vectors, are compared in that order, and the first that differs is
+named.
 
 Exits 0 when the trees agree, saying how many files agree and how many of
 those byte for byte, and, when the trees share cache files, how many
@@ -49,7 +52,10 @@ and how many rows (CSV) or values (JSON) differ, as in
     diag.csv: row 3, column O_diag: 0.25 against 0.26; 2 of 120 rows differ
 
 A CSV or journal whose config line, header or row count differs is named by
-that alone, and the cache files by the first whose payload differs.
+that alone, and the cache files by the first whose payload differs, with
+its first differing section, as in
+
+    cache/L14_M0_k3_zp1_lam3.eig: cache payload differs in its vectors; 2 of 204 differ
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from su2eth.cache import HEADER_SIZE  # noqa: E402
+from su2eth.cache import sections  # noqa: E402
 from su2eth.pipeline import audit_bound  # noqa: E402
 
 ABSOLUTE = frozenset({"E_over_L", "O_diag", "E0"})
@@ -195,12 +201,16 @@ def _caches(root: Path) -> set[str]:
     return {p.relative_to(root).as_posix() for p in root.rglob("*.eig") if p.is_file()}
 
 
-def differing_payloads(a: Path, b: Path) -> tuple[list[str], int]:
-    """The cache files under both trees whose payloads differ, in path order, and how many
-    cache files both trees hold."""
+def differing_payloads(a: Path, b: Path) -> tuple[list[tuple[str, str]], int]:
+    """(name, first differing section) of each cache file under both trees whose payloads
+    differ, in path order, and how many cache files both trees hold."""
     shared = sorted(_caches(a) & _caches(b))
-    differ = [name for name in shared
-              if (a / name).read_bytes()[HEADER_SIZE:] != (b / name).read_bytes()[HEADER_SIZE:]]
+    differ = []
+    for name in shared:
+        parts_a, parts_b = (sections((root / name).read_bytes()) for root in (a, b))
+        section = next((s for s in parts_a if parts_a[s] != parts_b[s]), None)
+        if section:
+            differ.append((name, section))
     return differ, len(shared)
 
 
@@ -224,7 +234,9 @@ def compare_trees(a: Path, b: Path) -> list[str]:
             found.append(f"{name}: {diff}")
     differ, shared = differing_payloads(a, b)
     if differ:
-        found.append(f"{differ[0]}: cache payload differs; {len(differ)} of {shared} differ")
+        name, section = differ[0]
+        found.append(f"{name}: cache payload differs in its {section}; "
+                     f"{len(differ)} of {shared} differ")
     return found
 
 
