@@ -36,8 +36,10 @@ __all__ = [
     "diagonal_fluctuations",
     "diagonal_vs_spin",
     "build_offdiagonal_ensemble",
+    "window_center",
     "gaussianity_ratio",
     "spectral_function",
+    "gaussianity_and_spectral_function",
     "variance_point",
     "variance_scaling",
     "low_frequency_view",
@@ -252,11 +254,10 @@ def build_offdiagonal_ensemble(
     per record for the array fields. Retained records satisfy
     |(E_a+E_b)/2 - E_center| / L <= energy_window, where E_center is the
     closed-form sector mean energy oracle.moments(L, S, lam).E0 at
-    S = (S_a + S_b)/2, the one oracle-check audits. observable names the
-    ensemble for the caller and is not stored.
+    S = (S_a + S_b)/2, the one oracle-check audits (see window_center).
+    observable names the ensemble for the caller and is not stored.
     """
-    s_a, s_b = spin_pair
-    e_center = oracle.moments(L, (s_a + s_b) / 2, lam).E0
+    e_center = window_center(L, lam, spin_pair)
     omega_parts, sq_parts, dims = [], [], []
     for e_row, e_col, values, d_row, d_col in blocks:
         dims.append((int(d_row), int(d_col)))
@@ -271,6 +272,11 @@ def build_offdiagonal_ensemble(
     else:
         omega = abs_sq = np.empty(0)
     return OffDiagonalEnsemble(L, omega, abs_sq, tuple(dims))
+
+
+def window_center(L: int, lam: float, spin_pair: tuple[int, int]) -> float:
+    """E_center of the spin pair's energy window: oracle.moments(L, S, lam).E0 at S = (S_a + S_b)/2."""
+    return oracle.moments(L, (spin_pair[0] + spin_pair[1]) / 2, lam).E0
 
 
 @dataclass(frozen=True)
@@ -353,22 +359,31 @@ def _windowed_moments(ensemble: OffDiagonalEnsemble, binning: Binning):
     return centers, counts, mean_sq, mean_abs
 
 
-def _binned(ensemble: OffDiagonalEnsemble, binning: Binning, values_from):
+def _binned(ensemble: OffDiagonalEnsemble, binning: Binning, *values_from) -> list[BinnedSeries]:
+    """One series per values_from(mean_sq, mean_abs), all from one _windowed_moments pass."""
     if ensemble.size == 0:
         empty = np.empty(0)
-        return BinnedSeries(empty, empty.copy(), np.empty(0, dtype=np.int64),
-                            np.empty(0, dtype=bool))
+        return [BinnedSeries(empty, empty.copy(), np.empty(0, dtype=np.int64),
+                             np.empty(0, dtype=bool)) for _ in values_from]
     centers, counts, mean_sq, mean_abs = _windowed_moments(ensemble, binning)
     flagged = counts < binning.min_count
-    values = values_from(mean_sq, mean_abs)
-    values = np.where(flagged, np.nan, values)
-    return BinnedSeries(centers, values, counts, flagged)
+    return [BinnedSeries(centers, np.where(flagged, np.nan, values(mean_sq, mean_abs)),
+                         counts, flagged) for values in values_from]
+
+
+def _ratio(sq: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return sq / ab ** 2
+
+
+def _scaled_variance(ensemble: OffDiagonalEnsemble):
+    scale = float(ensemble.L) * float(ensemble.effective_dimension)
+    return lambda sq, ab: scale * sq
 
 
 def gaussianity_ratio(ensemble: OffDiagonalEnsemble, binning: Binning = Binning()) -> BinnedSeries:
     """Per-window ratio mean|O|^2 / (mean|O|)^2; pi/2 for Gaussian elements."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return _binned(ensemble, binning, lambda sq, ab: sq / ab ** 2)
+    return _binned(ensemble, binning, _ratio)[0]
 
 
 def spectral_function(ensemble: OffDiagonalEnsemble, binning: Binning = Binning()) -> BinnedSeries:
@@ -377,8 +392,15 @@ def spectral_function(ensemble: OffDiagonalEnsemble, binning: Binning = Binning(
     Cross-spin series are not symmetrized; the two omega signs carry
     independent information there.
     """
-    scale = float(ensemble.L) * float(ensemble.effective_dimension)
-    return _binned(ensemble, binning, lambda sq, ab: scale * sq)
+    return _binned(ensemble, binning, _scaled_variance(ensemble))[0]
+
+
+def gaussianity_and_spectral_function(
+    ensemble: OffDiagonalEnsemble, binning: Binning = Binning()
+) -> tuple[BinnedSeries, BinnedSeries]:
+    """gaussianity_ratio and spectral_function of one ensemble, from one window pass."""
+    gamma, spectral = _binned(ensemble, binning, _ratio, _scaled_variance(ensemble))
+    return gamma, spectral
 
 
 def variance_point(ensemble: OffDiagonalEnsemble, omega_cut: float) -> tuple[int, float, float]:

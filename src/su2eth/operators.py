@@ -68,6 +68,7 @@ __all__ = [
     "build_hamiltonian",
     "build_total_spin_squared",
     "build_observable",
+    "c_diagonal",
     "build_spin_ladder",
     "product_basis_matrix",
     "raising_matrix",
@@ -390,21 +391,32 @@ def build_total_spin_squared(basis: SymmetryBasis) -> BlockOperator:
     return build_operator(basis, spin_squared_terms(basis.sector.L), "S2")
 
 
-def build_observable(basis: SymmetryBasis, which: str) -> BlockOperator:
-    """One of the bond observables A, B, C in the sector basis; C as its exact diagonal.
+def c_diagonal(basis: SymmetryBasis) -> np.ndarray:
+    """C's exact diagonal on the PK columns basis spans, in their order.
 
     Orbit r's states and those of its reflection partner, the orbits of one
     PK column, each have popcount(r ^ T r) anti-aligned bonds, so that
     column's diagonal entry of C is (L - 2 popcount(r ^ T r)) / (4L).
     """
-    if which != "C":
-        return build_operator(basis, observable_terms(basis.sector.L, which), which)
     L, reps = basis.sector.L, basis.reps
     flips = reps ^ translate_bits(reps, L)
     anti = sum((flips >> i) & 1 for i in range(L))
     diag = np.empty(len(reps))
     diag[basis.pk_columns] = ((L - 2 * anti) / (4 * L))[:, None]
-    return BlockOperator(basis.sector, sp.diags(diag[basis.columns], format="csr"), which)
+    return diag[basis.columns]
+
+
+def build_observable(basis: SymmetryBasis, which: str) -> BlockOperator:
+    """One of the bond observables A, B, C in the sector basis; C as its exact diagonal.
+
+    C's block is the sparse diagonal of c_diagonal(basis), which holds no
+    entry where that diagonal is 0. The pipeline forms C's images from
+    c_diagonal alone (see spectral.operator_image), bit for bit as this
+    block's products, so it builds this block only for tests and tools.
+    """
+    if which != "C":
+        return build_operator(basis, observable_terms(basis.sector.L, which), which)
+    return BlockOperator(basis.sector, sp.diags(c_diagonal(basis), format="csr"), which)
 
 
 # ─── product-basis oracles ──────────────────────────────────────────────────

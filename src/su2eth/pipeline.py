@@ -31,9 +31,9 @@ from .basis import (MAX_SITES, MIN_SITES, SectorLabel, enumerate_sector_basis, n
                     parity_halves, sector_labels, with_parity)
 from .operators import (LADDERS, OBSERVABLE_TAGS, BlockOperator, CouplingSpec, build_hamiltonian,
                         build_observable, build_operator, build_spin_ladder,
-                        build_total_spin_squared, parity_block, quad_correlator_terms)
-from .spectral import (SpinResolvedSpectrum, diagonalize_block, eigen_residual, expectations,
-                       matrix_elements, resolve_spins)
+                        build_total_spin_squared, c_diagonal, parity_block, quad_correlator_terms)
+from .spectral import (SpinResolvedSpectrum, band_positions, diagonalize_block, eigen_residual,
+                       energy_band, expectations, matrix_elements, operator_image, resolve_spins)
 # reduce_matrix_elements is not called here; perfbench/tracing.py patches it on this module
 from .tensors import reduce_matrix_elements, reduction_coefficient  # noqa: F401
 
@@ -312,7 +312,8 @@ def _begin(config: RunConfig, command: str):
     Yields (cache root, output dir, manifest, plan, pool). plan maps each size
     to the labels the command works: every sector for spectrum and
     oracle-check, the admitted ones for the analyses. pool is None at one
-    worker. The run/done row records the effective workers after the body;
+    worker, and always for diag-eth, which works its sectors in place. The
+    run/done row records the effective workers after the body;
     an error raised once the run/start row is written ends the journal
     with a run/failed row carrying it instead, and propagates.
     """
@@ -335,8 +336,10 @@ def _begin(config: RunConfig, command: str):
             path = cache.spectrum_path(root, sector, config.lam)
             if analysis_run and not path.exists():  # fail before any sector is worked
                 raise MissingCacheError(f"no cached spectrum at {path}; {_FILL_CACHE}")
-        # a fork pool starts every worker at once, so start no more than can be busy
-        workers = min(config.workers, len({_unit(sector) for sector in solved}))
+        # a fork pool starts every worker at once, so start no more than can be busy; diag-eth
+        # reads only cache heads, which cost less than a fork
+        workers = 1 if command == "diag-eth" else min(config.workers,
+                                                      len({_unit(sector) for sector in solved}))
         with _sector_pool(workers) as pool:
             yield root, out, manifest, plan, pool
     except Exception as exc:
@@ -436,26 +439,32 @@ def _halves(unit: SectorLabel, lam: float) -> dict[SectorLabel, Callable[[str], 
     """A cut(tag) for each solved sector of one whole (k, z) sector, keyed by sector.
 
     cut(tag) is the sector's block of operator tag: H, S2, the ladder S+ or
-    S-, an observable or a correlator. The unit's basis, each whole-sector
-    operator and each sector's block are built once, at first use; a parity
-    half at k = 0 or pi takes its parity_block.
+    S-, an observable or a correlator; C's is its exact diagonal, a 1-D
+    array built without a block (see operators.c_diagonal). The unit's
+    basis, each whole-sector operator and each sector's block are built
+    once, at first use; a parity half at k = 0 or pi takes its parity_block.
     """
     basis = memoized(lambda: enumerate_sector_basis(unit))
 
     @memoized
-    def whole(tag: str) -> BlockOperator:
+    def whole(tag: str) -> BlockOperator | np.ndarray:
         if tag == "H":
             return build_hamiltonian(basis(), CouplingSpec(lam))
         if tag == "S2":
             return build_total_spin_squared(basis())
         if tag in LADDERS:
             return build_spin_ladder(basis(), LADDERS[tag])
+        if tag == "C":
+            return c_diagonal(basis())
         if tag in OBSERVABLE_TAGS:
             return build_observable(basis(), tag)
         return build_operator(basis(), quad_correlator_terms(unit.L, _CORRELATORS[tag]), tag)
 
-    return {sector: memoized(lambda tag, p=sector.parity: parity_block(whole(tag),
-                                                                      with_parity(basis(), p)))
+    def cut(tag: str, parity: int | None) -> BlockOperator | np.ndarray:
+        half = with_parity(basis(), parity)
+        return whole(tag)[half.columns] if tag == "C" else parity_block(whole(tag), half)
+
+    return {sector: memoized(lambda tag, p=sector.parity: cut(tag, p))
             for sector in parity_halves(unit)}
 
 
@@ -717,7 +726,11 @@ def _diagonal_tables(sector: SectorLabel, cut, config: RunConfig, root: Path) ->
 
 
 def run_diag_eth(config: RunConfig) -> dict:
-    """Diagonal-element series, per-spin means, fluctuation scaling, oracle lines."""
+    """Diagonal-element series, per-spin means, fluctuation scaling, oracle lines.
+
+    Every sector is worked in place, whatever config.workers says: each
+    reads only its cache head.
+    """
     with _begin(config, "diag-eth") as (root, out, manifest, plan, pool):
         chash = manifest.config_hash
         rows = {name: [] for name in ("diag", "spin_means", "fluct", "predictions")}
@@ -784,49 +797,71 @@ def _element_tables(sector: SectorLabel, cut, config: RunConfig,
                     root: Path) -> dict[tuple, analysis.OffDiagonalEnsemble]:
     """One cached solved sector's windowed ensembles, keyed by (observable, pair, reduced).
 
-    Per pair, the row and column energies are laid out once, as flat arrays
-    with one entry per element, shared by every observable. The element
-    block of each primitive, A or C, is computed once, when a live
-    observable's terms first need it, flattened alike, and dropped once no
-    later one does. Each observable's values are assembled from them (see
+    Each primitive's image, A or C times the vectors of one ket spin (see
+    operator_image), is formed once, when a pair first needs it, shared by
+    every pair of that ket spin and dropped after the last one. Per pair,
+    elements are formed only in the energy window's band (see energy_band),
+    widened by 1e-9 max(1, max|E|) so that it holds every kept pair; the
+    band's row and column energies are laid out once, as flat arrays with
+    one entry per element, shared by every observable. Each primitive's band
+    table is formed once per pair and dropped once no later observable
+    needs it. Each observable's values are assembled from them (see
     _ASSEMBLY), divided by the pair's CG coefficient for the reduced series
-    and windowed at once, so only the kept (omega, |O|^2) pairs outlive the
-    call or leave a worker. No element records are laid out.
+    and windowed exactly by build_offdiagonal_ensemble, so only the kept
+    (omega, |O|^2) pairs outlive the call or leave a worker. No element
+    records are laid out.
     """
     spectrum = load_cached_spectrum(sector, config.lam, root)
     dims = spectrum.spin_dims()
-    parts = {}
+    L = spectrum.sector.L
+    slack = 1e-9 * max(1.0, float(np.abs(spectrum.energies).max(initial=0.0)))
+    plan = []  # (pair, its live observables and their terms) of each pair with elements to form
     for pair in config.all_pairs():
-        if not all(dims.get(s, 0) for s in pair):
-            continue
-        d_a, d_b = (dims[s] for s in pair)
         # fewest primitives first, so that each table is dropped as early as it can be
         live = sorted(((observable, _terms(observable, *pair, config.lam, offdiagonal=True))
                        for observable in config.observables
                        if not _vanishes(observable, *pair, config.lam, offdiagonal=True)),
                       key=lambda item: len(item[1]))
-        # row-major; alpha == beta only on a same-spin pair's diagonal, which the ensembles drop
-        keep = ~np.eye(d_a, dtype=bool).reshape(-1) if pair[0] == pair[1] else slice(None)
-        e_a, e_b = (f(spectrum.energies[spectrum.spins == s], n)[keep]
-                    for f, s, n in ((np.repeat, pair[0], d_b), (np.tile, pair[1], d_a)))
+        if live and all(dims.get(s, 0) for s in pair):
+            plan.append((pair, live))
+    needs = [{(p, pair[1]) for _, terms in live for p, _ in terms} for pair, live in plan]
+    images, parts = {}, {}
+    for n, (pair, live) in enumerate(plan):
+        d_a, d_b = (dims[s] for s in pair)
+        e_rows, e_cols = (spectrum.energies[spectrum.spins == s] for s in pair)
+        # the kept E_a + E_b lie within 2 energy_window L of twice the window's center
+        center = 2 * analysis.window_center(L, config.lam, pair)
+        half = 2 * config.energy_window * L + slack
+        band = energy_band(e_rows, e_cols, center - half, center + half)
+        i, j = band_positions(band)
+        # alpha == beta only on a same-spin pair's diagonal, which the ensembles drop
+        keep = i != j if pair[0] == pair[1] else slice(None)
+        e_a, e_b = e_rows[i[keep]], e_cols[j[keep]]
+        del i, j
         tables = {}
-        for i, (observable, terms) in enumerate(live):
+        for k, (observable, terms) in enumerate(live):
             for p, _ in terms:
                 if p not in tables:
-                    tables[p] = matrix_elements(cut(p), spectrum, pair).block.reshape(-1)[keep]
+                    if (p, pair[1]) not in images:
+                        images[p, pair[1]] = operator_image(
+                            cut(p), spectrum.vectors[:, spectrum.spins == pair[1]])
+                    tables[p] = matrix_elements(cut(p), spectrum, pair, images[p, pair[1]],
+                                                band).block[keep]
             values = tables[terms[0][0]]
             if terms != [(terms[0][0], 1.0)]:  # not one primitive's values as they are
                 values = _assemble(terms, tables.__getitem__)
-            for p in set(tables) - {p for _, later in live[i + 1:] for p, _ in later}:
+            for p in set(tables) - {p for _, later in live[k + 1:] for p, _ in later}:
                 del tables[p]
             ranks = list(_COMPONENTS[observable])
             cg = reduction_coefficient(ranks[0], *pair) if len(ranks) == 1 else 0.0
             series = {False: values}
-            if cg and values.size:  # else nothing to reduce
+            if cg and d_a * (d_b - (pair[0] == pair[1])):  # else the pair offers nothing to reduce
                 series[True] = values / cg
             parts.update({(observable, pair, reduced): analysis.build_offdiagonal_ensemble(
-                observable, spectrum.sector.L, config.lam, pair,
+                observable, L, config.lam, pair,
                 [(e_a, e_b, v, d_a, d_b)], config.energy_window) for reduced, v in series.items()})
+        for key in set(images) - set().union(*needs[n + 1:]):
+            del images[key]
     return parts
 
 
@@ -904,10 +939,10 @@ def run_offdiag_eth(config: RunConfig) -> dict:
                     analysis.variance_point(ens, omega_cut))
 
                 tag = (L, s_a, s_b, config.lam, observable)
-                w, v, c, f = _populated(analysis.gaussianity_ratio(ens, binning))
+                gamma, spectral = analysis.gaussianity_and_spectral_function(ens, binning)
+                w, v, c, f = _populated(gamma)
                 rows["gamma"].append((w, v, c, *tag, f))
 
-                spectral = analysis.spectral_function(ens, binning)
                 series = {"specfun": spectral, "lowfreq": analysis.low_frequency_view(
                     spectral, L, divide_by_L=(observable == "A"))}
                 if red_ens is not None and red_ens.size:

@@ -32,9 +32,12 @@ __all__ = [
     "RECORD_DTYPE",
     "SpinResolvedSpectrum",
     "MatrixElementTable",
+    "band_positions",
     "diagonalize_block",
     "eigen_residual",
+    "energy_band",
     "expectations",
+    "operator_image",
     "resolve_spins",
     "matrix_elements",
 ]
@@ -52,6 +55,11 @@ RECORD_DTYPE = np.dtype([
 
 # the LAPACK driver numpy.linalg.eigh runs (?syevd); part of the cache fingerprint
 EIGH_DRIVER = "evd"
+
+# rows per energy_band rectangle: taller rectangles carry more pairs outside the
+# window, shorter ones more GEMM calls. At L = 16 the element tables took
+# 0.19-0.21 s at 8 or 16 rows against 0.21 s at 64 and 0.22-0.23 s at 128
+_BAND_ROWS = 16
 
 
 def eigen_residual(block: BlockOperator, energies: np.ndarray, vectors: np.ndarray) -> float:
@@ -175,22 +183,29 @@ def resolve_spins(
 class MatrixElementTable:
     """Matrix elements of one observable between the eigenstates of one spin pair.
 
-    block is the 2-D array of <rows[i]| O |cols[j]>, with rows and cols the
-    state indices within spectrum of the pair's bra and ket spins. records,
-    a read-only RECORD_DTYPE array of every (row, col) in row-major order,
-    alpha == beta included, is laid out from them at first read and kept.
+    rows and cols are the state indices within spectrum of the pair's bra
+    and ket spins. Without a band, block is the 2-D array of
+    <rows[i]| O |cols[j]>. With one, a tuple of (r0, r1, c0, c1) rectangles
+    of positions in rows and cols whose row ranges ascend without overlap
+    (see energy_band), block is 1-D: each rectangle's elements in row-major
+    order, one rectangle after the next, so the table's elements are in
+    row-major order either way. records, a read-only RECORD_DTYPE array of
+    every element in that order, alpha == beta included, is laid out from
+    them at first read and kept.
     """
 
     def __init__(self, block: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 spectrum: SpinResolvedSpectrum):
-        self.block, self.rows, self.cols, self.spectrum = block, rows, cols, spectrum
+                 spectrum: SpinResolvedSpectrum, band: tuple | None = None):
+        self.block, self.rows, self.cols, self.spectrum, self.band = block, rows, cols, spectrum, band
         self._records = None
         block.setflags(write=False)
 
     @property
     def records(self) -> np.ndarray:
         if self._records is None:
-            alpha, beta = np.repeat(self.rows, len(self.cols)), np.tile(self.cols, len(self.rows))
+            whole = ((0, len(self.rows), 0, len(self.cols)),)
+            i, j = band_positions(whole if self.band is None else self.band)
+            alpha, beta = self.rows[i], self.cols[j]
             e, s = self.spectrum.energies, self.spectrum.spins
             self._records = np.empty(len(alpha), dtype=RECORD_DTYPE)
             for name, column in zip(RECORD_DTYPE.names, (alpha, beta, e[alpha], e[beta], s[alpha],
@@ -200,21 +215,86 @@ class MatrixElementTable:
         return self._records
 
 
-def expectations(op: BlockOperator, vectors: np.ndarray) -> np.ndarray:
-    """<v|op|v> for every eigenvector column v: the diagonal elements of op."""
-    return np.einsum("ij,ij->j", vectors, op.matrix @ vectors)
+def band_positions(band) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), the row and column positions of each element of band's rectangles, in the
+    order of a band table's block (see MatrixElementTable)."""
+    i = [np.repeat(np.arange(r0, r1), c1 - c0) for r0, r1, c0, c1 in band]
+    j = [np.tile(np.arange(c0, c1), r1 - r0) for r0, r1, c0, c1 in band]
+    empty = [np.empty(0, dtype=np.intp)]
+    return np.concatenate(i or empty), np.concatenate(j or empty)
 
 
-def matrix_elements(obs: BlockOperator, spectrum: SpinResolvedSpectrum,
-                    spin_pair: tuple[int, int]) -> MatrixElementTable:
-    """<alpha| O |beta> for bra spin S_a and ket spin S_b of one block, as one 2-D block.
+def operator_image(obs: BlockOperator | np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """obs times vectors, C-ordered.
+
+    obs is a block, or a diagonal block given by its diagonal as a 1-D array
+    (see operators.c_diagonal), whose image is formed by broadcasting. That
+    image equals the sparse diagonal block's product bit for bit: + 0.0 turns
+    an entry's -0.0 into the 0.0 the sparse sum starts from, and order="C"
+    gives the layout the sparse product gives, which sets the order of a
+    GEMM's sums over it.
+    """
+    if isinstance(obs, BlockOperator):
+        return obs.matrix @ vectors
+    image = np.multiply(obs[:, None], vectors, order="C")
+    image += 0.0
+    return image
+
+
+def expectations(op: BlockOperator | np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<v|op|v> for every eigenvector column v: the diagonal elements of op (see operator_image)."""
+    return np.einsum("ij,ij->j", vectors, operator_image(op, vectors))
+
+
+def energy_band(e_rows: np.ndarray, e_cols: np.ndarray, lo: float,
+                hi: float) -> tuple[tuple[int, int, int, int], ...]:
+    """(r0, r1, c0, c1) rectangles that cover every (i, j) with lo <= e_rows[i] + e_cols[j] <= hi.
+
+    Both energy lists ascend, so row i's columns in range form one
+    contiguous run, which moves left as i grows: an anti-diagonal band.
+    Rows come in chunks of up to _BAND_ROWS rows, each with the run that covers
+    every one of its rows; chunks whose rows have no column in range are
+    left out. The rectangles can hold pairs outside [lo, hi] (a caller
+    applies its exact condition), never miss one inside.
+    """
+    starts = np.searchsorted(e_cols, lo - e_rows, side="left")
+    stops = np.searchsorted(e_cols, hi - e_rows, side="right")
+    band = []
+    for r0 in range(0, len(e_rows), _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, len(e_rows))
+        c0, c1 = int(starts[r0:r1].min()), int(stops[r0:r1].max())
+        if c0 < c1:
+            band.append((r0, r1, c0, c1))
+    return tuple(band)
+
+
+def matrix_elements(obs: BlockOperator | np.ndarray, spectrum: SpinResolvedSpectrum,
+                    spin_pair: tuple[int, int], image: np.ndarray | None = None,
+                    band: tuple | None = None) -> MatrixElementTable:
+    """<alpha| O |beta> for bra spin S_a and ket spin S_b of one block.
 
     spin_pair (S_a, S_b) restricts bra and ket states before the matrix
-    products, which is what keeps large sweeps cheap. Diagonal elements
-    come from expectations().
+    products, which is what keeps large sweeps cheap. obs is a block or a
+    diagonal block's diagonal (see operator_image). image, when given, is
+    operator_image(obs, V_b) for the ket spin's vectors V_b, which every pair
+    with that ket spin can share. Without a band the table is the whole 2-D
+    block; with one (see energy_band and MatrixElementTable) it holds the
+    band's elements only, each rectangle formed by its own GEMM, whose sums
+    can round differently from the whole block's in the last bits.
+    Diagonal elements come from expectations().
     """
-    if obs.sector != spectrum.sector:
+    if isinstance(obs, BlockOperator) and obs.sector != spectrum.sector:
         raise ValueError("observable block does not match the spectrum")
     rows, cols = (np.flatnonzero(spectrum.spins == s) for s in spin_pair)
-    block = spectrum.vectors[:, rows].T @ (obs.matrix @ spectrum.vectors[:, cols])
-    return MatrixElementTable(block, rows, cols, spectrum)
+    if image is None:
+        image = operator_image(obs, spectrum.vectors[:, cols])
+    bra = spectrum.vectors[:, rows].T
+    if band is None:
+        return MatrixElementTable(bra @ image, rows, cols, spectrum)
+    block = np.empty(sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in band))
+    start = 0
+    for r0, r1, c0, c1 in band:
+        stop = start + (r1 - r0) * (c1 - c0)
+        np.matmul(bra[r0:r1], image[:, c0:c1], out=block[start:stop].reshape(r1 - r0, c1 - c0))
+        start = stop
+    return MatrixElementTable(block, rows, cols, spectrum, band)

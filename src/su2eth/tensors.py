@@ -218,7 +218,7 @@ def reduce_matrix_elements(table: MatrixElementTable, rank: int) -> MatrixElemen
     cg = reduction_coefficient(rank, int(spins[table.rows[0]]), int(spins[table.cols[0]]))
     if cg == 0.0:
         return MatrixElementTable(table.block[:0], table.rows[:0], table.cols, table.spectrum)
-    return MatrixElementTable(table.block / cg, table.rows, table.cols, table.spectrum)
+    return MatrixElementTable(table.block / cg, table.rows, table.cols, table.spectrum, table.band)
 
 
 def hermitian_reduced_relation(value: complex, s_row: int, s_col: int, rank: int) -> complex:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from su2eth import analysis
 from su2eth.analysis import (
     Binning,
     DiagonalSeries,
@@ -15,6 +16,7 @@ from su2eth.analysis import (
     diagonal_fluctuations,
     diagonal_vs_spin,
     fit,
+    gaussianity_and_spectral_function,
     gaussianity_ratio,
     low_frequency_view,
     pool_diagonal,
@@ -457,3 +459,27 @@ def test_real_spin_means_track_oracle(l14_diag_blocks):
     from su2eth.oracle import diagonal_prediction
     pred = diagonal_prediction("A", 14, 0, 3.0, 0.0)
     assert scan.means[0] == pytest.approx(pred, abs=0.01)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_one_window_pass_serves_gamma_and_the_spectral_function(monkeypatch, weighted):
+    rng = np.random.default_rng(5)
+    omega, abs_sq = rng.normal(0.0, 2.0, 5000), rng.exponential(1e-3, 5000)
+    weights = rng.integers(1, 3, 5000).astype(np.uint8) if weighted else None
+
+    def ensemble():
+        return OffDiagonalEnsemble(10, omega.copy(), abs_sq.copy(), ((30, 40), (20, 20)),
+                                   None if weights is None else weights.copy())
+
+    passes = []
+    windowed_moments = analysis._windowed_moments
+    monkeypatch.setattr(analysis, "_windowed_moments",
+                        lambda ens, binning: passes.append(binning) or windowed_moments(ens, binning))
+    binning = Binning(0.025, 0.175, 10)
+    together = gaussianity_and_spectral_function(ensemble(), binning)
+    assert len(passes) == 1
+    apart = gaussianity_ratio(ensemble(), binning), spectral_function(ensemble(), binning)
+    assert len(passes) == 3
+    for got, want in zip(together, apart):
+        for name in ("centers", "values", "counts", "flagged"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

@@ -28,7 +28,7 @@ from su2eth.basis import (SectorLabel, enumerate_sector_basis, parity_halves, se
 from su2eth.cache import build_fingerprint, spectrum_path
 from su2eth.cli import main
 from su2eth.operators import (OBSERVABLE_TAGS, CouplingSpec, build_hamiltonian, build_observable,
-                              build_operator, pair_correlator_terms)
+                              build_operator, c_diagonal, pair_correlator_terms)
 from su2eth.oracle import diagonal_prediction, linear_coefficients, moments
 from su2eth.pipeline import (
     ConfigError,
@@ -42,7 +42,7 @@ from su2eth.pipeline import (
     run_spectrum,
 )
 from su2eth.spectral import (MatrixElementTable, diagonalize_block, expectations, matrix_elements,
-                             resolve_spins)
+                             operator_image, resolve_spins)
 from su2eth.tensors import reduce_matrix_elements
 
 # ─── configuration ──────────────────────────────────────────────────────────
@@ -484,7 +484,14 @@ def test_analyses_assemble_each_observable_once_per_unit(tmp_path, monkeypatch):
         built[observable, basis.sector] += 1
         return build(basis, observable)
 
+    diagonal = pipeline.c_diagonal
+
+    def counted_diagonal(basis):  # C is assembled as its exact diagonal, without a block
+        built["C", basis.sector] += 1
+        return diagonal(basis)
+
     monkeypatch.setattr(pipeline, "build_observable", counted)
+    monkeypatch.setattr(pipeline, "c_diagonal", counted_diagonal)
     cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=(0, 1), observables=("B", "C"),
                            exclude_k=())
     run_spectrum(cfg)
@@ -795,8 +802,7 @@ def test_pool_is_capped_at_the_solved_sectors(tmp_path, monkeypatch):
     assert _manifest(tmp_path / "out")[-1]["workers"] == 1
 
 
-@pytest.mark.parametrize("run,cap", [
-    (run_diag_eth, 4), (run_offdiag_eth, 4), (run_oracle_check, 8)])
+@pytest.mark.parametrize("run,cap", [(run_offdiag_eth, 4), (run_oracle_check, 8)])
 def test_every_command_pool_is_capped_at_its_solved_sectors(tmp_path, monkeypatch, run, cap):
     cfg = _analysis_config(tmp_path, observables=("B",))
     run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
@@ -814,6 +820,20 @@ def test_every_command_pool_is_capped_at_its_solved_sectors(tmp_path, monkeypatc
     # the two parity halves of those at k = 0 and pi as one unit
     assert started == [cap]
     assert _manifest(tmp_path / "out")[-1]["workers"] == cap
+
+
+def test_diag_eth_starts_no_pool(tmp_path, monkeypatch):
+    # diag-eth reads only cache heads, so it works every sector in place at any workers
+    cfg = _analysis_config(tmp_path, L_list=(6, 8), observables=("B",))
+    run_spectrum(dataclasses.replace(cfg, out_dir=str(tmp_path / "fill")))
+    run_diag_eth(dataclasses.replace(cfg, out_dir=str(tmp_path / "one")))
+    started = []
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", lambda *a, **k: started.append(a or k))
+    run_diag_eth(dataclasses.replace(cfg, workers=2))
+    assert started == []
+    assert _manifest(tmp_path / "out")[-1]["workers"] == 1
+    for name in ("diag.csv", "spin_means.csv", "fluct.csv", "predictions.csv", "diag_fits.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 @pytest.mark.parametrize("lam", [3.0, 0.0])
@@ -1101,16 +1121,47 @@ def _window_weighted(cfg, root, L, labels):
     return out
 
 
+# a band element's round-off against the whole block's, over the largest |element| of
+# that whole table: a band GEMM may sum in another order than the whole block's one
+BAND_BOUND = 1e-13
+
+
+def _in_window(cfg, L, pair, records) -> np.ndarray:
+    # build_offdiagonal_ensemble's exact window, alpha == beta dropped as offdiag-eth drops it
+    center = pipeline.analysis.window_center(L, cfg.lam, pair)
+    return ((np.abs(0.5 * (records["e_a"] + records["e_b"]) - center) / L <= cfg.energy_window)
+            & (records["alpha"] != records["beta"]))
+
+
 @pytest.mark.parametrize("lam", [3.0, 0.0])
-def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, lam):
-    cfg = _analysis_config(tmp_path, L_list=(8, 10), lam=lam, spins=(0, 1, 2),
+def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, monkeypatch, lam):
+    """offdiag-eth forms each block's elements only in the energy window's band.
+
+    Each band table holds every (alpha, beta) that windowing the whole block
+    keeps, in the same row-major order, with values within BAND_BOUND. The
+    ensembles keep the pairs, omega, weights, block_dims and elements and kept
+    counts of windowing the whole record tables, and |O| within BAND_BOUND;
+    at L = 8 the (0, 2) band of a k = 1 or 3 block is empty while its block
+    is not, and that block still enters the reduced ensemble's block_dims.
+    """
+    cfg = _analysis_config(tmp_path, L_list=(8, 10, 12), lam=lam, spins=(0, 1, 2),
                            spin_pairs=((0, 2),), observables=("B", "C"))
     run_spectrum(cfg)
     root = tmp_path / "cache"
-    compared = 0
+    bands, elements = [], pipeline.matrix_elements
+
+    def recorded(obs, spectrum, pair, image, band):
+        table = elements(obs, spectrum, pair, image, band)
+        bands.append((obs, spectrum, pair, table))
+        return table
+
+    monkeypatch.setattr(pipeline, "matrix_elements", recorded)
+    compared = empty = 0
     for L in cfg.L_list:
         labels = pipeline._admitted_labels(cfg, L)
         weighted = _window_weighted(cfg, root, L, labels)
+        scales = {key: max(float(np.abs(r["value"]).max(initial=0.0)) for r, _, _ in entries)
+                  for key, entries in _full_element_records(cfg, root, labels).items()}
         for workers in (1, 2):
             with pipeline._sector_pool(workers) as pool:
                 yielded = list(pipeline._offdiag_ensembles(cfg, root, L, labels, pool))
@@ -1124,13 +1175,28 @@ def test_per_block_window_equals_windowing_whole_record_tables(tmp_path, lam):
                         continue
                     want = weighted.get(key) or _window_all(cfg, L, key, [])
                     assert got.omega.tobytes() == want.omega.tobytes(), key
-                    assert got.abs_sq.tobytes() == want.abs_sq.tobytes(), key
                     assert got.weights.tobytes() == want.weights.tobytes(), key
                     assert got.block_dims == want.block_dims, key
+                    assert got.weighted_size == want.weighted_size, key
+                    scale = scales.get(key, 0.0)
+                    assert np.all(np.abs(np.sqrt(got.abs_sq) - np.sqrt(want.abs_sq))
+                                  <= BAND_BOUND * scale), key
                     compared += got.size
             # B between S = 0 states vanishes and is not offered: empty, as before
             assert dict(((o, p), e.size) for o, p, e, _ in yielded)["B", (0, 0)] == 0
-    assert compared > 300
+        # in place, every band table was formed here: each holds the kept pairs of the whole
+        for obs, spectrum, pair, table in bands:
+            whole = elements(obs, spectrum, pair).records
+            band = table.records
+            kept = whole[_in_window(cfg, L, pair, whole)]
+            band_kept = band[_in_window(cfg, L, pair, band)]
+            for name in ("alpha", "beta", "e_a", "e_b"):
+                assert band_kept[name].tobytes() == kept[name].tobytes(), (spectrum.sector, pair)
+            scale = float(np.abs(whole["value"]).max(initial=0.0))
+            assert np.all(np.abs(band_kept["value"] - kept["value"]) <= BAND_BOUND * scale)
+            empty += band.size == 0 < whole.size
+        bands.clear()
+    assert compared > 3000 and empty > 0
 
 
 def test_offdiag_eth_lays_out_no_element_records(tmp_path, monkeypatch):
@@ -1498,11 +1564,12 @@ def test_b_without_its_a_part_is_exactly_sqrt_three_halves_c(tmp_path, monkeypat
     primitives = {}
     elements, ensemble = pipeline.matrix_elements, pipeline.analysis.build_offdiagonal_ensemble
 
-    def recorded_elements(obs, spectrum, spin_pair):
-        table = elements(obs, spectrum, spin_pair)
-        tables[obs.label, spin_pair] += 1
+    def recorded_elements(obs, spectrum, spin_pair, *band):
+        table = elements(obs, spectrum, spin_pair, *band)
+        label = "C" if isinstance(obs, np.ndarray) else obs.label  # C comes as its diagonal
+        tables[label, spin_pair] += 1
         recs = table.records  # alpha == beta is not offered to the window
-        primitives[obs.label, spin_pair] = recs["value"][recs["alpha"] != recs["beta"]]
+        primitives[label, spin_pair] = recs["value"][recs["alpha"] != recs["beta"]]
         return table
 
     def recorded_ensemble(observable, L, lam, pair, blocks, window):
@@ -1533,14 +1600,46 @@ def test_b_without_its_a_part_is_exactly_sqrt_three_halves_c(tmp_path, monkeypat
     assert checked["exact"] > 0 and bool(checked["with A"]) == (lam != 0.0)
 
 
+@pytest.mark.parametrize("lam", [3.0, 0.0])
+def test_c_image_from_its_diagonal_is_the_sparse_product_bit_for_bit(tmp_path, lam):
+    # at L = 12 C's diagonal has exact zeros, where the sparse block holds no entry and its
+    # product gives 0.0; a bare broadcast would give -0.0 against a negative component
+    cfg = _analysis_config(tmp_path, L_list=(12,), lam=lam, spins=())
+    run_spectrum(cfg)
+    zeros = negative_zeros = 0
+    for unit in {pipeline._unit(lab) for lab in sector_labels(12)}:
+        for sector in parity_halves(unit):
+            basis = with_parity(enumerate_sector_basis(unit), sector.parity)
+            diagonal, block = c_diagonal(basis), build_observable(basis, "C")
+            spectrum = load_cached_spectrum(sector, lam, tmp_path / "cache")
+            for s in np.unique(spectrum.spins):
+                kets = spectrum.vectors[:, spectrum.spins == s]
+                image = operator_image(diagonal, kets)
+                assert image.flags.c_contiguous
+                assert image.tobytes() == (block.matrix @ kets).tobytes(), (sector, s)
+                negative_zeros += int(np.signbit(diagonal[:, None] * kets)[image == 0].sum())
+            assert (expectations(diagonal, spectrum.vectors).tobytes()
+                    == expectations(block, spectrum.vectors).tobytes()
+                    == spectrum.diagonals["C"].tobytes()), sector
+            zeros += int((diagonal == 0).sum())
+    assert zeros > 0 and negative_zeros > 0
+    # the stored diagonals are the ones oracle-check recomputes from the vectors
+    report = run_oracle_check(cfg)
+    assert report["pass"] is True
+    assert not [f for f in report["failures"] if f["kind"] == "stored_diagonals"]
+
+
 def test_diag_eth_reads_a_off_the_energies_at_lam_zero(tmp_path, monkeypatch):
     # A = H/(sqrt(3) L) at lam = 0, so A's diagonal is E/(sqrt(3) L) and spectrum builds no
     # A to store it; diag-eth reads the stored diagonals and builds nothing
     cfg = _analysis_config(tmp_path, L_list=(8,), lam=0.0, observables=("A", "B", "C"))
     built = Counter()
-    build = pipeline.build_observable
+    build, diagonal = pipeline.build_observable, pipeline.c_diagonal
     monkeypatch.setattr(pipeline, "build_observable",
                         lambda basis, tag: built.update([tag]) or build(basis, tag))
+    # C is assembled as its exact diagonal, without a block
+    monkeypatch.setattr(pipeline, "c_diagonal",
+                        lambda basis: built.update(["C"]) or diagonal(basis))
     run_spectrum(cfg)
     assert set(built) == {"C"}
     built.clear()
@@ -1742,6 +1841,9 @@ def test_oracle_check_assembles_h_once_per_unit_and_mirror(tmp_path, monkeypatch
             built[args[-1], basis.sector] += 1  # the observable, or the correlator's label
             return _build(basis, *args)
         monkeypatch.setattr(pipeline, name, tagged)
+    # C is assembled as its exact diagonal, without a block
+    monkeypatch.setattr(pipeline, "c_diagonal", lambda basis, _diagonal=pipeline.c_diagonal:
+                        built.update([("C", basis.sector)]) or _diagonal(basis))
     cfg = _analysis_config(tmp_path, L_list=(6, 8), spins=())
     labels = [lab for L in cfg.L_list for lab in sector_labels(L)]
     units = {pipeline._unit(lab) for lab in labels}

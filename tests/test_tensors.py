@@ -246,6 +246,15 @@ def test_reduce_divides_by_cg():
         assert red.records["value"] == pytest.approx([3.5, -1.25, 0.5, 2.0])
         assert red.block.tobytes() == (table.block / c).tobytes()
 
+    # a band table keeps its band, so its records keep their (alpha, beta)
+    band = ((0, 1, 1, 3), (1, 2, 0, 2))
+    table = MatrixElementTable(np.array([1.0, 2.0, 3.0, 4.0]) * cg02, np.arange(2),
+                               np.arange(2, 5), _table(0, 2, np.zeros((2, 3))).spectrum, band)
+    red = reduce_matrix_elements(table, rank=2)
+    assert red.band == band
+    assert list(zip(red.records["alpha"], red.records["beta"])) == [(0, 3), (0, 4), (1, 2), (1, 3)]
+    assert red.records["value"] == pytest.approx([1.0, 2.0, 3.0, 4.0])
+
     # clebsch_gordan rejects a negative spin
     with pytest.raises(ValueError, match="nonnegative"):
         reduce_matrix_elements(_table(-1, 1, [[1.0]]), rank=2)
